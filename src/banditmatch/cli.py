@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, dialogworld, nncore, trainer
-from .datasets import DataError, SplitConfig
+from .datasets import DataError, DataVersionError, SplitConfig
 from .dialogworld import WorldError, WorldSchema
 from .objectives import AugmentConfig, LossWeights
 from .policy import ActionSetPolicy, PolicyNet, policy_spec_for
@@ -216,7 +216,7 @@ def _read_labeled(path: Path):
     try:
         return datasets.read_labeled_jsonl(path)
     except DataError as err:
-        code = EXIT_VERSION if "version" in str(err) else EXIT_INVALID
+        code = EXIT_VERSION if isinstance(err, DataVersionError) else EXIT_INVALID
         raise CliError(str(err), code) from err
 
 
@@ -225,7 +225,7 @@ def _read_bandit(path: Path):
     try:
         return datasets.read_bandit_jsonl(path)
     except DataError as err:
-        code = EXIT_VERSION if "version" in str(err) else EXIT_INVALID
+        code = EXIT_VERSION if isinstance(err, DataVersionError) else EXIT_INVALID
         raise CliError(str(err), code) from err
 
 

@@ -29,6 +29,10 @@ class DataError(Exception):
     pass
 
 
+class DataVersionError(DataError):
+    """A JSONL header names a schema version this reader does not support."""
+
+
 @dataclass
 class LabeledExample:
     state: np.ndarray
@@ -160,7 +164,7 @@ def _read_lines(path, kind: str):
             if lineno == 1:
                 version = obj.get("schema_version")
                 if version != JSONL_VERSION:
-                    raise DataError(
+                    raise DataVersionError(
                         f"{path}:1: schema version {version!r} unsupported "
                         f"(expected {JSONL_VERSION!r})"
                     )
@@ -188,9 +192,13 @@ def read_labeled_jsonl(path) -> list[LabeledExample]:
 
 
 def read_bandit_jsonl(path) -> list[BanditRecord]:
+    """Read a bandit log and enforce the FORMATS.md record contract."""
     records = []
+    linenos = []
+    deltas = []
     for lineno, obj in _read_lines(path, KIND_BANDIT):
         try:
+            deltas.append(float(obj["delta"]))
             records.append(
                 BanditRecord(
                     state=np.array(obj["state"], dtype=np.float64),
@@ -201,4 +209,47 @@ def read_bandit_jsonl(path) -> list[BanditRecord]:
             )
         except KeyError as err:
             raise DataError(f"{path}:{lineno}: missing field {err}") from err
+        except (TypeError, ValueError) as err:
+            raise DataError(f"{path}:{lineno}: malformed field value ({err})") from err
+        linenos.append(lineno)
+    if records:
+        _check_bandit_records(path, records, linenos, np.array(deltas))
     return records
+
+
+def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int],
+                          delta: np.ndarray) -> None:
+    """One pass over the stacked log: equal state and rho lengths, delta in
+    {0, 1}, rho strictly inside (0, 1), actions == {c : rho[c] > 0.5}."""
+
+    def fail(i: int, message: str):
+        raise DataError(f"{path}:{linenos[i]}: {message}")
+
+    first = records[0]
+    for i, r in enumerate(records):
+        if r.state.ndim != 1 or r.state.shape != first.state.shape:
+            fail(i, f"state has {r.state.size} entries, line {linenos[0]} has {first.state.size}")
+        if r.propensities.ndim != 1 or r.propensities.shape != first.propensities.shape:
+            fail(i, f"rho has {r.propensities.size} entries, "
+                    f"line {linenos[0]} has {first.propensities.size}")
+    bad = np.flatnonzero((delta != 0.0) & (delta != 1.0))
+    if bad.size:
+        fail(bad[0], f"delta must be 0 or 1, got {delta[bad[0]]:g}")
+    rho = np.stack([r.propensities for r in records])
+    bad = np.flatnonzero(~((rho > 0.0) & (rho < 1.0)).all(axis=1))
+    if bad.size:
+        fail(bad[0], "rho must lie strictly inside (0, 1)")
+    n, num_classes = rho.shape
+    sizes = np.array([r.logged_actions.size for r in records])
+    actions = np.concatenate([r.logged_actions.reshape(-1) for r in records])
+    rows = np.repeat(np.arange(n), sizes)
+    in_range = (actions >= 0) & (actions < num_classes)
+    logged = np.zeros((n, num_classes), dtype=bool)
+    logged[rows[in_range], actions[in_range]] = True
+    mismatch = (logged != (rho > 0.5)).any(axis=1)
+    mismatch[rows[~in_range]] = True
+    bad = np.flatnonzero(mismatch)
+    if bad.size:
+        i = bad[0]
+        fail(i, f"actions {records[i].logged_actions.tolist()} differ from "
+                f"{{c : rho[c] > 0.5}} = {np.flatnonzero(rho[i] > 0.5).tolist()}")

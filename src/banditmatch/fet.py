@@ -85,11 +85,14 @@ def attribution_pos(set_size: int) -> float:
 
 
 def attribution_neg(rho_in_set: np.ndarray) -> np.ndarray:
-    """Blame shared proportionally to the logged propensities of the set."""
+    """Blame shared proportionally to the logged propensities of the set.
+
+    A 2-d argument holds one set per row (all of one size).
+    """
     rho_in_set = np.asarray(rho_in_set, dtype=np.float64)
     if rho_in_set.size == 0:
         raise ValueError("attribution over an empty action set is undefined")
-    total = rho_in_set.sum()
+    total = rho_in_set.sum(axis=-1, keepdims=True)
     return rho_in_set / total
 
 
@@ -97,15 +100,29 @@ def clamp_correctness(value: float) -> float:
     return float(np.clip(value, 0.0, 1.0 - CORRECTNESS_EPS))
 
 
+def _members_by_size(sets: np.ndarray):
+    """Yield ``(k, rows, cols)`` for each set size ``k`` present: the rows
+    whose set has ``k`` members, and a ``(len(rows), k)`` array of their
+    member classes in ascending order.
+
+    Reducing a gathered row with ``.sum(axis=1)`` adds in the same order as
+    ``np.sum`` over that row's members alone (``np.add.reduceat`` does not).
+    """
+    sizes = np.count_nonzero(sets, axis=1)
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        yield k, rows, np.nonzero(sets[rows])[1].reshape(rows.size, k)
+
+
 def model_correctness_pos(probs_t: np.ndarray, sets_t: np.ndarray, rho_t: np.ndarray) -> float:
     """Importance-weighted agreement with the correctly predicted positives."""
     if probs_t.shape[0] == 0:
         raise ValueError("no correct positives to estimate correctness from")
-    per_record = []
-    for probs, members, rho in zip(probs_t, sets_t, rho_t):
-        idx = np.flatnonzero(members)
-        w = attribution_pos(idx.size)
-        per_record.append(float(np.sum(w * probs[idx] / rho[idx])))
+    per_record = np.empty(probs_t.shape[0])
+    for k, rows, cols in _members_by_size(sets_t):
+        w = attribution_pos(k)
+        r = rows[:, None]
+        per_record[rows] = (w * probs_t[r, cols] / rho_t[r, cols]).sum(axis=1)
     return clamp_correctness(float(np.mean(per_record)))
 
 
@@ -115,14 +132,16 @@ def model_correctness_neg(probs_n: np.ndarray, sets_n: np.ndarray, rho_n: np.nda
     Records whose logged set is empty carry no attributable blame and are
     skipped.
     """
-    per_record = []
-    for probs, members, rho in zip(probs_n, sets_n, rho_n):
-        idx = np.flatnonzero(members)
-        if idx.size == 0:
+    per_record = np.full(probs_n.shape[0], np.nan)
+    for k, rows, cols in _members_by_size(sets_n):
+        if k == 0:
             continue
-        attr = attribution_neg(rho[idx])
-        per_record.append(float(np.sum(attr * (1.0 - probs[idx]) / (1.0 - rho[idx]))))
-    if not per_record:
+        r = rows[:, None]
+        rho = rho_n[r, cols]
+        attr = attribution_neg(rho)
+        per_record[rows] = (attr * (1.0 - probs_n[r, cols]) / (1.0 - rho)).sum(axis=1)
+    per_record = per_record[sets_n.any(axis=1)]
+    if per_record.size == 0:
         raise ValueError("no negative records with non-empty logged sets")
     return clamp_correctness(float(np.mean(per_record)))
 

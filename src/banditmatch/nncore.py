@@ -10,6 +10,20 @@ Gradient conventions:
   * Probabilities come from ``sigmoid`` applied to logits clamped to
     ``[-LOGIT_CLAMP, +LOGIT_CLAMP]``, which bounds every class probability
     away from 0 and 1 so all downstream logs stay finite.
+  * A node's ``_backward(g)`` receives the node's own gradient and holds
+    no reference to the node, so a graph is freed as soon as its last
+    outside reference goes (no reference cycles, no wait for the cyclic
+    collector).
+
+Fused nodes: the training hot path (``Mlp.forward`` and every loss in
+``objectives``) builds one ``fused`` node per forward pass or loss term
+instead of one node per op. A fused node must reproduce the op-level graph
+bit for bit: its value uses the op-level forward's expressions in the same
+order, and its backward makes the same ``_accumulate`` calls, with the same
+expressions, in the op graph's reverse-topological order. Float addition is
+not associative, so contributions to a shared parent are never pre-summed.
+The op-level ops below stay as the gradient oracle: tests rebuild each fused
+node from them and require equal bits.
 """
 
 from __future__ import annotations
@@ -61,7 +75,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] = lambda: None
+        self._backward: Callable[[np.ndarray], None] = _no_backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,21 +102,26 @@ class Tensor:
         """Backpropagate from this scalar, accumulating into ``grad``."""
         if self.data.size != 1:
             raise UsageError("backward() only supported from a scalar loss")
+        # Depth-first post-order over parents, in parent order: the order of
+        # the accumulations into shared tensors (and so their low-order bits)
+        # depends on it. Iterative, so no self-referencing closure keeps the
+        # graph alive.
         topo: list[Tensor] = []
-        seen: set[int] = set()
-
-        def visit(node: Tensor) -> None:
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            topo.append(node)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            node._backward()
+            node._backward(node.grad)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -135,6 +154,10 @@ class Tensor:
         return matmul(self, other)
 
 
+def _no_backward(g) -> None:
+    pass
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -157,15 +180,28 @@ def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
     return out
 
 
+def fused(data, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+    """One graph node with a caller-supplied backward.
+
+    ``backward(g)`` receives the node's gradient and accumulates into the
+    parents itself (``parent._accumulate``). It runs only when some parent
+    requires grad, and it must not reference the returned node.
+    """
+    out = _node(_as_array(data), parents)
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = _node(a.data + b.data, (a, b))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad)
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(out.grad)
+            b._accumulate(g)
 
     out._backward = backward
     return out
@@ -175,11 +211,11 @@ def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = _node(a.data * b.data, (a, b))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad * b.data)
+            a._accumulate(g * b.data)
         if b.requires_grad:
-            b._accumulate(out.grad * a.data)
+            b._accumulate(g * a.data)
 
     out._backward = backward
     return out
@@ -189,11 +225,11 @@ def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = _node(a.data / b.data, (a, b))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad / b.data)
+            a._accumulate(g / b.data)
         if b.requires_grad:
-            b._accumulate(-out.grad * a.data / (b.data * b.data))
+            b._accumulate(-g * a.data / (b.data * b.data))
 
     out._backward = backward
     return out
@@ -205,11 +241,11 @@ def matmul(a, b) -> Tensor:
         raise ConfigurationError("matmul expects 2-d operands")
     out = _node(a.data @ b.data, (a, b))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad @ b.data.T)
+            a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ out.grad)
+            b._accumulate(a.data.T @ g)
 
     out._backward = backward
     return out
@@ -219,9 +255,9 @@ def relu(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _node(np.maximum(a.data, 0.0), (a,))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad * (a.data > 0.0))
+            a._accumulate(g * (a.data > 0.0))
 
     out._backward = backward
     return out
@@ -232,9 +268,9 @@ def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
     out = _node(t, (a,))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad * (1.0 - t * t))
+            a._accumulate(g * (1.0 - t * t))
 
     out._backward = backward
     return out
@@ -245,9 +281,9 @@ def sigmoid(a: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.data))
     out = _node(s, (a,))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad * s * (1.0 - s))
+            a._accumulate(g * s * (1.0 - s))
 
     out._backward = backward
     return out
@@ -257,9 +293,9 @@ def log(a: Tensor) -> Tensor:
     a = _wrap(a)
     out = _node(np.log(a.data), (a,))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad / a.data)
+            a._accumulate(g / a.data)
 
     out._backward = backward
     return out
@@ -270,9 +306,9 @@ def exp(a: Tensor) -> Tensor:
     e = np.exp(a.data)
     out = _node(e, (a,))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad * e)
+            a._accumulate(g * e)
 
     out._backward = backward
     return out
@@ -283,10 +319,10 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     a = _wrap(a)
     out = _node(np.clip(a.data, lo, hi), (a,))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             inside = (a.data >= lo) & (a.data <= hi)
-            a._accumulate(out.grad * inside)
+            a._accumulate(g * inside)
 
     out._backward = backward
     return out
@@ -296,10 +332,9 @@ def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
     a = _wrap(a)
     out = _node(a.data.sum(axis=axis), (a,))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if not a.requires_grad:
             return
-        g = out.grad
         if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
@@ -386,29 +421,9 @@ class Mlp:
         for p in self.parameters():
             p.zero_grad()
 
-    def logits(self, states: np.ndarray) -> Tensor:
-        x = _as_array(states)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ConfigurationError(
-                f"state dim {x.shape} incompatible with input_dim={self.spec.input_dim}"
-            )
-        h: Tensor = Tensor(x)
-        act = relu if self.spec.hidden_activation == "relu" else tanh
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = matmul(h, w) + b
-            if i < len(self.weights) - 1:
-                h = act(h)
-        return clip(h, -LOGIT_CLAMP, LOGIT_CLAMP)
-
-    def forward(self, states: np.ndarray) -> Tensor:
-        """Class probabilities, each strictly inside (0, 1)."""
-        return sigmoid(self.logits(states))
-
-    def probs(self, states: np.ndarray) -> np.ndarray:
-        """Forward pass without building the backward graph."""
+    def _layers(self, states) -> tuple[list[np.ndarray], np.ndarray, bool]:
+        """Layer inputs (the states, then each hidden activation), the
+        unclamped output logits, and whether the states were a single row."""
         x = _as_array(states)
         squeeze = x.ndim == 1
         if squeeze:
@@ -418,13 +433,43 @@ class Mlp:
                 f"state dim {x.shape} incompatible with input_dim={self.spec.input_dim}"
             )
         act_fn = np.tanh if self.spec.hidden_activation == "tanh" else None
+        inputs = [x]
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w.data + b.data
             if i < len(self.weights) - 1:
                 h = np.tanh(h) if act_fn else np.maximum(h, 0.0)
-        h = np.clip(h, -LOGIT_CLAMP, LOGIT_CLAMP)
-        p = 1.0 / (1.0 + np.exp(-h))
+                inputs.append(h)
+        return inputs, h, squeeze
+
+    def forward(self, states: np.ndarray) -> Tensor:
+        """Class probabilities, each strictly inside (0, 1), as one graph node.
+
+        Always 2-d (a single state gives one row). The backward replays the
+        op chain matmul, bias add, activation, clip, sigmoid layer by layer.
+        """
+        inputs, z, _ = self._layers(states)
+        s = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
+        weights, biases = self.weights, self.biases
+        tanh_act = self.spec.hidden_activation == "tanh"
+
+        def backward(g: np.ndarray) -> None:
+            inside = (z >= -LOGIT_CLAMP) & (z <= LOGIT_CLAMP)
+            dz = g * s * (1.0 - s) * inside
+            for i in range(len(weights) - 1, -1, -1):
+                h = inputs[i]
+                weights[i]._accumulate(h.T @ dz)
+                biases[i]._accumulate(dz)
+                if i:
+                    dh = dz @ weights[i].data.T
+                    dz = dh * (1.0 - h * h) if tanh_act else dh * (h > 0.0)
+
+        return fused(s, self.parameters(), backward)
+
+    def probs(self, states: np.ndarray) -> np.ndarray:
+        """Forward pass without building the backward graph."""
+        _, z, squeeze = self._layers(states)
+        p = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
         return p[0] if squeeze else p
 
     def copy(self) -> "Mlp":
@@ -495,21 +540,41 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
 
     def step(self) -> None:
+        """One update, in place. Per parameter it computes, with the same
+        operand order (and so the same bits) as the plain expressions::
+
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + ((1 - beta2) * g) * g
+            p -= (lr * wd) * p                      # when weight_decay
+            p -= (lr * (m / b1t)) / (sqrt(v / b2t) + eps)
+        """
         _check_finite(self.params)
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        lr = self.learning_rate
+        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
             if self.weight_decay:
-                p.data -= self.learning_rate * self.weight_decay * p.data
-            p.data -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+                np.multiply(p.data, lr * self.weight_decay, out=a)
+                p.data -= a
+            np.divide(v, b2t, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, b1t, out=b)
+            b *= lr
+            b /= a
+            p.data -= b
 
 
 def make_optimizer(

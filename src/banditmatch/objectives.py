@@ -72,13 +72,6 @@ def mixup_pair(state_a: np.ndarray, state_b: np.ndarray, lam: float) -> np.ndarr
     return lam * state_a + (1.0 - lam) * state_b
 
 
-def mixup(
-    state_a: np.ndarray, state_b: np.ndarray, alpha: float, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    lam = float(sample_mixup_lambda(alpha, rng, 1)[0])
-    return mixup_pair(state_a, state_b, lam), lam
-
-
 def mixup_batch(
     states: np.ndarray, alpha: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,12 +89,6 @@ def mixup_batch(
 
 
 # -- building blocks --------------------------------------------------------------
-
-
-def bce_elementwise(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-entry binary cross-entropy against constant targets."""
-    t = np.asarray(targets, dtype=np.float64)
-    return -(t * nncore.log(probs) + (1.0 - t) * nncore.log(1.0 - probs))
 
 
 def pseudo_labels(weak_probs: np.ndarray) -> np.ndarray:
@@ -125,6 +112,30 @@ def unconfident_plus_mask(
 
 
 # -- composite loss terms ----------------------------------------------------------
+#
+# Each loss is one ``nncore.fused`` node. Its value and its backward replay
+# the op-level graph the formula would build from ``nncore`` ops: the same
+# expressions in the same order, and one ``probs._accumulate`` call per op
+# that reads ``probs``, in the graph's reverse-topological order. Where the
+# op graph computes ``1 - p`` as ``1 + (-p)`` or ``x - c`` as ``x + (-c)``,
+# the subtraction here gives the same bits. Comments name each accumulation
+# after the op path it replays.
+
+
+def _masked_bce(probs: Tensor, targets: np.ndarray, weights: np.ndarray, scale) -> Tensor:
+    """``sum(-(t log p + (1 - t) log(1 - p)) * weights) * scale``."""
+    p = probs.data
+    t = np.asarray(targets, dtype=np.float64)
+    not_t = 1.0 - t
+    q = 1.0 - p
+    bce = -(np.log(p) * t + np.log(q) * not_t)
+
+    def backward(g: np.ndarray) -> None:
+        g_bce = -(g * scale * weights)
+        probs._accumulate(-(g_bce * not_t / q))  # log(1 - p)
+        probs._accumulate(g_bce * t / p)  # log(p)
+
+    return nncore.fused((bce * weights).sum() * scale, (probs,), backward)
 
 
 def loss_labeled(weak_probs: Tensor, target_mask: np.ndarray, delta: np.ndarray) -> Tensor:
@@ -133,8 +144,7 @@ def loss_labeled(weak_probs: Tensor, target_mask: np.ndarray, delta: np.ndarray)
     n_pos = pos.sum()
     if n_pos == 0:
         return Tensor(0.0)
-    bce = bce_elementwise(weak_probs, target_mask.astype(np.float64))
-    return nncore.tensor_sum(bce * pos[:, None]) * (1.0 / n_pos)
+    return _masked_bce(weak_probs, target_mask, pos[:, None], 1.0 / n_pos)
 
 
 def loss_pseudo(strong_probs: Tensor, qhat: np.ndarray, conf: np.ndarray) -> Tensor:
@@ -143,8 +153,7 @@ def loss_pseudo(strong_probs: Tensor, qhat: np.ndarray, conf: np.ndarray) -> Ten
     total = conf.sum()
     if total == 0:
         return Tensor(0.0)
-    bce = bce_elementwise(strong_probs, qhat)
-    return nncore.tensor_sum(bce * conf) * (1.0 / total)
+    return _masked_bce(strong_probs, qhat, conf, 1.0 / total)
 
 
 def loss_bandit(
@@ -161,10 +170,15 @@ def loss_bandit(
     total = mask.sum()
     if total == 0:
         return Tensor(0.0)
+    rho = np.asarray(rho, dtype=np.float64)
     weights = delta[:, None] * mask
-    ratio_excess = probs / rho - 1.0
-    numerator = float(delta.sum()) + nncore.tensor_sum(ratio_excess * weights)
-    return numerator * (-1.0 / total)
+    scale = -1.0 / total
+    excess = ((probs.data / rho - 1.0) * weights).sum()
+
+    def backward(g: np.ndarray) -> None:
+        probs._accumulate(g * scale * weights / rho)  # p / rho
+
+    return nncore.fused((excess + float(delta.sum())) * scale, (probs,), backward)
 
 
 def bandit_value_estimate(
@@ -184,11 +198,21 @@ def bandit_value_estimate(
 def loss_kl_control(probs: Tensor, ref_probs: np.ndarray) -> Tensor:
     """Mean per-class Bernoulli KL divergence from the frozen reference."""
     p0 = np.asarray(ref_probs, dtype=np.float64)
-    n = probs.data.shape[0]
-    kl = probs * (nncore.log(probs) - np.log(p0)) + (1.0 - probs) * (
-        nncore.log(1.0 - probs) - np.log(1.0 - p0)
-    )
-    return nncore.tensor_sum(kl) * (1.0 / n)
+    p = probs.data
+    q = 1.0 - p
+    scale = 1.0 / p.shape[0]
+    log_ratio_p = np.log(p) - np.log(p0)
+    log_ratio_q = np.log(q) - np.log(1.0 - p0)
+    kl = p * log_ratio_p + q * log_ratio_q
+
+    def backward(g: np.ndarray) -> None:
+        g_kl = g * scale
+        probs._accumulate(-(g_kl * q / q))  # log(1 - p)
+        probs._accumulate(-(g_kl * log_ratio_q))  # the (1 - p) factor
+        probs._accumulate(g_kl * log_ratio_p)  # the p factor
+        probs._accumulate(g_kl * p / p)  # log(p)
+
+    return nncore.fused(kl.sum() * scale, (probs,), backward)
 
 
 def total_loss(
@@ -200,12 +224,27 @@ def total_loss(
 # -- baseline objectives -------------------------------------------------------------
 
 
-def _log_importance_weights(probs: Tensor, rho: np.ndarray, logged_mask: np.ndarray) -> Tensor:
-    """Row log-ratio of the joint per-class Bernoulli set decision."""
+def _clipped_ips(
+    probs: Tensor, rho: np.ndarray, logged_mask: np.ndarray, reward: np.ndarray, clip: float
+) -> Tensor:
+    """``-mean(min(w, clip) * reward)`` with ``w`` the joint per-class
+    Bernoulli likelihood ratio of the logged set decision."""
+    p = probs.data
     z = np.asarray(logged_mask, dtype=np.float64)
-    log_num = z * nncore.log(probs) + (1.0 - z) * nncore.log(1.0 - probs)
+    not_z = 1.0 - z
+    q = 1.0 - p
+    log_num = np.log(p) * z + np.log(q) * not_z
     log_den = z * np.log(rho) + (1.0 - z) * np.log(1.0 - rho)
-    return nncore.tensor_sum(log_num - log_den, axis=1)
+    w = np.exp((log_num - log_den).sum(axis=1))
+    inside = (w >= 0.0) & (w <= clip)
+    scale = -1.0 / reward.shape[0]
+
+    def backward(g: np.ndarray) -> None:
+        g_row = (g * scale * reward * inside * w)[:, None]
+        probs._accumulate(-(g_row * not_z / q))  # log(1 - p)
+        probs._accumulate(g_row * z / p)  # log(p)
+
+    return nncore.fused((np.clip(w, 0.0, clip) * reward).sum() * scale, (probs,), backward)
 
 
 def loss_ips(
@@ -217,10 +256,7 @@ def loss_ips(
 ) -> Tensor:
     """Clipped inverse-propensity objective on the joint set decision."""
     delta = np.asarray(delta, dtype=np.float64)
-    n = delta.shape[0]
-    w = nncore.exp(_log_importance_weights(probs, rho, logged_mask))
-    w = nncore.clip(w, 0.0, clip)
-    return nncore.tensor_sum(w * delta) * (-1.0 / n)
+    return _clipped_ips(probs, rho, logged_mask, delta, clip)
 
 
 def loss_banditnet(
@@ -233,10 +269,7 @@ def loss_banditnet(
 ) -> Tensor:
     """Translated IPS: rewards are shifted by a baseline before weighting."""
     delta = np.asarray(delta, dtype=np.float64)
-    n = delta.shape[0]
-    w = nncore.exp(_log_importance_weights(probs, rho, logged_mask))
-    w = nncore.clip(w, 0.0, clip)
-    return nncore.tensor_sum(w * (delta - translation)) * (-1.0 / n)
+    return _clipped_ips(probs, rho, logged_mask, delta - translation, clip)
 
 
 def fixmatch_mask(

@@ -145,6 +145,71 @@ class TestGrids:
         assert len(lines) == 3  # header + two percentage points
 
 
+def _break_record(record: dict, case: str) -> None:
+    """Make one bandit-log record violate one rule of the FORMATS.md contract."""
+    rho, actions = record["rho"], record["actions"]
+    below = next(c for c in range(len(rho)) if c not in actions)
+    if case == "delta":
+        record["delta"] = 7
+    elif case == "rho_zero":
+        rho[below] = 0.0
+    elif case == "rho_one":
+        rho[below] = 1.0
+        record["actions"] = sorted(actions + [below])
+    elif case == "rho_length":
+        rho.pop()
+    elif case == "state_length":
+        record["state"].pop()
+    elif case == "actions":
+        record["actions"] = sorted(actions + [below])
+
+
+BROKEN_LOGS = {
+    "delta": "delta must be 0 or 1",
+    "rho_zero": "rho must lie strictly inside (0, 1)",
+    "rho_one": "rho must lie strictly inside (0, 1)",
+    "rho_length": "rho has",
+    "state_length": "state has",
+    "actions": "differ from {c : rho[c] > 0.5}",
+}
+
+
+class TestBanditLogContract:
+    @pytest.mark.parametrize("case", sorted(BROKEN_LOGS))
+    def test_broken_record_exit_code_and_line(self, pipeline, tmp_path, capsys, case):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        lines = (data / "bandit.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        _break_record(record, case)
+        lines[2] = json.dumps(record)
+        broken = tmp_path / "bandit.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["train", "--method", "banditmatch", "--bandit", broken,
+                    "--logging-policy", data / "logging_policy.json",
+                    "--config", cfg, "--seed", 5, "--out", tmp_path / "p.json"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert f"{broken}:3: " in err and BROKEN_LOGS[case] in err
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_exit_code_follows_error_type_not_message(self, pipeline, tmp_path):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        lines = (data / "bandit.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        _break_record(record, "delta")
+        # a directory named "version" must not turn a bad value into exit 4
+        broken = tmp_path / "version" / "bandit.jsonl"
+        broken.parent.mkdir()
+        broken.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        newer = tmp_path / "newer.jsonl"
+        newer.write_text('{"schema_version": "v9", "record": "bandit"}\n')
+        argv = ["train", "--method", "banditmatch", "--logging-policy",
+                data / "logging_policy.json", "--config", cfg, "--out", tmp_path / "p.json"]
+        assert run(argv + ["--bandit", broken]) == cli.EXIT_INVALID
+        assert run(argv + ["--bandit", newer]) == cli.EXIT_VERSION
+
+
 class TestErrors:
     def test_missing_file_exit_code(self, tmp_path):
         code = run(["gen-corpus", "--world", tmp_path / "nope.json",

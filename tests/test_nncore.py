@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,22 @@ class TestBackward:
 
         err = nncore.grad_check(loss_fn, net.parameters(), fd_epsilon=1e-5)
         assert err < 1e-4
+
+
+    def test_graph_freed_without_cycle_collector(self):
+        net = make_net(seed=6)
+        x = np.random.default_rng(7).random((3, 8))
+        gc.disable()
+        try:
+            probs = net.forward(x)  # fused node
+            logp = nncore.log(probs)  # op-level node
+            loss = nncore.tensor_sum(logp * 2.0)
+            probes = [weakref.ref(probs), weakref.ref(logp), weakref.ref(loss)]
+            loss.backward()
+            del probs, logp, loss
+            assert [p() for p in probes] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestGradCheck:
