@@ -10,7 +10,9 @@ outputs.
 
 Exit codes: 0 success, 2 bad command line (argparse), 3 missing input
 file, 4 schema/checkpoint version mismatch, 5 invalid configuration or
-value, 1 unexpected failure.
+value (including an input file that breaks FORMATS.md or does not fit the
+world or checkpoint it is used with, and a numeric failure in training),
+1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import datasets, dialogworld, nncore, trainer
 from .datasets import DataError, DataVersionError, SplitConfig
 from .dialogworld import WorldError, WorldSchema
 from .objectives import AugmentConfig, LossWeights
-from .policy import ActionSetPolicy, PolicyNet, policy_spec_for
+from .policy import ActionSetPolicy, PolicyError, PolicyNet, policy_spec_for
 from .seeding import derive_rng
 from .trainer import ExperimentReport, TrainConfig, TrainerError
 
@@ -229,6 +231,52 @@ def _read_bandit(path: Path):
         raise CliError(str(err), code) from err
 
 
+# -- cross-file checks: a file's widths against the world or checkpoint it meets
+
+
+def _mismatch(path, what: str, got: int, limit_name: str, limit: int, source: str) -> CliError:
+    return CliError(f"{path}: {what} {got} does not match {limit_name} {limit} of {source}",
+                    EXIT_INVALID)
+
+
+def _check_corpus_fits(path, corpus, state_dim: int, num_actions: int, source: str,
+                       names=("state_dim", "num_actions")) -> None:
+    """State length and action indices of a labeled corpus (the reader has
+    made its states equal-length and its actions sorted and non-negative)."""
+    if not corpus:
+        return
+    if corpus[0].state.size != state_dim:
+        raise _mismatch(path, "state length", corpus[0].state.size, names[0], state_dim, source)
+    top = np.array([ex.actions[-1] for ex in corpus])
+    bad = np.flatnonzero(top >= num_actions)
+    if bad.size:
+        raise CliError(f"{path}: record {bad[0] + 1} has action index {top[bad[0]]}, "
+                       f"not below {names[1]} {num_actions} of {source}", EXIT_INVALID)
+
+
+def _check_log_fits(path, records, policy: PolicyNet, source: str) -> None:
+    """State and rho lengths of a bandit log against the logging policy (the
+    reader has made them equal-length and the actions match rho)."""
+    if not records:
+        return
+    spec = policy.spec
+    if records[0].state.size != spec.input_dim:
+        raise _mismatch(path, "state length", records[0].state.size, "input_dim",
+                        spec.input_dim, source)
+    if records[0].propensities.size != spec.output_dim:
+        raise _mismatch(path, "rho length", records[0].propensities.size, "output_dim",
+                        spec.output_dim, source)
+
+
+def _check_policy_fits(path, policy: PolicyNet, schema: WorldSchema, source: str) -> None:
+    spec = policy.spec
+    if spec.input_dim != schema.state_dim:
+        raise _mismatch(path, "input_dim", spec.input_dim, "state_dim", schema.state_dim, source)
+    if spec.output_dim != schema.num_actions:
+        raise _mismatch(path, "output_dim", spec.output_dim, "num_actions",
+                        schema.num_actions, source)
+
+
 # -- report serialization -------------------------------------------------------------
 
 
@@ -360,6 +408,8 @@ def cmd_split_and_log(args) -> int:
     started = time.time()
     schema = _load_world(Path(args.world))
     corpus = _read_labeled(Path(args.corpus))
+    _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
+                       f"world {args.world}")
     cfg = build_train_config(
         read_config_file(Path(args.config)) if args.config else {},
         {"seed": args.seed},
@@ -402,7 +452,13 @@ def cmd_train(args) -> int:
     cfg = build_train_config(file_values, overrides)
     records = _read_bandit(Path(args.bandit))
     logging_policy = _load_policy(Path(args.logging_policy))
+    source = f"logging policy {args.logging_policy}"
+    _check_log_fits(args.bandit, records, logging_policy, source)
     labeled = _read_labeled(Path(args.labeled)) if args.labeled else None
+    if labeled is not None:
+        _check_corpus_fits(args.labeled, labeled, logging_policy.spec.input_dim,
+                           logging_policy.spec.output_dim, source,
+                           names=("input_dim", "output_dim"))
     try:
         policy, history = trainer.train_on_log(logging_policy, records, cfg, labeled_split=labeled)
     except TrainerError as err:
@@ -462,6 +518,7 @@ def cmd_evaluate(args) -> int:
         if args.checkpoint is None:
             raise CliError("either --checkpoint or --expert is required", EXIT_INVALID)
         policy = _load_policy(Path(args.checkpoint))
+        _check_policy_fits(f"checkpoint {args.checkpoint}", policy, schema, f"world {args.world}")
         if args.trace:
             report, trace_out = _evaluate_with_traces(policy, schema, args)
         else:
@@ -495,6 +552,10 @@ def cmd_ablate(args) -> int:
     schema = _load_world(Path(args.world))
     records = _read_bandit(Path(args.bandit))
     logging_policy = _load_policy(Path(args.logging_policy))
+    _check_policy_fits(f"logging policy {args.logging_policy}", logging_policy, schema,
+                       f"world {args.world}")
+    _check_log_fits(args.bandit, records, logging_policy,
+                    f"logging policy {args.logging_policy}")
     cfg = build_train_config(
         read_config_file(Path(args.config)) if args.config else {},
         {"seed": args.seed},
@@ -520,6 +581,8 @@ def cmd_sweep(args) -> int:
     started = time.time()
     schema = _load_world(Path(args.world))
     corpus = _read_labeled(Path(args.corpus))
+    _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
+                       f"world {args.world}")
     cfg = build_train_config(
         read_config_file(Path(args.config)) if args.config else {},
         {"seed": args.seed},
@@ -655,7 +718,8 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (WorldError, DataError, TrainerError) as err:
+    except (WorldError, DataError, TrainerError, nncore.NncoreError, PolicyError) as err:
+        # NncoreError covers NonFiniteGradientError and ConfigurationError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

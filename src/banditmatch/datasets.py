@@ -177,7 +177,9 @@ def _read_lines(path, kind: str):
 
 
 def read_labeled_jsonl(path) -> list[LabeledExample]:
+    """Read a labeled corpus and enforce the FORMATS.md record contract."""
     corpus = []
+    linenos = []
     for lineno, obj in _read_lines(path, KIND_LABELED):
         try:
             corpus.append(
@@ -188,7 +190,40 @@ def read_labeled_jsonl(path) -> list[LabeledExample]:
             )
         except KeyError as err:
             raise DataError(f"{path}:{lineno}: missing field {err}") from err
+        except (TypeError, ValueError) as err:
+            raise DataError(f"{path}:{lineno}: malformed field value ({err})") from err
+        linenos.append(lineno)
+    if corpus:
+        _check_labeled_records(path, corpus, linenos)
     return corpus
+
+
+def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int]) -> None:
+    """One pass over the stacked corpus: equal state lengths, and actions
+    non-empty, sorted, unique and non-negative."""
+
+    def fail(i: int, message: str):
+        raise DataError(f"{path}:{linenos[i]}: {message}")
+
+    first = corpus[0]
+    for i, ex in enumerate(corpus):
+        if ex.state.ndim != 1 or ex.state.shape != first.state.shape:
+            fail(i, f"state has {ex.state.size} entries, line {linenos[0]} has {first.state.size}")
+        if ex.actions.ndim != 1:
+            fail(i, "actions must be a flat list of indices")
+    sizes = np.array([ex.actions.size for ex in corpus])
+    bad = np.flatnonzero(sizes == 0)
+    if bad.size:
+        fail(bad[0], "actions must not be empty")
+    actions = np.concatenate([ex.actions for ex in corpus])
+    rows = np.repeat(np.arange(len(corpus)), sizes)
+    bad = rows[actions < 0]
+    if bad.size:
+        fail(bad[0], f"actions {corpus[bad[0]].actions.tolist()} include a negative index")
+    # within a record each index must exceed the one before it
+    bad = rows[1:][(rows[1:] == rows[:-1]) & (actions[1:] <= actions[:-1])]
+    if bad.size:
+        fail(bad[0], f"actions {corpus[bad[0]].actions.tolist()} are not sorted and unique")
 
 
 def read_bandit_jsonl(path) -> list[BanditRecord]:

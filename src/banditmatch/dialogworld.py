@@ -14,12 +14,23 @@ index mapping is fixed by the schema and stable for the life of a run.
 Episode flow: the user opens, then agent and user alternate. The episode
 ends when the user has everything it needs (it says bye), when the agent
 says bye, or at ``max_turns`` agent turns.
+
+Lookup tables. ``WorldSchema`` builds its tables once, at construction,
+one ``_DomainTables`` per domain behind a name map: the state layout (the
+domain's feature offsets and a slot -> position map per flag block, plus
+the position each possible last-turn user act sets) and per slot a
+value -> entity bitmask. The encoder writes only the features the context
+holds, and entity matching is an AND of bitmasks (``_entity_mask``), shared
+by the database lookup, goal checks, goal enumeration and the Match metric.
+The tables are not rebuilt, so a schema must not be mutated after
+construction; build a new one instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +65,12 @@ class AtomicAction:
         return f"{self.domain}-{self.act_type}-{self.slot or 'none'}"
 
 
+# the field order of AtomicAction, which its order=True comparison follows;
+# sorting by this key gives the same order without building a comparison
+# tuple on every compare
+ACTION_ORDER = operator.attrgetter("domain", "act_type", "slot")
+
+
 @dataclass(frozen=True)
 class UserAct:
     """User-side dialog act; informs carry the uttered value."""
@@ -75,20 +92,105 @@ class DomainSchema:
         return list(self.informable) + list(self.requestable)
 
 
+class _DomainTables:
+    """Feature positions and entity bitmasks of one domain.
+
+    ``expressed`` / ``pending`` / ``informed`` map each slot to its absolute
+    position in the state vector's three flag blocks; ``match`` is the first
+    match-count bucket and ``flags`` the booking-requested flag (booked and
+    active follow it). ``value_masks[slot][value]`` has bit ``i`` set when
+    entity ``i`` holds ``value``; ``informable_masks`` is its restriction to
+    the constraint slots.
+    """
+
+    __slots__ = ("dom", "expressed", "pending", "informed", "match", "flags",
+                 "all_entities", "value_masks", "informable_masks")
+
+    def __init__(self, dom: DomainSchema, offset: int):
+        slots = dom.all_slots()
+        n_all = len(slots)
+        self.dom = dom
+        self.expressed = {s: offset + i for i, s in enumerate(slots)}
+        self.pending = {s: offset + n_all + i for i, s in enumerate(slots)}
+        self.informed = {s: offset + 2 * n_all + i for i, s in enumerate(slots)}
+        self.match = offset + 3 * n_all
+        self.flags = self.match + MATCH_BUCKETS
+        self.all_entities = (1 << len(dom.entities)) - 1
+        self.value_masks: dict[str, dict[str, int]] = {s: {} for s in slots}
+        for i, ent in enumerate(dom.entities):
+            for slot, masks in self.value_masks.items():
+                masks[ent[slot]] = masks.get(ent[slot], 0) | (1 << i)
+        self.informable_masks = {s: self.value_masks[s] for s in dom.informable}
+
+
+def _entity_mask(tables: _DomainTables, constraints: dict) -> int:
+    """Bitmask of the entities whose slot values equal every constraint."""
+    mask = tables.all_entities
+    for slot, value in constraints.items():
+        mask &= tables.value_masks.get(slot, {}).get(value, 0)
+    return mask
+
+
+def _mask_indices(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
 @dataclass
 class WorldSchema:
     domains: list[DomainSchema]
 
     def __post_init__(self):
+        names = [dom.name for dom in self.domains]
+        if len(set(names)) != len(names):
+            raise WorldError(f"duplicate domain names in {names}")
         for dom in self.domains:
+            slots = dom.all_slots()
+            if len(set(slots)) != len(slots):
+                raise WorldError(f"domain {dom.name!r} lists a slot twice: {slots}")
             for ent in dom.entities:
-                missing = [s for s in dom.all_slots() if s not in ent]
+                missing = [s for s in slots if s not in ent]
                 if missing:
                     raise WorldError(
                         f"entity in domain {dom.name!r} missing slots {missing}"
                     )
         self._actions = self._build_vocab()
         self._index = {a: i for i, a in enumerate(self._actions)}
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        self._tables: list[_DomainTables] = []
+        # (domain, act type, slot) of a last-turn user act -> feature position;
+        # book acts are keyed with slot None
+        self._last_act_pos: dict[tuple[str, str, str | None], int] = {}
+        offset = 0
+        for dom in self.domains:
+            tables = _DomainTables(dom, offset)
+            self._tables.append(tables)
+            pos = tables.flags + 3
+            for slot in dom.informable:
+                self._last_act_pos[(dom.name, INFORM, slot)] = pos
+                pos += 1
+            for slot in dom.requestable:
+                self._last_act_pos[(dom.name, REQUEST, slot)] = pos
+                pos += 1
+            self._last_act_pos[(dom.name, BOOK, None)] = pos
+            offset = pos + 1
+        self._tables_by_name = {t.dom.name: t for t in self._tables}
+        self._bye_pos = offset
+        self._turn_pos = offset + 1
+        self._state_dim = offset + 1 + TURN_BUCKETS
+
+    def _tables_for(self, name: str) -> _DomainTables:
+        try:
+            return self._tables_by_name[name]
+        except KeyError:
+            raise WorldError(f"unknown domain {name!r}") from None
 
     def _build_vocab(self) -> list[AtomicAction]:
         actions: list[AtomicAction] = []
@@ -115,22 +217,14 @@ class WorldSchema:
         return self._index[action]
 
     def domain(self, name: str) -> DomainSchema:
-        for dom in self.domains:
-            if dom.name == name:
-                return dom
-        raise WorldError(f"unknown domain {name!r}")
+        return self._tables_for(name).dom
 
     @property
     def state_dim(self) -> int:
-        dim = 0
-        for dom in self.domains:
-            n_all = len(dom.all_slots())
-            n_inf = len(dom.informable)
-            n_req = len(dom.requestable)
-            # expressed / pending / informed flags, match bucket, booking
-            # requested+done, active flag, last-turn user inform/request/book
-            dim += 3 * n_all + MATCH_BUCKETS + 2 + 1 + n_inf + n_req + 1
-        return dim + 1 + TURN_BUCKETS  # user-bye flag + turn bucket
+        # per domain: expressed / pending / informed flags, match bucket,
+        # booking requested+done, active flag, last-turn user
+        # inform/request/book; then a user-bye flag and the turn bucket
+        return self._state_dim
 
     # -- persistence ---------------------------------------------------------
 
@@ -297,8 +391,7 @@ def sample_goal(schema: WorldSchema, rng: np.random.Generator) -> UserGoal:
 
 def _check_satisfiable(schema: WorldSchema, goal: UserGoal) -> None:
     for name, cons in goal.constraints.items():
-        dom = schema.domain(name)
-        if not any(all(ent[s] == v for s, v in cons.items()) for ent in dom.entities):
+        if not _entity_mask(schema._tables_for(name), cons):
             raise WorldError(f"goal constraints for {name!r} are unsatisfiable: {cons}")
 
 
@@ -306,6 +399,7 @@ def enumerate_goals(schema: WorldSchema) -> list[UserGoal]:
     """Every satisfiable single-assignment goal; tractable for tiny schemas."""
     goals = []
     for dom in schema.domains:
+        tables = schema._tables_for(dom.name)
         inf_slots = list(dom.informable)
         req_slots = list(dom.requestable)
         constraint_options = []
@@ -319,9 +413,7 @@ def enumerate_goals(schema: WorldSchema) -> list[UserGoal]:
             for combo in itertools.combinations(req_slots, k)
         ]
         for cons in constraint_options:
-            if not any(
-                all(ent[s] == v for s, v in cons.items()) for ent in dom.entities
-            ):
+            if not _entity_mask(tables, cons):
                 continue
             for reqs in request_options:
                 for book in (False, True):
@@ -362,17 +454,14 @@ class DialogContext:
 
 def db_matches(schema: WorldSchema, ctx: DialogContext, domain: str) -> list[int]:
     """Entity indices consistent with the constraints expressed so far."""
-    dom = schema.domain(domain)
+    tables = schema._tables_for(domain)
+    informable = tables.informable_masks
     cons = {
         s: v
         for s, v in ctx.domains[domain].expressed.items()
-        if v != DONTCARE and s in dom.informable
+        if v != DONTCARE and s in informable
     }
-    return [
-        i
-        for i, ent in enumerate(dom.entities)
-        if all(ent[s] == v for s, v in cons.items())
-    ]
+    return _mask_indices(_entity_mask(tables, cons))
 
 
 def apply_user_acts(ctx: DialogContext, acts: list[UserAct]) -> None:
@@ -400,7 +489,7 @@ def apply_agent_actions(ctx: DialogContext, actions: set[AtomicAction]) -> None:
     no state change.
     """
     schema = ctx.schema
-    for action in sorted(actions):
+    for action in sorted(actions, key=ACTION_ORDER):
         if action.act_type == BYE:
             continue
         if action.domain not in ctx.domains:
@@ -437,51 +526,36 @@ def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
     last-turn user informs (constraint slots), last-turn user requests
     (request slots), last-turn book flag. Then a user-bye flag and a
     turn-count bucket one-hot (0..4, 5+).
+
+    Only the features the context holds are walked, and each is written at
+    its precomputed position.
     """
-    feats: list[float] = []
-    last = ctx.last_user_acts
-    for dom in schema.domains:
-        dctx = ctx.domains[dom.name]
-        slots = dom.all_slots()
-        feats.extend(1.0 if s in dctx.expressed else 0.0 for s in slots)
-        feats.extend(1.0 if s in dctx.pending_requests else 0.0 for s in slots)
-        feats.extend(1.0 if s in dctx.informed else 0.0 for s in slots)
+    state = np.zeros(schema.state_dim, dtype=np.float64)
+    for tables in schema._tables:
+        dctx = ctx.domains[tables.dom.name]
+        for pos, present in ((tables.expressed, dctx.expressed),
+                             (tables.pending, dctx.pending_requests),
+                             (tables.informed, dctx.informed)):
+            for s in present:
+                if s in pos:
+                    state[pos[s]] = 1.0
         if dctx.active:
-            n = len(db_matches(schema, ctx, dom.name))
-            bucket = 0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3
-            feats.extend(1.0 if bucket == b else 0.0 for b in range(MATCH_BUCKETS))
-        else:
-            feats.extend(0.0 for _ in range(MATCH_BUCKETS))
-        feats.append(1.0 if dctx.booking_requested else 0.0)
-        feats.append(1.0 if dctx.booked else 0.0)
-        feats.append(1.0 if dctx.active else 0.0)
-        feats.extend(
-            1.0
-            if any(
-                a.domain == dom.name and a.act_type == INFORM and a.slot == s
-                for a in last
-            )
-            else 0.0
-            for s in dom.informable
-        )
-        feats.extend(
-            1.0
-            if any(
-                a.domain == dom.name and a.act_type == REQUEST and a.slot == s
-                for a in last
-            )
-            else 0.0
-            for s in dom.requestable
-        )
-        feats.append(
-            1.0
-            if any(a.domain == dom.name and a.act_type == BOOK for a in last)
-            else 0.0
-        )
-    feats.append(1.0 if ctx.user_said_bye else 0.0)
-    bucket = min(ctx.turn, TURN_BUCKETS - 1)
-    feats.extend(1.0 if bucket == b else 0.0 for b in range(TURN_BUCKETS))
-    return np.array(feats, dtype=np.float64)
+            n = len(db_matches(schema, ctx, tables.dom.name))
+            state[tables.match + (0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3)] = 1.0
+            state[tables.flags + 2] = 1.0
+        if dctx.booking_requested:
+            state[tables.flags] = 1.0
+        if dctx.booked:
+            state[tables.flags + 1] = 1.0
+    last_act_pos = schema._last_act_pos
+    for a in ctx.last_user_acts:
+        i = last_act_pos.get((a.domain, a.act_type, None if a.act_type == BOOK else a.slot))
+        if i is not None:
+            state[i] = 1.0
+    if ctx.user_said_bye:
+        state[schema._bye_pos] = 1.0
+    state[schema._turn_pos + min(ctx.turn, TURN_BUCKETS - 1)] = 1.0
+    return state
 
 
 # -- expert policy ---------------------------------------------------------------
@@ -610,15 +684,18 @@ def user_step(
     """
     acts: list[UserAct] = []
     goal = ustate.goal
-    for action in sorted(agent_actions):
-        if action.act_type != REQUEST or action.domain not in ctx.domains:
-            continue
+    requests = sorted(
+        (a for a in agent_actions if a.act_type == REQUEST and a.domain in ctx.domains),
+        key=ACTION_ORDER,
+    )
+    for action in requests:
         value = goal.constraints.get(action.domain, {}).get(action.slot, DONTCARE)
         acts.append(UserAct(action.domain, INFORM, action.slot, value))
+    if requests:
+        # the agent asked for these, so their queued informs are now moot
+        asked = {(a.domain, a.slot) for a in requests}
         ustate.agenda = [
-            a
-            for a in ustate.agenda
-            if not (a.domain == action.domain and a.act_type == INFORM and a.slot == action.slot)
+            a for a in ustate.agenda if not (a.act_type == INFORM and (a.domain, a.slot) in asked)
         ]
     if _needs_met(ustate, ctx) and not ustate.agenda:
         acts.append(UserAct(GENERAL, BYE))
@@ -677,8 +754,8 @@ def _compute_match(ctx: DialogContext, goal: UserGoal) -> int:
         dctx = ctx.domains[name]
         if dctx.selected_entity is None or not dctx.booked:
             return 0
-        ent = schema.domain(name).entities[dctx.selected_entity]
-        if any(ent[s] != v for s, v in goal.constraints[name].items()):
+        agreeing = _entity_mask(schema._tables_for(name), goal.constraints[name])
+        if not agreeing >> dctx.selected_entity & 1:
             return 0
     return 1
 

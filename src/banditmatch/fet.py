@@ -56,11 +56,6 @@ def exact_match_rows(probs: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return np.all((probs > 0.5) == sets, axis=1)
 
 
-def correct_positive_set(probs: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Boolean row mask of the correctly re-predicted positive examples."""
-    return exact_match_rows(probs, sets)
-
-
 def positive_thresholds(
     probs_t: np.ndarray, sets_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -248,7 +243,7 @@ class FetTracker:
         neg_rho: np.ndarray,
     ) -> ThresholdSet:
         """Fold one batch into the tracker and return the thresholds to use."""
-        correct = correct_positive_set(pos_probs, pos_sets)
+        correct = exact_match_rows(pos_probs, pos_sets)
         if correct.any():
             probs_t = pos_probs[correct]
             sets_t = pos_sets[correct]

@@ -1,0 +1,164 @@
+"""Reference forms of the dialog-world turn for the equality tests.
+
+The package encodes states and matches entities through lookup tables that
+``WorldSchema`` builds once (feature offsets, slot positions, per-value entity
+bitmasks) and sorts action sets with an attribute key. This module keeps the
+forms those tables replace: the encoder that loops over every slot and scans
+the last user acts for each one, entity matching by comparing every entity's
+slot values, and the agent-turn and user-turn updates that sort whole
+``AtomicAction`` sets and rebuild the agenda once per answered request. Tests
+require the package to produce equal states, match lists and episode metrics.
+"""
+
+import numpy as np
+
+from banditmatch.dialogworld import (
+    BOOK,
+    BYE,
+    DONTCARE,
+    GENERAL,
+    INFORM,
+    MATCH_BUCKETS,
+    MAX_INITIATIVE,
+    OFFER,
+    REQUEST,
+    TURN_BUCKETS,
+    AtomicAction,
+    DialogContext,
+    UserAct,
+    UserState,
+    WorldSchema,
+    _needs_met,
+    _refill_agenda,
+)
+
+
+def entities_matching(dom, cons: dict) -> list[int]:
+    return [
+        i
+        for i, ent in enumerate(dom.entities)
+        if all(ent[s] == v for s, v in cons.items())
+    ]
+
+
+def db_matches(schema: WorldSchema, ctx: DialogContext, domain: str) -> list[int]:
+    """Entity indices consistent with the constraints expressed so far."""
+    dom = schema.domain(domain)
+    cons = {
+        s: v
+        for s, v in ctx.domains[domain].expressed.items()
+        if v != DONTCARE and s in dom.informable
+    }
+    return [
+        i
+        for i, ent in enumerate(dom.entities)
+        if all(ent[s] == v for s, v in cons.items())
+    ]
+
+
+def apply_agent_actions(ctx: DialogContext, actions: set[AtomicAction]) -> None:
+    schema = ctx.schema
+    for action in sorted(actions):
+        if action.act_type == BYE:
+            continue
+        if action.domain not in ctx.domains:
+            continue
+        dctx = ctx.domains[action.domain]
+        if action.act_type == INFORM:
+            ctx.total_informs += 1
+            if action.slot in dctx.pending_requests:
+                ctx.useful_informs += 1
+                dctx.pending_requests.remove(action.slot)
+                ctx.answered.add((action.domain, action.slot))
+            dctx.informed.add(action.slot)
+        elif action.act_type in (OFFER, BOOK):
+            if dctx.booked:
+                continue
+            matches = db_matches(schema, ctx, action.domain)
+            if matches:
+                dctx.selected_entity = matches[0]
+            if action.act_type == BOOK:
+                dctx.booked = True
+
+
+def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
+    feats: list[float] = []
+    last = ctx.last_user_acts
+    for dom in schema.domains:
+        dctx = ctx.domains[dom.name]
+        slots = dom.all_slots()
+        feats.extend(1.0 if s in dctx.expressed else 0.0 for s in slots)
+        feats.extend(1.0 if s in dctx.pending_requests else 0.0 for s in slots)
+        feats.extend(1.0 if s in dctx.informed else 0.0 for s in slots)
+        if dctx.active:
+            n = len(db_matches(schema, ctx, dom.name))
+            bucket = 0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3
+            feats.extend(1.0 if bucket == b else 0.0 for b in range(MATCH_BUCKETS))
+        else:
+            feats.extend(0.0 for _ in range(MATCH_BUCKETS))
+        feats.append(1.0 if dctx.booking_requested else 0.0)
+        feats.append(1.0 if dctx.booked else 0.0)
+        feats.append(1.0 if dctx.active else 0.0)
+        feats.extend(
+            1.0
+            if any(
+                a.domain == dom.name and a.act_type == INFORM and a.slot == s
+                for a in last
+            )
+            else 0.0
+            for s in dom.informable
+        )
+        feats.extend(
+            1.0
+            if any(
+                a.domain == dom.name and a.act_type == REQUEST and a.slot == s
+                for a in last
+            )
+            else 0.0
+            for s in dom.requestable
+        )
+        feats.append(
+            1.0
+            if any(a.domain == dom.name and a.act_type == BOOK for a in last)
+            else 0.0
+        )
+    feats.append(1.0 if ctx.user_said_bye else 0.0)
+    bucket = min(ctx.turn, TURN_BUCKETS - 1)
+    feats.extend(1.0 if bucket == b else 0.0 for b in range(TURN_BUCKETS))
+    return np.array(feats, dtype=np.float64)
+
+
+def user_step(
+    ustate: UserState, ctx: DialogContext, agent_actions: set[AtomicAction]
+) -> tuple[list[UserAct], bool]:
+    acts: list[UserAct] = []
+    goal = ustate.goal
+    for action in sorted(agent_actions):
+        if action.act_type != REQUEST or action.domain not in ctx.domains:
+            continue
+        value = goal.constraints.get(action.domain, {}).get(action.slot, DONTCARE)
+        acts.append(UserAct(action.domain, INFORM, action.slot, value))
+        ustate.agenda = [
+            a
+            for a in ustate.agenda
+            if not (a.domain == action.domain and a.act_type == INFORM and a.slot == action.slot)
+        ]
+    if _needs_met(ustate, ctx) and not ustate.agenda:
+        acts.append(UserAct(GENERAL, BYE))
+        return acts, True
+    if not ustate.agenda:
+        _refill_agenda(ustate, ctx)
+    budget = MAX_INITIATIVE
+    while ustate.agenda and budget > 0:
+        act = ustate.agenda.pop(0)
+        if act.act_type == REQUEST:
+            if (act.domain, act.slot) in ctx.answered:
+                continue  # answered proactively while queued
+            ustate.uttered_requests.add((act.domain, act.slot))
+        elif act.act_type == BOOK:
+            if ctx.domains[act.domain].booked:
+                continue
+            ustate.uttered_book.add(act.domain)
+        acts.append(act)
+        budget -= 1
+    return acts, False

@@ -174,7 +174,7 @@ def test_criterion_03_fet_oracle():
             vr_ref, np.clip(1.0 - (1.0 - reject_ref) * scale, 0.0, 0.5), fet.FALLBACK_REJECT
         )
 
-        correct = fet.correct_positive_set(pos_probs, pos_sets)
+        correct = fet.exact_match_rows(pos_probs, pos_sets)
         assert correct.tolist() == correct_ref.tolist()
         accept, reject, va, vr = fet.positive_thresholds(pos_probs[correct], pos_sets[correct])
         assert va.tolist() == va_ref.tolist() and vr.tolist() == vr_ref.tolist()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from banditmatch import cli
+from banditmatch import cli, nncore
 
 
 def run(argv):
@@ -208,6 +208,125 @@ class TestBanditLogContract:
                 data / "logging_policy.json", "--config", cfg, "--out", tmp_path / "p.json"]
         assert run(argv + ["--bandit", broken]) == cli.EXIT_INVALID
         assert run(argv + ["--bandit", newer]) == cli.EXIT_VERSION
+
+
+def _break_example(record: dict, case: str) -> None:
+    """Make one labeled-corpus record violate one rule of the FORMATS.md contract."""
+    actions = record["actions"]
+    if case == "state_length":
+        record["state"].pop()
+    elif case == "empty":
+        record["actions"] = []
+    elif case == "unsorted":
+        record["actions"] = [actions[0] + 1, actions[0]]
+    elif case == "duplicate":
+        record["actions"] = [actions[0], actions[0]]
+    elif case == "negative":
+        record["actions"] = [-1] + actions
+    elif case == "out_of_range":
+        record["actions"] = [999]
+
+
+BROKEN_CORPORA = {
+    "state_length": ":3: state has",
+    "empty": ":3: actions must not be empty",
+    "unsorted": ":3: actions [",
+    "duplicate": ":3: actions [",
+    "negative": ":3: actions [-1,",
+    # the reader accepts it; the index is checked against the logging policy
+    "out_of_range": ": record 2 has action index 999, not below output_dim 61 of logging policy",
+}
+
+
+class TestLabeledCorpusContract:
+    @pytest.mark.parametrize("case", sorted(BROKEN_CORPORA))
+    def test_broken_record_exit_code_and_line(self, pipeline, tmp_path, capsys, case):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        lines = (data / "labeled.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        _break_example(record, case)
+        lines[2] = json.dumps(record)
+        broken = tmp_path / "labeled.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        replay = tmp_path / "replay.cfg"
+        replay.write_text(cfg.read_text() + "\nreplay_labeled = true\n")
+        capsys.readouterr()
+        code = run(["train", "--method", "banditmatch", "--bandit", data / "bandit.jsonl",
+                    "--logging-policy", data / "logging_policy.json", "--labeled", broken,
+                    "--config", replay, "--seed", 5, "--out", tmp_path / "p.json"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert f"{broken}{BROKEN_CORPORA[case]}" in err
+        assert err.count("\n") == 1  # one line, no traceback
+        if case in ("unsorted", "duplicate"):
+            assert "are not sorted and unique" in err
+
+
+@pytest.fixture(scope="module")
+def tiny_world_data(tmp_path_factory):
+    """A --tiny world with its own corpus and feedback log."""
+    root = tmp_path_factory.mktemp("tiny")
+    world = root / "world.json"
+    corpus = root / "corpus.jsonl"
+    cfg = root / "train.cfg"
+    cfg.write_text("sl_epochs = 2\nepochs = 1\nhidden_dims = 8\n")
+    assert run(["gen-world", "--out", world, "--tiny"]) == 0
+    assert run(["gen-corpus", "--world", world, "--n-dialogs", 20, "--seed", 1,
+                "--out", corpus]) == 0
+    assert run(["split-and-log", "--world", world, "--corpus", corpus, "--labeled-fraction",
+                0.5, "--seed", 1, "--config", cfg, "--out-dir", root / "data"]) == 0
+    return world, corpus, root / "data"
+
+
+class TestCrossFileWidths:
+    """Files that each pass their own contract but do not fit each other."""
+
+    def _fails_with(self, capsys, argv, message):
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert message in err
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_train_log_against_logging_policy(self, pipeline, tiny_world_data, tmp_path, capsys):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        tiny_world, tiny_corpus, tiny_data = tiny_world_data
+        self._fails_with(capsys, [
+            "train", "--method", "banditmatch", "--bandit", tiny_data / "bandit.jsonl",
+            "--logging-policy", data / "logging_policy.json", "--config", cfg,
+            "--out", tmp_path / "p.json"],
+            f"{tiny_data / 'bandit.jsonl'}: state length 27 does not match input_dim 167 "
+            f"of logging policy {data / 'logging_policy.json'}")
+
+    def test_evaluate_checkpoint_against_world(self, pipeline, tiny_world_data, tmp_path, capsys):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        tiny_world, tiny_corpus, tiny_data = tiny_world_data
+        self._fails_with(capsys, [
+            "evaluate", "--world", tiny_world, "--checkpoint", ckpt, "--n-dialogs", 2,
+            "--n-runs", 1, "--out", tmp_path / "r.csv"],
+            f"checkpoint {ckpt}: input_dim 167 does not match state_dim 27 of world {tiny_world}")
+
+    def test_split_corpus_against_world(self, pipeline, tiny_world_data, tmp_path, capsys):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        tiny_world, tiny_corpus, tiny_data = tiny_world_data
+        self._fails_with(capsys, [
+            "split-and-log", "--world", tiny_world, "--corpus", corpus, "--config", cfg,
+            "--out-dir", tmp_path / "d"],
+            f"{corpus}: state length 167 does not match state_dim 27 of world {tiny_world}")
+
+    def test_numeric_failure_is_one_line_exit_5(self, pipeline, tmp_path, capsys, monkeypatch):
+        root, world, corpus, data, cfg, ckpt = pipeline
+
+        def diverge(*args, **kwargs):
+            raise nncore.NonFiniteGradientError("non-finite gradient in w0 at step 3")
+
+        monkeypatch.setattr(cli.trainer, "train_on_log", diverge)
+        self._fails_with(capsys, [
+            "train", "--method", "banditmatch", "--bandit", data / "bandit.jsonl",
+            "--logging-policy", data / "logging_policy.json", "--config", cfg,
+            "--out", tmp_path / "p.json"],
+            "error: non-finite gradient in w0 at step 3")
 
 
 class TestErrors:

@@ -357,3 +357,18 @@ class TestAggregate:
 
         assert re.fullmatch(r"\d+\.\d+ ± \d+\.\d+", dw.format_metric(76.7, 2.83))
         assert dw.format_metric(76.7, 2.83, digits=1) == "76.7 ± 2.8"
+
+
+class TestSchemaTables:
+    def test_duplicate_domain_rejected(self):
+        dom = dw.DomainSchema("hotel", {"area": ["north"]}, ["phone"],
+                              [{"area": "north", "phone": "p0"}])
+        with pytest.raises(dw.WorldError, match="duplicate domain"):
+            dw.WorldSchema([dom, dom])
+
+    def test_slot_listed_twice_rejected(self):
+        # a slot both informable and requestable would give the vocabulary
+        # two identical inform actions
+        dom = dw.DomainSchema("hotel", {"area": ["north"]}, ["area"], [{"area": "north"}])
+        with pytest.raises(dw.WorldError, match="slot twice"):
+            dw.WorldSchema([dom])

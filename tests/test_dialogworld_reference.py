@@ -1,0 +1,187 @@
+"""The table-driven dialog turn against its reference forms.
+
+Each dialog is rolled twice from the same goal: once with the package's
+encoder, database lookup, agent-turn and user-turn updates, once with the
+forms kept in ``dialogworld_reference``. Every turn's state must be equal
+(``np.array_equal``), every domain's match list must be equal, and so must
+the episode metrics. The package's own episode runners must agree with the
+package rollout.
+"""
+
+import json
+import types
+
+import numpy as np
+import pytest
+
+import dialogworld_reference as ref
+from banditmatch import dialogworld as dw
+from banditmatch.policy import ActionSetPolicy, PolicyNet, policy_spec_for
+
+PACKAGE = types.SimpleNamespace(
+    encode_state=dw.encode_state,
+    db_matches=dw.db_matches,
+    apply_agent_actions=dw.apply_agent_actions,
+    user_step=dw.user_step,
+)
+
+
+def rollout(world, schema, goal, respond, max_turns=20):
+    """One dialog through ``world``'s turn functions; returns per-turn
+    (state, match lists, agent actions) and the episode metrics."""
+    ctx = dw.DialogContext(schema)
+    ustate = dw.UserState(goal)
+    dw.apply_user_acts(ctx, dw.user_open(ustate))
+    turns = []
+    n = 0
+    while n < max_turns:
+        state = world.encode_state(schema, ctx)
+        matches = [world.db_matches(schema, ctx, d.name) for d in schema.domains]
+        actions = respond(schema, ctx, state)
+        turns.append((state, matches, actions))
+        n += 1
+        world.apply_agent_actions(ctx, actions)
+        user_acts, terminated = world.user_step(ustate, ctx, actions)
+        dw.apply_user_acts(ctx, user_acts)
+        ctx.turn += 1
+        if terminated:
+            break
+    return turns, dw.finish_metrics(ctx, goal, n)
+
+
+def expert(schema, ctx, state):
+    return dw.expert_respond(schema, ctx)
+
+
+def assert_same_rollouts(schema, goals, respond):
+    for goal in goals:
+        got_turns, got = rollout(PACKAGE, schema, goal, respond)
+        want_turns, want = rollout(ref, schema, goal, respond)
+        assert got == want
+        assert len(got_turns) == len(want_turns)
+        for (s1, m1, a1), (s2, m2, a2) in zip(got_turns, want_turns):
+            assert s1.dtype == s2.dtype and np.array_equal(s1, s2)
+            assert m1 == m2
+            assert a1 == a2
+
+
+def goals_for(schema, n, seed):
+    rng = np.random.default_rng(seed)
+    return [dw.sample_goal(schema, rng) for _ in range(n)]
+
+
+def random_policy(schema, seed, hidden=(32,)):
+    net = PolicyNet(policy_spec_for(schema, hidden), rng=np.random.default_rng(seed))
+    return ActionSetPolicy(net.clone_frozen(), schema)
+
+
+def reordered_schema():
+    """The default world loaded from JSON with every informable map, its
+    value lists, the requestable lists and the domains in reverse order."""
+    payload = dw.default_schema().to_dict()
+    for d in payload["domains"]:
+        d["informable"] = {s: d["informable"][s][::-1] for s in reversed(list(d["informable"]))}
+        d["requestable"] = d["requestable"][::-1]
+    payload["domains"] = payload["domains"][::-1]
+    return dw.WorldSchema.from_dict(json.loads(json.dumps(payload)))
+
+
+SCHEMAS = {
+    "default": dw.default_schema,
+    "tiny": dw.tiny_schema,
+    "reordered": reordered_schema,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_expert_episodes_match_reference(name):
+    schema = SCHEMAS[name]()
+    goals = dw.enumerate_goals(schema) if name == "tiny" else goals_for(schema, 60, 11)
+    assert_same_rollouts(schema, goals, expert)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_policy_episodes_match_reference(name, seed):
+    schema = SCHEMAS[name]()
+    policy = random_policy(schema, seed)
+    assert_same_rollouts(schema, goals_for(schema, 25, 100 + seed),
+                         lambda schema, ctx, state: policy.act(state))
+
+
+def test_reordered_schema_changes_layout():
+    # the reordered world really is a different layout, not the same one again
+    default, reordered = dw.default_schema(), reordered_schema()
+    assert default.state_dim == reordered.state_dim
+    assert default.actions != reordered.actions
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_package_runners_agree_with_rollout(name):
+    schema = SCHEMAS[name]()
+    policy = random_policy(schema, 5)
+    for goal in goals_for(schema, 10, 7):
+        _, metrics = rollout(ref, schema, goal, lambda schema, ctx, state: policy.act(state))
+        assert dw.run_episode(policy, schema, goal) == metrics
+        collected = []
+        expert_turns, expert_metrics = rollout(ref, schema, goal, expert)
+        assert dw.run_expert_episode(schema, goal, collect=collected).match == expert_metrics.match
+        # the package runner adds one closing turn after the user's bye
+        assert len(collected) in (len(expert_turns), len(expert_turns) + 1)
+        for (state, actions), (want_state, _, want_actions) in zip(collected, expert_turns):
+            assert np.array_equal(state, want_state) and actions == want_actions
+
+
+def test_entity_matching_agrees_with_scan():
+    schema = dw.default_schema()
+    rng = np.random.default_rng(3)
+    for dom in schema.domains:
+        tables = schema._tables_for(dom.name)
+        for _ in range(200):
+            k = int(rng.integers(0, len(dom.informable) + 1))
+            slots = rng.choice(list(dom.informable), size=k, replace=False)
+            cons = {str(s): str(rng.choice(dom.informable[s] + ["absent"])) for s in slots}
+            got = dw._mask_indices(dw._entity_mask(tables, cons))
+            assert got == ref.entities_matching(dom, cons)
+
+
+def test_enumerated_goals_are_exactly_the_satisfiable_ones():
+    schema = dw.tiny_schema()
+    dom = schema.domains[0]
+    goals = dw.enumerate_goals(schema)
+    constraint_sets = {tuple(sorted(g.constraints["hotel"].items())) for g in goals}
+    assert constraint_sets == {(), (("area", "north"),), (("area", "south"),)}
+    for g in goals:
+        assert ref.entities_matching(dom, g.constraints["hotel"])
+
+
+def test_unusual_contexts_encode_like_reference():
+    # acts the simulator never utters still encode exactly as the slot scan did
+    schema = dw.default_schema()
+    ctx = dw.DialogContext(schema)
+    dw.apply_user_acts(ctx, [
+        dw.UserAct("hotel", dw.INFORM, "area", "north"),
+        dw.UserAct("hotel", dw.INFORM, "price", dw.DONTCARE),
+        dw.UserAct("hotel", dw.INFORM, "phone", "hotel_phone_1"),
+        dw.UserAct("train", dw.REQUEST, "area"),
+        dw.UserAct("train", dw.REQUEST, "hours"),
+        dw.UserAct("train", dw.BOOK, "phone"),
+        dw.UserAct(dw.GENERAL, dw.BYE),
+    ])
+    ctx.domains["hotel"].expressed["unknown"] = "x"
+    ctx.domains["hotel"].informed.update({"address", "unknown"})
+    ctx.domains["restaurant"].booked = True
+    for turn in (0, 3, 5, 9):
+        ctx.turn = turn
+        assert np.array_equal(dw.encode_state(schema, ctx), ref.encode_state(schema, ctx))
+        for dom in schema.domains:
+            assert dw.db_matches(schema, ctx, dom.name) == ref.db_matches(schema, ctx, dom.name)
+
+
+def test_unknown_domain_raises_world_error():
+    schema = dw.default_schema()
+    ctx = dw.DialogContext(schema)
+    with pytest.raises(dw.WorldError):
+        schema.domain("spa")
+    with pytest.raises(dw.WorldError):
+        dw.db_matches(schema, ctx, "spa")

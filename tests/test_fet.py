@@ -9,7 +9,7 @@ from banditmatch.fet import (
     attribution_neg,
     attribution_pos,
     confidence_mask,
-    correct_positive_set,
+    exact_match_rows,
     fallback_thresholds,
     model_correctness,
     model_correctness_neg,
@@ -21,13 +21,15 @@ from banditmatch.fet import (
 
 
 class TestCorrectPositiveSet:
+    """The correct positive set: rows whose thresholded prediction equals the set."""
+
     def test_matching_predictions_kept(self):
         probs = np.array([[0.9, 0.2], [0.4, 0.8]])
         sets = np.array([[True, False], [True, True]])
-        assert correct_positive_set(probs, sets).tolist() == [True, False]
+        assert exact_match_rows(probs, sets).tolist() == [True, False]
 
     def test_empty_input(self):
-        mask = correct_positive_set(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool))
+        mask = exact_match_rows(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool))
         assert mask.shape == (0,)
 
 
@@ -313,7 +315,7 @@ class TestOracleFixture:
         ref_correct, ref_acc, ref_rej, ref_va, ref_vr, ref_mcp, ref_mcn, ref_acc_n, ref_rej_n = (
             self.reference()
         )
-        correct = correct_positive_set(self.pos_probs, self.pos_sets)
+        correct = exact_match_rows(self.pos_probs, self.pos_sets)
         assert correct.tolist() == ref_correct.tolist()
 
         t = correct

@@ -1,7 +1,8 @@
 """Golden bytes of the tiny command-line pipeline.
 
 Runs gen-world -> gen-corpus -> split-and-log -> train -> evaluate and pins
-the sha256 of every artifact that carries learned numbers. Run-against-run
+the sha256 of the world file, the expert corpus (which pins the state
+encoder directly) and every artifact that carries learned numbers. Run-against-run
 determinism cannot catch a refactor that shifts low-order bits the same way
 twice; these fixed digests can.
 
@@ -11,7 +12,8 @@ only the KL term. ``all_losses`` trains the logging policy further at a
 higher learning rate so every loss term is active, with non-unit loss
 weights, weight decay, replay of the labeled split, and an IPS + KL run.
 
-The digests were taken before the fused-node training step existed, with
+The digests were taken before the fused-node training step existed (the
+world and corpus digests before the array-native dialog turn), with
 Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31 (OpenBLAS 0.3.31.188.0,
 DYNAMIC_ARCH, Haswell kernels) on x86_64. A different BLAS build may sum
 matrix products in another order; if only this test fails after such an
@@ -30,6 +32,10 @@ PIPELINES = {
         "sl_epochs = 8\n" + BASE_CONFIG,
         ("banditmatch",),
         {
+            "world.json":
+                "9118a298c27897d067946514cb0faf436725fbf67b2100bee348400331408afa",
+            "corpus.jsonl":
+                "6060f9fddf946ce74451652b6a4df4164f3fa124089b7a21d8be4d6bbc2a82dd",
             "data/logging_policy.json":
                 "000efc2555454eee8cdba2d80a24b246284ea1e6746db7a574693627a35aee69",
             "data/bandit.jsonl":
@@ -48,6 +54,10 @@ PIPELINES = {
         + BASE_CONFIG,
         ("banditmatch", "ips"),
         {
+            "world.json":
+                "9118a298c27897d067946514cb0faf436725fbf67b2100bee348400331408afa",
+            "corpus.jsonl":
+                "6060f9fddf946ce74451652b6a4df4164f3fa124089b7a21d8be4d6bbc2a82dd",
             "data/logging_policy.json":
                 "e3dd9bf96f11792d4ab2415f4136b60f69b127d8692c4ec67f085e4da4625df3",
             "data/bandit.jsonl":
