@@ -31,10 +31,9 @@ import numpy as np
 
 from . import datasets, dialogworld, nncore, trainer
 from .datasets import DataError, DataVersionError, SplitConfig
-from .dialogworld import WorldError, WorldSchema
+from .dialogworld import WorldError, WorldSchema, WorldVersionError
 from .objectives import AugmentConfig, LossWeights
 from .policy import ActionSetPolicy, PolicyError, PolicyNet, policy_spec_for
-from .seeding import derive_rng
 from .trainer import ExperimentReport, TrainConfig, TrainerError
 
 EXIT_OK = 0
@@ -65,37 +64,28 @@ class CliError(Exception):
 
 # -- config files ----------------------------------------------------------------
 
-CONFIG_KEYS = {
-    "seed": int,
-    "batch_size": int,
-    "epochs": int,
-    "sl_epochs": int,
-    "sl_label_smoothing": float,
-    "learning_rate": float,
-    "optimizer": str,
-    "hidden_dims": "dims",
-    "lambda_pseudo": float,
-    "lambda_bandit": float,
-    "lambda_kl": float,
-    "alpha_weak": float,
-    "alpha_strong": float,
-    "fet_decay": float,
-    "method": str,
-    "add_kl": "bool",
-    "no_mc_scale": "bool",
-    "no_fet": "bool",
-    "no_cbl": "bool",
-    "no_kl": "bool",
-    "warm_start": "bool",
-    "weight_decay": float,
-    "holdout_fraction": float,
-    "early_stop": "bool",
-    "ips_clip": float,
-    "banditnet_translation": float,
-    "fixmatch_tau": float,
-    "fixmatch_labeled_source": str,
-    "replay_labeled": "bool",
-}
+# config-file keys come from the dataclass fields, whose annotations are
+# strings under postponed evaluation: the loss weights become lambda_<name>,
+# the mix-up strengths keep their names, and the threshold trace path is set
+# by its own flag
+_KEY_KINDS = {"int": int, "float": float, "str": str, "bool": "bool", "tuple[int, ...]": "dims"}
+_WEIGHT_PREFIX = "lambda_"
+
+
+def _config_keys() -> dict:
+    keys = {}
+    for f in dataclasses.fields(TrainConfig):
+        if f.name == "weights":
+            keys.update({_WEIGHT_PREFIX + w.name: _KEY_KINDS[w.type]
+                         for w in dataclasses.fields(LossWeights)})
+        elif f.name == "aug":
+            keys.update({a.name: _KEY_KINDS[a.type] for a in dataclasses.fields(AugmentConfig)})
+        elif f.name != "threshold_trace_path":
+            keys[f.name] = _KEY_KINDS[f.type]
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def _parse_bool(raw: str) -> bool:
@@ -137,15 +127,13 @@ def read_config_file(path: Path) -> dict:
 def build_train_config(file_values: dict, overrides: dict) -> TrainConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    weights = LossWeights(
-        pseudo=merged.pop("lambda_pseudo", 1.0),
-        bandit=merged.pop("lambda_bandit", 1.0),
-        kl=merged.pop("lambda_kl", 1.0),
-    )
-    aug = AugmentConfig(
-        alpha_weak=merged.pop("alpha_weak", 0.2),
-        alpha_strong=merged.pop("alpha_strong", 2.0),
-    )
+    weights = LossWeights(**{
+        f.name: merged.pop(_WEIGHT_PREFIX + f.name)
+        for f in dataclasses.fields(LossWeights) if _WEIGHT_PREFIX + f.name in merged
+    })
+    aug = AugmentConfig(**{
+        f.name: merged.pop(f.name) for f in dataclasses.fields(AugmentConfig) if f.name in merged
+    })
     try:
         return TrainConfig(weights=weights, aug=aug, **merged)
     except (TrainerError, TypeError) as err:
@@ -197,38 +185,14 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _load_world(path: Path) -> WorldSchema:
+def _load(reader, path: Path):
+    """Read an input file. A version mismatch exits 4 here; any other
+    malformed file raises its module's error, which main maps to exit 5."""
     _require(path)
     try:
-        return WorldSchema.load(path)
-    except WorldError as err:
+        return reader(path)
+    except (DataVersionError, WorldVersionError, nncore.CheckpointVersionError) as err:
         raise CliError(str(err), EXIT_VERSION) from err
-
-
-def _load_policy(path: Path) -> PolicyNet:
-    _require(path)
-    try:
-        return PolicyNet.load(path)
-    except nncore.CheckpointError as err:
-        raise CliError(str(err), EXIT_VERSION) from err
-
-
-def _read_labeled(path: Path):
-    _require(path)
-    try:
-        return datasets.read_labeled_jsonl(path)
-    except DataError as err:
-        code = EXIT_VERSION if isinstance(err, DataVersionError) else EXIT_INVALID
-        raise CliError(str(err), code) from err
-
-
-def _read_bandit(path: Path):
-    _require(path)
-    try:
-        return datasets.read_bandit_jsonl(path)
-    except DataError as err:
-        code = EXIT_VERSION if isinstance(err, DataVersionError) else EXIT_INVALID
-        raise CliError(str(err), code) from err
 
 
 # -- cross-file checks: a file's widths against the world or checkpoint it meets
@@ -336,33 +300,22 @@ def _episode_worker(goal):
 
 def evaluate_parallel(policy, schema, n_dialogs, n_runs, seed, jobs,
                       method="policy", max_turns=20) -> ExperimentReport:
-    """Evaluation with episodes fanned out over worker processes.
-
-    Goals are pre-sampled per run so the result is identical to the
-    sequential path regardless of worker count.
-    """
+    """Evaluation with each run's pre-sampled goals played over worker
+    processes; the result is identical to the sequential path regardless
+    of worker count."""
     if jobs <= 1:
         return trainer.evaluate(policy, schema, n_dialogs, n_runs, seed,
                                 max_turns=max_turns, method=method)
-    run_means: dict[str, list[float]] = {}
     ctx = multiprocessing.get_context("fork")
     _POOL_STATE.update(policy=policy, schema=schema, max_turns=max_turns)
     try:
         with ctx.Pool(processes=jobs) as pool:
-            for run in range(n_runs):
-                rng = derive_rng(seed, "eval", run)
-                goals = [dialogworld.sample_goal(schema, rng) for _ in range(n_dialogs)]
-                episodes = pool.map(_episode_worker, goals)
-                agg = dialogworld.compute_aggregate(episodes)
-                for name, (mean_value, _) in agg.items():
-                    run_means.setdefault(name, []).append(mean_value)
+            return trainer._evaluate_runs(
+                lambda run, goals: pool.map(_episode_worker, goals),
+                schema, n_dialogs, n_runs, seed, method,
+            )
     finally:
         _POOL_STATE.clear()
-    metrics = {
-        name: (float(np.mean(vals)), float(np.std(vals)))
-        for name, vals in run_means.items()
-    }
-    return ExperimentReport(method, metrics, n_runs, n_dialogs, seed)
 
 
 # -- commands ---------------------------------------------------------------------------
@@ -371,7 +324,7 @@ def evaluate_parallel(policy, schema, n_dialogs, n_runs, seed, jobs,
 def cmd_gen_world(args) -> int:
     started = time.time()
     if args.schema_config is not None:
-        schema = _load_world(args.schema_config)
+        schema = _load(WorldSchema.load, args.schema_config)
     elif args.tiny:
         schema = dialogworld.tiny_schema()
     else:
@@ -389,7 +342,7 @@ def cmd_gen_world(args) -> int:
 
 def cmd_gen_corpus(args) -> int:
     started = time.time()
-    schema = _load_world(Path(args.world))
+    schema = _load(WorldSchema.load, Path(args.world))
     try:
         corpus = datasets.generate_corpus(schema, args.n_dialogs, args.seed)
     except DataError as err:
@@ -406,8 +359,8 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_split_and_log(args) -> int:
     started = time.time()
-    schema = _load_world(Path(args.world))
-    corpus = _read_labeled(Path(args.corpus))
+    schema = _load(WorldSchema.load, Path(args.world))
+    corpus = _load(datasets.read_labeled_jsonl, Path(args.corpus))
     _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
                        f"world {args.world}")
     cfg = build_train_config(
@@ -450,11 +403,11 @@ def cmd_train(args) -> int:
     if args.threshold_trace:
         overrides["threshold_trace_path"] = str(args.threshold_trace)
     cfg = build_train_config(file_values, overrides)
-    records = _read_bandit(Path(args.bandit))
-    logging_policy = _load_policy(Path(args.logging_policy))
+    records = _load(datasets.read_bandit_jsonl, Path(args.bandit))
+    logging_policy = _load(PolicyNet.load, Path(args.logging_policy))
     source = f"logging policy {args.logging_policy}"
     _check_log_fits(args.bandit, records, logging_policy, source)
-    labeled = _read_labeled(Path(args.labeled)) if args.labeled else None
+    labeled = _load(datasets.read_labeled_jsonl, Path(args.labeled)) if args.labeled else None
     if labeled is not None:
         _check_corpus_fits(args.labeled, labeled, logging_policy.spec.input_dim,
                            logging_policy.spec.output_dim, source,
@@ -480,36 +433,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_with_traces(policy, schema, args) -> tuple[ExperimentReport, Path]:
-    """Sequential evaluation that also dumps per-episode traces as JSONL."""
-    trace_path = Path(args.trace)
-    adapter = ActionSetPolicy(policy, schema)
-    run_means: dict[str, list[float]] = {}
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        for run in range(args.n_runs):
-            rng = derive_rng(args.seed, "eval", run)
-            episodes = []
-            for episode_idx in range(args.n_dialogs):
-                goal = dialogworld.sample_goal(schema, rng)
-                turns: list = []
-                episodes.append(
-                    dialogworld.run_episode(adapter, schema, goal, trace=turns)
-                )
-                fh.write(json.dumps({"run": run, "episode": episode_idx, "turns": turns}) + "\n")
-            agg = dialogworld.compute_aggregate(episodes)
-            for name, (mean_value, _) in agg.items():
-                run_means.setdefault(name, []).append(mean_value)
-    metrics = {
-        name: (float(np.mean(vals)), float(np.std(vals)))
-        for name, vals in run_means.items()
-    }
-    name = args.method_name or "policy"
-    return ExperimentReport(name, metrics, args.n_runs, args.n_dialogs, args.seed), trace_path
-
-
 def cmd_evaluate(args) -> int:
     started = time.time()
-    schema = _load_world(Path(args.world))
+    schema = _load(WorldSchema.load, Path(args.world))
     trace_out = None
     if args.expert:
         report = trainer.evaluate_expert(schema, args.n_dialogs, args.n_runs, args.seed)
@@ -517,12 +443,19 @@ def cmd_evaluate(args) -> int:
     else:
         if args.checkpoint is None:
             raise CliError("either --checkpoint or --expert is required", EXIT_INVALID)
-        policy = _load_policy(Path(args.checkpoint))
+        policy = _load(PolicyNet.load, Path(args.checkpoint))
         _check_policy_fits(f"checkpoint {args.checkpoint}", policy, schema, f"world {args.world}")
-        if args.trace:
-            report, trace_out = _evaluate_with_traces(policy, schema, args)
+        name = args.method_name or "policy"
+        if args.trace:  # sequential: the trace is written in episode order
+            trace_out = Path(args.trace)
+            with open(trace_out, "w", encoding="utf-8") as fh:
+                report = trainer.evaluate(
+                    policy, schema, args.n_dialogs, args.n_runs, args.seed, method=name,
+                    on_episode=lambda run, index, turns: fh.write(
+                        json.dumps({"run": run, "episode": index, "turns": turns}) + "\n"
+                    ),
+                )
         else:
-            name = args.method_name or "policy"
             report = evaluate_parallel(policy, schema, args.n_dialogs, args.n_runs,
                                        args.seed, args.jobs, method=name)
         inputs = [args.world, args.checkpoint]
@@ -549,9 +482,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     started = time.time()
-    schema = _load_world(Path(args.world))
-    records = _read_bandit(Path(args.bandit))
-    logging_policy = _load_policy(Path(args.logging_policy))
+    schema = _load(WorldSchema.load, Path(args.world))
+    records = _load(datasets.read_bandit_jsonl, Path(args.bandit))
+    logging_policy = _load(PolicyNet.load, Path(args.logging_policy))
     _check_policy_fits(f"logging policy {args.logging_policy}", logging_policy, schema,
                        f"world {args.world}")
     _check_log_fits(args.bandit, records, logging_policy,
@@ -579,8 +512,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    schema = _load_world(Path(args.world))
-    corpus = _read_labeled(Path(args.corpus))
+    schema = _load(WorldSchema.load, Path(args.world))
+    corpus = _load(datasets.read_labeled_jsonl, Path(args.corpus))
     _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
                        f"world {args.world}")
     cfg = build_train_config(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dialogworld import WorldSchema, run_expert_episode, sample_goal
+from .policy import predicted_mask
 from .seeding import derive_rng
 
 JSONL_VERSION = "v1"
@@ -93,12 +94,6 @@ def split_corpus(
     return labeled, pool
 
 
-def predict_set(policy, state: np.ndarray) -> tuple[set[int], np.ndarray]:
-    """Thresholded action set {c : p_c > 0.5} plus the full propensity vector."""
-    probs = policy.probs(state)
-    return set(np.flatnonzero(probs > 0.5).tolist()), probs
-
-
 def simulate_feedback(predicted: set[int], truth: set[int]) -> int:
     """Binary feedback: 1 iff the prediction matches the ground truth exactly."""
     return 1 if predicted == truth else 0
@@ -108,14 +103,14 @@ def log_bandit_data(logging_policy, pool: list[LabeledExample]) -> list[BanditRe
     """Replay the pool through the frozen logging policy, one record each."""
     records = []
     for ex in pool:
-        pred, rho = predict_set(logging_policy, ex.state)
-        delta = simulate_feedback(pred, ex.action_set())
+        rho = logging_policy.probs(ex.state)
+        logged = np.flatnonzero(predicted_mask(rho))
         records.append(
             BanditRecord(
                 state=ex.state,
-                logged_actions=np.array(sorted(pred), dtype=np.int64),
+                logged_actions=logged,
                 propensities=rho,
-                feedback=delta,
+                feedback=simulate_feedback(set(logged.tolist()), ex.action_set()),
             )
         )
     return records
@@ -162,7 +157,9 @@ def _read_lines(path, kind: str):
             except json.JSONDecodeError as err:
                 raise DataError(f"{path}:{lineno}: malformed JSON line ({err.msg})") from err
             if lineno == 1:
-                version = obj.get("schema_version")
+                if not isinstance(obj, dict) or "schema_version" not in obj:
+                    raise DataError(f"{path}:1: not a {kind!r} file (no schema_version header)")
+                version = obj["schema_version"]
                 if version != JSONL_VERSION:
                     raise DataVersionError(
                         f"{path}:1: schema version {version!r} unsupported "
@@ -281,10 +278,11 @@ def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int],
     in_range = (actions >= 0) & (actions < num_classes)
     logged = np.zeros((n, num_classes), dtype=bool)
     logged[rows[in_range], actions[in_range]] = True
-    mismatch = (logged != (rho > 0.5)).any(axis=1)
+    predicted = predicted_mask(rho)
+    mismatch = (logged != predicted).any(axis=1)
     mismatch[rows[~in_range]] = True
     bad = np.flatnonzero(mismatch)
     if bad.size:
         i = bad[0]
         fail(i, f"actions {records[i].logged_actions.tolist()} differ from "
-                f"{{c : rho[c] > 0.5}} = {np.flatnonzero(rho[i] > 0.5).tolist()}")
+                f"{{c : rho[c] > 0.5}} = {np.flatnonzero(predicted[i]).tolist()}")

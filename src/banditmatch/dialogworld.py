@@ -55,6 +55,10 @@ class WorldError(Exception):
     pass
 
 
+class WorldVersionError(WorldError):
+    """A world file names a schema version this reader does not support."""
+
+
 @dataclass(frozen=True, order=True)
 class AtomicAction:
     domain: str
@@ -251,26 +255,41 @@ class WorldSchema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WorldSchema":
+        if not isinstance(payload, dict) or "schema_version" not in payload:
+            raise WorldError("not a world schema (no schema_version)")
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
-            raise WorldError(
+            raise WorldVersionError(
                 f"world schema version {version!r} unsupported (expected {SCHEMA_VERSION!r})"
             )
-        domains = [
-            DomainSchema(
-                name=d["name"],
-                informable={k: list(v) for k, v in d["informable"].items()},
-                requestable=list(d["requestable"]),
-                entities=[dict(e) for e in d["entities"]],
-            )
-            for d in payload["domains"]
-        ]
+        try:
+            domains = [
+                DomainSchema(
+                    name=d["name"],
+                    informable={k: list(v) for k, v in d["informable"].items()},
+                    requestable=list(d["requestable"]),
+                    entities=[dict(e) for e in d["entities"]],
+                )
+                for d in payload["domains"]
+            ]
+        except KeyError as err:
+            raise WorldError(f"missing field {err}") from err
+        except (TypeError, ValueError, AttributeError) as err:
+            raise WorldError(f"malformed field value ({err})") from err
         return cls(domains)
 
     @classmethod
     def load(cls, path) -> "WorldSchema":
+        """Read a world file; every failure is a WorldError naming the path."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as err:
+                raise WorldError(f"{path}: malformed JSON ({err})") from err
+        try:
+            return cls.from_dict(payload)
+        except WorldError as err:
+            raise type(err)(f"{path}: {err}") from err
 
 
 def default_schema() -> WorldSchema:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .policy import predicted_mask
+
 FALLBACK_ACCEPT = 0.95
 FALLBACK_REJECT = 0.05
 CORRECTNESS_EPS = 1e-3
@@ -52,8 +54,8 @@ def sets_to_mask(sets, num_classes: int) -> np.ndarray:
 
 
 def exact_match_rows(probs: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Rows where the thresholded prediction {c : p > 0.5} equals the set."""
-    return np.all((probs > 0.5) == sets, axis=1)
+    """Rows where the predicted set equals the set."""
+    return np.all(predicted_mask(probs) == sets, axis=1)
 
 
 def positive_thresholds(

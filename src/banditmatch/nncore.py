@@ -636,7 +636,11 @@ def grad_check(
 
 
 class CheckpointError(NncoreError):
-    """Unreadable or version-mismatched checkpoint file."""
+    """Unreadable or malformed checkpoint file."""
+
+
+class CheckpointVersionError(CheckpointError):
+    """A checkpoint names a version this reader does not support."""
 
 
 def save_checkpoint(path, spec: MlpSpec, named: dict[str, Tensor], extra: dict | None = None) -> None:
@@ -661,17 +665,30 @@ def save_checkpoint(path, spec: MlpSpec, named: dict[str, Tensor], extra: dict |
 
 def load_checkpoint(path) -> tuple[MlpSpec, dict[str, np.ndarray], dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as err:
+            raise CheckpointError(f"{path}: malformed JSON ({err})") from err
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a policy checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
+        raise CheckpointVersionError(
             f"{path}: checkpoint version {payload.get('version')!r} unsupported "
             f"(expected {CHECKPOINT_VERSION!r})"
         )
-    spec = MlpSpec.from_dict(payload["spec"])
-    tensors = {
-        name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["tensors"].items()
-    }
-    return spec, tensors, payload.get("extra", {})
+    try:
+        spec = MlpSpec.from_dict(payload["spec"])
+        tensors = {
+            name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in payload["tensors"].items()
+        }
+    except KeyError as err:
+        raise CheckpointError(f"{path}: missing field {err}") from err
+    except (TypeError, ValueError, AttributeError, ConfigurationError) as err:
+        raise CheckpointError(f"{path}: malformed field value ({err})") from err
+    if not all(np.isfinite(t).all() for t in tensors.values()):
+        raise CheckpointError(f"{path}: tensor values must be finite")
+    extra = payload.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: extra must be an object")
+    return spec, tensors, extra

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import nncore
 from .nncore import Tensor
+from .policy import predicted_mask
 
 DEFAULT_IPS_CLIP = 100.0
 DEFAULT_TRANSLATION = 0.9
@@ -92,8 +93,8 @@ def mixup_batch(
 
 
 def pseudo_labels(weak_probs: np.ndarray) -> np.ndarray:
-    """Hard labels from the weak pass: 1 where probability exceeds 0.5."""
-    return (np.asarray(weak_probs) > 0.5).astype(np.float64)
+    """Hard labels from the weak pass: 1 on its predicted set."""
+    return predicted_mask(np.asarray(weak_probs)).astype(np.float64)
 
 
 def unconfident_plus_mask(

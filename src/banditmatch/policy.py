@@ -21,6 +21,11 @@ class PolicyError(Exception):
     pass
 
 
+def predicted_mask(probs: np.ndarray) -> np.ndarray:
+    """The predicted action set {c : p_c > 0.5} as a boolean mask."""
+    return probs > 0.5
+
+
 class PolicyNet:
     def __init__(self, spec: nncore.MlpSpec, rng: np.random.Generator | None = None,
                  role: str = ROLE_TRAINABLE):
@@ -54,9 +59,8 @@ class PolicyNet:
         return self.net.forward(states)
 
     def predict_set(self, state: np.ndarray) -> np.ndarray:
-        """Indices of all classes with probability strictly above 0.5."""
-        p = self.probs(state)
-        return np.flatnonzero(p > 0.5)
+        """Indices of the predicted action set."""
+        return np.flatnonzero(predicted_mask(self.probs(state)))
 
     def zero_grad(self) -> None:
         self.net.zero_grad()
@@ -81,7 +85,10 @@ class PolicyNet:
     @classmethod
     def load(cls, path) -> "PolicyNet":
         spec, tensors, extra = nncore.load_checkpoint(path)
-        policy = cls(spec, rng=None, role=extra.get("role", ROLE_TRAINABLE))
+        try:
+            policy = cls(spec, rng=None, role=extra.get("role", ROLE_TRAINABLE))
+        except PolicyError as err:
+            raise PolicyError(f"{path}: {err}") from err
         named = policy.net.named_parameters()
         if set(named) != set(tensors):
             raise PolicyError(f"{path}: tensor names do not match the spec")

@@ -202,8 +202,7 @@ class LogArrays:
 def exact_match_rate(policy: PolicyNet, states: np.ndarray, target_mask: np.ndarray) -> float:
     if states.shape[0] == 0:
         return 0.0
-    probs = policy.probs(states)
-    return float(np.all((probs > 0.5) == target_mask, axis=1).mean())
+    return float(fet.exact_match_rows(policy.probs(states), target_mask).mean())
 
 
 def clipped_value_estimate(
@@ -304,32 +303,24 @@ def train_on_log(
     if config.method == METHOD_FIXMATCH and not labeled_split:
         raise TrainerError("the fixmatch baseline needs the labeled split")
     if config.method in (METHOD_IPS, METHOD_BANDITNET):
-        return _train_crm(logging_policy, records, config)
-    return _train_composite(logging_policy, records, config, labeled_split)
-
-
-def train_baseline(
-    kind: str,
-    logging_policy: PolicyNet,
-    records: list[BanditRecord] | None,
-    config: TrainConfig,
-    labeled: list[LabeledExample] | None = None,
-    add_kl: bool = False,
-) -> PolicyNet:
-    """Train one comparison method.
-
-    ``sl`` fits the expert corpus directly (full labels, no bandit log);
-    the other kinds fine-tune a copy of the logging policy on the log.
-    ``add_kl`` turns on the "+ KL control" variant of the CRM baselines.
-    """
-    if kind == METHOD_SL:
-        if not labeled:
-            raise TrainerError("the sl baseline trains on the expert corpus")
-        cfg = replace(config, method=METHOD_SL)
-        return train_supervised(labeled, logging_policy.spec, cfg)
-    cfg = replace(config, method=kind, add_kl=add_kl)
-    policy, _ = train_on_log(logging_policy, records or [], cfg, labeled_split=labeled)
-    return policy
+        return _fine_tune(
+            logging_policy, records, config,
+            lambda policy, train, rng: _crm_step(policy, logging_policy, train, config),
+            lambda policy, hold: (
+                clipped_value_estimate(policy, hold, config.ips_clip) if len(hold) else None
+            ),
+        )
+    trace_rows: list[tuple] | None = [] if config.threshold_trace_path else None
+    policy, history = _fine_tune(
+        logging_policy, records, config,
+        lambda policy, train, rng: _composite_step(
+            policy, logging_policy, train, rng, config, labeled_split, trace_rows
+        ),
+        _held_out_exact_match,
+    )
+    if trace_rows is not None:
+        write_threshold_trace(config.threshold_trace_path, trace_rows)
+    return policy, history
 
 
 def _init_policy(logging_policy: PolicyNet, config: TrainConfig) -> PolicyNet:
@@ -338,12 +329,59 @@ def _init_policy(logging_policy: PolicyNet, config: TrainConfig) -> PolicyNet:
     return PolicyNet(logging_policy.spec, rng=derive_rng(config.seed, "init"))
 
 
-def _train_composite(
-    logging_policy: PolicyNet,
-    records: list[BanditRecord],
-    config: TrainConfig,
-    labeled_split: list[LabeledExample] | None,
-) -> tuple[PolicyNet, list[StepLog]]:
+def _fine_tune(logging_policy: PolicyNet, records: list[BanditRecord], config: TrainConfig,
+               make_step, score) -> tuple[PolicyNet, list[StepLog]]:
+    """The protocol every fine-tuning method shares: holdout split, epochs
+    of uniform batches, optional early stopping on the held-out log.
+
+    ``make_step(policy, train, rng)`` returns the method's step,
+    ``step(number, idx, batch) -> (total loss, StepLog)``, where ``idx``
+    indexes ``train``. ``score(policy, hold)`` is the early-stop score,
+    None when the holdout has nothing to score.
+    """
+    arrays = LogArrays.from_records(records, logging_policy.num_actions)
+    rng = derive_rng(config.seed, "train")
+    train_idx, hold_idx = _holdout_split(len(arrays), config.holdout_fraction, rng)
+    train = arrays.take(train_idx)
+    hold = arrays.take(hold_idx)
+    policy = _init_policy(logging_policy, config)
+    opt = nncore.make_optimizer(
+        policy.trainable_parameters(), config.optimizer, config.learning_rate,
+        config.weight_decay,
+    )
+    step = make_step(policy, train, rng)
+
+    history: list[StepLog] = []
+    best_score = -np.inf
+    best_params = None
+    n = len(train)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            total, row = step(len(history) + 1, idx, train.take(idx))
+            policy.zero_grad()
+            total.backward()
+            opt.step()
+            history.append(row)
+        epoch_score = score(policy, hold) if config.early_stop else None
+        if epoch_score is not None and epoch_score > best_score:
+            best_score = epoch_score
+            best_params = [p.data.copy() for p in policy.parameters()]
+    if best_params is not None:
+        for p, data in zip(policy.parameters(), best_params):
+            p.data = data
+    return policy, history
+
+
+def _held_out_exact_match(policy: PolicyNet, hold: LogArrays) -> float | None:
+    pos = hold.take(np.flatnonzero(hold.delta == 1))
+    return exact_match_rate(policy, pos.states, pos.logged_mask) if len(pos) else None
+
+
+def _composite_step(policy, logging_policy, train, rng, config, labeled_split, trace_rows):
+    """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
+    mix-up passes, optional split replay, and the four weighted terms."""
     use_fet = not config.no_fet and config.method == METHOD_BANDITMATCH
     use_cbl = not config.no_cbl and config.method == METHOD_BANDITMATCH
     use_kl = not config.no_kl and config.method == METHOD_BANDITMATCH
@@ -360,200 +398,127 @@ def _train_composite(
         raise TrainerError(f"{config.method} configuration needs the labeled split")
 
     num_classes = logging_policy.num_actions
-    arrays = LogArrays.from_records(records, num_classes)
-    rng = derive_rng(config.seed, "train")
     aug_rng = derive_rng(config.seed, "augment")
-    train_idx, hold_idx = _holdout_split(len(arrays), config.holdout_fraction, rng)
-    train = arrays.take(train_idx)
-    hold = arrays.take(hold_idx)
-    hold_pos = hold.take(np.flatnonzero(hold.delta == 1))
-
     split_states = split_targets = None
     if use_split:
         split_states = np.stack([ex.state for ex in labeled_split])
         split_targets = fet.sets_to_mask([ex.actions for ex in labeled_split], num_classes)
-
-    policy = _init_policy(logging_policy, config)
-    opt = nncore.make_optimizer(
-        policy.trainable_parameters(), config.optimizer, config.learning_rate,
-        config.weight_decay,
-    )
     tracker = fet.FetTracker(
         num_classes, decay=config.fet_decay, apply_scale=not config.no_mc_scale
     )
     ref_train = logging_policy.probs(train.states) if use_kl else None
 
-    history: list[StepLog] = []
-    trace_rows: list[tuple] | None = [] if config.threshold_trace_path else None
-    best_score = -np.inf
-    best_params = None
-    n = len(train)
-    step = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch = train.take(idx)
-            weak_states, _ = objectives.mixup_batch(batch.states, config.aug.alpha_weak, aug_rng)
-            strong_states, _ = objectives.mixup_batch(batch.states, config.aug.alpha_strong, aug_rng)
+    def step(number: int, idx: np.ndarray, batch: LogArrays):
+        weak_states, _ = objectives.mixup_batch(batch.states, config.aug.alpha_weak, aug_rng)
+        strong_states, _ = objectives.mixup_batch(batch.states, config.aug.alpha_strong, aug_rng)
 
-            plain_t = policy.forward(batch.states)
-            weak_t = policy.forward(weak_states)
-            plain_probs = plain_t.data
-            weak_probs = weak_t.data
+        plain_t = policy.forward(batch.states)
+        weak_t = policy.forward(weak_states)
+        plain_probs = plain_t.data
+        weak_probs = weak_t.data
 
-            pos_rows = batch.delta == 1
-            if use_fet:
-                thresholds = tracker.update(
-                    plain_probs[pos_rows],
-                    batch.logged_mask[pos_rows],
-                    batch.rho[pos_rows],
-                    plain_probs[~pos_rows],
-                    batch.logged_mask[~pos_rows],
-                    batch.rho[~pos_rows],
-                )
-                conf = fet.confidence_mask(weak_probs, batch.delta, thresholds)
-                stats = tracker.correctness()
-            else:
-                conf = objectives.fixmatch_mask(weak_probs, batch.delta, config.fixmatch_tau)
-                stats = fet.CorrectnessStats(0.0, 0.0, available=False)
-
-            qhat = objectives.pseudo_labels(weak_probs)
-            if split_only_labels:
-                l_l = Tensor(0.0)
-            else:
-                l_l = objectives.loss_labeled(weak_t, batch.logged_mask, batch.delta)
-            if use_split:
-                lab_idx = rng.integers(0, split_states.shape[0], size=config.batch_size)
-                weak_split, _ = objectives.mixup_batch(
-                    split_states[lab_idx], config.aug.alpha_weak, aug_rng
-                )
-                split_t = policy.forward(weak_split)
-                l_l = l_l + objectives.loss_labeled(
-                    split_t, split_targets[lab_idx], np.ones(len(lab_idx), dtype=np.int64)
-                )
-            strong_t = policy.forward(strong_states)
-            l_p = objectives.loss_pseudo(strong_t, qhat, conf)
-            if use_cbl:
-                umask = objectives.unconfident_plus_mask(batch.delta, conf, batch.logged_mask)
-                l_b = objectives.loss_bandit(plain_t, batch.rho, batch.delta, umask)
-            else:
-                umask = np.zeros_like(conf, dtype=np.float64)
-                l_b = Tensor(0.0)
-            if use_kl:
-                l_k = objectives.loss_kl_control(plain_t, ref_train[idx])
-            else:
-                l_k = Tensor(0.0)
-            total = objectives.total_loss(l_l, l_p, l_b, l_k, config.weights)
-            policy.zero_grad()
-            total.backward()
-            opt.step()
-            step += 1
-            history.append(
-                StepLog(
-                    step=step,
-                    loss_labeled=l_l.item(),
-                    loss_pseudo=l_p.item(),
-                    loss_bandit=l_b.item(),
-                    loss_kl=l_k.item(),
-                    total=total.item(),
-                    n_confident=int(conf.sum()),
-                    n_unconfident=int(umask.sum()),
-                    mc_pos=stats.mc_pos,
-                    mc_neg=stats.mc_neg,
-                )
+        pos_rows = batch.delta == 1
+        if use_fet:
+            thresholds = tracker.update(
+                plain_probs[pos_rows],
+                batch.logged_mask[pos_rows],
+                batch.rho[pos_rows],
+                plain_probs[~pos_rows],
+                batch.logged_mask[~pos_rows],
+                batch.rho[~pos_rows],
             )
-            if trace_rows is not None and use_fet:
-                trace_rows.extend(
-                    (step, c, thresholds.accept[c], thresholds.reject[c],
-                     stats.mc_pos, stats.mc_neg)
-                    for c in range(num_classes)
-                )
-        if config.early_stop and len(hold_pos) > 0:
-            score = exact_match_rate(policy, hold_pos.states, hold_pos.logged_mask)
-            if score > best_score:
-                best_score = score
-                best_params = [p.data.copy() for p in policy.parameters()]
-    if best_params is not None:
-        for p, data in zip(policy.parameters(), best_params):
-            p.data = data
-    if trace_rows is not None:
-        write_threshold_trace(config.threshold_trace_path, trace_rows)
-    return policy, history
+            conf = fet.confidence_mask(weak_probs, batch.delta, thresholds)
+            stats = tracker.correctness()
+        else:
+            conf = objectives.fixmatch_mask(weak_probs, batch.delta, config.fixmatch_tau)
+            stats = fet.CorrectnessStats(0.0, 0.0, available=False)
+
+        qhat = objectives.pseudo_labels(weak_probs)
+        if split_only_labels:
+            l_l = Tensor(0.0)
+        else:
+            l_l = objectives.loss_labeled(weak_t, batch.logged_mask, batch.delta)
+        if use_split:
+            lab_idx = rng.integers(0, split_states.shape[0], size=config.batch_size)
+            weak_split, _ = objectives.mixup_batch(
+                split_states[lab_idx], config.aug.alpha_weak, aug_rng
+            )
+            split_t = policy.forward(weak_split)
+            l_l = l_l + objectives.loss_labeled(
+                split_t, split_targets[lab_idx], np.ones(len(lab_idx), dtype=np.int64)
+            )
+        strong_t = policy.forward(strong_states)
+        l_p = objectives.loss_pseudo(strong_t, qhat, conf)
+        if use_cbl:
+            umask = objectives.unconfident_plus_mask(batch.delta, conf, batch.logged_mask)
+            l_b = objectives.loss_bandit(plain_t, batch.rho, batch.delta, umask)
+        else:
+            umask = np.zeros_like(conf, dtype=np.float64)
+            l_b = Tensor(0.0)
+        if use_kl:
+            l_k = objectives.loss_kl_control(plain_t, ref_train[idx])
+        else:
+            l_k = Tensor(0.0)
+        total = objectives.total_loss(l_l, l_p, l_b, l_k, config.weights)
+        if trace_rows is not None and use_fet:
+            trace_rows.extend(
+                (number, c, thresholds.accept[c], thresholds.reject[c],
+                 stats.mc_pos, stats.mc_neg)
+                for c in range(num_classes)
+            )
+        return total, StepLog(
+            step=number,
+            loss_labeled=l_l.item(),
+            loss_pseudo=l_p.item(),
+            loss_bandit=l_b.item(),
+            loss_kl=l_k.item(),
+            total=total.item(),
+            n_confident=int(conf.sum()),
+            n_unconfident=int(umask.sum()),
+            mc_pos=stats.mc_pos,
+            mc_neg=stats.mc_neg,
+        )
+
+    return step
 
 
-def _train_crm(
-    logging_policy: PolicyNet, records: list[BanditRecord], config: TrainConfig
-) -> tuple[PolicyNet, list[StepLog]]:
-    num_classes = logging_policy.num_actions
-    arrays = LogArrays.from_records(records, num_classes)
-    rng = derive_rng(config.seed, "train")
-    train_idx, hold_idx = _holdout_split(len(arrays), config.holdout_fraction, rng)
-    train = arrays.take(train_idx)
-    hold = arrays.take(hold_idx)
-
-    policy = _init_policy(logging_policy, config)
-    opt = nncore.make_optimizer(
-        policy.trainable_parameters(), config.optimizer, config.learning_rate,
-        config.weight_decay,
-    )
+def _crm_step(policy, logging_policy, train, config):
+    """The ips / banditnet step, with the optional KL control term."""
     ref_train = logging_policy.probs(train.states) if config.add_kl else None
 
-    history: list[StepLog] = []
-    best_score = -np.inf
-    best_params = None
-    n = len(train)
-    step = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch = train.take(idx)
-            probs_t = policy.forward(batch.states)
-            if config.method == METHOD_IPS:
-                loss = objectives.loss_ips(
-                    probs_t, batch.rho, batch.delta, batch.logged_mask, config.ips_clip
-                )
-            else:
-                loss = objectives.loss_banditnet(
-                    probs_t,
-                    batch.rho,
-                    batch.delta,
-                    batch.logged_mask,
-                    config.banditnet_translation,
-                    config.ips_clip,
-                )
-            l_k = Tensor(0.0)
-            if config.add_kl:
-                l_k = objectives.loss_kl_control(probs_t, ref_train[idx])
-                loss = loss + config.weights.kl * l_k
-            policy.zero_grad()
-            loss.backward()
-            opt.step()
-            step += 1
-            history.append(
-                StepLog(
-                    step=step,
-                    loss_labeled=0.0,
-                    loss_pseudo=0.0,
-                    loss_bandit=loss.item(),
-                    loss_kl=l_k.item(),
-                    total=loss.item(),
-                    n_confident=0,
-                    n_unconfident=int(batch.logged_mask.sum()),
-                    mc_pos=0.0,
-                    mc_neg=0.0,
-                )
+    def step(number: int, idx: np.ndarray, batch: LogArrays):
+        probs_t = policy.forward(batch.states)
+        if config.method == METHOD_IPS:
+            loss = objectives.loss_ips(
+                probs_t, batch.rho, batch.delta, batch.logged_mask, config.ips_clip
             )
-        if config.early_stop and len(hold) > 0:
-            score = clipped_value_estimate(policy, hold, config.ips_clip)
-            if score > best_score:
-                best_score = score
-                best_params = [p.data.copy() for p in policy.parameters()]
-    if best_params is not None:
-        for p, data in zip(policy.parameters(), best_params):
-            p.data = data
-    return policy, history
+        else:
+            loss = objectives.loss_banditnet(
+                probs_t,
+                batch.rho,
+                batch.delta,
+                batch.logged_mask,
+                config.banditnet_translation,
+                config.ips_clip,
+            )
+        l_k = Tensor(0.0)
+        if config.add_kl:
+            l_k = objectives.loss_kl_control(probs_t, ref_train[idx])
+            loss = loss + config.weights.kl * l_k
+        return loss, StepLog(
+            step=number,
+            loss_labeled=0.0,
+            loss_pseudo=0.0,
+            loss_bandit=loss.item(),
+            loss_kl=l_k.item(),
+            total=loss.item(),
+            n_confident=0,
+            n_unconfident=int(batch.logged_mask.sum()),
+            mc_pos=0.0,
+            mc_neg=0.0,
+        )
+
+    return step
 
 
 # -- interactive evaluation ------------------------------------------------------------
@@ -568,15 +533,18 @@ class ExperimentReport:
     seed: int
 
 
-def _aggregate_runs(run_fn, schema, n_dialogs, n_runs, seed, method) -> ExperimentReport:
+def _evaluate_runs(play, schema, n_dialogs, n_runs, seed, method) -> ExperimentReport:
+    """The evaluation protocol: each run samples its ``n_dialogs`` goals
+    from its own stream, ``play(run, goals)`` returns one EpisodeMetrics per
+    goal, and the reported std is over run means, matching the
+    runs-of-dialogs protocol rather than per-episode variance."""
     if n_dialogs < 1 or n_runs < 1:
         raise TrainerError("n_dialogs and n_runs must be at least 1")
     run_means: dict[str, list[float]] = {}
     for run in range(n_runs):
         rng = derive_rng(seed, "eval", run)
-        episodes = [run_fn(sample_goal(schema, rng)) for _ in range(n_dialogs)]
-        agg = compute_aggregate(episodes)
-        for name, (mean_value, _) in agg.items():
+        goals = [sample_goal(schema, rng) for _ in range(n_dialogs)]
+        for name, (mean_value, _) in compute_aggregate(play(run, goals)).items():
             run_means.setdefault(name, []).append(mean_value)
     metrics = {
         name: (float(np.mean(vals)), float(np.std(vals)))
@@ -593,15 +561,25 @@ def evaluate(
     seed: int = 0,
     max_turns: int = 20,
     method: str = "policy",
+    on_episode=None,
 ) -> ExperimentReport:
     """Simulate ``n_runs`` independent sets of dialogs and aggregate.
 
-    The reported std is over run means, matching the runs-of-dialogs
-    protocol rather than per-episode variance.
+    When given, ``on_episode(run, index, turns)`` receives each dialog's
+    per-turn trace as it ends.
     """
     adapter = ActionSetPolicy(policy, schema)
-    return _aggregate_runs(
-        lambda goal: run_episode(adapter, schema, goal, max_turns=max_turns),
+
+    def play_one(run, index, goal):
+        if on_episode is None:
+            return run_episode(adapter, schema, goal, max_turns=max_turns)
+        turns: list = []
+        episode = run_episode(adapter, schema, goal, max_turns=max_turns, trace=turns)
+        on_episode(run, index, turns)
+        return episode
+
+    return _evaluate_runs(
+        lambda run, goals: [play_one(run, i, goal) for i, goal in enumerate(goals)],
         schema, n_dialogs, n_runs, seed, method,
     )
 
@@ -614,8 +592,8 @@ def evaluate_expert(
     max_turns: int = 20,
 ) -> ExperimentReport:
     """Evaluate the rule expert under the same protocol (skyline check)."""
-    return _aggregate_runs(
-        lambda goal: run_expert_episode(schema, goal, max_turns=max_turns),
+    return _evaluate_runs(
+        lambda run, goals: [run_expert_episode(schema, goal, max_turns=max_turns) for goal in goals],
         schema, n_dialogs, n_runs, seed, "expert",
     )
 

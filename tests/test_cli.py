@@ -329,6 +329,95 @@ class TestCrossFileWidths:
             "error: non-finite gradient in w0 at step 3")
 
 
+class TestLoaderErrors:
+    """An input file that is not what its flag names: only a version
+    mismatch exits 4, anything else exits 5 with one `path: reason` line."""
+
+    def _fails_with(self, capsys, argv, code, prefix):
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def _edited_world(self, tiny_world, tmp_path, edit):
+        payload = json.loads(tiny_world.read_text())
+        edit(payload)
+        path = tmp_path / "edited_world.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def _gen_corpus_fails(self, capsys, world, tmp_path, code):
+        self._fails_with(capsys, ["gen-corpus", "--world", world, "--n-dialogs", 2,
+                                  "--out", tmp_path / "c.jsonl"], code, f"{world}: ")
+
+    def _evaluate_fails(self, capsys, world, checkpoint, tmp_path, code):
+        self._fails_with(capsys, ["evaluate", "--world", world, "--checkpoint", checkpoint,
+                                  "--n-dialogs", 2, "--n-runs", 1, "--out", tmp_path / "r.csv"],
+                         code, f"{checkpoint}: ")
+
+    def test_world_file_as_checkpoint(self, tiny_world_data, tmp_path, capsys):
+        world = tiny_world_data[0]
+        self._evaluate_fails(capsys, world, world, tmp_path, cli.EXIT_INVALID)
+
+    def test_truncated_checkpoint(self, tiny_world_data, tmp_path, capsys):
+        world, _, data = tiny_world_data
+        bad = tmp_path / "truncated.json"
+        bad.write_text((data / "logging_policy.json").read_text()[:100])
+        self._evaluate_fails(capsys, world, bad, tmp_path, cli.EXIT_INVALID)
+
+    def test_checkpoint_with_bad_field(self, tiny_world_data, tmp_path, capsys):
+        world, _, data = tiny_world_data
+        edits = (
+            lambda c: c["spec"].update(input_dim=0),
+            lambda c: c.update(extra={"role": "boss"}),
+            lambda c: c.update(extra=5),
+            lambda c: c["tensors"]["w0"]["values"].__setitem__(0, float("nan")),
+        )
+        for edit in edits:
+            payload = json.loads((data / "logging_policy.json").read_text())
+            edit(payload)
+            bad = tmp_path / "edited.json"
+            bad.write_text(json.dumps(payload))
+            self._evaluate_fails(capsys, world, bad, tmp_path, cli.EXIT_INVALID)
+
+    def test_checkpoint_version_mismatch(self, tiny_world_data, tmp_path, capsys):
+        world, _, data = tiny_world_data
+        payload = json.loads((data / "logging_policy.json").read_text())
+        payload["version"] = "v9"
+        bad = tmp_path / "v9.json"
+        bad.write_text(json.dumps(payload))
+        self._evaluate_fails(capsys, world, bad, tmp_path, cli.EXIT_VERSION)
+
+    def test_truncated_world(self, tiny_world_data, tmp_path, capsys):
+        bad = tmp_path / "truncated_world.json"
+        bad.write_text(tiny_world_data[0].read_text()[:100])
+        self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_INVALID)
+
+    def test_world_without_domains(self, tiny_world_data, tmp_path, capsys):
+        bad = self._edited_world(tiny_world_data[0], tmp_path, lambda w: w.pop("domains"))
+        self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_INVALID)
+
+    def test_world_without_requestable(self, tiny_world_data, tmp_path, capsys):
+        bad = self._edited_world(tiny_world_data[0], tmp_path,
+                                 lambda w: w["domains"][0].pop("requestable"))
+        self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_INVALID)
+
+    def test_jsonl_header_without_version(self, tiny_world_data, tmp_path, capsys):
+        world, corpus, _ = tiny_world_data
+        records = corpus.read_text().splitlines()[1:]
+        bad = tmp_path / "headless.jsonl"
+        for header in ('{"record": "labeled"}', "[1]"):
+            bad.write_text("\n".join([header, *records]) + "\n")
+            self._fails_with(capsys, ["split-and-log", "--world", world, "--corpus", bad,
+                                      "--out-dir", tmp_path / "d"], cli.EXIT_INVALID, f"{bad}:1: ")
+
+    def test_world_version_mismatch(self, tiny_world_data, tmp_path, capsys):
+        bad = self._edited_world(tiny_world_data[0], tmp_path,
+                                 lambda w: w.update(schema_version="v9"))
+        self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_VERSION)
+
+
 class TestErrors:
     def test_missing_file_exit_code(self, tmp_path):
         code = run(["gen-corpus", "--world", tmp_path / "nope.json",
@@ -399,6 +488,27 @@ class TestConfigFile:
         config = cli.build_train_config(cli.read_config_file(cfg), {})
         assert config.weights.kl == 0.0 and config.weights.bandit == 0.5
 
+    def test_key_set_and_parsed_types(self, tmp_path):
+        key_types = {
+            "seed": int, "batch_size": int, "epochs": int, "sl_epochs": int,
+            "sl_label_smoothing": float, "learning_rate": float, "optimizer": str,
+            "hidden_dims": tuple, "lambda_pseudo": float, "lambda_bandit": float,
+            "lambda_kl": float, "alpha_weak": float, "alpha_strong": float,
+            "fet_decay": float, "method": str, "add_kl": bool, "no_mc_scale": bool,
+            "no_fet": bool, "no_cbl": bool, "no_kl": bool, "warm_start": bool,
+            "weight_decay": float, "holdout_fraction": float, "early_stop": bool,
+            "ips_clip": float, "banditnet_translation": float, "fixmatch_tau": float,
+            "fixmatch_labeled_source": str, "replay_labeled": bool,
+        }
+        raw = {int: "3", float: "0.5", str: "x", tuple: "16,8", bool: "true"}
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{key} = {raw[kind]}\n" for key, kind in key_types.items()))
+        values = cli.read_config_file(cfg)
+        assert {key: type(value) for key, value in values.items()} == key_types
+        assert list(cli.CONFIG_KEYS) == list(key_types)
+        # no key given: every default comes from the dataclasses
+        assert cli.build_train_config({}, {}) == cli.TrainConfig()
+
 
 class TestTraces:
     def test_evaluate_trace_dump(self, pipeline):
@@ -420,6 +530,13 @@ class TestTraces:
         assert run(argv + ["--out", a, "--trace", root / "t.jsonl"]) == 0
         assert run(argv + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_expert_ignores_trace(self, pipeline):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        trace = root / "expert_trace.jsonl"
+        assert run(["evaluate", "--world", world, "--expert", "--n-dialogs", 2, "--n-runs", 1,
+                    "--out", root / "expert_traced.csv", "--trace", trace]) == 0
+        assert not trace.exists()
 
     def test_train_threshold_trace(self, pipeline):
         root, world, corpus, data, cfg, ckpt = pipeline

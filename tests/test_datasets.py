@@ -3,7 +3,7 @@ import pytest
 
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
-from banditmatch.policy import PolicyNet, policy_spec_for
+from banditmatch.policy import PolicyNet, policy_spec_for, predicted_mask
 
 
 @pytest.fixture(scope="module")
@@ -75,23 +75,32 @@ class TestSplit:
 
 
 class TestPredictSet:
+    """The logged set is the policy's predicted set {c : rho_c > 0.5}."""
+
+    @staticmethod
+    def log_one(policy, state):
+        example = ds.LabeledExample(state=state, actions=np.array([0], dtype=np.int64))
+        (record,) = ds.log_bandit_data(policy, [example])
+        return record
+
     def test_strictly_above_half(self, schema):
-        policy = zero_policy(schema)
-        state = np.zeros(schema.state_dim)
-        pred, rho = ds.predict_set(policy, state)
-        assert pred == set()  # exactly 0.5 everywhere is excluded
-        assert np.allclose(rho, 0.5)
+        assert predicted_mask(np.array([0.5, 0.5 + 1e-12, 0.5 - 1e-12])).tolist() == [
+            False, True, False
+        ]
+        record = self.log_one(zero_policy(schema), np.zeros(schema.state_dim))
+        assert record.logged_set() == set()  # exactly 0.5 everywhere is excluded
+        assert np.allclose(record.propensities, 0.5)
 
     def test_threshold_rule(self, schema):
         policy = random_policy(schema)
         state = np.ones(schema.state_dim)
-        pred, rho = ds.predict_set(policy, state)
-        assert pred == set(np.flatnonzero(rho > 0.5).tolist())
+        record = self.log_one(policy, state)
+        assert np.array_equal(record.propensities, policy.probs(state))
+        assert record.logged_set() == set(np.flatnonzero(record.propensities > 0.5).tolist())
 
     def test_propensities_full_length(self, schema):
-        policy = random_policy(schema)
-        _, rho = ds.predict_set(policy, np.zeros(schema.state_dim))
-        assert rho.shape == (schema.num_actions,)
+        record = self.log_one(random_policy(schema), np.zeros(schema.state_dim))
+        assert record.propensities.shape == (schema.num_actions,)
 
 
 class TestFeedback:

@@ -11,6 +11,10 @@ Its logging policy earns no positive feedback, so fine-tuning there moves
 only the KL term. ``all_losses`` trains the logging policy further at a
 higher learning rate so every loss term is active, with non-unit loss
 weights, weight decay, replay of the labeled split, and an IPS + KL run.
+``test_protocol_paths_golden_bytes`` pins the paths those two leave out:
+early stopping for every fine-tuning method, fixmatch and banditnet, the
+threshold trace, ``evaluate --trace`` / ``--jobs 2`` / ``--expert`` and the
+ablation table.
 
 The digests were taken before the fused-node training step existed (the
 world and corpus digests before the array-native dialog turn), with
@@ -81,9 +85,10 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(PIPELINES))
-def test_tiny_pipeline_golden_bytes(tmp_path, name):
-    config, methods, golden = PIPELINES[name]
+def _pipeline_argv(tmp_path, config, methods, extra_train=None):
+    """gen-world -> gen-corpus -> split-and-log -> train per method (with any
+    extra flags in ``extra_train[method]``); returns the argv lists."""
+    extra_train = extra_train or {}
     cfg = tmp_path / "train.cfg"
     cfg.write_text(config)
     world = tmp_path / "world.json"
@@ -100,12 +105,107 @@ def test_tiny_pipeline_golden_bytes(tmp_path, name):
             ["train", "--method", method, "--bandit", data / "bandit.jsonl",
              "--logging-policy", data / "logging_policy.json", "--labeled",
              data / "labeled.jsonl", "--config", cfg, "--seed", 5,
-             "--out", tmp_path / f"{method}.json", "--train-log", tmp_path / f"{method}_log.csv"]
+             "--out", tmp_path / f"{method}.json", "--train-log", tmp_path / f"{method}_log.csv",
+             *extra_train.get(method, ())]
         )
-    argv_sets.append(
-        ["evaluate", "--world", world, "--checkpoint", tmp_path / "banditmatch.json",
-         "--n-dialogs", 20, "--n-runs", 2, "--seed", 5, "--out", tmp_path / "report.csv"]
-    )
+    return argv_sets
+
+
+def _run_all(argv_sets) -> None:
     for argv in argv_sets:
         assert cli.main([str(a) for a in argv]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_tiny_pipeline_golden_bytes(tmp_path, name):
+    config, methods, golden = PIPELINES[name]
+    argv_sets = _pipeline_argv(tmp_path, config, methods)
+    argv_sets.append(
+        ["evaluate", "--world", tmp_path / "world.json", "--checkpoint",
+         tmp_path / "banditmatch.json", "--n-dialogs", 20, "--n-runs", 2, "--seed", 5,
+         "--out", tmp_path / "report.csv"]
+    )
+    _run_all(argv_sets)
     assert {path: _sha256(tmp_path / path) for path in golden} == golden
+
+
+# Early stopping on (both score kinds), every fine-tuning method, and the
+# evaluation paths besides the plain report: --trace (given together with
+# --jobs 2, which it takes precedence over), --jobs 2, --expert, and the
+# six-row ablation table (trained without early stopping). At this budget
+# early stopping restores an earlier epoch for every method. Digests taken
+# on the tree before the shared fine-tuning skeleton and evaluation loop.
+PATHS_CONFIG = "sl_epochs = 60\nlearning_rate = 0.01\nhidden_dims = 16\nbatch_size = 32\nepochs = 4\n"
+PATHS_GOLDEN = {
+    "ablate/ablations.csv":
+        "8991bafa9ce17f4fac1a8cad9039c343dee9dbd652d8fe36f9c90063a54bcf52",
+    "ablate/ablations.json":
+        "71b4387ce1bacec41af7f765001702776a0d3cf5e80a2cdbdb986ca4fe454e9b",
+    "banditmatch.json":
+        "294970dc4e68998b2140b8d14f0b0a22b00c8861933c9e4114fc98e7e586c8fa",
+    "banditmatch_log.csv":
+        "04fc7dff14911a2b206a2d23d729a20aca17875d2ccf3d1ecda6b3faea0bb3f6",
+    "banditnet.json":
+        "75da2a99d6588a6deb47112c5735b07142793fac806378673e9effaa5f9e4de9",
+    "banditnet_log.csv":
+        "8531d0574a8a604c6008685bfdca6a44834ef8a0325b86d68341e5d01b8f04dd",
+    "corpus.jsonl":
+        "6060f9fddf946ce74451652b6a4df4164f3fa124089b7a21d8be4d6bbc2a82dd",
+    "data/bandit.jsonl":
+        "c9dc3e9ef8e1b5ed6d8a8c28b83aa81e3eaaa4e8fff1f170e17458ac2f223683",
+    "data/labeled.jsonl":
+        "7642d2495c6160f65d115f263ad53be859232da258df83ed7f152bbf5d920e2b",
+    "data/logging_policy.json":
+        "24eb598a5828bcb1195f4b0c0d46e07255fcef6fadbca15854bcf20823f90e05",
+    "episodes.jsonl":
+        "43865d89969aefb7c16abbd4a7100b4195dc77e4a285bb89c4075b4aeb8f8e1d",
+    "expert.csv":
+        "dd3c3d223944af1a2b4c8980e224066e8cbd94c56cfc395f78f6e5792833ff03",
+    "fixmatch.json":
+        "a887f8aec17a9c8933c4378188a2a0e032dc27bc57ffdb53c53adc7dc9309d2a",
+    "fixmatch_log.csv":
+        "b873352b58edd778979a775855ad7426ef66c7a84e44e7cd4842f0695fc129e8",
+    "ips.json":
+        "552e3ce91663d9df6bd9f679c6c1405c9b6d3283f26384d9fc20a5d442b53590",
+    "ips_log.csv":
+        "d349a3dedf941a9dfb7ae4e5d06f2a7d5c3aff74bbabe9df90db47b7fea98094",
+    "report_jobs2.csv":
+        "8c8eba69258d00660a92abd5e8cba7e416df2b376c487bec5349cd6379d91d04",
+    "report_traced.csv":
+        "8c8eba69258d00660a92abd5e8cba7e416df2b376c487bec5349cd6379d91d04",
+    "thresholds.csv":
+        "177b16f0a912c4f366199647561f946a851d5a7737af246cf122f1af95570e76",
+    "world.json":
+        "9118a298c27897d067946514cb0faf436725fbf67b2100bee348400331408afa",
+}
+
+
+def test_protocol_paths_golden_bytes(tmp_path):
+    methods = ("banditmatch", "fixmatch", "ips", "banditnet")
+    argv_sets = _pipeline_argv(
+        tmp_path, PATHS_CONFIG + "early_stop = true\n", methods,
+        extra_train={"banditmatch": ["--threshold-trace", tmp_path / "thresholds.csv"]},
+    )
+    world = tmp_path / "world.json"
+    data = tmp_path / "data"
+    evaluate = ["evaluate", "--world", world, "--n-dialogs", 20, "--n-runs", 2, "--seed", 5]
+    policy = ["--checkpoint", tmp_path / "banditmatch.json"]
+    ablate_cfg = tmp_path / "ablate.cfg"
+    ablate_cfg.write_text(PATHS_CONFIG)
+    argv_sets += [
+        evaluate + policy + ["--jobs", 2, "--trace", tmp_path / "episodes.jsonl",
+                             "--out", tmp_path / "report_traced.csv"],
+        evaluate + policy + ["--jobs", 2, "--out", tmp_path / "report_jobs2.csv"],
+        evaluate + ["--expert", "--out", tmp_path / "expert.csv"],
+        ["ablate", "--world", world, "--bandit", data / "bandit.jsonl",
+         "--logging-policy", data / "logging_policy.json", "--config", ablate_cfg,
+         "--seed", 5, "--n-dialogs", 10, "--n-runs", 1, "--out-dir", tmp_path / "ablate"],
+    ]
+    _run_all(argv_sets)
+    digests = {
+        path.relative_to(tmp_path).as_posix(): _sha256(path)
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file() and path.suffix in (".json", ".jsonl", ".csv")
+        and not path.name.endswith(".manifest.json")
+    }
+    assert digests == PATHS_GOLDEN

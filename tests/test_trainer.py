@@ -6,6 +6,7 @@ from banditmatch import dialogworld as dw
 from banditmatch import trainer as tr
 from banditmatch.objectives import LossWeights
 from banditmatch.policy import PolicyNet, policy_spec_for
+from banditmatch.seeding import derive_rng
 from dataclasses import replace
 
 
@@ -90,6 +91,15 @@ class TestLoggingPolicy:
         with pytest.raises(tr.TrainerError):
             tr.train_supervised([], spec, tr.TrainConfig())
 
+    def test_sl_requires_full_labels(self, spec, setup):
+        with pytest.raises(tr.TrainerError):
+            tr.train_supervised(None, spec, setup[2])
+
+    def test_sl_baseline_trains_on_corpus(self, spec, corpus, setup):
+        cfg = replace(setup[2], sl_epochs=5)
+        policy = tr.train_supervised(corpus, spec, cfg)
+        assert policy.role == "trainable"
+
 
 class TestFineTuning:
     def test_warm_start_matches_logging_policy_before_updates(self, setup, schema):
@@ -154,10 +164,45 @@ class TestFineTuning:
         with pytest.raises(tr.TrainerError):
             tr.train_on_log(setup[3], [], setup[2])
 
-    def test_early_stopping_restores_best_checkpoint(self, setup):
-        cfg = replace(setup[2], epochs=3, early_stop=True)
+    def test_early_stopping_restores_best_checkpoint(self, spec, corpus):
+        # for both early-stop scores the returned parameters are exactly
+        # those of a plain run cut after the first best-scoring epoch, which
+        # here is neither the first nor the last
+        labeled, pool = ds.split_corpus(corpus, ds.SplitConfig(0.2, seed=3))
+        base = tr.TrainConfig(seed=3, sl_epochs=60, epochs=5, hidden_dims=(32,),
+                              learning_rate=0.01, holdout_fraction=0.3)
+        pi0 = tr.train_logging_policy(labeled, spec, base)
+        records = ds.log_bandit_data(pi0, pool)
+        arrays = tr.LogArrays.from_records(records, pi0.num_actions)
+        _, hold_idx = tr._holdout_split(len(arrays), base.holdout_fraction,
+                                        derive_rng(base.seed, "train"))
+        hold = arrays.take(hold_idx)
+        pos = hold.take(np.flatnonzero(hold.delta == 1))
+        cases = {
+            "banditmatch": (3e-3, lambda p: tr.exact_match_rate(p, pos.states, pos.logged_mask)),
+            "ips": (1e-2, lambda p: tr.clipped_value_estimate(p, hold, base.ips_clip)),
+        }
+        for method, (lr, score) in cases.items():
+            cfg = replace(base, method=method, learning_rate=lr)
+            cut = [tr.train_on_log(pi0, records, replace(cfg, epochs=k))[0]
+                   for k in range(1, cfg.epochs + 1)]
+            scores = [score(p) for p in cut]
+            best = scores.index(max(scores))
+            assert 0 < best < cfg.epochs - 1, (method, scores)
+            stopped, _ = tr.train_on_log(pi0, records, replace(cfg, early_stop=True))
+            for x, y in zip(stopped.parameters(), cut[best].parameters()):
+                assert np.array_equal(x.data, y.data), method
+
+    def test_crm_kind_with_kl_variant(self, setup, schema):
+        cfg = replace(setup[2], epochs=1, method="ips", add_kl=True)
         policy, _ = tr.train_on_log(setup[3], setup[4], cfg)
-        assert policy.role == "trainable"  # smoke: runs and returns
+        states = np.stack([r.state for r in setup[4]])
+        assert policy.probs(states).shape == (len(setup[4]), schema.num_actions)
+
+    def test_fixmatch_kind_uses_labeled_split(self, setup):
+        cfg = replace(setup[2], epochs=1, method="fixmatch")
+        policy, _ = tr.train_on_log(setup[3], setup[4], cfg, labeled_split=setup[0])
+        assert policy.role == "trainable"
 
     def test_training_log_csv_round_trip(self, setup, tmp_path):
         cfg = replace(setup[2], epochs=1)
@@ -238,28 +283,6 @@ class TestGrids:
         assert [r.metrics for _, r in again["banditmatch"]] == [
             r.metrics for _, r in results["banditmatch"]
         ]
-
-
-class TestBaselineWrapper:
-    def test_sl_baseline_trains_on_corpus(self, schema, spec, corpus, setup):
-        cfg = replace(setup[2], sl_epochs=5)
-        policy = tr.train_baseline("sl", setup[3], None, cfg, labeled=corpus)
-        assert policy.role == "trainable"
-
-    def test_sl_requires_full_labels(self, setup):
-        with pytest.raises(tr.TrainerError):
-            tr.train_baseline("sl", setup[3], setup[4], setup[2], labeled=None)
-
-    def test_crm_kind_with_kl_variant(self, setup, schema):
-        cfg = replace(setup[2], epochs=1)
-        policy = tr.train_baseline("ips", setup[3], setup[4], cfg, add_kl=True)
-        states = np.stack([r.state for r in setup[4]])
-        assert policy.probs(states).shape == (len(setup[4]), schema.num_actions)
-
-    def test_fixmatch_kind_uses_labeled_split(self, setup):
-        cfg = replace(setup[2], epochs=1)
-        policy = tr.train_baseline("fixmatch", setup[3], setup[4], cfg, labeled=setup[0])
-        assert policy.role == "trainable"
 
 
 class TestThresholdTrace:
