@@ -423,7 +423,7 @@ def cmd_train(args) -> int:
     if args.train_log:
         trainer.write_training_log(Path(args.train_log), history)
         outputs.append(Path(args.train_log))
-    if args.threshold_trace and Path(args.threshold_trace).exists():
+    if args.threshold_trace:
         outputs.append(Path(args.threshold_trace))
     write_manifest(out.parent, out.stem + ".manifest.json", "train",
                    vars(args),
@@ -599,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--train-log", default=None, help="per-step loss CSV")
     p.add_argument("--threshold-trace", default=None,
-                   help="per-step per-class threshold diagnostics CSV")
+                   help="per-step per-class threshold diagnostics CSV "
+                        "(header only for methods without FET thresholds)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="interactive evaluation in the dialog world")

@@ -77,7 +77,7 @@ def generate_corpus(schema: WorldSchema, n_dialogs: int, seed: int) -> list[Labe
         pairs: list = []
         run_expert_episode(schema, goal, collect=pairs)
         for state, actions in pairs:
-            idx = np.array(sorted(schema.action_index(a) for a in actions), dtype=np.int64)
+            idx = np.array(sorted(actions), dtype=np.int64)
             corpus.append(LabeledExample(state=state, actions=idx))
     return corpus
 

@@ -11,6 +11,13 @@ constraint (informable) slot, and emit slotless ``offer`` / ``book`` /
 ``nooffer``; a single global ``bye`` closes the dialog. The triple <->
 index mapping is fixed by the schema and stable for the life of a run.
 
+Agent turns. One agent turn is a list of indices into ``schema.actions``
+without repeats, in application order: the order of the ``AtomicAction``
+fields (domain, act type, slot), which ``ACTION_ORDER`` names. The schema
+precomputes that order as an index array (``application_order``), so a
+predicted mask becomes a turn with one gather, and the agent-turn and
+user-turn updates walk the list as given.
+
 Episode flow: the user opens, then agent and user alternate. The episode
 ends when the user has everything it needs (it says bye), when the agent
 says bye, or at ``max_turns`` agent turns.
@@ -22,8 +29,9 @@ the position each possible last-turn user act sets) and per slot a
 value -> entity bitmask. The encoder writes only the features the context
 holds, and entity matching is an AND of bitmasks (``_entity_mask``), shared
 by the database lookup, goal checks, goal enumeration and the Match metric.
-The tables are not rebuilt, so a schema must not be mutated after
-construction; build a new one instead.
+The same tables hold the action index of every act the expert can emit. The
+tables are not rebuilt, so a schema must not be mutated after construction;
+build a new one instead.
 """
 
 from __future__ import annotations
@@ -69,9 +77,8 @@ class AtomicAction:
         return f"{self.domain}-{self.act_type}-{self.slot or 'none'}"
 
 
-# the field order of AtomicAction, which its order=True comparison follows;
-# sorting by this key gives the same order without building a comparison
-# tuple on every compare
+# the application order of an agent turn: the field order of AtomicAction,
+# which its order=True comparison follows
 ACTION_ORDER = operator.attrgetter("domain", "act_type", "slot")
 
 
@@ -104,13 +111,16 @@ class _DomainTables:
     match-count bucket and ``flags`` the booking-requested flag (booked and
     active follow it). ``value_masks[slot][value]`` has bit ``i`` set when
     entity ``i`` holds ``value``; ``informable_masks`` is its restriction to
-    the constraint slots.
+    the constraint slots. ``inform_action`` / ``request_action`` map each slot
+    to the index of its inform / request action, and ``offer_action``,
+    ``book_action`` and ``nooffer_action`` are the slotless actions' indices.
     """
 
     __slots__ = ("dom", "expressed", "pending", "informed", "match", "flags",
-                 "all_entities", "value_masks", "informable_masks")
+                 "all_entities", "value_masks", "informable_masks", "inform_action",
+                 "request_action", "offer_action", "book_action", "nooffer_action")
 
-    def __init__(self, dom: DomainSchema, offset: int):
+    def __init__(self, dom: DomainSchema, offset: int, index: dict[AtomicAction, int]):
         slots = dom.all_slots()
         n_all = len(slots)
         self.dom = dom
@@ -125,6 +135,13 @@ class _DomainTables:
             for slot, masks in self.value_masks.items():
                 masks[ent[slot]] = masks.get(ent[slot], 0) | (1 << i)
         self.informable_masks = {s: self.value_masks[s] for s in dom.informable}
+        self.inform_action = {s: index[AtomicAction(dom.name, INFORM, s)] for s in slots}
+        self.request_action = {
+            s: index[AtomicAction(dom.name, REQUEST, s)] for s in dom.informable
+        }
+        self.offer_action = index[AtomicAction(dom.name, OFFER)]
+        self.book_action = index[AtomicAction(dom.name, BOOK)]
+        self.nooffer_action = index[AtomicAction(dom.name, NOOFFER)]
 
 
 def _entity_mask(tables: _DomainTables, constraints: dict) -> int:
@@ -132,6 +149,17 @@ def _entity_mask(tables: _DomainTables, constraints: dict) -> int:
     mask = tables.all_entities
     for slot, value in constraints.items():
         mask &= tables.value_masks.get(slot, {}).get(value, 0)
+    return mask
+
+
+def _expressed_mask(tables: _DomainTables, dctx: DomainContext) -> int:
+    """Bitmask of the entities consistent with the constraints expressed so
+    far (dontcare and non-constraint slots ignored)."""
+    informable = tables.informable_masks
+    mask = tables.all_entities
+    for slot, value in dctx.expressed.items():
+        if value != DONTCARE and slot in informable:
+            mask &= informable[slot].get(value, 0)
     return mask
 
 
@@ -169,12 +197,24 @@ class WorldSchema:
 
     def _build_tables(self) -> None:
         self._tables: list[_DomainTables] = []
+        actions = self._actions
+        order = sorted(range(len(actions)), key=lambda i: ACTION_ORDER(actions[i]))
+        self._order = np.array(order, dtype=np.intp)
+        self._order.flags.writeable = False
+        # application rank of each action index, to put a built turn in order
+        self._rank = [0] * len(actions)
+        for rank, i in enumerate(order):
+            self._rank[i] = rank
+        # the (domain, slot) each action index asks the user for; None when
+        # the action is not a request
+        self._asks = [(a.domain, a.slot) if a.act_type == REQUEST else None for a in actions]
+        self._bye_action = self._index[AtomicAction(GENERAL, BYE)]
         # (domain, act type, slot) of a last-turn user act -> feature position;
         # book acts are keyed with slot None
         self._last_act_pos: dict[tuple[str, str, str | None], int] = {}
         offset = 0
         for dom in self.domains:
-            tables = _DomainTables(dom, offset)
+            tables = _DomainTables(dom, offset, self._index)
             self._tables.append(tables)
             pos = tables.flags + 3
             for slot in dom.informable:
@@ -219,6 +259,11 @@ class WorldSchema:
 
     def action_index(self, action: AtomicAction) -> int:
         return self._index[action]
+
+    @property
+    def application_order(self) -> np.ndarray:
+        """Every action index, in the order an agent turn lists them (read-only)."""
+        return self._order
 
     def domain(self, name: str) -> DomainSchema:
         return self._tables_for(name).dom
@@ -474,13 +519,7 @@ class DialogContext:
 def db_matches(schema: WorldSchema, ctx: DialogContext, domain: str) -> list[int]:
     """Entity indices consistent with the constraints expressed so far."""
     tables = schema._tables_for(domain)
-    informable = tables.informable_masks
-    cons = {
-        s: v
-        for s, v in ctx.domains[domain].expressed.items()
-        if v != DONTCARE and s in informable
-    }
-    return _mask_indices(_entity_mask(tables, cons))
+    return _mask_indices(_expressed_mask(tables, ctx.domains[domain]))
 
 
 def apply_user_acts(ctx: DialogContext, acts: list[UserAct]) -> None:
@@ -500,28 +539,30 @@ def apply_user_acts(ctx: DialogContext, acts: list[UserAct]) -> None:
     ctx.last_user_acts = list(acts)
 
 
-def apply_agent_actions(ctx: DialogContext, actions: set[AtomicAction]) -> None:
-    """Update the context with one agent turn.
+def apply_agent_actions(ctx: DialogContext, actions: list[int]) -> None:
+    """Update the context with one agent turn (action indices in application
+    order, applied as listed).
 
+    Requests and nooffer change nothing here; the user answers requests.
     Agent bye is inert for episode control (the user simulator decides
     termination, as in interactive corpus evaluators); it simply produces
     no state change.
     """
     schema = ctx.schema
-    for action in sorted(actions, key=ACTION_ORDER):
-        if action.act_type == BYE:
-            continue
-        if action.domain not in ctx.domains:
-            continue
-        dctx = ctx.domains[action.domain]
-        if action.act_type == INFORM:
+    vocab = schema.actions
+    for i in actions:
+        action = vocab[i]
+        act_type = action.act_type
+        if act_type == INFORM:
+            dctx = ctx.domains[action.domain]
             ctx.total_informs += 1
             if action.slot in dctx.pending_requests:
                 ctx.useful_informs += 1
                 dctx.pending_requests.remove(action.slot)
                 ctx.answered.add((action.domain, action.slot))
             dctx.informed.add(action.slot)
-        elif action.act_type in (OFFER, BOOK):
+        elif act_type == OFFER or act_type == BOOK:
+            dctx = ctx.domains[action.domain]
             # a completed booking is binding; later offers/books cannot
             # amend the committed entity
             if dctx.booked:
@@ -529,7 +570,7 @@ def apply_agent_actions(ctx: DialogContext, actions: set[AtomicAction]) -> None:
             matches = db_matches(schema, ctx, action.domain)
             if matches:
                 dctx.selected_entity = matches[0]
-            if action.act_type == BOOK:
+            if act_type == BOOK:
                 dctx.booked = True
 
 
@@ -559,7 +600,7 @@ def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
                 if s in pos:
                     state[pos[s]] = 1.0
         if dctx.active:
-            n = len(db_matches(schema, ctx, tables.dom.name))
+            n = _expressed_mask(tables, dctx).bit_count()
             state[tables.match + (0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3)] = 1.0
             state[tables.flags + 2] = 1.0
         if dctx.booking_requested:
@@ -603,7 +644,7 @@ def _most_discriminative_slot(dom: DomainSchema, matches: list[int], askable: li
     return best_slot
 
 
-def expert_respond(schema: WorldSchema, ctx: DialogContext) -> set[AtomicAction]:
+def expert_respond(schema: WorldSchema, ctx: DialogContext) -> list[int]:
     """Deterministic rule policy used as ground truth.
 
     Per active domain: answer every pending request; while several
@@ -612,34 +653,35 @@ def expert_respond(schema: WorldSchema, ctx: DialogContext) -> set[AtomicAction]
     requested and the match is pinned down (or no constraint slots are
     left to ask); say nooffer when nothing matches. Falls back to
     (re)offering the current match so a turn is never empty, and closes
-    with bye after the user does.
+    with bye after the user does. The turn is a list of action indices in
+    application order.
     """
     if ctx.user_said_bye:
-        return {AtomicAction(GENERAL, BYE)}
-    actions: set[AtomicAction] = set()
-    for dom in schema.domains:
+        return [schema._bye_action]
+    actions: list[int] = []
+    for tables in schema._tables:
+        dom = tables.dom
         dctx = ctx.domains[dom.name]
         if not dctx.active:
             continue
         matches = db_matches(schema, ctx, dom.name)
         if not matches:
-            actions.add(AtomicAction(dom.name, NOOFFER))
+            actions.append(tables.nooffer_action)
             continue
-        domain_acts: set[AtomicAction] = {
-            AtomicAction(dom.name, INFORM, slot) for slot in dctx.pending_requests
-        }
+        # pending requests hold no repeats, so neither does the turn
+        domain_acts = [tables.inform_action[slot] for slot in dctx.pending_requests]
         askable = [s for s in dom.informable if s not in dctx.expressed]
         if len(matches) > 1 and askable:
             slot = _most_discriminative_slot(dom, matches, askable)
-            domain_acts.add(AtomicAction(dom.name, REQUEST, slot))
+            domain_acts.append(tables.request_action[slot])
         if dctx.booking_requested and not dctx.booked and (len(matches) == 1 or not askable):
-            domain_acts.add(AtomicAction(dom.name, OFFER))
-            domain_acts.add(AtomicAction(dom.name, BOOK))
+            domain_acts += (tables.offer_action, tables.book_action)
         if not domain_acts:
-            domain_acts.add(AtomicAction(dom.name, OFFER))
-        actions |= domain_acts
+            domain_acts.append(tables.offer_action)
+        actions += domain_acts
     if not actions:
-        actions.add(AtomicAction(GENERAL, BYE))
+        return [schema._bye_action]
+    actions.sort(key=schema._rank.__getitem__)
     return actions
 
 
@@ -693,26 +735,25 @@ def _refill_agenda(ustate: UserState, ctx: DialogContext) -> None:
 
 
 def user_step(
-    ustate: UserState, ctx: DialogContext, agent_actions: set[AtomicAction]
+    ustate: UserState, ctx: DialogContext, agent_actions: list[int]
 ) -> tuple[list[UserAct], bool]:
     """One user turn: answer agent requests, then pop agenda items.
 
-    Returns the uttered acts and a terminated flag. The user closes with
-    bye once every requested slot is answered and every required booking
-    is done.
+    ``agent_actions`` is the agent turn (action indices in application
+    order); its requests are answered in that order. Returns the uttered
+    acts and a terminated flag. The user closes with bye once every
+    requested slot is answered and every required booking is done.
     """
     acts: list[UserAct] = []
     goal = ustate.goal
-    requests = sorted(
-        (a for a in agent_actions if a.act_type == REQUEST and a.domain in ctx.domains),
-        key=ACTION_ORDER,
-    )
-    for action in requests:
-        value = goal.constraints.get(action.domain, {}).get(action.slot, DONTCARE)
-        acts.append(UserAct(action.domain, INFORM, action.slot, value))
+    asks = ctx.schema._asks
+    requests = [asks[i] for i in agent_actions if asks[i] is not None]
+    for domain, slot in requests:
+        value = goal.constraints.get(domain, {}).get(slot, DONTCARE)
+        acts.append(UserAct(domain, INFORM, slot, value))
     if requests:
         # the agent asked for these, so their queued informs are now moot
-        asked = {(a.domain, a.slot) for a in requests}
+        asked = set(requests)
         ustate.agenda = [
             a for a in ustate.agenda if not (a.act_type == INFORM and (a.domain, a.slot) in asked)
         ]
@@ -804,8 +845,10 @@ def run_episode(
 ) -> EpisodeMetrics:
     """Roll one dialog between ``policy`` and the agenda user.
 
-    ``policy`` maps a state vector to a set of AtomicActions (anything with
-    an ``act(state) -> set[AtomicAction]`` method or a bare callable).
+    ``policy`` maps a state vector to one agent turn: a list of indices into
+    ``schema.actions`` without repeats, in application order (anything with
+    an ``act(state) -> list[int]`` method, or a bare callable). The turns are
+    not checked. ``trace`` rows list the agent's labels sorted.
     """
     act_fn = policy.act if hasattr(policy, "act") else policy
     ctx = DialogContext(schema)
@@ -822,7 +865,7 @@ def run_episode(
                 {
                     "turn": turns,
                     "user": [f"{a.domain}-{a.act_type}-{a.slot or 'none'}" for a in user_acts],
-                    "agent": sorted(a.label() for a in actions),
+                    "agent": sorted(schema.actions[i].label() for i in actions),
                 }
             )
         apply_agent_actions(ctx, actions)
@@ -839,7 +882,7 @@ def run_expert_episode(
 ) -> EpisodeMetrics:
     """Like run_episode but drives the rule expert on the live context.
 
-    When ``collect`` is a list, (state, action set) pairs are appended for
+    When ``collect`` is a list, (state, agent turn) pairs are appended for
     corpus generation.
     """
     ctx = DialogContext(schema)

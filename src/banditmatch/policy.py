@@ -58,10 +58,6 @@ class PolicyNet:
         """Differentiable forward pass for training."""
         return self.net.forward(states)
 
-    def predict_set(self, state: np.ndarray) -> np.ndarray:
-        """Indices of the predicted action set."""
-        return np.flatnonzero(predicted_mask(self.probs(state)))
-
     def zero_grad(self) -> None:
         self.net.zero_grad()
 
@@ -110,9 +106,11 @@ class ActionSetPolicy:
         self.policy = policy
         self.schema = schema
 
-    def act(self, state: np.ndarray):
-        indices = self.policy.predict_set(state)
-        return {self.schema.actions[i] for i in indices}
+    def act(self, state: np.ndarray) -> list[int]:
+        """The predicted action set of one state as an agent turn: action
+        indices in the schema's application order."""
+        order = self.schema.application_order
+        return order[predicted_mask(self.policy.probs(state))[order]].tolist()
 
 
 def policy_spec_for(schema: WorldSchema, hidden_dims: tuple[int, ...] = (128, 128)) -> nncore.MlpSpec:

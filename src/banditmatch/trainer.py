@@ -88,7 +88,8 @@ class TrainConfig:
     # replay the expert split next to logged positives during composite
     # fine-tuning (off: logged positives only)
     replay_labeled: bool = False
-    # optional diagnostics: per-step per-class threshold trace CSV
+    # optional diagnostics: per-step per-class threshold trace CSV, written
+    # for every method (header only for methods without FET thresholds)
     threshold_trace_path: str | None = None
 
     def __post_init__(self):
@@ -302,22 +303,22 @@ def train_on_log(
         raise TrainerError("empty bandit log")
     if config.method == METHOD_FIXMATCH and not labeled_split:
         raise TrainerError("the fixmatch baseline needs the labeled split")
-    if config.method in (METHOD_IPS, METHOD_BANDITNET):
-        return _fine_tune(
-            logging_policy, records, config,
-            lambda policy, train, rng: _crm_step(policy, logging_policy, train, config),
-            lambda policy, hold: (
-                clipped_value_estimate(policy, hold, config.ips_clip) if len(hold) else None
-            ),
-        )
+    # methods without FET thresholds leave the trace with its header only
     trace_rows: list[tuple] | None = [] if config.threshold_trace_path else None
-    policy, history = _fine_tune(
-        logging_policy, records, config,
-        lambda policy, train, rng: _composite_step(
-            policy, logging_policy, train, rng, config, labeled_split, trace_rows
-        ),
-        _held_out_exact_match,
-    )
+    if config.method in (METHOD_IPS, METHOD_BANDITNET):
+        def step(policy, train, rng):
+            return _crm_step(policy, logging_policy, train, config)
+
+        def score(policy, hold):
+            return clipped_value_estimate(policy, hold, config.ips_clip) if len(hold) else None
+    else:
+        def step(policy, train, rng):
+            return _composite_step(
+                policy, logging_policy, train, rng, config, labeled_split, trace_rows
+            )
+
+        score = _held_out_exact_match
+    policy, history = _fine_tune(logging_policy, records, config, step, score)
     if trace_rows is not None:
         write_threshold_trace(config.threshold_trace_path, trace_rows)
     return policy, history

@@ -6,8 +6,10 @@ bitmasks) and sorts action sets with an attribute key. This module keeps the
 forms those tables replace: the encoder that loops over every slot and scans
 the last user acts for each one, entity matching by comparing every entity's
 slot values, and the agent-turn and user-turn updates that sort whole
-``AtomicAction`` sets and rebuild the agenda once per answered request. Tests
-require the package to produce equal states, match lists and episode metrics.
+``AtomicAction`` sets and rebuild the agenda once per answered request, and the
+expert that builds its turn as an ``AtomicAction`` set. Tests require the
+package to produce equal states, match lists and episode metrics, and agent
+turns whose actions are these sets in sorted order.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from banditmatch.dialogworld import (
     INFORM,
     MATCH_BUCKETS,
     MAX_INITIATIVE,
+    NOOFFER,
     OFFER,
     REQUEST,
     TURN_BUCKETS,
@@ -28,6 +31,7 @@ from banditmatch.dialogworld import (
     UserAct,
     UserState,
     WorldSchema,
+    _most_discriminative_slot,
     _needs_met,
     _refill_agenda,
 )
@@ -162,3 +166,33 @@ def user_step(
         acts.append(act)
         budget -= 1
     return acts, False
+
+
+def expert_respond(schema: WorldSchema, ctx: DialogContext) -> set[AtomicAction]:
+    if ctx.user_said_bye:
+        return {AtomicAction(GENERAL, BYE)}
+    actions: set[AtomicAction] = set()
+    for dom in schema.domains:
+        dctx = ctx.domains[dom.name]
+        if not dctx.active:
+            continue
+        matches = db_matches(schema, ctx, dom.name)
+        if not matches:
+            actions.add(AtomicAction(dom.name, NOOFFER))
+            continue
+        domain_acts: set[AtomicAction] = {
+            AtomicAction(dom.name, INFORM, slot) for slot in dctx.pending_requests
+        }
+        askable = [s for s in dom.informable if s not in dctx.expressed]
+        if len(matches) > 1 and askable:
+            slot = _most_discriminative_slot(dom, matches, askable)
+            domain_acts.add(AtomicAction(dom.name, REQUEST, slot))
+        if dctx.booking_requested and not dctx.booked and (len(matches) == 1 or not askable):
+            domain_acts.add(AtomicAction(dom.name, OFFER))
+            domain_acts.add(AtomicAction(dom.name, BOOK))
+        if not domain_acts:
+            domain_acts.add(AtomicAction(dom.name, OFFER))
+        actions |= domain_acts
+    if not actions:
+        actions.add(AtomicAction(GENERAL, BYE))
+    return actions

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -546,3 +547,17 @@ class TestTraces:
                     "--config", cfg, "--seed", 5, "--out", root / "bm_traced.json",
                     "--threshold-trace", trace]) == 0
         assert trace.exists() and trace.read_text().startswith("step,class,accept")
+
+    def test_crm_threshold_trace_replaces_stale_file(self, pipeline):
+        # ips has no FET thresholds: the trace is header-only, never a stale file
+        root, world, corpus, data, cfg, ckpt = pipeline
+        trace = root / "ips_thresholds.csv"
+        trace.write_text("stale,from,last,week\n")
+        out = root / "ips_traced.json"
+        assert run(["train", "--method", "ips", "--bandit", data / "bandit.jsonl",
+                    "--logging-policy", data / "logging_policy.json",
+                    "--config", cfg, "--seed", 5, "--out", out,
+                    "--threshold-trace", trace]) == 0
+        assert trace.read_bytes() == b"step,class,accept,reject,mc_pos,mc_neg\r\n"
+        manifest = json.loads((root / "ips_traced.manifest.json").read_text())
+        assert manifest["outputs"][str(trace)] == hashlib.sha256(trace.read_bytes()).hexdigest()

@@ -14,6 +14,12 @@ def tiny():
     return dw.tiny_schema()
 
 
+def turn(schema, *actions):
+    """The agent turn that plays ``actions``: their indices in application order."""
+    wanted = set(actions)
+    return [i for i in schema.application_order.tolist() if schema.actions[i] in wanted]
+
+
 class TestSchema:
     def test_vocab_is_bijective_and_stable(self, schema):
         actions = schema.actions
@@ -154,11 +160,12 @@ class TestExpert:
         dw.apply_user_acts(ctx, acts)
         if len(dw.db_matches(schema, ctx, "hotel")) == 1:
             actions = dw.expert_respond(schema, ctx)
-            informs = {a for a in actions if a.act_type == dw.INFORM}
-            assert informs == {
+            informs = [i for i in actions if schema.actions[i].act_type == dw.INFORM]
+            assert informs == turn(
+                schema,
                 dw.AtomicAction("hotel", dw.INFORM, "phone"),
                 dw.AtomicAction("hotel", dw.INFORM, "address"),
-            }
+            )
 
     def test_no_match_yields_nooffer(self, schema):
         ctx = dw.DialogContext(schema)
@@ -177,14 +184,14 @@ class TestExpert:
                 dw.UserAct("hotel", dw.INFORM, "price", target[1]),
             ],
         )
-        assert dw.expert_respond(schema, ctx) == {dw.AtomicAction("hotel", dw.NOOFFER)}
+        assert dw.expert_respond(schema, ctx) == turn(schema, dw.AtomicAction("hotel", dw.NOOFFER))
 
     def test_many_matches_one_request(self, schema):
         ctx = dw.DialogContext(schema)
         dw.apply_user_acts(ctx, [dw.UserAct("hotel", dw.REQUEST, "phone")])
         # answer the request first so only narrowing remains
         actions = dw.expert_respond(schema, ctx)
-        requests = [a for a in actions if a.act_type == dw.REQUEST]
+        requests = [i for i in actions if schema.actions[i].act_type == dw.REQUEST]
         assert len(requests) == 1
 
     def test_discriminative_slot_prefers_splitting_values(self):
@@ -203,7 +210,7 @@ class TestExpert:
     def test_bye_after_user_bye(self, schema):
         ctx = dw.DialogContext(schema)
         dw.apply_user_acts(ctx, [dw.UserAct(dw.GENERAL, dw.BYE)])
-        assert dw.expert_respond(schema, ctx) == {dw.AtomicAction(dw.GENERAL, dw.BYE)}
+        assert dw.expert_respond(schema, ctx) == turn(schema, dw.AtomicAction(dw.GENERAL, dw.BYE))
 
     def test_deterministic_function_of_context(self, schema):
         rng = np.random.default_rng(4)
@@ -227,7 +234,7 @@ class TestUser:
         ustate = dw.UserState(goal)
         dw.apply_user_acts(ctx, dw.user_open(ustate))
         acts, terminated = dw.user_step(
-            ustate, ctx, {dw.AtomicAction("hotel", dw.REQUEST, "price")}
+            ustate, ctx, turn(schema, dw.AtomicAction("hotel", dw.REQUEST, "price"))
         )
         informs = [a for a in acts if a.act_type == dw.INFORM and a.slot == "price"]
         assert len(informs) == 1
@@ -242,8 +249,8 @@ class TestUser:
         ctx = dw.DialogContext(schema)
         ustate = dw.UserState(goal)
         dw.apply_user_acts(ctx, dw.user_open(ustate))
-        dw.apply_agent_actions(ctx, {dw.AtomicAction("hotel", dw.INFORM, "phone")})
-        acts, terminated = dw.user_step(ustate, ctx, set())
+        dw.apply_agent_actions(ctx, turn(schema, dw.AtomicAction("hotel", dw.INFORM, "phone")))
+        acts, terminated = dw.user_step(ustate, ctx, [])
         assert terminated and any(a.act_type == dw.BYE for a in acts)
 
     def test_empty_agent_turn_triggers_retry(self, schema):
@@ -256,9 +263,9 @@ class TestUser:
         ustate = dw.UserState(goal)
         dw.apply_user_acts(ctx, dw.user_open(ustate))
         # agent does nothing twice; the user re-issues the pending request
-        acts1, t1 = dw.user_step(ustate, ctx, set())
+        acts1, t1 = dw.user_step(ustate, ctx, [])
         dw.apply_user_acts(ctx, acts1)
-        acts2, t2 = dw.user_step(ustate, ctx, set())
+        acts2, t2 = dw.user_step(ustate, ctx, [])
         assert not t1 and not t2
         assert any(a.act_type == dw.REQUEST and a.slot == "phone" for a in acts1 + acts2)
 
@@ -273,9 +280,8 @@ class TestEpisodes:
     def test_bye_only_agent_fails(self, schema):
         rng = np.random.default_rng(6)
         goal = dw.sample_goal(schema, rng)
-        metrics = dw.run_episode(
-            lambda state: {dw.AtomicAction(dw.GENERAL, dw.BYE)}, schema, goal
-        )
+        bye = turn(schema, dw.AtomicAction(dw.GENERAL, dw.BYE))
+        metrics = dw.run_episode(lambda state: bye, schema, goal)
         assert metrics.success == 0 and metrics.inform_recall == 0.0
 
     def test_metric_arithmetic(self, schema):
@@ -287,11 +293,12 @@ class TestEpisodes:
         )
 
         def agent(state):
-            return {
+            return turn(
+                schema,
                 dw.AtomicAction("hotel", dw.INFORM, "phone"),
                 dw.AtomicAction("hotel", dw.INFORM, "address"),
                 dw.AtomicAction("hotel", dw.INFORM, "postcode"),
-            }
+            )
 
         metrics = dw.run_episode(agent, schema, goal)
         assert metrics.inform_recall == 1.0
@@ -301,7 +308,7 @@ class TestEpisodes:
     def test_turn_cap(self, schema):
         rng = np.random.default_rng(8)
         goal = dw.sample_goal(schema, rng)
-        metrics = dw.run_episode(lambda s: set(), schema, goal, max_turns=5)
+        metrics = dw.run_episode(lambda s: [], schema, goal, max_turns=5)
         assert metrics.turns <= 5 and metrics.success == 0
 
     def test_success_requires_recall_and_match(self, schema):
@@ -314,10 +321,8 @@ class TestEpisodes:
         rng = np.random.default_rng(10)
         goal = dw.sample_goal(schema, rng)
         trace = []
-        dw.run_episode(
-            lambda state: {dw.AtomicAction(dw.GENERAL, dw.BYE)},
-            schema, goal, max_turns=3, trace=trace,
-        )
+        bye = turn(schema, dw.AtomicAction(dw.GENERAL, dw.BYE))
+        dw.run_episode(lambda state: bye, schema, goal, max_turns=3, trace=trace)
         assert len(trace) == 3 and all("agent" in row and "user" in row for row in trace)
 
 

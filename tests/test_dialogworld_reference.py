@@ -4,8 +4,11 @@ Each dialog is rolled twice from the same goal: once with the package's
 encoder, database lookup, agent-turn and user-turn updates, once with the
 forms kept in ``dialogworld_reference``. Every turn's state must be equal
 (``np.array_equal``), every domain's match list must be equal, and so must
-the episode metrics. The package's own episode runners must agree with the
-package rollout.
+the episode metrics. The package plays each agent turn as the index list it
+was given, which must be in application order; the reference plays the same
+turn as a set of ``AtomicAction``. The package's expert must give the
+reference expert's set as such a list, and the package's own episode runners
+must agree with the package rollout.
 """
 
 import json
@@ -26,9 +29,20 @@ PACKAGE = types.SimpleNamespace(
 )
 
 
+def as_actions(schema, turn):
+    """The AtomicActions of an index turn, in the order listed."""
+    return [schema.actions[i] for i in turn]
+
+
+def assert_application_order(schema, turn):
+    # listed as the old whole-set sort would apply them, without repeats
+    assert as_actions(schema, turn) == sorted(set(as_actions(schema, turn)))
+
+
 def rollout(world, schema, goal, respond, max_turns=20):
     """One dialog through ``world``'s turn functions; returns per-turn
-    (state, match lists, agent actions) and the episode metrics."""
+    (state, match lists, agent turn) and the episode metrics. ``respond``
+    gives index turns; the reference world receives them as action sets."""
     ctx = dw.DialogContext(schema)
     ustate = dw.UserState(goal)
     dw.apply_user_acts(ctx, dw.user_open(ustate))
@@ -38,8 +52,11 @@ def rollout(world, schema, goal, respond, max_turns=20):
         state = world.encode_state(schema, ctx)
         matches = [world.db_matches(schema, ctx, d.name) for d in schema.domains]
         actions = respond(schema, ctx, state)
+        assert_application_order(schema, actions)
         turns.append((state, matches, actions))
         n += 1
+        if world is not PACKAGE:
+            actions = set(as_actions(schema, actions))
         world.apply_agent_actions(ctx, actions)
         user_acts, terminated = world.user_step(ustate, ctx, actions)
         dw.apply_user_acts(ctx, user_acts)
@@ -50,7 +67,9 @@ def rollout(world, schema, goal, respond, max_turns=20):
 
 
 def expert(schema, ctx, state):
-    return dw.expert_respond(schema, ctx)
+    turn = dw.expert_respond(schema, ctx)
+    assert set(as_actions(schema, turn)) == ref.expert_respond(schema, ctx)
+    return turn
 
 
 def assert_same_rollouts(schema, goals, respond):
@@ -107,6 +126,26 @@ def test_random_policy_episodes_match_reference(name, seed):
     policy = random_policy(schema, seed)
     assert_same_rollouts(schema, goals_for(schema, 25, 100 + seed),
                          lambda schema, ctx, state: policy.act(state))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_act_lists_predicted_set_in_application_order(name):
+    # the turn act gives is the old set {c : p_c > 0.5} sorted by ACTION_ORDER
+    schema = SCHEMAS[name]()
+    policy = random_policy(schema, 0)
+    rng = np.random.default_rng(21)
+    n = schema.num_actions
+    for k in range(200):
+        p = rng.random(n)
+        if k % 4 == 0:
+            p[rng.random(n) < 0.3] = 0.5  # on the threshold: not predicted
+        elif k % 4 == 1:
+            p = np.full(n, 0.9 if k % 8 == 1 else 0.1)  # every action, none
+        policy.policy.probs = lambda state, p=p: p
+        got = policy.act(np.zeros(schema.state_dim))
+        want = sorted({schema.actions[c] for c in range(n) if p[c] > 0.5}, key=dw.ACTION_ORDER)
+        assert all(type(i) is int for i in got)
+        assert as_actions(schema, got) == want
 
 
 def test_reordered_schema_changes_layout():

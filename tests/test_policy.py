@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from banditmatch import dialogworld as dw, nncore
-from banditmatch.policy import ActionSetPolicy, PolicyError, PolicyNet, policy_spec_for
+from banditmatch.policy import (
+    ActionSetPolicy,
+    PolicyError,
+    PolicyNet,
+    policy_spec_for,
+    predicted_mask,
+)
 
 
 @pytest.fixture(scope="module")
@@ -116,9 +122,12 @@ class TestActionSetAdapter:
 
     def test_act_returns_action_objects(self, schema):
         adapter = ActionSetPolicy(small_policy(schema, seed=12), schema)
-        actions = adapter.act(np.zeros(schema.state_dim))
-        assert all(isinstance(a, dw.AtomicAction) for a in actions)
+        # a zero state gives all-0.5 outputs (an empty set); a non-zero one does not
+        actions = adapter.act(np.ones(schema.state_dim))
+        assert actions and all(type(i) is int for i in actions)
+        assert all(isinstance(schema.actions[i], dw.AtomicAction) for i in actions)
 
     def test_predict_set_strict_threshold(self, schema):
         policy = small_policy(schema)  # all-0.5 outputs
-        assert policy.predict_set(np.zeros(schema.state_dim)).size == 0
+        assert not predicted_mask(policy.probs(np.zeros(schema.state_dim))).any()
+        assert ActionSetPolicy(policy, schema).act(np.zeros(schema.state_dim)) == []
