@@ -143,22 +143,6 @@ def model_correctness_neg(probs_n: np.ndarray, sets_n: np.ndarray, rho_n: np.nda
     return clamp_correctness(float(np.mean(per_record)))
 
 
-def model_correctness(
-    probs_t: np.ndarray,
-    sets_t: np.ndarray,
-    rho_t: np.ndarray,
-    probs_n: np.ndarray,
-    sets_n: np.ndarray,
-    rho_n: np.ndarray,
-) -> CorrectnessStats:
-    try:
-        mc_pos = model_correctness_pos(probs_t, sets_t, rho_t)
-        mc_neg = model_correctness_neg(probs_n, sets_n, rho_n)
-    except ValueError:
-        return CorrectnessStats(mc_pos=0.0, mc_neg=0.0, available=False)
-    return CorrectnessStats(mc_pos=mc_pos, mc_neg=mc_neg, available=True)
-
-
 def negative_thresholds(
     accept_pos: np.ndarray,
     reject_pos: np.ndarray,

@@ -1,13 +1,14 @@
 """Minimal reverse-mode autodiff core for small MLP policies.
 
-Everything runs on float64 numpy arrays. The op set is intentionally small:
-exactly the elementwise / matmul / reduction ops the policy networks and
-loss functions need, no general broadcasting beyond bias rows and scalars.
+Everything runs on float64 numpy arrays. The graph has three kinds of
+node: ``fused`` nodes with a caller-supplied backward (every forward pass
+and loss term), and ``add`` and ``mul`` for weighting and summing the loss
+terms. No general broadcasting beyond bias rows and scalars.
 
 Gradient conventions:
   * ``Tensor.backward()`` accumulates into ``grad``; callers zero grads
     between steps (repeated backward without zeroing adds up).
-  * Probabilities come from ``sigmoid`` applied to logits clamped to
+  * Probabilities are the sigmoid of logits clamped to
     ``[-LOGIT_CLAMP, +LOGIT_CLAMP]``, which bounds every class probability
     away from 0 and 1 so all downstream logs stay finite.
   * A node's ``_backward(g)`` receives the node's own gradient and holds
@@ -22,8 +23,9 @@ bit for bit: its value uses the op-level forward's expressions in the same
 order, and its backward makes the same ``_accumulate`` calls, with the same
 expressions, in the op graph's reverse-topological order. Float addition is
 not associative, so contributions to a shared parent are never pre-summed.
-The op-level ops below stay as the gradient oracle: tests rebuild each fused
-node from them and require equal bits.
+The op-level ops (``log``, ``sigmoid``, ``matmul`` and the rest) live in
+``tests/oplevel_reference.py`` as the gradient oracle: tests rebuild each
+fused node from them and require equal bits.
 """
 
 from __future__ import annotations
@@ -138,21 +140,6 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return mul(self, -1.0)
 
-    def __sub__(self, other) -> "Tensor":
-        return add(self, -_wrap(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return add(_wrap(other), -self)
-
-    def __truediv__(self, other) -> "Tensor":
-        return div(self, other)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return div(_wrap(other), self)
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
 
 def _no_backward(g) -> None:
     pass
@@ -221,133 +208,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = _node(a.data / b.data, (a, b))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g / b.data)
-        if b.requires_grad:
-            b._accumulate(-g * a.data / (b.data * b.data))
-
-    out._backward = backward
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ConfigurationError("matmul expects 2-d operands")
-    out = _node(a.data @ b.data, (a, b))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = _node(np.maximum(a.data, 0.0), (a,))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
-
-    out._backward = backward
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    t = np.tanh(a.data)
-    out = _node(t, (a,))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - t * t))
-
-    out._backward = backward
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = _node(s, (a,))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * s * (1.0 - s))
-
-    out._backward = backward
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = _node(np.log(a.data), (a,))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    out._backward = backward
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    e = np.exp(a.data)
-    out = _node(e, (a,))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * e)
-
-    out._backward = backward
-    return out
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes only where lo <= x <= hi."""
-    a = _wrap(a)
-    out = _node(np.clip(a.data, lo, hi), (a,))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            inside = (a.data >= lo) & (a.data <= hi)
-            a._accumulate(g * inside)
-
-    out._backward = backward
-    return out
-
-
-def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    a = _wrap(a)
-    out = _node(a.data.sum(axis=axis), (a,))
-
-    def backward(g: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    out._backward = backward
-    return out
-
-
-def mean(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    return tensor_sum(a) * (1.0 / a.data.size)
-
-
 # -- networks ---------------------------------------------------------------
 
 
@@ -358,13 +218,14 @@ class MlpSpec:
     input_dim: int
     hidden_dims: tuple[int, ...] = (128, 128)
     output_dim: int = 1
+    # the only hidden activation; kept as a field so checkpoints name it
     hidden_activation: str = "relu"
 
     def __post_init__(self):
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(d) <= 0 for d in dims):
             raise ConfigurationError(f"all layer dims must be positive, got {dims}")
-        if self.hidden_activation not in ("relu", "tanh"):
+        if self.hidden_activation != "relu":
             raise ConfigurationError(
                 f"unknown hidden activation {self.hidden_activation!r}"
             )
@@ -432,13 +293,12 @@ class Mlp:
             raise ConfigurationError(
                 f"state dim {x.shape} incompatible with input_dim={self.spec.input_dim}"
             )
-        act_fn = np.tanh if self.spec.hidden_activation == "tanh" else None
         inputs = [x]
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w.data + b.data
             if i < len(self.weights) - 1:
-                h = np.tanh(h) if act_fn else np.maximum(h, 0.0)
+                h = np.maximum(h, 0.0)
                 inputs.append(h)
         return inputs, h, squeeze
 
@@ -446,12 +306,11 @@ class Mlp:
         """Class probabilities, each strictly inside (0, 1), as one graph node.
 
         Always 2-d (a single state gives one row). The backward replays the
-        op chain matmul, bias add, activation, clip, sigmoid layer by layer.
+        op chain matmul, bias add, relu, clip, sigmoid layer by layer.
         """
         inputs, z, _ = self._layers(states)
         s = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
         weights, biases = self.weights, self.biases
-        tanh_act = self.spec.hidden_activation == "tanh"
 
         def backward(g: np.ndarray) -> None:
             inside = (z >= -LOGIT_CLAMP) & (z <= LOGIT_CLAMP)
@@ -461,8 +320,7 @@ class Mlp:
                 weights[i]._accumulate(h.T @ dz)
                 biases[i]._accumulate(dz)
                 if i:
-                    dh = dz @ weights[i].data.T
-                    dz = dh * (1.0 - h * h) if tanh_act else dh * (h > 0.0)
+                    dz = (dz @ weights[i].data.T) * (h > 0.0)
 
         return fused(s, self.parameters(), backward)
 

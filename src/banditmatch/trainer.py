@@ -42,7 +42,6 @@ METHOD_BANDITMATCH = "banditmatch"
 METHOD_FIXMATCH = "fixmatch"
 METHOD_IPS = "ips"
 METHOD_BANDITNET = "banditnet"
-METHOD_SL = "sl"
 
 FINETUNE_METHODS = (METHOD_BANDITMATCH, METHOD_FIXMATCH, METHOD_IPS, METHOD_BANDITNET)
 
@@ -74,17 +73,12 @@ class TrainConfig:
     no_fet: bool = False
     no_cbl: bool = False
     no_kl: bool = False
-    warm_start: bool = True
     weight_decay: float = 0.0
     holdout_fraction: float = 0.1
     early_stop: bool = False
     ips_clip: float = objectives.DEFAULT_IPS_CLIP
     banditnet_translation: float = objectives.DEFAULT_TRANSLATION
     fixmatch_tau: float = objectives.FIXED_CONFIDENCE
-    # the fixmatch baseline is feedback-blind SSL: its labeled data is the
-    # expert split; switching to "logged_positives" reproduces the
-    # drop-all-additions ablation of the composite method
-    fixmatch_labeled_source: str = "split"
     # replay the expert split next to logged positives during composite
     # fine-tuning (off: logged positives only)
     replay_labeled: bool = False
@@ -93,9 +87,10 @@ class TrainConfig:
     threshold_trace_path: str | None = None
 
     def __post_init__(self):
-        known = (*FINETUNE_METHODS, METHOD_SL)
-        if self.method not in known:
-            raise TrainerError(f"unknown method {self.method!r} (choose from {known})")
+        if self.method not in FINETUNE_METHODS:
+            raise TrainerError(
+                f"unknown method {self.method!r} (choose from {FINETUNE_METHODS})"
+            )
         if self.method != METHOD_BANDITMATCH and any(
             (self.no_mc_scale, self.no_fet, self.no_cbl, self.no_kl)
         ):
@@ -297,8 +292,6 @@ def train_on_log(
     replay it next to the logged positives. Returns the trained policy
     and the per-step log.
     """
-    if config.method == METHOD_SL:
-        raise TrainerError("sl trains on the expert corpus; use train_supervised")
     if not records:
         raise TrainerError("empty bandit log")
     if config.method == METHOD_FIXMATCH and not labeled_split:
@@ -324,12 +317,6 @@ def train_on_log(
     return policy, history
 
 
-def _init_policy(logging_policy: PolicyNet, config: TrainConfig) -> PolicyNet:
-    if config.warm_start:
-        return logging_policy.clone_trainable()
-    return PolicyNet(logging_policy.spec, rng=derive_rng(config.seed, "init"))
-
-
 def _fine_tune(logging_policy: PolicyNet, records: list[BanditRecord], config: TrainConfig,
                make_step, score) -> tuple[PolicyNet, list[StepLog]]:
     """The protocol every fine-tuning method shares: holdout split, epochs
@@ -345,7 +332,7 @@ def _fine_tune(logging_policy: PolicyNet, records: list[BanditRecord], config: T
     train_idx, hold_idx = _holdout_split(len(arrays), config.holdout_fraction, rng)
     train = arrays.take(train_idx)
     hold = arrays.take(hold_idx)
-    policy = _init_policy(logging_policy, config)
+    policy = logging_policy.clone_trainable()
     opt = nncore.make_optimizer(
         policy.trainable_parameters(), config.optimizer, config.learning_rate,
         config.weight_decay,
@@ -389,9 +376,7 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split, t
     # which examples feed the supervised term: the fixmatch baseline draws
     # on the expert split only; the composite method uses logged positives
     # (optionally replaying the split next to them)
-    split_only_labels = (
-        config.method == METHOD_FIXMATCH and config.fixmatch_labeled_source == "split"
-    )
+    split_only_labels = config.method == METHOD_FIXMATCH
     use_split = split_only_labels or (
         config.method == METHOD_BANDITMATCH and config.replay_labeled
     )
@@ -413,13 +398,14 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split, t
         weak_states, _ = objectives.mixup_batch(batch.states, config.aug.alpha_weak, aug_rng)
         strong_states, _ = objectives.mixup_batch(batch.states, config.aug.alpha_strong, aug_rng)
 
-        plain_t = policy.forward(batch.states)
+        # the unaugmented pass feeds only the FET update, CBL and KL
+        plain_t = policy.forward(batch.states) if use_fet or use_cbl or use_kl else None
         weak_t = policy.forward(weak_states)
-        plain_probs = plain_t.data
         weak_probs = weak_t.data
 
         pos_rows = batch.delta == 1
         if use_fet:
+            plain_probs = plain_t.data
             thresholds = tracker.update(
                 plain_probs[pos_rows],
                 batch.logged_mask[pos_rows],

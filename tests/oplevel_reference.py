@@ -1,17 +1,93 @@
 """Op-level reference implementations for the bit-identity tests.
 
 The package builds one graph node per forward pass and per loss term
-(``nncore.fused``). This module keeps the chains those nodes replay, built
-from the per-op ``nncore`` autodiff ops, plus the per-record loop form of the
-FET correctness estimates and the plain-expression Adam update. Tests require
-the package to match these bit for bit, so every expression here keeps its
-original operand order.
+(``nncore.fused``). This module keeps the per-op autodiff ops and the chains
+those nodes replay, plus the per-record loop form of the FET correctness
+estimates and the plain-expression Adam update. Tests require the package to
+match these bit for bit, so every expression here keeps its original operand
+order.
 """
 
 import numpy as np
 
 from banditmatch import nncore
-from banditmatch.nncore import LOGIT_CLAMP, Tensor
+from banditmatch.nncore import LOGIT_CLAMP, Tensor, add, fused
+
+# -- ops ---------------------------------------------------------------------------
+#
+# One node per op. A one-parent op's backward runs only when its parent
+# requires grad (``fused``); a two-parent op checks each parent.
+
+
+def _wrap(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def sub(a, b) -> Tensor:
+    """``a - b`` as ``a + (-b)``."""
+    return add(a, -_wrap(b))
+
+
+def div(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g / b.data)
+        if b.requires_grad:
+            b._accumulate(-g * a.data / (b.data * b.data))
+
+    return fused(a.data / b.data, (a, b), backward)
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+
+    return fused(a.data @ b.data, (a, b), backward)
+
+
+def relu(a: Tensor) -> Tensor:
+    return fused(np.maximum(a.data, 0.0), (a,), lambda g: a._accumulate(g * (a.data > 0.0)))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    s = 1.0 / (1.0 + np.exp(-a.data))
+    return fused(s, (a,), lambda g: a._accumulate(g * s * (1.0 - s)))
+
+
+def log(a: Tensor) -> Tensor:
+    return fused(np.log(a.data), (a,), lambda g: a._accumulate(g / a.data))
+
+
+def exp(a: Tensor) -> Tensor:
+    e = np.exp(a.data)
+    return fused(e, (a,), lambda g: a._accumulate(g * e))
+
+
+def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    """Clamp values; gradient passes only where lo <= x <= hi."""
+    inside = (a.data >= lo) & (a.data <= hi)
+    return fused(np.clip(a.data, lo, hi), (a,), lambda g: a._accumulate(g * inside))
+
+
+def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    def backward(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+
+    return fused(a.data.sum(axis=axis), (a,), backward)
+
+
+def mean(a: Tensor) -> Tensor:
+    return tensor_sum(a) * (1.0 / a.data.size)
+
 
 # -- network -----------------------------------------------------------------------
 
@@ -21,16 +97,15 @@ def mlp_logits(net: nncore.Mlp, states: np.ndarray) -> Tensor:
     if x.ndim == 1:
         x = x[None, :]
     h: Tensor = Tensor(x)
-    act = nncore.relu if net.spec.hidden_activation == "relu" else nncore.tanh
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = nncore.matmul(h, w) + b
+        h = matmul(h, w) + b
         if i < len(net.weights) - 1:
-            h = act(h)
-    return nncore.clip(h, -LOGIT_CLAMP, LOGIT_CLAMP)
+            h = relu(h)
+    return clip(h, -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
 def mlp_forward(net: nncore.Mlp, states: np.ndarray) -> Tensor:
-    return nncore.sigmoid(mlp_logits(net, states))
+    return sigmoid(mlp_logits(net, states))
 
 
 # -- losses ------------------------------------------------------------------------
@@ -38,7 +113,7 @@ def mlp_forward(net: nncore.Mlp, states: np.ndarray) -> Tensor:
 
 def bce_elementwise(probs: Tensor, targets: np.ndarray) -> Tensor:
     t = np.asarray(targets, dtype=np.float64)
-    return -(t * nncore.log(probs) + (1.0 - t) * nncore.log(1.0 - probs))
+    return -(t * log(probs) + (1.0 - t) * log(sub(1.0, probs)))
 
 
 def loss_labeled(weak_probs: Tensor, target_mask: np.ndarray, delta: np.ndarray) -> Tensor:
@@ -47,7 +122,7 @@ def loss_labeled(weak_probs: Tensor, target_mask: np.ndarray, delta: np.ndarray)
     if n_pos == 0:
         return Tensor(0.0)
     bce = bce_elementwise(weak_probs, target_mask.astype(np.float64))
-    return nncore.tensor_sum(bce * pos[:, None]) * (1.0 / n_pos)
+    return tensor_sum(bce * pos[:, None]) * (1.0 / n_pos)
 
 
 def loss_pseudo(strong_probs: Tensor, qhat: np.ndarray, conf: np.ndarray) -> Tensor:
@@ -56,7 +131,7 @@ def loss_pseudo(strong_probs: Tensor, qhat: np.ndarray, conf: np.ndarray) -> Ten
     if total == 0:
         return Tensor(0.0)
     bce = bce_elementwise(strong_probs, qhat)
-    return nncore.tensor_sum(bce * conf) * (1.0 / total)
+    return tensor_sum(bce * conf) * (1.0 / total)
 
 
 def loss_bandit(probs: Tensor, rho: np.ndarray, delta: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -66,41 +141,41 @@ def loss_bandit(probs: Tensor, rho: np.ndarray, delta: np.ndarray, mask: np.ndar
     if total == 0:
         return Tensor(0.0)
     weights = delta[:, None] * mask
-    ratio_excess = probs / rho - 1.0
-    numerator = float(delta.sum()) + nncore.tensor_sum(ratio_excess * weights)
+    ratio_excess = sub(div(probs, rho), 1.0)
+    numerator = float(delta.sum()) + tensor_sum(ratio_excess * weights)
     return numerator * (-1.0 / total)
 
 
 def loss_kl_control(probs: Tensor, ref_probs: np.ndarray) -> Tensor:
     p0 = np.asarray(ref_probs, dtype=np.float64)
     n = probs.data.shape[0]
-    kl = probs * (nncore.log(probs) - np.log(p0)) + (1.0 - probs) * (
-        nncore.log(1.0 - probs) - np.log(1.0 - p0)
+    kl = probs * sub(log(probs), np.log(p0)) + sub(1.0, probs) * sub(
+        log(sub(1.0, probs)), np.log(1.0 - p0)
     )
-    return nncore.tensor_sum(kl) * (1.0 / n)
+    return tensor_sum(kl) * (1.0 / n)
 
 
 def log_importance_weights(probs: Tensor, rho: np.ndarray, logged_mask: np.ndarray) -> Tensor:
     z = np.asarray(logged_mask, dtype=np.float64)
-    log_num = z * nncore.log(probs) + (1.0 - z) * nncore.log(1.0 - probs)
+    log_num = z * log(probs) + (1.0 - z) * log(sub(1.0, probs))
     log_den = z * np.log(rho) + (1.0 - z) * np.log(1.0 - rho)
-    return nncore.tensor_sum(log_num - log_den, axis=1)
+    return tensor_sum(sub(log_num, log_den), axis=1)
 
 
-def loss_ips(probs, rho, delta, logged_mask, clip):
+def loss_ips(probs, rho, delta, logged_mask, clip_at):
     delta = np.asarray(delta, dtype=np.float64)
     n = delta.shape[0]
-    w = nncore.exp(log_importance_weights(probs, rho, logged_mask))
-    w = nncore.clip(w, 0.0, clip)
-    return nncore.tensor_sum(w * delta) * (-1.0 / n)
+    w = exp(log_importance_weights(probs, rho, logged_mask))
+    w = clip(w, 0.0, clip_at)
+    return tensor_sum(w * delta) * (-1.0 / n)
 
 
-def loss_banditnet(probs, rho, delta, logged_mask, translation, clip):
+def loss_banditnet(probs, rho, delta, logged_mask, translation, clip_at):
     delta = np.asarray(delta, dtype=np.float64)
     n = delta.shape[0]
-    w = nncore.exp(log_importance_weights(probs, rho, logged_mask))
-    w = nncore.clip(w, 0.0, clip)
-    return nncore.tensor_sum(w * (delta - translation)) * (-1.0 / n)
+    w = exp(log_importance_weights(probs, rho, logged_mask))
+    w = clip(w, 0.0, clip_at)
+    return tensor_sum(w * (delta - translation)) * (-1.0 / n)
 
 
 # -- FET correctness, one record at a time ------------------------------------------

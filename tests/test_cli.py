@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -371,6 +374,7 @@ class TestLoaderErrors:
         world, _, data = tiny_world_data
         edits = (
             lambda c: c["spec"].update(input_dim=0),
+            lambda c: c["spec"].update(hidden_activation="tanh"),
             lambda c: c.update(extra={"role": "boss"}),
             lambda c: c.update(extra=5),
             lambda c: c["tensors"]["w0"]["values"].__setitem__(0, float("nan")),
@@ -438,16 +442,21 @@ class TestErrors:
                     "--n-runs", 1, "--out", tmp_path / "r.csv"])
         assert code == cli.EXIT_INVALID  # neither --checkpoint nor --expert
 
-    def test_unknown_config_key_exit_code(self, tmp_path):
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         world = tmp_path / "world.json"
         assert run(["gen-world", "--out", world, "--tiny"]) == 0
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("learning_speed = 3\n")
         corpus = tmp_path / "c.jsonl"
         assert run(["gen-corpus", "--world", world, "--n-dialogs", 2, "--out", corpus]) == 0
-        code = run(["split-and-log", "--world", world, "--corpus", corpus,
-                    "--config", cfg, "--out-dir", tmp_path / "d"])
-        assert code == cli.EXIT_INVALID
+        cfg = tmp_path / "bad.cfg"
+        # warm_start and fixmatch_labeled_source were keys of earlier versions
+        for line in ("learning_speed = 3", "warm_start = false",
+                     "fixmatch_labeled_source = logged_positives"):
+            cfg.write_text(line + "\n")
+            capsys.readouterr()
+            code = run(["split-and-log", "--world", world, "--corpus", corpus,
+                        "--config", cfg, "--out-dir", tmp_path / "d"])
+            assert code == cli.EXIT_INVALID, line
+            assert "unknown config key" in capsys.readouterr().err, line
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -496,10 +505,10 @@ class TestConfigFile:
             "hidden_dims": tuple, "lambda_pseudo": float, "lambda_bandit": float,
             "lambda_kl": float, "alpha_weak": float, "alpha_strong": float,
             "fet_decay": float, "method": str, "add_kl": bool, "no_mc_scale": bool,
-            "no_fet": bool, "no_cbl": bool, "no_kl": bool, "warm_start": bool,
+            "no_fet": bool, "no_cbl": bool, "no_kl": bool,
             "weight_decay": float, "holdout_fraction": float, "early_stop": bool,
             "ips_clip": float, "banditnet_translation": float, "fixmatch_tau": float,
-            "fixmatch_labeled_source": str, "replay_labeled": bool,
+            "replay_labeled": bool,
         }
         raw = {int: "3", float: "0.5", str: "x", tuple: "16,8", bool: "true"}
         cfg = tmp_path / "c.cfg"
@@ -561,3 +570,20 @@ class TestTraces:
         assert trace.read_bytes() == b"step,class,accept,reject,mc_pos,mc_neg\r\n"
         manifest = json.loads((root / "ips_traced.manifest.json").read_text())
         assert manifest["outputs"][str(trace)] == hashlib.sha256(trace.read_bytes()).hexdigest()
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_import_pins_blas_unless_set(self, preset, expected):
+        # a fresh interpreter, since this one has loaded numpy already
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import os, banditmatch.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == expected

@@ -11,7 +11,6 @@ from banditmatch.fet import (
     confidence_mask,
     exact_match_rows,
     fallback_thresholds,
-    model_correctness,
     model_correctness_neg,
     model_correctness_pos,
     negative_thresholds,
@@ -110,8 +109,9 @@ class TestModelCorrectness:
     def test_unavailable_when_sides_empty(self):
         empty = np.zeros((0, 2))
         empty_sets = np.zeros((0, 2), dtype=bool)
-        stats = model_correctness(empty, empty_sets, empty, empty, empty_sets, empty)
-        assert not stats.available
+        tracker = FetTracker(num_classes=2)
+        tracker.update(empty, empty_sets, empty, empty, empty_sets, empty)
+        assert not tracker.correctness().available
 
     def test_empty_logged_sets_skipped_on_negative_side(self):
         probs = np.array([[0.5, 0.5]])
@@ -340,6 +340,7 @@ class TestTracker:
         th = tracker.thresholds()
         assert np.all(th.accept == FALLBACK_ACCEPT)
         assert np.all(th.reject == FALLBACK_REJECT)
+        assert not tracker.correctness().available
 
     def test_ema_moves_toward_new_batch(self):
         tracker = FetTracker(num_classes=1, decay=0.9)

@@ -15,7 +15,8 @@ from banditmatch import objectives as obj
 from banditmatch.nncore import Mlp, MlpSpec
 
 SEEDS = range(10)
-ACTIVATIONS = ("relu", "tanh")
+# the one hidden activation; the parameter keeps it in each test id
+ACTIVATIONS = ("relu",)
 
 
 class Case:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oplevel_reference as ref
 from banditmatch import dialogworld as dw, nncore
 from banditmatch.policy import (
     ActionSetPolicy,
@@ -53,9 +54,7 @@ class TestFrozenClone:
         targets = (np.random.default_rng(5).random((4, schema.num_actions)) > 0.5).astype(float)
         for _ in range(100):
             p = policy.forward(states)
-            loss = nncore.mean(
-                -(targets * nncore.log(p) + (1 - targets) * nncore.log(1.0 - p))
-            )
+            loss = ref.mean(ref.bce_elementwise(p, targets))
             policy.zero_grad()
             loss.backward()
             opt.step()

@@ -40,8 +40,10 @@ def params_of(policy):
 
 class TestConfig:
     def test_unknown_method_rejected(self):
-        with pytest.raises(tr.TrainerError):
-            tr.TrainConfig(method="dagger")
+        # "sl" is not a fine-tuning method: supervised training is train_supervised
+        for method in ("dagger", "sl"):
+            with pytest.raises(tr.TrainerError):
+                tr.TrainConfig(method=method)
 
     def test_ablations_only_for_composite_method(self):
         with pytest.raises(tr.TrainerError):
@@ -126,18 +128,27 @@ class TestFineTuning:
         for row in history:
             assert row.total == row.loss_labeled
 
-    def test_none_all_equals_fixmatch_on_logged_positives(self, setup):
-        labeled = setup[0]
-        ablated_cfg = tr.apply_ablation(replace(setup[2], epochs=2), "none_all")
-        a, _ = tr.train_on_log(setup[3], setup[4], ablated_cfg)
-        fixmatch_cfg = replace(
-            setup[2], epochs=2, method="fixmatch",
-            fixmatch_labeled_source="logged_positives",
-            no_mc_scale=False, no_fet=False, no_cbl=False, no_kl=False,
-        )
-        b, _ = tr.train_on_log(setup[3], setup[4], fixmatch_cfg, labeled_split=labeled)
-        for x, y in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(x.data, y.data)
+    def test_forward_passes_per_step(self, setup, monkeypatch):
+        # weak and strong passes always; the unaugmented pass only when FET,
+        # CBL or KL reads it; one split pass when the split feeds the labels
+        calls = []
+        forward = PolicyNet.forward
+        monkeypatch.setattr(PolicyNet, "forward",
+                            lambda self, states: calls.append(1) or forward(self, states))
+        base = replace(setup[2], epochs=1)
+        cases = {
+            "banditmatch": (base, 3),
+            "replay_labeled": (replace(base, replay_labeled=True), 4),
+            "no_fet": (tr.apply_ablation(base, "no_fet"), 3),
+            "no_cbl": (tr.apply_ablation(base, "no_cbl"), 3),
+            "no_kl": (tr.apply_ablation(base, "no_kl"), 3),
+            "none_all": (tr.apply_ablation(base, "none_all"), 2),
+            "fixmatch": (replace(base, method="fixmatch"), 3),
+        }
+        for name, (cfg, per_step) in cases.items():
+            calls.clear()
+            _, history = tr.train_on_log(setup[3], setup[4], cfg, labeled_split=setup[0])
+            assert history and len(calls) == per_step * len(history), name
 
     def test_fixmatch_baseline_requires_labeled_split(self, setup):
         cfg = replace(setup[2], epochs=1, method="fixmatch")
