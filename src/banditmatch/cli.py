@@ -37,10 +37,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import datasets, dialogworld, nncore, trainer
-from .datasets import DataError, DataVersionError, SplitConfig
+from .datasets import DataError, DataVersionError
 from .dialogworld import WorldError, WorldSchema, WorldVersionError
 from .objectives import AugmentConfig, LossWeights
-from .policy import ActionSetPolicy, PolicyError, PolicyNet, policy_spec_for
+from .policy import ActionSetPolicy, PolicyError, PolicyNet
 from .trainer import ExperimentReport, TrainConfig, TrainerError
 
 EXIT_OK = 0
@@ -145,6 +145,12 @@ def build_train_config(file_values: dict, overrides: dict) -> TrainConfig:
         return TrainConfig(weights=weights, aug=aug, **merged)
     except (TrainerError, TypeError) as err:
         raise CliError(f"invalid training configuration: {err}", EXIT_INVALID) from err
+
+
+def _train_config(args, **overrides) -> TrainConfig:
+    """The --config file's values under the command's --seed and ``overrides``."""
+    file_values = read_config_file(Path(args.config)) if args.config else {}
+    return build_train_config(file_values, {"seed": args.seed, **overrides})
 
 
 def config_snapshot(config: TrainConfig) -> dict:
@@ -350,10 +356,7 @@ def cmd_gen_world(args) -> int:
 def cmd_gen_corpus(args) -> int:
     started = time.time()
     schema = _load(WorldSchema.load, Path(args.world))
-    try:
-        corpus = datasets.generate_corpus(schema, args.n_dialogs, args.seed)
-    except DataError as err:
-        raise CliError(str(err), EXIT_INVALID) from err
+    corpus = datasets.generate_corpus(schema, args.n_dialogs, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     datasets.write_labeled_jsonl(out, corpus)
@@ -370,18 +373,8 @@ def cmd_split_and_log(args) -> int:
     corpus = _load(datasets.read_labeled_jsonl, Path(args.corpus))
     _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
                        f"world {args.world}")
-    cfg = build_train_config(
-        read_config_file(Path(args.config)) if args.config else {},
-        {"seed": args.seed},
-    )
-    try:
-        split = SplitConfig(args.labeled_fraction, seed=args.seed)
-    except DataError as err:
-        raise CliError(str(err), EXIT_INVALID) from err
-    labeled, pool = datasets.split_corpus(corpus, split)
-    spec = policy_spec_for(schema, cfg.hidden_dims)
-    logging_policy = trainer.train_logging_policy(labeled, spec, cfg)
-    records = datasets.log_bandit_data(logging_policy, pool)
+    cfg = _train_config(args)
+    labeled, logging_policy, records = trainer.log_point(corpus, schema, args.labeled_fraction, cfg)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,7 +390,7 @@ def cmd_split_and_log(args) -> int:
                    config=config_snapshot(cfg), started=started)
     positive = sum(r.feedback for r in records)
     print(
-        f"split: {len(labeled)} labeled / {len(pool)} bandit "
+        f"split: {len(labeled)} labeled / {len(records)} bandit "
         f"(positive feedback rate {positive / max(len(records), 1):.3f})"
     )
     return EXIT_OK
@@ -405,11 +398,7 @@ def cmd_split_and_log(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
-    file_values = read_config_file(Path(args.config)) if args.config else {}
-    overrides = {"seed": args.seed, "method": args.method}
-    if args.threshold_trace:
-        overrides["threshold_trace_path"] = str(args.threshold_trace)
-    cfg = build_train_config(file_values, overrides)
+    cfg = _train_config(args, method=args.method, threshold_trace_path=args.threshold_trace or None)
     records = _load(datasets.read_bandit_jsonl, Path(args.bandit))
     logging_policy = _load(PolicyNet.load, Path(args.logging_policy))
     source = f"logging policy {args.logging_policy}"
@@ -419,10 +408,7 @@ def cmd_train(args) -> int:
         _check_corpus_fits(args.labeled, labeled, logging_policy.spec.input_dim,
                            logging_policy.spec.output_dim, source,
                            names=("input_dim", "output_dim"))
-    try:
-        policy, history = trainer.train_on_log(logging_policy, records, cfg, labeled_split=labeled)
-    except TrainerError as err:
-        raise CliError(str(err), EXIT_INVALID) from err
+    policy, history = trainer.train_on_log(logging_policy, records, cfg, labeled_split=labeled)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     policy.save(out)
@@ -496,14 +482,9 @@ def cmd_ablate(args) -> int:
                        f"world {args.world}")
     _check_log_fits(args.bandit, records, logging_policy,
                     f"logging policy {args.logging_policy}")
-    cfg = build_train_config(
-        read_config_file(Path(args.config)) if args.config else {},
-        {"seed": args.seed},
-    )
-    reports = trainer.run_ablation_grid(
-        logging_policy, records, schema, cfg,
-        n_dialogs=args.n_dialogs, n_runs=args.n_runs, eval_seed=args.seed,
-    )
+    cfg = _train_config(args)
+    reports = trainer.run_rows(logging_policy, records, None, schema, trainer.ablation_rows(cfg),
+                               args.n_dialogs, args.n_runs, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "ablations.csv"
@@ -523,21 +504,9 @@ def cmd_sweep(args) -> int:
     corpus = _load(datasets.read_labeled_jsonl, Path(args.corpus))
     _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
                        f"world {args.world}")
-    cfg = build_train_config(
-        read_config_file(Path(args.config)) if args.config else {},
-        {"seed": args.seed},
-    )
-    percentages = (
-        tuple(int(p) for p in args.percentages.split(","))
-        if args.percentages
-        else trainer.DEFAULT_SWEEP_PERCENTAGES
-    )
-    methods = tuple(args.methods.split(",")) if args.methods else (
-        trainer.METHOD_BANDITMATCH, trainer.METHOD_FIXMATCH,
-        trainer.METHOD_IPS, trainer.METHOD_BANDITNET,
-    )
+    cfg = _train_config(args)
     results = trainer.run_sl_sweep(
-        corpus, schema, cfg, percentages=percentages, methods=methods,
+        corpus, schema, cfg, percentages=args.percentages, methods=args.methods,
         n_dialogs=args.n_dialogs, n_runs=args.n_runs,
     )
     out_dir = Path(args.out_dir)
@@ -559,6 +528,19 @@ def cmd_sweep(args) -> int:
 
 
 # -- argument parsing ----------------------------------------------------------------------
+
+
+def _comma_list(choices: dict, what: str):
+    """argparse type: a comma list of distinct keys of ``choices``, read as their values."""
+    def parse(raw: str) -> tuple:
+        parts = [part.strip() for part in raw.split(",")]
+        for i, part in enumerate(parts):
+            if part not in choices:
+                raise argparse.ArgumentTypeError(f"{part!r} is not {what}")
+            if part in parts[:i]:
+                raise argparse.ArgumentTypeError(f"{part!r} repeats in {raw!r}")
+        return tuple(choices[part] for part in parts)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,8 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--percentages", default=None, help="comma list, default 5,10,...,90")
-    p.add_argument("--methods", default=None, help="comma list of methods")
+    p.add_argument("--percentages", default=trainer.DEFAULT_SWEEP_PERCENTAGES,
+                   type=_comma_list({str(n): n for n in range(1, 101)}, "an integer in 1..100"),
+                   help="comma list of distinct labeled percentages, default 5,10,...,90")
+    p.add_argument("--methods", default=trainer.FINETUNE_METHODS,
+                   type=_comma_list({m: m for m in trainer.FINETUNE_METHODS},
+                                    "one of " + ", ".join(trainer.FINETUNE_METHODS)),
+                   help="comma list of distinct fine-tuning methods, default all four")
     p.add_argument("--n-dialogs", type=int, default=DEFAULT_EVAL_DIALOGS)
     p.add_argument("--n-runs", type=int, default=DEFAULT_EVAL_RUNS)
     p.add_argument("--out-dir", required=True)

@@ -2,8 +2,11 @@
 
 Covers: supervised training of the logging policy, fine-tuning on logged
 feedback (the full composite objective, its ablations, and the baseline
-objectives), interactive evaluation against the dialog world, an ablation
-grid with paired seeds, and the labeled-percentage sweep.
+objectives), interactive evaluation against the dialog world, and the
+paired comparison protocol: a grid point (split, logging policy, log) and
+a row loop that trains every row on that one log and evaluates all rows on
+one shared seed. The ablation table, the labeled-percentage sweep and the
+acceptance comparison are built from these two.
 
 Fine-tuning warm-starts from the logging policy. Each step draws a
 uniform batch from the log, refreshes the adaptive thresholds from the
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fet, nncore, objectives
-from .datasets import BanditRecord, LabeledExample, SplitConfig, log_bandit_data, split_corpus
+from . import datasets, fet, nncore, objectives
+from .datasets import BanditRecord, LabeledExample, SplitConfig
 from .dialogworld import (
     WorldSchema,
     compute_aggregate,
@@ -588,55 +591,60 @@ def evaluate_expert(
 # -- grids ---------------------------------------------------------------------------
 
 
-def run_ablation_grid(
-    logging_policy: PolicyNet,
-    records: list[BanditRecord],
-    schema: WorldSchema,
-    config: TrainConfig,
-    n_dialogs: int = 500,
-    n_runs: int = 5,
-    eval_seed: int = 0,
-) -> list[ExperimentReport]:
-    """Full method plus the five ablations, trained and evaluated with
-    shared seeds so row deltas are paired."""
+def ablation_rows(config: TrainConfig) -> list[tuple[str, TrainConfig]]:
+    """The full method and its five ablations as ``run_rows`` rows."""
+    base = replace(config, method=METHOD_BANDITMATCH)
+    return [
+        (METHOD_BANDITMATCH if ablation == "full" else f"{METHOD_BANDITMATCH}-{ablation}",
+         apply_ablation(base, ablation))
+        for ablation in ABLATIONS
+    ]
+
+
+def log_point(corpus: list[LabeledExample], schema: WorldSchema, fraction: float,
+              config: TrainConfig) -> tuple[list[LabeledExample], PolicyNet, list[BanditRecord]]:
+    """One grid point: split the corpus with ``config.seed``, train the
+    logging policy on the labeled split, and log feedback on the rest.
+    Returns the labeled split, the frozen logging policy and the log."""
+    labeled, pool = datasets.split_corpus(corpus, SplitConfig(fraction, seed=config.seed))
+    spec = policy_spec_for(schema, config.hidden_dims)
+    logging_policy = train_logging_policy(labeled, spec, config)
+    return labeled, logging_policy, datasets.log_bandit_data(logging_policy, pool)
+
+
+def run_rows(logging_policy: PolicyNet, records: list[BanditRecord],
+             labeled: list[LabeledExample] | None, schema: WorldSchema,
+             rows: list[tuple[str, TrainConfig]], n_dialogs: int, n_runs: int,
+             eval_seed: int) -> list[ExperimentReport]:
+    """Train every ``(name, config)`` row on the one log and evaluate it on
+    the one evaluation seed, so row differences are paired."""
     reports = []
-    for ablation in ABLATIONS:
-        cfg = apply_ablation(replace(config, method=METHOD_BANDITMATCH), ablation)
-        trained, _ = train_on_log(logging_policy, records, cfg)
-        label = METHOD_BANDITMATCH if ablation == "full" else f"{METHOD_BANDITMATCH}-{ablation}"
-        reports.append(
-            evaluate(trained, schema, n_dialogs, n_runs, eval_seed, method=label)
-        )
+    for name, cfg in rows:
+        trained, _ = train_on_log(logging_policy, records, cfg, labeled_split=labeled)
+        reports.append(evaluate(trained, schema, n_dialogs, n_runs, eval_seed, method=name))
     return reports
 
 
-def run_sl_sweep(
-    corpus: list[LabeledExample],
-    schema: WorldSchema,
-    config: TrainConfig,
-    percentages=DEFAULT_SWEEP_PERCENTAGES,
-    methods=(METHOD_BANDITMATCH, METHOD_FIXMATCH, METHOD_IPS, METHOD_BANDITNET),
-    n_dialogs: int = 500,
-    n_runs: int = 5,
-) -> dict[str, list[tuple[int, ExperimentReport]]]:
-    """Regenerate the split, logging policy, and log per percentage point,
-    then train and evaluate every method on the same log."""
-    spec = policy_spec_for(schema, config.hidden_dims)
+def run_sl_sweep(corpus: list[LabeledExample], schema: WorldSchema, config: TrainConfig,
+                 percentages=DEFAULT_SWEEP_PERCENTAGES, methods=FINETUNE_METHODS,
+                 n_dialogs: int = 500, n_runs: int = 5,
+                 ) -> dict[str, list[tuple[int, ExperimentReport]]]:
+    """Per percentage point, a grid point seeded from the point, then every
+    method trained and evaluated on its log. The rows are built first, so an
+    unknown method fails before any training."""
+    rows = [(method, replace(config, method=method)) for method in methods]
     results: dict[str, list[tuple[int, ExperimentReport]]] = {m: [] for m in methods}
     results["logging"] = []
     for p in percentages:
         point_seed = int(derive_rng(config.seed, "sweep", p).integers(2**31))
-        labeled, pool = split_corpus(corpus, SplitConfig(p / 100.0, seed=point_seed))
-        point_cfg = replace(config, seed=point_seed)
-        logging_policy = train_logging_policy(labeled, spec, point_cfg)
-        records = log_bandit_data(logging_policy, pool)
+        labeled, logging_policy, records = log_point(
+            corpus, schema, p / 100.0, replace(config, seed=point_seed)
+        )
         results["logging"].append(
             (p, evaluate(logging_policy, schema, n_dialogs, n_runs, point_seed, method="logging"))
         )
-        for method in methods:
-            cfg = replace(point_cfg, method=method)
-            trained, _ = train_on_log(logging_policy, records, cfg, labeled_split=labeled)
-            results[method].append(
-                (p, evaluate(trained, schema, n_dialogs, n_runs, point_seed, method=method))
-            )
+        point_rows = [(name, replace(cfg, seed=point_seed)) for name, cfg in rows]
+        for report in run_rows(logging_policy, records, labeled, schema, point_rows,
+                               n_dialogs, n_runs, point_seed):
+            results[report.method].append((p, report))
     return results

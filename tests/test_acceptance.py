@@ -3,7 +3,8 @@
 The interactive-comparison criteria share a session fixture that runs the
 full 5-seed protocol (logging policy, composite method, baselines, and the
 two ablation rows) on the default world at a 10% labeled split with 500
-evaluation dialogs per seed.
+evaluation dialogs per seed, through the package's own grid point
+(``trainer.log_point``) and row loop (``trainer.run_rows``).
 """
 
 import contextlib
@@ -256,30 +257,27 @@ def comparison():
     """5-seed paired protocol on the default world at a 10% split."""
     started = time.time()
     schema = dw.default_schema()
-    spec = policy_spec_for(schema)
     corpus = ds.generate_corpus(schema, 400, seed=123)
     rows: dict[str, list] = {}
     for seed in COMPARISON_SEEDS:
-        labeled, pool = ds.split_corpus(corpus, ds.SplitConfig(0.10, seed=seed))
         cfg = tr.TrainConfig(seed=seed)
-        logging_policy = tr.train_logging_policy(labeled, spec, cfg)
-        records = ds.log_bandit_data(logging_policy, pool)
-        rows.setdefault("logging", []).append(
-            tr.evaluate(logging_policy, schema, EVAL_DIALOGS, 1, seed=9000 + seed).metrics
+        labeled, logging_policy, records = tr.log_point(corpus, schema, 0.10, cfg)
+        reports = [tr.evaluate(logging_policy, schema, EVAL_DIALOGS, 1, seed=9000 + seed,
+                               method="logging")]
+        reports += tr.run_rows(
+            logging_policy, records, labeled, schema,
+            [
+                ("banditmatch", cfg),
+                ("fixmatch", replace(cfg, method="fixmatch")),
+                ("ips", replace(cfg, method="ips")),
+                ("banditnet", replace(cfg, method="banditnet")),
+                ("no_cbl", replace(cfg, no_cbl=True)),
+                ("no_fet", replace(cfg, no_fet=True)),
+            ],
+            EVAL_DIALOGS, 1, 9000 + seed,
         )
-        runs = [
-            ("banditmatch", cfg),
-            ("fixmatch", replace(cfg, method="fixmatch")),
-            ("ips", replace(cfg, method="ips")),
-            ("banditnet", replace(cfg, method="banditnet")),
-            ("no_cbl", replace(cfg, no_cbl=True)),
-            ("no_fet", replace(cfg, no_fet=True)),
-        ]
-        for name, method_cfg in runs:
-            policy, _ = tr.train_on_log(logging_policy, records, method_cfg, labeled_split=labeled)
-            rows.setdefault(name, []).append(
-                tr.evaluate(policy, schema, EVAL_DIALOGS, 1, seed=9000 + seed).metrics
-            )
+        for report in reports:
+            rows.setdefault(report.method, []).append(report.metrics)
     means = {
         name: {
             metric: float(np.mean([r[metric][0] for r in metric_rows]))

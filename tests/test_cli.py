@@ -118,12 +118,14 @@ class TestPipeline:
         assert float(csv_row["success_pct_mean"]) == json_row["metrics"]["success"]["mean"]
         assert float(csv_row["inform_f1_mean"]) == json_row["metrics"]["inform_f1"]["mean"]
 
-    def test_train_fixmatch_requires_labeled(self, pipeline):
+    def test_train_fixmatch_requires_labeled(self, pipeline, capsys):
         root, world, corpus, data, cfg, ckpt = pipeline
+        capsys.readouterr()
         code = run(["train", "--method", "fixmatch", "--bandit", data / "bandit.jsonl",
                     "--logging-policy", data / "logging_policy.json",
                     "--config", cfg, "--seed", 5, "--out", root / "fm.json"])
         assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == "error: the fixmatch baseline needs the labeled split\n"
 
 
 class TestGrids:
@@ -147,6 +149,26 @@ class TestGrids:
         with open(sweep_dir / "sweep_banditmatch.csv") as fh:
             lines = fh.read().splitlines()
         assert len(lines) == 3  # header + two percentage points
+
+    # each rejected while parsing the command line, before any training
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--percentages", "10,abc", "'abc' is not an integer in 1..100"),
+        ("--percentages", "10,0", "'0' is not an integer in 1..100"),
+        ("--methods", "banditmatch,bogus",
+         "'bogus' is not one of banditmatch, fixmatch, ips, banditnet"),
+        ("--methods", "ips,ips", "'ips' repeats in 'ips,ips'"),
+    ], ids=["percentage_not_int", "percentage_zero", "unknown_method", "repeated_method"])
+    def test_sweep_rejects_bad_lists(self, pipeline, capsys, flag, value, message):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        out_dir = root / "sweep_bad"
+        with pytest.raises(SystemExit) as excinfo:
+            run(["sweep", "--world", world, "--corpus", corpus, "--config", cfg,
+                 "--seed", 3, flag, value, "--n-dialogs", 2, "--n-runs", 1,
+                 "--out-dir", out_dir])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"banditmatch sweep: error: argument {flag}: {message}"
+        assert not out_dir.exists()
 
 
 def _break_record(record: dict, case: str) -> None:
@@ -463,14 +485,20 @@ class TestErrors:
             cli.main(["train"])  # missing required flags
         assert excinfo.value.code == cli.EXIT_USAGE
 
-    def test_invalid_fraction_exit_code(self, tmp_path):
+    def test_invalid_fraction_exit_code(self, tmp_path, capsys):
         world = tmp_path / "world.json"
         corpus = tmp_path / "c.jsonl"
         assert run(["gen-world", "--out", world, "--tiny"]) == 0
         assert run(["gen-corpus", "--world", world, "--n-dialogs", 2, "--out", corpus]) == 0
+        capsys.readouterr()
         code = run(["split-and-log", "--world", world, "--corpus", corpus,
                     "--labeled-fraction", "1.5", "--out-dir", tmp_path / "d"])
         assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == "error: labeled_fraction must be in (0, 1], got 1.5\n"
+        code = run(["gen-corpus", "--world", world, "--n-dialogs", 0,
+                    "--out", tmp_path / "c0.jsonl"])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == "error: n_dialogs must be positive, got 0\n"
 
 
 class TestConfigFile:

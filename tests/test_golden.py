@@ -14,7 +14,8 @@ weights, weight decay, replay of the labeled split, and an IPS + KL run.
 ``test_protocol_paths_golden_bytes`` pins the paths those two leave out:
 early stopping for every fine-tuning method, fixmatch and banditnet, the
 threshold trace, ``evaluate --trace`` / ``--jobs 2`` / ``--expert`` and the
-ablation table.
+ablation table. ``test_sweep_golden_bytes`` pins the labeled-percentage
+sweep.
 
 The digests were taken before the fused-node training step existed (the
 world and corpus digests before the array-native dialog turn), with
@@ -209,3 +210,37 @@ def test_protocol_paths_golden_bytes(tmp_path):
         and not path.name.endswith(".manifest.json")
     }
     assert digests == PATHS_GOLDEN
+
+
+# Two sweep points with the default method list (all four fine-tuning
+# methods) on the PATHS_CONFIG budget: per point a fresh split, logging
+# policy and log, then every method on that log. Digests taken on the tree
+# before the shared grid point and row loop.
+SWEEP_GOLDEN = {
+    "sweep_banditmatch.csv":
+        "4d5901d287147718a956a6b7dd32f37cadfd90da8d951eb1901e2b3a41cf91aa",
+    "sweep_banditnet.csv":
+        "167cd7fb20af781e5d652d75041aa5838fc962e25d9a917ed19440e234f215e3",
+    "sweep_fixmatch.csv":
+        "352b6ce2e45f9b36c256982c3cb7e62357edf95833379cbba4b714a7f3a1de4b",
+    "sweep_ips.csv":
+        "ade12d8bd26905d2a29a44f7f316839c183002487d22b29f552182828225fcea",
+    "sweep_logging.csv":
+        "f56aa590816da3ac1fd201593bd22f8aa50f2eb22d769c488b4eae8f254a28bc",
+}
+
+
+def test_sweep_golden_bytes(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(PATHS_CONFIG)
+    world = tmp_path / "world.json"
+    corpus = tmp_path / "corpus.jsonl"
+    out_dir = tmp_path / "sweep"
+    _run_all([
+        ["gen-world", "--out", world],
+        ["gen-corpus", "--world", world, "--n-dialogs", 30, "--seed", 5, "--out", corpus],
+        ["sweep", "--world", world, "--corpus", corpus, "--config", cfg, "--seed", 5,
+         "--percentages", "20,50", "--n-dialogs", 10, "--n-runs", 1, "--out-dir", out_dir],
+    ])
+    digests = {path.name: _sha256(path) for path in sorted(out_dir.glob("*.csv"))}
+    assert digests == SWEEP_GOLDEN

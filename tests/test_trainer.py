@@ -260,8 +260,9 @@ class TestEvaluate:
 class TestGrids:
     def test_ablation_grid_rows_and_shared_seeds(self, setup, schema):
         cfg = replace(setup[2], epochs=1)
-        reports = tr.run_ablation_grid(
-            setup[3], setup[4], schema, cfg, n_dialogs=10, n_runs=1, eval_seed=77
+        reports = tr.run_rows(
+            setup[3], setup[4], None, schema, tr.ablation_rows(cfg),
+            n_dialogs=10, n_runs=1, eval_seed=77,
         )
         assert len(reports) == 6
         assert reports[0].method == "banditmatch"
@@ -294,6 +295,18 @@ class TestGrids:
         assert [r.metrics for _, r in again["banditmatch"]] == [
             r.metrics for _, r in results["banditmatch"]
         ]
+
+    def test_sweep_rejects_unknown_method_before_training(self, schema, corpus, monkeypatch):
+        trained = []
+        real = tr.train_logging_policy
+        monkeypatch.setattr(
+            tr, "train_logging_policy", lambda *a, **k: trained.append(1) or real(*a, **k)
+        )
+        cfg = tr.TrainConfig(seed=4, sl_epochs=10, epochs=1, hidden_dims=(16,))
+        with pytest.raises(tr.TrainerError, match="unknown method 'bogus'"):
+            tr.run_sl_sweep(corpus, schema, cfg, percentages=(20, 50),
+                            methods=("banditmatch", "bogus"), n_dialogs=5, n_runs=1)
+        assert trained == []
 
 
 class TestThresholdTrace:
