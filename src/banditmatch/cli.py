@@ -72,9 +72,8 @@ class CliError(Exception):
 # -- config files ----------------------------------------------------------------
 
 # config-file keys come from the dataclass fields, whose annotations are
-# strings under postponed evaluation: the loss weights become lambda_<name>,
-# the mix-up strengths keep their names, and the threshold trace path is set
-# by its own flag
+# strings under postponed evaluation: the loss weights become lambda_<name>
+# and the mix-up strengths keep their names
 _KEY_KINDS = {"int": int, "float": float, "str": str, "bool": "bool", "tuple[int, ...]": "dims"}
 _WEIGHT_PREFIX = "lambda_"
 
@@ -87,7 +86,7 @@ def _config_keys() -> dict:
                          for w in dataclasses.fields(LossWeights)})
         elif f.name == "aug":
             keys.update({a.name: _KEY_KINDS[a.type] for a in dataclasses.fields(AugmentConfig)})
-        elif f.name != "threshold_trace_path":
+        else:
             keys[f.name] = _KEY_KINDS[f.type]
     return keys
 
@@ -398,7 +397,7 @@ def cmd_split_and_log(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
-    cfg = _train_config(args, method=args.method, threshold_trace_path=args.threshold_trace or None)
+    cfg = _train_config(args, method=args.method)
     records = _load(datasets.read_bandit_jsonl, Path(args.bandit))
     logging_policy = _load(PolicyNet.load, Path(args.logging_policy))
     source = f"logging policy {args.logging_policy}"
@@ -417,6 +416,7 @@ def cmd_train(args) -> int:
         trainer.write_training_log(Path(args.train_log), history)
         outputs.append(Path(args.train_log))
     if args.threshold_trace:
+        trainer.write_threshold_trace(Path(args.threshold_trace), history)
         outputs.append(Path(args.threshold_trace))
     write_manifest(out.parent, out.stem + ".manifest.json", "train",
                    vars(args),

@@ -82,12 +82,17 @@ def generate_corpus(schema: WorldSchema, n_dialogs: int, seed: int) -> list[Labe
     return corpus
 
 
+def labeled_size(n: int, fraction: float) -> int:
+    """Size of the labeled split of ``n`` examples: ``fraction * n`` rounded half up."""
+    return int(np.floor(fraction * n + 0.5))
+
+
 def split_corpus(
     corpus: list[LabeledExample], cfg: SplitConfig
 ) -> tuple[list[LabeledExample], list[LabeledExample]]:
-    """Partition into (labeled split, bandit pool); round-half-up sizing."""
+    """Partition into (labeled split, bandit pool) of ``labeled_size`` and the rest."""
     n = len(corpus)
-    n_labeled = int(np.floor(cfg.labeled_fraction * n + 0.5))
+    n_labeled = labeled_size(n, cfg.labeled_fraction)
     order = derive_rng(cfg.seed, "split").permutation(n)
     labeled = [corpus[i] for i in order[:n_labeled]]
     pool = [corpus[i] for i in order[n_labeled:]]

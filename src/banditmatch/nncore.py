@@ -435,19 +435,6 @@ class Adam:
             p.data -= b
 
 
-def make_optimizer(
-    params: Sequence[Tensor],
-    kind: str = "adam",
-    learning_rate: float = 1e-3,
-    weight_decay: float = 0.0,
-):
-    if kind == "adam":
-        return Adam(params, learning_rate=learning_rate, weight_decay=weight_decay)
-    if kind == "sgd":
-        return Sgd(params, learning_rate=learning_rate, weight_decay=weight_decay)
-    raise ConfigurationError(f"unknown optimizer kind {kind!r}")
-
-
 # -- gradient verification ----------------------------------------------------
 
 

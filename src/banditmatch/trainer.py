@@ -65,7 +65,6 @@ class TrainConfig:
     sl_epochs: int = 240
     sl_label_smoothing: float = 0.2
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     hidden_dims: tuple[int, ...] = (128, 128)
     weights: LossWeights = field(default_factory=LossWeights)
     aug: AugmentConfig = field(default_factory=AugmentConfig)
@@ -85,9 +84,6 @@ class TrainConfig:
     # replay the expert split next to logged positives during composite
     # fine-tuning (off: logged positives only)
     replay_labeled: bool = False
-    # optional diagnostics: per-step per-class threshold trace CSV, written
-    # for every method (header only for methods without FET thresholds)
-    threshold_trace_path: str | None = None
 
     def __post_init__(self):
         if self.method not in FINETUNE_METHODS:
@@ -123,52 +119,32 @@ class StepLog:
     n_unconfident: int
     mc_pos: float
     mc_neg: float
+    thresholds: fet.ThresholdSet | None = None  # the step's FET thresholds, when FET ran
 
 
-def write_threshold_trace(path, rows: list[tuple]) -> None:
-    """Per-step per-class threshold diagnostics (when a trace is requested)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "class", "accept", "reject", "mc_pos", "mc_neg"])
-        for step, cls, accept, reject, mc_pos, mc_neg in rows:
-            writer.writerow(
-                [step, cls, repr(float(accept)), repr(float(reject)),
-                 repr(float(mc_pos)), repr(float(mc_neg))]
-            )
+TRAINING_LOG_COLUMNS = ("step", "loss_labeled", "loss_pseudo", "loss_bandit", "loss_kl",
+                        "total", "n_confident", "n_unconfident", "mc_pos", "mc_neg")
 
 
 def write_training_log(path, rows: list[StepLog]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "step",
-                "loss_labeled",
-                "loss_pseudo",
-                "loss_bandit",
-                "loss_kl",
-                "total",
-                "n_confident",
-                "n_unconfident",
-                "mc_pos",
-                "mc_neg",
-            ]
-        )
+        writer.writerow(TRAINING_LOG_COLUMNS)
         for r in rows:
-            writer.writerow(
-                [
-                    r.step,
-                    repr(r.loss_labeled),
-                    repr(r.loss_pseudo),
-                    repr(r.loss_bandit),
-                    repr(r.loss_kl),
-                    repr(r.total),
-                    r.n_confident,
-                    r.n_unconfident,
-                    repr(r.mc_pos),
-                    repr(r.mc_neg),
-                ]
-            )
+            writer.writerow([repr(getattr(r, c)) for c in TRAINING_LOG_COLUMNS])
+
+
+def write_threshold_trace(path, rows: list[StepLog]) -> None:
+    """Per-step per-class FET thresholds; header only when no step ran FET."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "class", "accept", "reject", "mc_pos", "mc_neg"])
+        for r in rows:
+            if r.thresholds is None:
+                continue
+            for c, (accept, reject) in enumerate(zip(r.thresholds.accept, r.thresholds.reject)):
+                writer.writerow([r.step, c, repr(float(accept)), repr(float(reject)),
+                                 repr(r.mc_pos), repr(r.mc_neg)])
 
 
 # -- array views over the log ----------------------------------------------------
@@ -243,10 +219,8 @@ def train_supervised(
     targets = fet.sets_to_mask([ex.actions for ex in examples], spec.output_dim)
     targets = targets.astype(np.float64) * (1.0 - eps) + eps / 2.0
     delta = np.ones(len(examples), dtype=np.int64)
-    opt = nncore.make_optimizer(
-        policy.trainable_parameters(), config.optimizer, config.learning_rate,
-        config.weight_decay,
-    )
+    opt = nncore.Adam(policy.trainable_parameters(), config.learning_rate,
+                      weight_decay=config.weight_decay)
     n = len(examples)
     for _ in range(config.sl_epochs):
         order = rng.permutation(n)
@@ -299,8 +273,6 @@ def train_on_log(
         raise TrainerError("empty bandit log")
     if config.method == METHOD_FIXMATCH and not labeled_split:
         raise TrainerError("the fixmatch baseline needs the labeled split")
-    # methods without FET thresholds leave the trace with its header only
-    trace_rows: list[tuple] | None = [] if config.threshold_trace_path else None
     if config.method in (METHOD_IPS, METHOD_BANDITNET):
         def step(policy, train, rng):
             return _crm_step(policy, logging_policy, train, config)
@@ -309,15 +281,10 @@ def train_on_log(
             return clipped_value_estimate(policy, hold, config.ips_clip) if len(hold) else None
     else:
         def step(policy, train, rng):
-            return _composite_step(
-                policy, logging_policy, train, rng, config, labeled_split, trace_rows
-            )
+            return _composite_step(policy, logging_policy, train, rng, config, labeled_split)
 
         score = _held_out_exact_match
-    policy, history = _fine_tune(logging_policy, records, config, step, score)
-    if trace_rows is not None:
-        write_threshold_trace(config.threshold_trace_path, trace_rows)
-    return policy, history
+    return _fine_tune(logging_policy, records, config, step, score)
 
 
 def _fine_tune(logging_policy: PolicyNet, records: list[BanditRecord], config: TrainConfig,
@@ -336,10 +303,8 @@ def _fine_tune(logging_policy: PolicyNet, records: list[BanditRecord], config: T
     train = arrays.take(train_idx)
     hold = arrays.take(hold_idx)
     policy = logging_policy.clone_trainable()
-    opt = nncore.make_optimizer(
-        policy.trainable_parameters(), config.optimizer, config.learning_rate,
-        config.weight_decay,
-    )
+    opt = nncore.Adam(policy.trainable_parameters(), config.learning_rate,
+                      weight_decay=config.weight_decay)
     step = make_step(policy, train, rng)
 
     history: list[StepLog] = []
@@ -370,7 +335,7 @@ def _held_out_exact_match(policy: PolicyNet, hold: LogArrays) -> float | None:
     return exact_match_rate(policy, pos.states, pos.logged_mask) if len(pos) else None
 
 
-def _composite_step(policy, logging_policy, train, rng, config, labeled_split, trace_rows):
+def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
     mix-up passes, optional split replay, and the four weighted terms."""
     use_fet = not config.no_fet and config.method == METHOD_BANDITMATCH
@@ -450,12 +415,6 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split, t
         else:
             l_k = Tensor(0.0)
         total = objectives.total_loss(l_l, l_p, l_b, l_k, config.weights)
-        if trace_rows is not None and use_fet:
-            trace_rows.extend(
-                (number, c, thresholds.accept[c], thresholds.reject[c],
-                 stats.mc_pos, stats.mc_neg)
-                for c in range(num_classes)
-            )
         return total, StepLog(
             step=number,
             loss_labeled=l_l.item(),
@@ -467,6 +426,7 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split, t
             n_unconfident=int(umask.sum()),
             mc_pos=stats.mc_pos,
             mc_neg=stats.mc_neg,
+            thresholds=thresholds if use_fet else None,
         )
 
     return step
@@ -601,12 +561,25 @@ def ablation_rows(config: TrainConfig) -> list[tuple[str, TrainConfig]]:
     ]
 
 
+def _check_point(n: int, fraction: float) -> None:
+    """A grid point needs a labeled split to train the logging policy on and
+    a pool to log: raise when splitting ``n`` examples leaves either empty."""
+    n_labeled = datasets.labeled_size(n, fraction)
+    for size, part in ((n_labeled, "labeled split"), (n - n_labeled, "bandit pool")):
+        if size < 1:
+            raise TrainerError(
+                f"labeled fraction {fraction} of a {n}-example corpus leaves the {part} empty"
+            )
+
+
 def log_point(corpus: list[LabeledExample], schema: WorldSchema, fraction: float,
               config: TrainConfig) -> tuple[list[LabeledExample], PolicyNet, list[BanditRecord]]:
     """One grid point: split the corpus with ``config.seed``, train the
     logging policy on the labeled split, and log feedback on the rest.
     Returns the labeled split, the frozen logging policy and the log."""
-    labeled, pool = datasets.split_corpus(corpus, SplitConfig(fraction, seed=config.seed))
+    split = SplitConfig(fraction, seed=config.seed)
+    _check_point(len(corpus), split.labeled_fraction)
+    labeled, pool = datasets.split_corpus(corpus, split)
     spec = policy_spec_for(schema, config.hidden_dims)
     logging_policy = train_logging_policy(labeled, spec, config)
     return labeled, logging_policy, datasets.log_bandit_data(logging_policy, pool)
@@ -630,9 +603,12 @@ def run_sl_sweep(corpus: list[LabeledExample], schema: WorldSchema, config: Trai
                  n_dialogs: int = 500, n_runs: int = 5,
                  ) -> dict[str, list[tuple[int, ExperimentReport]]]:
     """Per percentage point, a grid point seeded from the point, then every
-    method trained and evaluated on its log. The rows are built first, so an
-    unknown method fails before any training."""
+    method trained and evaluated on its log. The rows are built and every
+    point's split checked first, so an unknown method or a point with an
+    empty side fails before any training."""
     rows = [(method, replace(config, method=method)) for method in methods]
+    for p in percentages:
+        _check_point(len(corpus), p / 100.0)
     results: dict[str, list[tuple[int, ExperimentReport]]] = {m: [] for m in methods}
     results["logging"] = []
     for p in percentages:

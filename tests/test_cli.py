@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -470,9 +471,9 @@ class TestErrors:
         corpus = tmp_path / "c.jsonl"
         assert run(["gen-corpus", "--world", world, "--n-dialogs", 2, "--out", corpus]) == 0
         cfg = tmp_path / "bad.cfg"
-        # warm_start and fixmatch_labeled_source were keys of earlier versions
+        # warm_start, fixmatch_labeled_source and optimizer were keys of earlier versions
         for line in ("learning_speed = 3", "warm_start = false",
-                     "fixmatch_labeled_source = logged_positives"):
+                     "fixmatch_labeled_source = logged_positives", "optimizer = sgd"):
             cfg.write_text(line + "\n")
             capsys.readouterr()
             code = run(["split-and-log", "--world", world, "--corpus", corpus,
@@ -499,6 +500,47 @@ class TestErrors:
                     "--out", tmp_path / "c0.jsonl"])
         assert code == cli.EXIT_INVALID
         assert capsys.readouterr().err == "error: n_dialogs must be positive, got 0\n"
+
+
+@pytest.fixture(scope="module")
+def three_example_corpus(tmp_path_factory):
+    """A tiny-world corpus of one dialog (three examples)."""
+    root = tmp_path_factory.mktemp("three")
+    world, corpus = root / "world.json", root / "corpus.jsonl"
+    assert run(["gen-world", "--out", world, "--tiny"]) == 0
+    assert run(["gen-corpus", "--world", world, "--n-dialogs", 1, "--out", corpus]) == 0
+    return world, corpus
+
+
+class TestGridPointSizes:
+    """A labeled fraction that leaves the labeled split or the bandit pool
+    empty exits 5 before any training, naming the fraction and corpus size;
+    sweep checks every point before its first."""
+
+    @pytest.mark.parametrize("argv, fraction, part", [
+        (["split-and-log", "--labeled-fraction", "0.05"], 0.05, "labeled split"),
+        (["split-and-log", "--labeled-fraction", "1.0"], 1.0, "bandit pool"),
+        (["sweep", "--percentages", "50,5", "--n-dialogs", "2", "--n-runs", "1"],
+         0.05, "labeled split"),
+        (["sweep", "--percentages", "50,100", "--n-dialogs", "2", "--n-runs", "1"],
+         1.0, "bandit pool"),
+    ], ids=["split_no_labeled", "split_no_pool", "sweep_no_labeled", "sweep_no_pool"])
+    def test_empty_side_rejected_before_training(self, three_example_corpus, tmp_path, capsys,
+                                                 monkeypatch, argv, fraction, part):
+        world, corpus = three_example_corpus
+        n = len(corpus.read_text().splitlines()) - 1
+        trained = []
+        real = cli.trainer.train_logging_policy
+        monkeypatch.setattr(cli.trainer, "train_logging_policy",
+                            lambda *a, **k: trained.append(1) or real(*a, **k))
+        capsys.readouterr()
+        code = run(argv + ["--world", world, "--corpus", corpus, "--out-dir", tmp_path / "out"])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: labeled fraction {fraction} of a {n}-example corpus leaves the {part} empty\n"
+        )
+        assert trained == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:
@@ -529,9 +571,9 @@ class TestConfigFile:
     def test_key_set_and_parsed_types(self, tmp_path):
         key_types = {
             "seed": int, "batch_size": int, "epochs": int, "sl_epochs": int,
-            "sl_label_smoothing": float, "learning_rate": float, "optimizer": str,
-            "hidden_dims": tuple, "lambda_pseudo": float, "lambda_bandit": float,
-            "lambda_kl": float, "alpha_weak": float, "alpha_strong": float,
+            "sl_label_smoothing": float, "learning_rate": float, "hidden_dims": tuple,
+            "lambda_pseudo": float, "lambda_bandit": float, "lambda_kl": float,
+            "alpha_weak": float, "alpha_strong": float,
             "fet_decay": float, "method": str, "add_kl": bool, "no_mc_scale": bool,
             "no_fet": bool, "no_cbl": bool, "no_kl": bool,
             "weight_decay": float, "holdout_fraction": float, "early_stop": bool,
@@ -598,6 +640,22 @@ class TestTraces:
         assert trace.read_bytes() == b"step,class,accept,reject,mc_pos,mc_neg\r\n"
         manifest = json.loads((root / "ips_traced.manifest.json").read_text())
         assert manifest["outputs"][str(trace)] == hashlib.sha256(trace.read_bytes()).hexdigest()
+
+
+class TestReadme:
+    def test_command_line_block_parses(self):
+        # the README's documented commands must name no removed flag or command
+        readme = (Path(cli.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.strip()]
+        parser = cli.build_parser()
+        for argv in commands:
+            assert argv[0] == "banditmatch"
+            parser.parse_args(argv[1:])
+        assert {argv[1] for argv in commands} == {
+            "gen-world", "gen-corpus", "split-and-log", "train", "evaluate", "ablate", "sweep",
+        }
 
 
 class TestBlasThreads:

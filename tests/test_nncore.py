@@ -162,10 +162,6 @@ class TestOptimizers:
         a, b = run(), run()
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(nncore.ConfigurationError):
-            nncore.make_optimizer([], kind="rmsprop")
-
 
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):

@@ -312,8 +312,9 @@ class TestGrids:
 class TestThresholdTrace:
     def test_trace_file_written_per_step_and_class(self, setup, schema, tmp_path):
         path = tmp_path / "thresholds.csv"
-        cfg = replace(setup[2], epochs=1, threshold_trace_path=str(path))
+        cfg = replace(setup[2], epochs=1)
         _, history = tr.train_on_log(setup[3], setup[4], cfg)
+        tr.write_threshold_trace(path, history)
         import csv
 
         with open(path) as fh:
