@@ -303,25 +303,24 @@ _POOL_STATE: dict = {}
 
 
 def _episode_worker(goal):
-    policy, schema, max_turns = (
-        _POOL_STATE["policy"], _POOL_STATE["schema"], _POOL_STATE["max_turns"]
-    )
-    adapter = ActionSetPolicy(policy, schema)
-    return dialogworld.run_episode(adapter, schema, goal, max_turns=max_turns)
+    state = _POOL_STATE
+    return dialogworld.run_episode(state["adapter"], state["schema"], goal,
+                                   max_turns=state["max_turns"])
 
 
 def evaluate_parallel(policy, schema, n_dialogs, n_runs, seed, jobs,
                       method="policy", max_turns=20) -> ExperimentReport:
-    """Evaluation with each run's pre-sampled goals played over worker
-    processes; the result is identical to the sequential path regardless
-    of worker count."""
+    """Evaluation with each run's pre-sampled goals played over at most
+    ``os.cpu_count()`` worker processes; the result is identical to the
+    sequential path regardless of worker count."""
     if jobs <= 1:
         return trainer.evaluate(policy, schema, n_dialogs, n_runs, seed,
                                 max_turns=max_turns, method=method)
     ctx = multiprocessing.get_context("fork")
-    _POOL_STATE.update(policy=policy, schema=schema, max_turns=max_turns)
+    _POOL_STATE.update(adapter=ActionSetPolicy(policy, schema), schema=schema,
+                       max_turns=max_turns)
     try:
-        with ctx.Pool(processes=jobs) as pool:
+        with ctx.Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
             return trainer._evaluate_runs(
                 lambda run, goals: pool.map(_episode_worker, goals),
                 schema, n_dialogs, n_runs, seed, method,
@@ -530,6 +529,13 @@ def cmd_sweep(args) -> int:
 # -- argument parsing ----------------------------------------------------------------------
 
 
+def _at_least_one(raw: str) -> int:
+    """argparse type: an integer of at least 1 (worker and dialog counts)."""
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer >= 1")
+    return int(raw)
+
+
 def _comma_list(choices: dict, what: str):
     """argparse type: a comma list of distinct keys of ``choices``, read as their values."""
     def parse(raw: str) -> tuple:
@@ -597,10 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--expert", action="store_true", help="evaluate the rule expert")
     p.add_argument("--method-name", default=None)
-    p.add_argument("--n-dialogs", type=int, default=DEFAULT_EVAL_DIALOGS)
-    p.add_argument("--n-runs", type=int, default=DEFAULT_EVAL_RUNS)
+    p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
+    p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="worker processes for evaluation episodes")
     p.add_argument("--out", required=True)
     p.add_argument("--json", default=None)
@@ -614,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logging-policy", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-dialogs", type=int, default=DEFAULT_EVAL_DIALOGS)
-    p.add_argument("--n-runs", type=int, default=DEFAULT_EVAL_RUNS)
+    p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
+    p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_ablate)
 
@@ -631,8 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_comma_list({m: m for m in trainer.FINETUNE_METHODS},
                                     "one of " + ", ".join(trainer.FINETUNE_METHODS)),
                    help="comma list of distinct fine-tuning methods, default all four")
-    p.add_argument("--n-dialogs", type=int, default=DEFAULT_EVAL_DIALOGS)
-    p.add_argument("--n-runs", type=int, default=DEFAULT_EVAL_RUNS)
+    p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
+    p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -18,7 +18,8 @@ precomputes that order as an index array (``application_order``), so a
 predicted mask becomes a turn with one gather, and the agent-turn and
 user-turn updates walk the list as given.
 
-Episode flow: the user opens, then agent and user alternate. The episode
+Episode flow: the user opens (``open_dialog``), then agent and user
+alternate (``play_turn``); policy and expert episodes share both. The episode
 ends when the user has everything it needs (it says bye), when the agent
 says bye, or at ``max_turns`` agent turns.
 
@@ -778,21 +779,6 @@ def user_step(
     return acts, False
 
 
-def user_open(ustate: UserState) -> list[UserAct]:
-    """The opening user turn (no agent actions to react to yet)."""
-    acts: list[UserAct] = []
-    budget = MAX_INITIATIVE
-    while ustate.agenda and budget > 0:
-        act = ustate.agenda.pop(0)
-        if act.act_type == REQUEST:
-            ustate.uttered_requests.add((act.domain, act.slot))
-        elif act.act_type == BOOK:
-            ustate.uttered_book.add(act.domain)
-        acts.append(act)
-        budget -= 1
-    return acts
-
-
 # -- episodes and metrics ----------------------------------------------------------
 
 
@@ -836,6 +822,30 @@ def finish_metrics(ctx: DialogContext, goal: UserGoal, turns: int) -> EpisodeMet
     return EpisodeMetrics(turns, match, recall, precision, f1, success)
 
 
+def open_dialog(
+    schema: WorldSchema, goal: UserGoal
+) -> tuple[DialogContext, UserState, list[UserAct]]:
+    """A fresh dialog after the user's opening turn: its reply to an empty
+    agent turn, which never ends a dialog whose goal requests a slot."""
+    ctx = DialogContext(schema)
+    ustate = UserState(goal)
+    user_acts, _ = user_step(ustate, ctx, [])
+    apply_user_acts(ctx, user_acts)
+    return ctx, ustate, user_acts
+
+
+def play_turn(
+    ctx: DialogContext, ustate: UserState, actions: list[int]
+) -> tuple[list[UserAct], bool]:
+    """Apply an agent turn and the user's reply, and count the turn. Returns
+    the user's acts and whether the user ended the dialog."""
+    apply_agent_actions(ctx, actions)
+    user_acts, terminated = user_step(ustate, ctx, actions)
+    apply_user_acts(ctx, user_acts)
+    ctx.turn += 1
+    return user_acts, terminated
+
+
 def run_episode(
     policy,
     schema: WorldSchema,
@@ -845,36 +855,25 @@ def run_episode(
 ) -> EpisodeMetrics:
     """Roll one dialog between ``policy`` and the agenda user.
 
-    ``policy`` maps a state vector to one agent turn: a list of indices into
-    ``schema.actions`` without repeats, in application order (anything with
-    an ``act(state) -> list[int]`` method, or a bare callable). The turns are
-    not checked. ``trace`` rows list the agent's labels sorted.
+    ``policy.act(state)`` maps a state vector to one agent turn: a list of
+    indices into ``schema.actions`` without repeats, in application order.
+    The turns are not checked. ``trace`` rows list the agent's labels sorted.
     """
-    act_fn = policy.act if hasattr(policy, "act") else policy
-    ctx = DialogContext(schema)
-    ustate = UserState(goal)
-    user_acts = user_open(ustate)
-    apply_user_acts(ctx, user_acts)
-    turns = 0
-    while turns < max_turns:
-        state = encode_state(schema, ctx)
-        actions = act_fn(state)
-        turns += 1
+    ctx, ustate, user_acts = open_dialog(schema, goal)
+    while ctx.turn < max_turns:
+        actions = policy.act(encode_state(schema, ctx))
         if trace is not None:
             trace.append(
                 {
-                    "turn": turns,
+                    "turn": ctx.turn + 1,
                     "user": [f"{a.domain}-{a.act_type}-{a.slot or 'none'}" for a in user_acts],
                     "agent": sorted(schema.actions[i].label() for i in actions),
                 }
             )
-        apply_agent_actions(ctx, actions)
-        user_acts, terminated = user_step(ustate, ctx, actions)
-        apply_user_acts(ctx, user_acts)
-        ctx.turn += 1
+        user_acts, terminated = play_turn(ctx, ustate, actions)
         if terminated:
             break
-    return finish_metrics(ctx, goal, turns)
+    return finish_metrics(ctx, goal, ctx.turn)
 
 
 def run_expert_episode(
@@ -883,30 +882,20 @@ def run_expert_episode(
     """Like run_episode but drives the rule expert on the live context.
 
     When ``collect`` is a list, (state, agent turn) pairs are appended for
-    corpus generation.
+    corpus generation; states are encoded only then.
     """
-    ctx = DialogContext(schema)
-    ustate = UserState(goal)
-    apply_user_acts(ctx, user_open(ustate))
-    turns = 0
-    while turns < max_turns:
-        state = encode_state(schema, ctx)
+    ctx, ustate, _ = open_dialog(schema, goal)
+    while ctx.turn < max_turns:
         actions = expert_respond(schema, ctx)
         if collect is not None:
-            collect.append((state, actions))
-        turns += 1
-        apply_agent_actions(ctx, actions)
-        user_acts, terminated = user_step(ustate, ctx, actions)
-        apply_user_acts(ctx, user_acts)
-        ctx.turn += 1
-        if terminated:
-            # one closing expert turn so corpora contain bye examples
+            collect.append((encode_state(schema, ctx), actions))
+        if play_turn(ctx, ustate, actions)[1]:
             if collect is not None:
-                state = encode_state(schema, ctx)
-                collect.append((state, expert_respond(schema, ctx)))
-                turns += 1
+                # one closing expert turn, counted, so corpora contain bye examples
+                collect.append((encode_state(schema, ctx), expert_respond(schema, ctx)))
+                return finish_metrics(ctx, goal, ctx.turn + 1)
             break
-    return finish_metrics(ctx, goal, turns)
+    return finish_metrics(ctx, goal, ctx.turn)
 
 
 # -- aggregation --------------------------------------------------------------------

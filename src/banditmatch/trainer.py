@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -273,30 +274,6 @@ def train_on_log(
         raise TrainerError("empty bandit log")
     if config.method == METHOD_FIXMATCH and not labeled_split:
         raise TrainerError("the fixmatch baseline needs the labeled split")
-    if config.method in (METHOD_IPS, METHOD_BANDITNET):
-        def step(policy, train, rng):
-            return _crm_step(policy, logging_policy, train, config)
-
-        def score(policy, hold):
-            return clipped_value_estimate(policy, hold, config.ips_clip) if len(hold) else None
-    else:
-        def step(policy, train, rng):
-            return _composite_step(policy, logging_policy, train, rng, config, labeled_split)
-
-        score = _held_out_exact_match
-    return _fine_tune(logging_policy, records, config, step, score)
-
-
-def _fine_tune(logging_policy: PolicyNet, records: list[BanditRecord], config: TrainConfig,
-               make_step, score) -> tuple[PolicyNet, list[StepLog]]:
-    """The protocol every fine-tuning method shares: holdout split, epochs
-    of uniform batches, optional early stopping on the held-out log.
-
-    ``make_step(policy, train, rng)`` returns the method's step,
-    ``step(number, idx, batch) -> (total loss, StepLog)``, where ``idx``
-    indexes ``train``. ``score(policy, hold)`` is the early-stop score,
-    None when the holdout has nothing to score.
-    """
     arrays = LogArrays.from_records(records, logging_policy.num_actions)
     rng = derive_rng(config.seed, "train")
     train_idx, hold_idx = _holdout_split(len(arrays), config.holdout_fraction, rng)
@@ -305,7 +282,14 @@ def _fine_tune(logging_policy: PolicyNet, records: list[BanditRecord], config: T
     policy = logging_policy.clone_trainable()
     opt = nncore.Adam(policy.trainable_parameters(), config.learning_rate,
                       weight_decay=config.weight_decay)
-    step = make_step(policy, train, rng)
+    # step(number, idx, batch) -> (total loss, StepLog) with idx into train;
+    # score(policy, hold) scores a non-empty holdout, None if nothing to score
+    if config.method in (METHOD_IPS, METHOD_BANDITNET):
+        step = _crm_step(policy, logging_policy, train, config)
+        score = partial(clipped_value_estimate, clip=config.ips_clip)
+    else:
+        step = _composite_step(policy, logging_policy, train, rng, config, labeled_split)
+        score = _held_out_exact_match
 
     history: list[StepLog] = []
     best_score = -np.inf
@@ -320,7 +304,7 @@ def _fine_tune(logging_policy: PolicyNet, records: list[BanditRecord], config: T
             total.backward()
             opt.step()
             history.append(row)
-        epoch_score = score(policy, hold) if config.early_stop else None
+        epoch_score = score(policy, hold) if config.early_stop and len(hold) else None
         if epoch_score is not None and epoch_score > best_score:
             best_score = epoch_score
             best_params = [p.data.copy() for p in policy.parameters()]

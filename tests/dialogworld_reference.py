@@ -6,10 +6,12 @@ bitmasks) and sorts action sets with an attribute key. This module keeps the
 forms those tables replace: the encoder that loops over every slot and scans
 the last user acts for each one, entity matching by comparing every entity's
 slot values, and the agent-turn and user-turn updates that sort whole
-``AtomicAction`` sets and rebuild the agenda once per answered request, and the
-expert that builds its turn as an ``AtomicAction`` set. Tests require the
-package to produce equal states, match lists and episode metrics, and agent
-turns whose actions are these sets in sorted order.
+``AtomicAction`` sets and rebuild the agenda once per answered request, the
+expert that builds its turn as an ``AtomicAction`` set, and the user's opening
+turn as its own agenda loop (``user_open``), which the package replaced with
+``user_step`` on an empty agent turn. Tests require the package to produce
+equal states, match lists, openings and episode metrics, and agent turns whose
+actions are these sets in sorted order.
 """
 
 import numpy as np
@@ -166,6 +168,21 @@ def user_step(
         acts.append(act)
         budget -= 1
     return acts, False
+
+
+def user_open(ustate: UserState) -> list[UserAct]:
+    """The opening user turn (no agent actions to react to yet)."""
+    acts: list[UserAct] = []
+    budget = MAX_INITIATIVE
+    while ustate.agenda and budget > 0:
+        act = ustate.agenda.pop(0)
+        if act.act_type == REQUEST:
+            ustate.uttered_requests.add((act.domain, act.slot))
+        elif act.act_type == BOOK:
+            ustate.uttered_book.add(act.domain)
+        acts.append(act)
+        budget -= 1
+    return acts
 
 
 def expert_respond(schema: WorldSchema, ctx: DialogContext) -> set[AtomicAction]:

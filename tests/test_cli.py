@@ -5,10 +5,13 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from banditmatch import cli, nncore
+from banditmatch.dialogworld import WorldSchema
+from banditmatch.policy import PolicyNet
 
 
 def run(argv):
@@ -541,6 +544,88 @@ class TestGridPointSizes:
         )
         assert trained == []
         assert not (tmp_path / "out").exists()
+
+
+class TestCountFlags:
+    """``--jobs`` and the ``--n-dialogs`` / ``--n-runs`` of evaluate, ablate and
+    sweep take integers of at least 1 and fail while parsing (exit 2), before
+    any file is read or any policy trained; the pool never asks for more
+    workers than the machine has cores."""
+
+    @staticmethod
+    def _argv(command, root, world, corpus, data, cfg):
+        out = root / "counts_out"
+        return {
+            "evaluate": ["evaluate", "--world", world, "--expert", "--out", out / "r.csv"],
+            "ablate": ["ablate", "--world", world, "--bandit", data / "bandit.jsonl",
+                       "--logging-policy", data / "logging_policy.json", "--config", cfg,
+                       "--out-dir", out],
+            "sweep": ["sweep", "--world", world, "--corpus", corpus, "--config", cfg,
+                      "--percentages", "20", "--methods", "ips", "--out-dir", out],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-dialogs", "0"), ("--n-runs", "0"), ("--n-runs", "-2"), ("--n-dialogs", "x"),
+    ], ids=["dialogs_zero", "runs_zero", "runs_negative", "dialogs_not_int"])
+    def test_counts_rejected_before_training(self, pipeline, capsys, monkeypatch,
+                                             command, flag, value):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        trained = []
+        for name in ("train_on_log", "train_logging_policy"):
+            real = getattr(cli.trainer, name)
+            monkeypatch.setattr(cli.trainer, name,
+                                lambda *a, real=real, **k: trained.append(1) or real(*a, **k))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            run(self._argv(command, root, world, corpus, data, cfg) + [flag, value])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"banditmatch {command}: error: argument {flag}: '{value}' is not an integer >= 1"
+        )
+        assert trained == []
+        assert not (root / "counts_out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_jobs_rejected(self, pipeline, capsys, value):
+        root, world, corpus, data, cfg, ckpt = pipeline
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            run(["evaluate", "--world", world, "--checkpoint", ckpt, "--jobs", value,
+                 "--out", root / "jobs_bad.csv"])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"banditmatch evaluate: error: argument --jobs: '{value}' is not an integer >= 1"
+        )
+
+    @pytest.mark.parametrize("jobs, cores, workers", [
+        (10**9, 3, 3), (2, 3, 2), (10**9, None, 1),
+    ], ids=["capped", "below_cap", "unknown_cores"])
+    def test_pool_capped_at_cpu_count(self, pipeline, monkeypatch, jobs, cores, workers):
+        # a fake pool records the worker count and maps in process: no process starts
+        root, world, corpus, data, cfg, ckpt = pipeline
+        asked = []
+
+        class FakePool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=FakePool))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        policy, schema = PolicyNet.load(ckpt), WorldSchema.load(world)
+        report = cli.evaluate_parallel(policy, schema, 4, 2, 0, jobs)
+        assert asked == [workers]
+        assert report == cli.trainer.evaluate(policy, schema, 4, 2, 0)
 
 
 class TestConfigFile:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -230,9 +232,7 @@ class TestUser:
             requests={"hotel": ["phone"]},
             booking={"hotel": False},
         )
-        ctx = dw.DialogContext(schema)
-        ustate = dw.UserState(goal)
-        dw.apply_user_acts(ctx, dw.user_open(ustate))
+        ctx, ustate, _ = dw.open_dialog(schema, goal)
         acts, terminated = dw.user_step(
             ustate, ctx, turn(schema, dw.AtomicAction("hotel", dw.REQUEST, "price"))
         )
@@ -246,9 +246,7 @@ class TestUser:
             requests={"hotel": ["phone"]},
             booking={"hotel": False},
         )
-        ctx = dw.DialogContext(schema)
-        ustate = dw.UserState(goal)
-        dw.apply_user_acts(ctx, dw.user_open(ustate))
+        ctx, ustate, _ = dw.open_dialog(schema, goal)
         dw.apply_agent_actions(ctx, turn(schema, dw.AtomicAction("hotel", dw.INFORM, "phone")))
         acts, terminated = dw.user_step(ustate, ctx, [])
         assert terminated and any(a.act_type == dw.BYE for a in acts)
@@ -259,9 +257,7 @@ class TestUser:
             requests={"hotel": ["phone"]},
             booking={"hotel": False},
         )
-        ctx = dw.DialogContext(schema)
-        ustate = dw.UserState(goal)
-        dw.apply_user_acts(ctx, dw.user_open(ustate))
+        ctx, ustate, _ = dw.open_dialog(schema, goal)
         # agent does nothing twice; the user re-issues the pending request
         acts1, t1 = dw.user_step(ustate, ctx, [])
         dw.apply_user_acts(ctx, acts1)
@@ -281,7 +277,7 @@ class TestEpisodes:
         rng = np.random.default_rng(6)
         goal = dw.sample_goal(schema, rng)
         bye = turn(schema, dw.AtomicAction(dw.GENERAL, dw.BYE))
-        metrics = dw.run_episode(lambda state: bye, schema, goal)
+        metrics = dw.run_episode(SimpleNamespace(act=lambda state: bye), schema, goal)
         assert metrics.success == 0 and metrics.inform_recall == 0.0
 
     def test_metric_arithmetic(self, schema):
@@ -300,7 +296,7 @@ class TestEpisodes:
                 dw.AtomicAction("hotel", dw.INFORM, "postcode"),
             )
 
-        metrics = dw.run_episode(agent, schema, goal)
+        metrics = dw.run_episode(SimpleNamespace(act=agent), schema, goal)
         assert metrics.inform_recall == 1.0
         assert abs(metrics.inform_precision - 2.0 / 3.0) < 1e-12
         assert abs(metrics.inform_f1 - 0.8) < 1e-12
@@ -308,8 +304,22 @@ class TestEpisodes:
     def test_turn_cap(self, schema):
         rng = np.random.default_rng(8)
         goal = dw.sample_goal(schema, rng)
-        metrics = dw.run_episode(lambda s: [], schema, goal, max_turns=5)
+        metrics = dw.run_episode(SimpleNamespace(act=lambda s: []), schema, goal, max_turns=5)
         assert metrics.turns <= 5 and metrics.success == 0
+
+    def test_expert_encodes_only_collected_states(self, schema, monkeypatch):
+        calls = []
+        encode = dw.encode_state
+        monkeypatch.setattr(dw, "encode_state", lambda *args: calls.append(1) or encode(*args))
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            goal = dw.sample_goal(schema, rng)
+            calls.clear()
+            dw.run_expert_episode(schema, goal)
+            assert calls == []
+            collected = []
+            dw.run_expert_episode(schema, goal, collect=collected)
+            assert len(calls) == len(collected) > 0
 
     def test_success_requires_recall_and_match(self, schema):
         rng = np.random.default_rng(9)
@@ -322,7 +332,8 @@ class TestEpisodes:
         goal = dw.sample_goal(schema, rng)
         trace = []
         bye = turn(schema, dw.AtomicAction(dw.GENERAL, dw.BYE))
-        dw.run_episode(lambda state: bye, schema, goal, max_turns=3, trace=trace)
+        dw.run_episode(SimpleNamespace(act=lambda state: bye), schema, goal, max_turns=3,
+                       trace=trace)
         assert len(trace) == 3 and all("agent" in row and "user" in row for row in trace)
 
 

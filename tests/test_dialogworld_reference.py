@@ -6,7 +6,8 @@ forms kept in ``dialogworld_reference``. Every turn's state must be equal
 (``np.array_equal``), every domain's match list must be equal, and so must
 the episode metrics. The package plays each agent turn as the index list it
 was given, which must be in application order; the reference plays the same
-turn as a set of ``AtomicAction``. The package's expert must give the
+turn as a set of ``AtomicAction``. The package's opening must equal the
+reference ``user_open``. The package's expert must give the
 reference expert's set as such a list, and the package's own episode runners
 must agree with the package rollout.
 """
@@ -43,9 +44,11 @@ def rollout(world, schema, goal, respond, max_turns=20):
     """One dialog through ``world``'s turn functions; returns per-turn
     (state, match lists, agent turn) and the episode metrics. ``respond``
     gives index turns; the reference world receives them as action sets."""
-    ctx = dw.DialogContext(schema)
-    ustate = dw.UserState(goal)
-    dw.apply_user_acts(ctx, dw.user_open(ustate))
+    if world is PACKAGE:
+        ctx, ustate, _ = dw.open_dialog(schema, goal)
+    else:
+        ctx, ustate = dw.DialogContext(schema), dw.UserState(goal)
+        dw.apply_user_acts(ctx, ref.user_open(ustate))
     turns = []
     n = 0
     while n < max_turns:
@@ -169,6 +172,27 @@ def test_package_runners_agree_with_rollout(name):
         assert len(collected) in (len(expert_turns), len(expert_turns) + 1)
         for (state, actions), (want_state, _, want_actions) in zip(collected, expert_turns):
             assert np.array_equal(state, want_state) and actions == want_actions
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_opening_turn_matches_reference(name):
+    # the opening is the user's reply to an empty agent turn; for every goal
+    # the samplers make, it utters what the reference user_open does and
+    # leaves the same user state and context
+    schema = SCHEMAS[name]()
+    goals = goals_for(schema, 200, 13)
+    if name == "tiny":
+        goals += dw.enumerate_goals(schema)
+    for goal in goals:
+        ctx, ustate, acts = dw.open_dialog(schema, goal)
+        want_ctx, want_ustate = dw.DialogContext(schema), dw.UserState(goal)
+        want_acts = ref.user_open(want_ustate)
+        dw.apply_user_acts(want_ctx, want_acts)
+        assert acts == want_acts
+        assert ustate.agenda == want_ustate.agenda
+        assert ustate.uttered_requests == want_ustate.uttered_requests
+        assert ustate.uttered_book == want_ustate.uttered_book
+        assert ctx == want_ctx
 
 
 def test_entity_matching_agrees_with_scan():
