@@ -4,15 +4,16 @@ Subcommands cover the whole experiment flow: world generation, expert
 corpus rollout, labeled/bandit splitting plus feedback logging, policy
 fine-tuning, interactive evaluation, the ablation grid, and the labeled
 percentage sweep. Every command derives all randomness from --seed via
-named streams and writes a JSON run manifest (command, config snapshot,
-seeds, input/output paths with content hashes, wall clock) next to its
-outputs.
+named streams; main times it and writes a JSON run manifest (command,
+config snapshot, seeds, the paths it read and wrote with content hashes,
+wall clock) next to its outputs.
 
-Exit codes: 0 success, 2 bad command line (argparse), 3 missing input
-file, 4 schema/checkpoint version mismatch, 5 invalid configuration or
-value (including an input file that breaks FORMATS.md or does not fit the
-world or checkpoint it is used with, and a numeric failure in training),
-1 unexpected failure.
+Exit codes: 0 success, 2 bad command line (argparse), 3 an input path
+that is not a file, 4 schema/checkpoint version mismatch, 5 invalid
+configuration or value (including an input file that breaks FORMATS.md or
+does not fit the world or checkpoint it is used with, an output path that
+is a directory or whose directory cannot be made, and a numeric failure in
+training), 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _parse_bool(raw: str) -> bool:
 
 def read_config_file(path: Path) -> dict:
     """Parse a ``key = value`` config file (# starts a comment)."""
-    if not path.exists():
+    if not path.is_file():
         raise CliError(f"config file not found: {path}", EXIT_MISSING_FILE)
     values: dict = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -148,14 +149,8 @@ def build_train_config(file_values: dict, overrides: dict) -> TrainConfig:
 
 def _train_config(args, **overrides) -> TrainConfig:
     """The --config file's values under the command's --seed and ``overrides``."""
-    file_values = read_config_file(Path(args.config)) if args.config else {}
+    file_values = read_config_file(args.config) if args.config else {}
     return build_train_config(file_values, {"seed": args.seed, **overrides})
-
-
-def config_snapshot(config: TrainConfig) -> dict:
-    snap = dataclasses.asdict(config)
-    snap["hidden_dims"] = list(config.hidden_dims)
-    return snap
 
 
 # -- manifests ---------------------------------------------------------------------
@@ -169,9 +164,8 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, name: str, command: str, args: dict,
-                   inputs: list, outputs: list, config: dict | None,
-                   started: float) -> Path:
+def write_manifest(path: Path, command: str, args: dict, inputs: list, outputs: list,
+                   config: dict | None, started: float) -> None:
     manifest = {
         "command": command,
         "arguments": {
@@ -180,31 +174,48 @@ def write_manifest(out_dir: Path, name: str, command: str, args: dict,
             if not callable(v)
         },
         "config": config,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_clock_s": round(time.time() - started, 3),
     }
-    path = out_dir / name
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return path
 
 
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise CliError(f"input file not found: {path}", EXIT_MISSING_FILE)
-    return path
+class Files:
+    """A command's file boundary. Every input file is read and every output
+    path is claimed here, so the manifest lists exactly what the command
+    read and wrote, in that order."""
 
+    def __init__(self):
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
 
-def _load(reader, path: Path):
-    """Read an input file. A version mismatch exits 4 here; any other
-    malformed file raises its module's error, which main maps to exit 5."""
-    _require(path)
-    try:
-        return reader(path)
-    except (DataVersionError, WorldVersionError, nncore.CheckpointVersionError) as err:
-        raise CliError(str(err), EXIT_VERSION) from err
+    def load(self, reader, path: Path):
+        """Read an input file. A path that is not a file exits 3 and a version
+        mismatch 4; any other malformed file raises its module's error, which
+        main maps to exit 5."""
+        if not path.is_file():
+            raise CliError(f"input file not found: {path}", EXIT_MISSING_FILE)
+        self.inputs.append(path)
+        try:
+            return reader(path)
+        except (DataVersionError, WorldVersionError, nncore.CheckpointVersionError) as err:
+            raise CliError(str(err), EXIT_VERSION) from err
+
+    def output(self, path: Path) -> Path:
+        """``path``, with its directory made, for the command to write now. A
+        path that is a directory, or whose directory cannot be made, exits 5."""
+        if path.is_dir():
+            raise CliError(f"{path}: is a directory", EXIT_INVALID)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise CliError(f"{path}: cannot make directory {path.parent}: {err.strerror}",
+                           EXIT_INVALID) from err
+        self.outputs.append(path)
+        return path
 
 
 # -- cross-file checks: a file's widths against the world or checkpoint it meets
@@ -330,117 +341,82 @@ def evaluate_parallel(policy, schema, n_dialogs, n_runs, seed, jobs,
 
 
 # -- commands ---------------------------------------------------------------------------
+# Each command reads through ``files.load`` and writes through ``files.output``;
+# it returns the training config it used as a dict (None if it trains nothing)
+# for main to put in the run manifest.
 
 
-def cmd_gen_world(args) -> int:
-    started = time.time()
+def cmd_gen_world(args, files: Files) -> dict | None:
     if args.schema_config is not None:
-        schema = _load(WorldSchema.load, args.schema_config)
+        schema = files.load(WorldSchema.load, args.schema_config)
     elif args.tiny:
         schema = dialogworld.tiny_schema()
     else:
         schema = dialogworld.default_schema()
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    schema.save(out)
-    write_manifest(out.parent, out.stem + ".manifest.json", "gen-world",
-                   vars(args),
-                   inputs=[args.schema_config] if args.schema_config else [],
-                   outputs=[out], config=None, started=started)
-    print(f"world written: {out} (C={schema.num_actions}, D={schema.state_dim})")
-    return EXIT_OK
+    schema.save(files.output(args.out))
+    print(f"world written: {args.out} (C={schema.num_actions}, D={schema.state_dim})")
+    return None
 
 
-def cmd_gen_corpus(args) -> int:
-    started = time.time()
-    schema = _load(WorldSchema.load, Path(args.world))
+def cmd_gen_corpus(args, files: Files) -> dict | None:
+    schema = files.load(WorldSchema.load, args.world)
     corpus = datasets.generate_corpus(schema, args.n_dialogs, args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    datasets.write_labeled_jsonl(out, corpus)
-    write_manifest(out.parent, out.stem + ".manifest.json", "gen-corpus",
-                   vars(args), inputs=[args.world], outputs=[out],
-                   config=None, started=started)
-    print(f"corpus written: {out} ({len(corpus)} examples from {args.n_dialogs} dialogs)")
-    return EXIT_OK
+    datasets.write_labeled_jsonl(files.output(args.out), corpus)
+    print(f"corpus written: {args.out} ({len(corpus)} examples from {args.n_dialogs} dialogs)")
+    return None
 
 
-def cmd_split_and_log(args) -> int:
-    started = time.time()
-    schema = _load(WorldSchema.load, Path(args.world))
-    corpus = _load(datasets.read_labeled_jsonl, Path(args.corpus))
+def cmd_split_and_log(args, files: Files) -> dict | None:
+    schema = files.load(WorldSchema.load, args.world)
+    corpus = files.load(datasets.read_labeled_jsonl, args.corpus)
     _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
                        f"world {args.world}")
     cfg = _train_config(args)
     labeled, logging_policy, records = trainer.log_point(corpus, schema, args.labeled_fraction, cfg)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    labeled_path = out_dir / "labeled.jsonl"
-    bandit_path = out_dir / "bandit.jsonl"
-    policy_path = out_dir / "logging_policy.json"
-    datasets.write_labeled_jsonl(labeled_path, labeled)
-    datasets.write_bandit_jsonl(bandit_path, records)
-    logging_policy.save(policy_path)
-    write_manifest(out_dir, "split_and_log.manifest.json", "split-and-log",
-                   vars(args), inputs=[args.world, args.corpus],
-                   outputs=[labeled_path, bandit_path, policy_path],
-                   config=config_snapshot(cfg), started=started)
+    datasets.write_labeled_jsonl(files.output(args.out_dir / "labeled.jsonl"), labeled)
+    datasets.write_bandit_jsonl(files.output(args.out_dir / "bandit.jsonl"), records)
+    logging_policy.save(files.output(args.out_dir / "logging_policy.json"))
     positive = sum(r.feedback for r in records)
     print(
         f"split: {len(labeled)} labeled / {len(records)} bandit "
         f"(positive feedback rate {positive / max(len(records), 1):.3f})"
     )
-    return EXIT_OK
+    return dataclasses.asdict(cfg)
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args, files: Files) -> dict | None:
     cfg = _train_config(args, method=args.method)
-    records = _load(datasets.read_bandit_jsonl, Path(args.bandit))
-    logging_policy = _load(PolicyNet.load, Path(args.logging_policy))
+    records = files.load(datasets.read_bandit_jsonl, args.bandit)
+    logging_policy = files.load(PolicyNet.load, args.logging_policy)
     source = f"logging policy {args.logging_policy}"
     _check_log_fits(args.bandit, records, logging_policy, source)
-    labeled = _load(datasets.read_labeled_jsonl, Path(args.labeled)) if args.labeled else None
+    labeled = files.load(datasets.read_labeled_jsonl, args.labeled) if args.labeled else None
     if labeled is not None:
         _check_corpus_fits(args.labeled, labeled, logging_policy.spec.input_dim,
                            logging_policy.spec.output_dim, source,
                            names=("input_dim", "output_dim"))
     policy, history = trainer.train_on_log(logging_policy, records, cfg, labeled_split=labeled)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    policy.save(out)
-    outputs = [out]
+    policy.save(files.output(args.out))
     if args.train_log:
-        trainer.write_training_log(Path(args.train_log), history)
-        outputs.append(Path(args.train_log))
+        trainer.write_training_log(files.output(args.train_log), history)
     if args.threshold_trace:
-        trainer.write_threshold_trace(Path(args.threshold_trace), history)
-        outputs.append(Path(args.threshold_trace))
-    write_manifest(out.parent, out.stem + ".manifest.json", "train",
-                   vars(args),
-                   inputs=[p for p in (args.bandit, args.logging_policy, args.labeled) if p],
-                   outputs=outputs, config=config_snapshot(cfg), started=started)
-    print(f"trained {cfg.method} for {len(history)} steps -> {out}")
-    return EXIT_OK
+        trainer.write_threshold_trace(files.output(args.threshold_trace), history)
+    print(f"trained {cfg.method} for {len(history)} steps -> {args.out}")
+    return dataclasses.asdict(cfg)
 
 
-def cmd_evaluate(args) -> int:
-    started = time.time()
-    schema = _load(WorldSchema.load, Path(args.world))
-    trace_out = None
+def cmd_evaluate(args, files: Files) -> dict | None:
+    schema = files.load(WorldSchema.load, args.world)
     if args.expert:
         report = trainer.evaluate_expert(schema, args.n_dialogs, args.n_runs, args.seed)
-        inputs = [args.world]
     else:
         if args.checkpoint is None:
             raise CliError("either --checkpoint or --expert is required", EXIT_INVALID)
-        policy = _load(PolicyNet.load, Path(args.checkpoint))
+        policy = files.load(PolicyNet.load, args.checkpoint)
         _check_policy_fits(f"checkpoint {args.checkpoint}", policy, schema, f"world {args.world}")
         name = args.method_name or "policy"
         if args.trace:  # sequential: the trace is written in episode order
-            trace_out = Path(args.trace)
-            with open(trace_out, "w", encoding="utf-8") as fh:
+            with open(files.output(args.trace), "w", encoding="utf-8") as fh:
                 report = trainer.evaluate(
                     policy, schema, args.n_dialogs, args.n_runs, args.seed, method=name,
                     on_episode=lambda run, index, turns: fh.write(
@@ -450,33 +426,22 @@ def cmd_evaluate(args) -> int:
         else:
             report = evaluate_parallel(policy, schema, args.n_dialogs, args.n_runs,
                                        args.seed, args.jobs, method=name)
-        inputs = [args.world, args.checkpoint]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_report_csv(out, [report])
-    outputs = [out]
-    if trace_out is not None:
-        outputs.append(trace_out)
+    write_report_csv(files.output(args.out), [report])
     if args.json:
-        write_report_json(Path(args.json), [report])
-        outputs.append(Path(args.json))
-    write_manifest(out.parent, out.stem + ".manifest.json", "evaluate",
-                   vars(args), inputs=inputs, outputs=outputs,
-                   config=None, started=started)
+        write_report_json(files.output(args.json), [report])
     m = report.metrics
     print(
         f"{report.method}: success {dialogworld.format_metric(*m['success'], digits=1)} | "
         f"inform F1 {dialogworld.format_metric(*m['inform_f1'])} | "
         f"turn {dialogworld.format_metric(*m['turns'])}"
     )
-    return EXIT_OK
+    return None
 
 
-def cmd_ablate(args) -> int:
-    started = time.time()
-    schema = _load(WorldSchema.load, Path(args.world))
-    records = _load(datasets.read_bandit_jsonl, Path(args.bandit))
-    logging_policy = _load(PolicyNet.load, Path(args.logging_policy))
+def cmd_ablate(args, files: Files) -> dict | None:
+    schema = files.load(WorldSchema.load, args.world)
+    records = files.load(datasets.read_bandit_jsonl, args.bandit)
+    logging_policy = files.load(PolicyNet.load, args.logging_policy)
     _check_policy_fits(f"logging policy {args.logging_policy}", logging_policy, schema,
                        f"world {args.world}")
     _check_log_fits(args.bandit, records, logging_policy,
@@ -484,23 +449,16 @@ def cmd_ablate(args) -> int:
     cfg = _train_config(args)
     reports = trainer.run_rows(logging_policy, records, None, schema, trainer.ablation_rows(cfg),
                                args.n_dialogs, args.n_runs, args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = out_dir / "ablations.csv"
+    table_path = files.output(args.out_dir / "ablations.csv")
     write_report_csv(table_path, reports)
-    write_report_json(out_dir / "ablations.json", reports)
-    write_manifest(out_dir, "ablations.manifest.json", "ablate", vars(args),
-                   inputs=[args.world, args.bandit, args.logging_policy],
-                   outputs=[table_path, out_dir / "ablations.json"],
-                   config=config_snapshot(cfg), started=started)
+    write_report_json(files.output(args.out_dir / "ablations.json"), reports)
     print(f"ablation table written: {table_path} ({len(reports)} rows)")
-    return EXIT_OK
+    return dataclasses.asdict(cfg)
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
-    schema = _load(WorldSchema.load, Path(args.world))
-    corpus = _load(datasets.read_labeled_jsonl, Path(args.corpus))
+def cmd_sweep(args, files: Files) -> dict | None:
+    schema = files.load(WorldSchema.load, args.world)
+    corpus = files.load(datasets.read_labeled_jsonl, args.corpus)
     _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
                        f"world {args.world}")
     cfg = _train_config(args)
@@ -508,22 +466,15 @@ def cmd_sweep(args) -> int:
         corpus, schema, cfg, percentages=args.percentages, methods=args.methods,
         n_dialogs=args.n_dialogs, n_runs=args.n_runs,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     for method, rows in results.items():
-        path = out_dir / f"sweep_{method}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open(files.output(args.out_dir / f"sweep_{method}.csv"), "w", newline="",
+                  encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("sl_percent",) + REPORT_COLUMNS)
             for p, report in rows:
                 writer.writerow([p] + report_row(report))
-        outputs.append(path)
-    write_manifest(out_dir, "sweep.manifest.json", "sweep", vars(args),
-                   inputs=[args.world, args.corpus], outputs=outputs,
-                   config=config_snapshot(cfg), started=started)
-    print(f"sweep written: {len(outputs)} method files in {out_dir}")
-    return EXIT_OK
+    print(f"sweep written: {len(results)} method files in {args.out_dir}")
+    return dataclasses.asdict(cfg)
 
 
 # -- argument parsing ----------------------------------------------------------------------
@@ -557,50 +508,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-world", help="write a dialog world schema file")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.add_argument("--schema-config", type=Path, default=None,
                    help="existing schema file to validate and re-emit")
     p.add_argument("--tiny", action="store_true", help="single-domain two-entity world")
     p.set_defaults(func=cmd_gen_world)
 
     p = sub.add_parser("gen-corpus", help="roll expert dialogs into a labeled corpus")
-    p.add_argument("--world", required=True)
+    p.add_argument("--world", type=Path, required=True)
     p.add_argument("--n-dialogs", type=int, default=DEFAULT_N_DIALOGS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser(
         "split-and-log",
         help="split the corpus, train the logging policy, log bandit feedback",
     )
-    p.add_argument("--world", required=True)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--world", type=Path, required=True)
+    p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--labeled-fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--config", type=Path, default=None)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=cmd_split_and_log)
 
     p = sub.add_parser("train", help="fine-tune a policy on logged feedback")
     p.add_argument("--method", default=None,
                    choices=list(trainer.FINETUNE_METHODS))
-    p.add_argument("--bandit", required=True)
-    p.add_argument("--logging-policy", required=True)
-    p.add_argument("--labeled", default=None,
+    p.add_argument("--bandit", type=Path, required=True)
+    p.add_argument("--logging-policy", type=Path, required=True)
+    p.add_argument("--labeled", type=Path, default=None,
                    help="labeled split (required by the fixmatch baseline)")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", type=Path, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--train-log", default=None, help="per-step loss CSV")
-    p.add_argument("--threshold-trace", default=None,
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--train-log", type=Path, default=None, help="per-step loss CSV")
+    p.add_argument("--threshold-trace", type=Path, default=None,
                    help="per-step per-class threshold diagnostics CSV "
                         "(header only for methods without FET thresholds)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="interactive evaluation in the dialog world")
-    p.add_argument("--world", required=True)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--world", type=Path, required=True)
+    p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--expert", action="store_true", help="evaluate the rule expert")
     p.add_argument("--method-name", default=None)
     p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
@@ -608,27 +559,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="worker processes for evaluation episodes")
-    p.add_argument("--out", required=True)
-    p.add_argument("--json", default=None)
-    p.add_argument("--trace", default=None,
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--json", type=Path, default=None)
+    p.add_argument("--trace", type=Path, default=None,
                    help="dump per-episode dialog traces to this JSONL file")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="full method plus the five ablation rows")
-    p.add_argument("--world", required=True)
-    p.add_argument("--bandit", required=True)
-    p.add_argument("--logging-policy", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--world", type=Path, required=True)
+    p.add_argument("--bandit", type=Path, required=True)
+    p.add_argument("--logging-policy", type=Path, required=True)
+    p.add_argument("--config", type=Path, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
     p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="labeled-percentage sweep over methods")
-    p.add_argument("--world", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--world", type=Path, required=True)
+    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--config", type=Path, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--percentages", default=trainer.DEFAULT_SWEEP_PERCENTAGES,
                    type=_comma_list({str(n): n for n in range(1, 101)}, "an integer in 1..100"),
@@ -639,16 +590,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of distinct fine-tuning methods, default all four")
     p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
     p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=cmd_sweep)
     return parser
+
+
+# manifest names of the --out-dir commands; the others write <stem>.manifest.json beside --out
+_OUT_DIR_MANIFESTS = {"split-and-log": "split_and_log", "ablate": "ablations", "sweep": "sweep"}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
+    files = Files()
     try:
-        return args.func(args)
+        config = args.func(args, files)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
@@ -656,6 +613,13 @@ def main(argv=None) -> int:
         # NncoreError covers NonFiniteGradientError and ConfigurationError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
+    if args.command in _OUT_DIR_MANIFESTS:
+        manifest = args.out_dir / f"{_OUT_DIR_MANIFESTS[args.command]}.manifest.json"
+    else:
+        manifest = args.out.with_name(f"{args.out.stem}.manifest.json")
+    write_manifest(manifest, args.command, vars(args), files.inputs, files.outputs, config,
+                   started)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ exact-match rate on a held-out slice of logged positives
 (composite/pseudo-label methods) or the clipped counterfactual value
 estimate on the held-out log (importance-weighting baselines, whose
 objective is not exact-match); by default every method trains its full
-budget and reports the final model.
+budget and reports the final model. The held-out slice
+(``holdout_fraction`` of the log, rounded down) is split off either way,
+so without early stopping those rows are neither trained on nor read.
 """
 
 from __future__ import annotations

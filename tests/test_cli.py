@@ -505,6 +505,23 @@ class TestErrors:
         assert capsys.readouterr().err == "error: n_dialogs must be positive, got 0\n"
 
 
+    @pytest.mark.parametrize("flag", ["world", "bandit", "config"])
+    def test_directory_as_input_exit_code(self, tiny_world_data, tmp_path, capsys, flag):
+        world, corpus, data = tiny_world_data
+        argv = {
+            "world": ["gen-corpus", "--world", tmp_path, "--out", tmp_path / "c.jsonl"],
+            "bandit": ["train", "--bandit", tmp_path, "--logging-policy",
+                       data / "logging_policy.json", "--out", tmp_path / "p.json"],
+            "config": ["train", "--config", tmp_path, "--bandit", data / "bandit.jsonl",
+                       "--logging-policy", data / "logging_policy.json",
+                       "--out", tmp_path / "p.json"],
+        }[flag]
+        capsys.readouterr()
+        assert run(argv) == cli.EXIT_MISSING_FILE
+        kind = "config" if flag == "config" else "input"
+        assert capsys.readouterr().err == f"error: {kind} file not found: {tmp_path}\n"
+
+
 @pytest.fixture(scope="module")
 def three_example_corpus(tmp_path_factory):
     """A tiny-world corpus of one dialog (three examples)."""
@@ -626,6 +643,114 @@ class TestCountFlags:
         report = cli.evaluate_parallel(policy, schema, 4, 2, 0, jobs)
         assert asked == [workers]
         assert report == cli.trainer.evaluate(policy, schema, 4, 2, 0)
+
+
+class TestOutputPaths:
+    """Every output flag creates its file's directory; an output path that is a
+    directory, or whose directory cannot be made, exits 5 with one line."""
+
+    @pytest.mark.parametrize("flag", ["--json", "--trace", "--train-log", "--threshold-trace"])
+    def test_missing_directory_created(self, tiny_world_data, tmp_path, flag):
+        world, corpus, data = tiny_world_data
+        target = tmp_path / "new" / "file"
+        if flag in ("--json", "--trace"):
+            argv = ["evaluate", "--world", world, "--checkpoint", data / "logging_policy.json",
+                    "--n-dialogs", 2, "--n-runs", 1, "--out", tmp_path / "r.csv"]
+            manifest = tmp_path / "r.manifest.json"
+        else:
+            argv = ["train", "--method", "banditmatch", "--bandit", data / "bandit.jsonl",
+                    "--logging-policy", data / "logging_policy.json",
+                    "--config", world.parent / "train.cfg", "--out", tmp_path / "p.json"]
+            manifest = tmp_path / "p.manifest.json"
+        assert run(argv + [flag, target]) == 0
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert outputs[str(target)] == hashlib.sha256(target.read_bytes()).hexdigest()
+
+    def test_out_is_directory(self, tiny_world_data, tmp_path, capsys):
+        world = tiny_world_data[0]
+        capsys.readouterr()
+        code = run(["evaluate", "--world", world, "--expert", "--n-dialogs", 2, "--n-runs", 1,
+                    "--out", tmp_path])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {tmp_path}: is a directory\n"
+
+    def test_out_dir_is_file(self, tiny_world_data, tmp_path, capsys):
+        world, corpus, _ = tiny_world_data
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        code = run(["split-and-log", "--world", world, "--corpus", corpus,
+                    "--labeled-fraction", 0.5, "--config", world.parent / "train.cfg",
+                    "--out-dir", taken])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: {taken / 'labeled.jsonl'}: cannot make directory {taken}: File exists\n"
+        )
+
+
+# per command: argv, manifest, then the manifest's input and output keys in
+# order; {w} {c} {cfg} {d} are tiny_world_data's files, {o} a fresh directory
+MANIFEST_CASES = {
+    "gen_world": (["gen-world", "--schema-config", "{w}", "--out", "{o}/w.json"],
+                  "{o}/w.manifest.json", ["{w}"], ["{o}/w.json"]),
+    "gen_corpus": (["gen-corpus", "--world", "{w}", "--n-dialogs", "2", "--out", "{o}/c.jsonl"],
+                   "{o}/c.manifest.json", ["{w}"], ["{o}/c.jsonl"]),
+    "split_and_log": (
+        ["split-and-log", "--world", "{w}", "--corpus", "{c}", "--labeled-fraction", "0.5",
+         "--config", "{cfg}", "--out-dir", "{o}/d"],
+        "{o}/d/split_and_log.manifest.json", ["{w}", "{c}"],
+        ["{o}/d/labeled.jsonl", "{o}/d/bandit.jsonl", "{o}/d/logging_policy.json"]),
+    "train": (
+        ["train", "--method", "banditmatch", "--bandit", "{d}/bandit.jsonl",
+         "--logging-policy", "{d}/logging_policy.json", "--labeled", "{d}/labeled.jsonl",
+         "--config", "{cfg}", "--out", "{o}/p.json", "--train-log", "{o}/log.csv",
+         "--threshold-trace", "{o}/th.csv"],
+        "{o}/p.manifest.json",
+        ["{d}/bandit.jsonl", "{d}/logging_policy.json", "{d}/labeled.jsonl"],
+        ["{o}/p.json", "{o}/log.csv", "{o}/th.csv"]),
+    # the trace is opened before the report is written
+    "evaluate": (
+        ["evaluate", "--world", "{w}", "--checkpoint", "{d}/logging_policy.json",
+         "--n-dialogs", "2", "--n-runs", "1", "--out", "{o}/r.csv", "--json", "{o}/r.json",
+         "--trace", "{o}/t.jsonl"],
+        "{o}/r.manifest.json", ["{w}", "{d}/logging_policy.json"],
+        ["{o}/t.jsonl", "{o}/r.csv", "{o}/r.json"]),
+    # the expert reads no checkpoint and writes no trace
+    "evaluate_expert": (
+        ["evaluate", "--world", "{w}", "--expert", "--n-dialogs", "2", "--n-runs", "1",
+         "--out", "{o}/x.csv", "--json", "{o}/x.json", "--trace", "{o}/xt.jsonl"],
+        "{o}/x.manifest.json", ["{w}"], ["{o}/x.csv", "{o}/x.json"]),
+    "ablate": (
+        ["ablate", "--world", "{w}", "--bandit", "{d}/bandit.jsonl",
+         "--logging-policy", "{d}/logging_policy.json", "--config", "{cfg}",
+         "--n-dialogs", "2", "--n-runs", "1", "--out-dir", "{o}/a"],
+        "{o}/a/ablations.manifest.json",
+        ["{w}", "{d}/bandit.jsonl", "{d}/logging_policy.json"],
+        ["{o}/a/ablations.csv", "{o}/a/ablations.json"]),
+    "sweep": (
+        ["sweep", "--world", "{w}", "--corpus", "{c}", "--config", "{cfg}", "--percentages", "50",
+         "--methods", "ips", "--n-dialogs", "2", "--n-runs", "1", "--out-dir", "{o}/s"],
+        "{o}/s/sweep.manifest.json", ["{w}", "{c}"],
+        ["{o}/s/sweep_ips.csv", "{o}/s/sweep_logging.csv"]),
+}
+
+
+class TestManifests:
+    @pytest.mark.parametrize("case", list(MANIFEST_CASES))
+    def test_lists_what_the_command_touched(self, tiny_world_data, tmp_path, case):
+        world, corpus, data = tiny_world_data
+        names = {"w": world, "c": corpus, "cfg": world.parent / "train.cfg", "d": data,
+                 "o": tmp_path}
+        argv, manifest, inputs, outputs = MANIFEST_CASES[case]
+
+        def fill(item):
+            return item.format(**names)
+
+        assert run([fill(item) for item in argv]) == 0
+        written = json.loads(Path(fill(manifest)).read_text())
+        assert written["command"] == argv[0]
+        assert list(written["inputs"]) == [fill(path) for path in inputs]
+        assert list(written["outputs"]) == [fill(path) for path in outputs]
 
 
 class TestConfigFile:
