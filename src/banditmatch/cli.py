@@ -13,7 +13,8 @@ that is not a file, 4 schema/checkpoint version mismatch, 5 invalid
 configuration or value (including an input file that breaks FORMATS.md or
 does not fit the world or checkpoint it is used with, an output path that
 is a directory or whose directory cannot be made, and a numeric failure in
-training), 1 unexpected failure.
+training), 1 unexpected failure. Output paths are checked before the command
+reads or trains anything.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -207,8 +209,7 @@ class Files:
     def output(self, path: Path) -> Path:
         """``path``, with its directory made, for the command to write now. A
         path that is a directory, or whose directory cannot be made, exits 5."""
-        if path.is_dir():
-            raise CliError(f"{path}: is a directory", EXIT_INVALID)
+        check_output(path)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError as err:
@@ -216,6 +217,41 @@ class Files:
                            EXIT_INVALID) from err
         self.outputs.append(path)
         return path
+
+
+def check_output(path: Path) -> None:
+    """Exit 5 with the line ``Files.output`` would give if ``path`` is a
+    directory or a non-directory stands where its directory would be made.
+    Makes nothing, so main checks every output before a command runs."""
+    if path.is_dir():
+        raise CliError(f"{path}: is a directory", EXIT_INVALID)
+    ancestor = path.parent
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        # what mkdir says: the directory itself exists as a file, or a file is on its way
+        code = errno.EEXIST if ancestor == path.parent else errno.ENOTDIR
+        raise CliError(f"{path}: cannot make directory {path.parent}: {os.strerror(code)}",
+                       EXIT_INVALID)
+
+
+def output_paths(args) -> list[Path]:
+    """The files a command writes, in write order, known from its flags alone;
+    the --out-dir commands take their file names from here."""
+    out_dir = getattr(args, "out_dir", None)
+    if args.command == "split-and-log":
+        return [out_dir / "labeled.jsonl", out_dir / "bandit.jsonl",
+                out_dir / "logging_policy.json"]
+    if args.command == "ablate":
+        return [out_dir / "ablations.csv", out_dir / "ablations.json"]
+    if args.command == "sweep":
+        # one file per method, then the logging policy's, as run_sl_sweep orders them
+        return [out_dir / f"sweep_{method}.csv" for method in (*args.methods, "logging")]
+    # the expert writes no trace
+    flags = ("out", "json", "train_log", "threshold_trace")
+    if args.command == "evaluate" and not args.expert:
+        flags = ("trace",) + flags
+    return [getattr(args, flag) for flag in flags if getattr(args, flag, None) is not None]
 
 
 # -- cross-file checks: a file's widths against the world or checkpoint it meets
@@ -373,9 +409,10 @@ def cmd_split_and_log(args, files: Files) -> dict | None:
                        f"world {args.world}")
     cfg = _train_config(args)
     labeled, logging_policy, records = trainer.log_point(corpus, schema, args.labeled_fraction, cfg)
-    datasets.write_labeled_jsonl(files.output(args.out_dir / "labeled.jsonl"), labeled)
-    datasets.write_bandit_jsonl(files.output(args.out_dir / "bandit.jsonl"), records)
-    logging_policy.save(files.output(args.out_dir / "logging_policy.json"))
+    labeled_path, bandit_path, policy_path = output_paths(args)
+    datasets.write_labeled_jsonl(files.output(labeled_path), labeled)
+    datasets.write_bandit_jsonl(files.output(bandit_path), records)
+    logging_policy.save(files.output(policy_path))
     positive = sum(r.feedback for r in records)
     print(
         f"split: {len(labeled)} labeled / {len(records)} bandit "
@@ -449,9 +486,9 @@ def cmd_ablate(args, files: Files) -> dict | None:
     cfg = _train_config(args)
     reports = trainer.run_rows(logging_policy, records, None, schema, trainer.ablation_rows(cfg),
                                args.n_dialogs, args.n_runs, args.seed)
-    table_path = files.output(args.out_dir / "ablations.csv")
-    write_report_csv(table_path, reports)
-    write_report_json(files.output(args.out_dir / "ablations.json"), reports)
+    table_path, json_path = output_paths(args)
+    write_report_csv(files.output(table_path), reports)
+    write_report_json(files.output(json_path), reports)
     print(f"ablation table written: {table_path} ({len(reports)} rows)")
     return dataclasses.asdict(cfg)
 
@@ -466,9 +503,8 @@ def cmd_sweep(args, files: Files) -> dict | None:
         corpus, schema, cfg, percentages=args.percentages, methods=args.methods,
         n_dialogs=args.n_dialogs, n_runs=args.n_runs,
     )
-    for method, rows in results.items():
-        with open(files.output(args.out_dir / f"sweep_{method}.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
+    for path, rows in zip(output_paths(args), results.values()):
+        with open(files.output(path), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("sl_percent",) + REPORT_COLUMNS)
             for p, report in rows:
@@ -604,7 +640,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     files = Files()
+    if args.command in _OUT_DIR_MANIFESTS:
+        manifest = args.out_dir / f"{_OUT_DIR_MANIFESTS[args.command]}.manifest.json"
+    else:
+        manifest = args.out.with_name(f"{args.out.stem}.manifest.json")
     try:
+        # an output that cannot be written fails here, before any work
+        for path in (*output_paths(args), manifest):
+            check_output(path)
         config = args.func(args, files)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -613,10 +656,6 @@ def main(argv=None) -> int:
         # NncoreError covers NonFiniteGradientError and ConfigurationError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    if args.command in _OUT_DIR_MANIFESTS:
-        manifest = args.out_dir / f"{_OUT_DIR_MANIFESTS[args.command]}.manifest.json"
-    else:
-        manifest = args.out.with_name(f"{args.out.stem}.manifest.json")
     write_manifest(manifest, args.command, vars(args), files.inputs, files.outputs, config,
                    started)
     return EXIT_OK

@@ -40,7 +40,9 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -413,10 +415,21 @@ class UserGoal:
         return sum(len(r) for r in self.requests.values())
 
 
-def _weighted_count(rng: np.random.Generator, weights, limit: int) -> int:
-    w = np.array(weights[: limit + 1], dtype=float)
+@lru_cache(maxsize=None)
+def _cdf(weights: tuple[float, ...], n: int) -> tuple[float, ...]:
+    """The CDF ``rng.choice(n, p=...)`` searches for the first ``n`` weights,
+    normalised: built as numpy builds it (cumsum, then divide by the last
+    entry), so ``bisect_right(cdf, rng.random())`` draws the same index from
+    the same generator stream."""
+    w = np.array(weights[:n], dtype=float)
     w /= w.sum()
-    return int(rng.choice(len(w), p=w))
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
+def _weighted_count(rng: np.random.Generator, weights, limit: int) -> int:
+    return bisect_right(_cdf(weights, limit + 1), rng.random())
 
 
 def sample_goal(schema: WorldSchema, rng: np.random.Generator) -> UserGoal:
@@ -425,9 +438,7 @@ def sample_goal(schema: WorldSchema, rng: np.random.Generator) -> UserGoal:
         if not dom.entities:
             raise WorldError(f"domain {dom.name!r} has an empty database")
     n_dom = len(schema.domains)
-    weights = np.array(ACTIVE_DOMAIN_WEIGHTS[:n_dom], dtype=float)
-    weights /= weights.sum()
-    n_active = int(rng.choice(np.arange(1, len(weights) + 1), p=weights))
+    n_active = 1 + _weighted_count(rng, ACTIVE_DOMAIN_WEIGHTS, n_dom - 1)
     picked = rng.choice(n_dom, size=n_active, replace=False)
     active = [schema.domains[i] for i in sorted(picked)]
 
@@ -694,20 +705,37 @@ MAX_INITIATIVE = 3  # agenda items the user utters per turn
 
 @dataclass
 class UserState:
+    """The user's side of one dialog: its goal, the agenda of acts still to
+    utter, and the requests and bookings it has uttered but not yet seen met.
+
+    ``UserAct`` is frozen, so one object per act serves the whole dialog: the
+    agenda refill re-queues the request and book acts built here
+    (``request_acts`` / ``book_acts``), and ``answers`` keeps the inform that
+    answers each ``(domain, slot)`` the agent asks for, built on first ask.
+    """
+
     goal: UserGoal
     agenda: list[UserAct] = field(init=False)
     uttered_requests: set[tuple[str, str]] = field(default_factory=set)
     uttered_book: set[str] = field(default_factory=set)
+    request_acts: dict[tuple[str, str], UserAct] = field(init=False, repr=False, compare=False)
+    book_acts: dict[str, UserAct] = field(init=False, repr=False, compare=False)
+    answers: dict[tuple[str, str], UserAct] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         agenda: list[UserAct] = []
+        self.request_acts = {}
+        self.book_acts = {}
         for name in self.goal.domains:
             for slot in sorted(self.goal.constraints[name]):
                 agenda.append(UserAct(name, INFORM, slot, self.goal.constraints[name][slot]))
             for slot in self.goal.requests[name]:
-                agenda.append(UserAct(name, REQUEST, slot))
+                act = self.request_acts[(name, slot)] = UserAct(name, REQUEST, slot)
+                agenda.append(act)
             if self.goal.booking[name]:
-                agenda.append(UserAct(name, BOOK))
+                act = self.book_acts[name] = UserAct(name, BOOK)
+                agenda.append(act)
         self.agenda = agenda
 
 
@@ -728,10 +756,10 @@ def _refill_agenda(ustate: UserState, ctx: DialogContext) -> None:
     for name in goal.domains:
         for slot in goal.requests[name]:
             if (name, slot) not in ctx.answered and (name, slot) in ustate.uttered_requests:
-                ustate.agenda.append(UserAct(name, REQUEST, slot))
+                ustate.agenda.append(ustate.request_acts[(name, slot)])
                 ustate.uttered_requests.discard((name, slot))
         if goal.booking[name] and not ctx.domains[name].booked and name in ustate.uttered_book:
-            ustate.agenda.append(UserAct(name, BOOK))
+            ustate.agenda.append(ustate.book_acts[name])
             ustate.uttered_book.discard(name)
 
 
@@ -749,9 +777,14 @@ def user_step(
     goal = ustate.goal
     asks = ctx.schema._asks
     requests = [asks[i] for i in agent_actions if asks[i] is not None]
-    for domain, slot in requests:
-        value = goal.constraints.get(domain, {}).get(slot, DONTCARE)
-        acts.append(UserAct(domain, INFORM, slot, value))
+    answers = ustate.answers
+    for ask in requests:
+        answer = answers.get(ask)
+        if answer is None:
+            domain, slot = ask
+            value = goal.constraints.get(domain, {}).get(slot, DONTCARE)
+            answer = answers[ask] = UserAct(domain, INFORM, slot, value)
+        acts.append(answer)
     if requests:
         # the agent asked for these, so their queued informs are now moot
         asked = set(requests)

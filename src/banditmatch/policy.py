@@ -96,7 +96,15 @@ class PolicyNet:
 
 
 class ActionSetPolicy:
-    """Adapter: evaluates a PolicyNet inside the dialog world."""
+    """Adapter: evaluates a PolicyNet inside the dialog world.
+
+    The adapter keeps the turn it computed for every state it has seen,
+    keyed by the state's bytes, and asks the policy only about a state it
+    has not seen. So an adapter answers for its policy's parameters as they
+    were when it first saw a state: build one per evaluation, and a new one
+    whenever the parameters change. Each call returns a fresh list, so a
+    caller that edits a turn does not change a later answer.
+    """
 
     def __init__(self, policy: PolicyNet, schema: WorldSchema):
         if policy.num_actions != schema.num_actions:
@@ -105,12 +113,18 @@ class ActionSetPolicy:
             )
         self.policy = policy
         self.schema = schema
+        self._turns: dict[bytes, tuple[int, ...]] = {}
 
     def act(self, state: np.ndarray) -> list[int]:
         """The predicted action set of one state as an agent turn: action
         indices in the schema's application order."""
-        order = self.schema.application_order
-        return order[predicted_mask(self.policy.probs(state))[order]].tolist()
+        key = state.tobytes()
+        turn = self._turns.get(key)
+        if turn is None:
+            order = self.schema.application_order
+            mask = predicted_mask(self.policy.probs(state))
+            turn = self._turns[key] = tuple(order[mask[order]].tolist())
+        return list(turn)
 
 
 def policy_spec_for(schema: WorldSchema, hidden_dims: tuple[int, ...] = (128, 128)) -> nncore.MlpSpec:

@@ -9,16 +9,23 @@ slot values, and the agent-turn and user-turn updates that sort whole
 ``AtomicAction`` sets and rebuild the agenda once per answered request, the
 expert that builds its turn as an ``AtomicAction`` set, and the user's opening
 turn as its own agenda loop (``user_open``), which the package replaced with
-``user_step`` on an empty agent turn. Tests require the package to produce
-equal states, match lists, openings and episode metrics, and agent turns whose
-actions are these sets in sorted order.
+``user_step`` on an empty agent turn. The user builds a new ``UserAct`` for
+every answer and every re-queued need (``_refill_agenda``), where the package
+reuses one per dialog, and the goal sampler draws its weighted counts with
+``rng.choice(p=...)``, where the package searches a cached CDF. Tests require
+the package to produce equal states, match lists, openings, goals, generator
+states and episode metrics, and agent turns whose actions are these sets in
+sorted order.
 """
 
 import numpy as np
 
 from banditmatch.dialogworld import (
+    ACTIVE_DOMAIN_WEIGHTS,
     BOOK,
+    BOOKING_PROB,
     BYE,
+    CONSTRAINT_COUNT_WEIGHTS,
     DONTCARE,
     GENERAL,
     INFORM,
@@ -27,16 +34,60 @@ from banditmatch.dialogworld import (
     NOOFFER,
     OFFER,
     REQUEST,
+    REQUEST_COUNT_WEIGHTS,
     TURN_BUCKETS,
     AtomicAction,
     DialogContext,
     UserAct,
+    UserGoal,
     UserState,
+    WorldError,
     WorldSchema,
+    _check_satisfiable,
     _most_discriminative_slot,
     _needs_met,
-    _refill_agenda,
 )
+
+
+def _weighted_count(rng: np.random.Generator, weights, limit: int) -> int:
+    w = np.array(weights[: limit + 1], dtype=float)
+    w /= w.sum()
+    return int(rng.choice(len(w), p=w))
+
+
+def sample_goal(schema: WorldSchema, rng: np.random.Generator) -> UserGoal:
+    """Draw a satisfiable goal: constraints are copied from a database entity."""
+    for dom in schema.domains:
+        if not dom.entities:
+            raise WorldError(f"domain {dom.name!r} has an empty database")
+    n_dom = len(schema.domains)
+    weights = np.array(ACTIVE_DOMAIN_WEIGHTS[:n_dom], dtype=float)
+    weights /= weights.sum()
+    n_active = int(rng.choice(np.arange(1, len(weights) + 1), p=weights))
+    picked = rng.choice(n_dom, size=n_active, replace=False)
+    active = [schema.domains[i] for i in sorted(picked)]
+
+    constraints: dict[str, dict[str, str]] = {}
+    requests: dict[str, list[str]] = {}
+    booking: dict[str, bool] = {}
+    for dom in active:
+        seed_entity = dom.entities[int(rng.integers(len(dom.entities)))]
+        inf_slots = list(dom.informable)
+        k_c = _weighted_count(rng, CONSTRAINT_COUNT_WEIGHTS, len(inf_slots))
+        chosen_c = sorted(rng.choice(len(inf_slots), size=k_c, replace=False).tolist())
+        constraints[dom.name] = {inf_slots[i]: seed_entity[inf_slots[i]] for i in chosen_c}
+        req_slots = list(dom.requestable)
+        k_r = _weighted_count(rng, REQUEST_COUNT_WEIGHTS, len(req_slots))
+        chosen_r = sorted(rng.choice(len(req_slots), size=k_r, replace=False).tolist())
+        requests[dom.name] = [req_slots[i] for i in chosen_r]
+        booking[dom.name] = bool(rng.random() < BOOKING_PROB)
+    if all(len(r) == 0 for r in requests.values()):
+        # every goal must want at least one piece of information
+        dom = active[0]
+        requests[dom.name] = [dom.requestable[int(rng.integers(len(dom.requestable)))]]
+    goal = UserGoal(constraints, requests, booking)
+    _check_satisfiable(schema, goal)
+    return goal
 
 
 def entities_matching(dom, cons: dict) -> list[int]:
@@ -132,6 +183,19 @@ def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
     bucket = min(ctx.turn, TURN_BUCKETS - 1)
     feats.extend(1.0 if bucket == b else 0.0 for b in range(TURN_BUCKETS))
     return np.array(feats, dtype=np.float64)
+
+
+def _refill_agenda(ustate: UserState, ctx: DialogContext) -> None:
+    """Re-issue unmet needs (retry behavior when the agent stalls)."""
+    goal = ustate.goal
+    for name in goal.domains:
+        for slot in goal.requests[name]:
+            if (name, slot) not in ctx.answered and (name, slot) in ustate.uttered_requests:
+                ustate.agenda.append(UserAct(name, REQUEST, slot))
+                ustate.uttered_requests.discard((name, slot))
+        if goal.booking[name] and not ctx.domains[name].booked and name in ustate.uttered_book:
+            ustate.agenda.append(UserAct(name, BOOK))
+            ustate.uttered_book.discard(name)
 
 
 def user_step(

@@ -687,6 +687,36 @@ class TestOutputPaths:
             f"error: {taken / 'labeled.jsonl'}: cannot make directory {taken}: File exists\n"
         )
 
+    @pytest.mark.parametrize("case", ["out_dir_is_file", "train_log_is_directory",
+                                      "file_above_train_log"])
+    def test_checked_before_any_work(self, tiny_world_data, tmp_path, capsys, monkeypatch, case):
+        # every output flag is checked before the command runs: nothing trains
+        # and no directory is made
+        world, corpus, data = tiny_world_data
+        for name in ("train_on_log", "train_logging_policy"):
+            monkeypatch.setattr(cli.trainer, name, lambda *a, name=name, **k: pytest.fail(name))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        train = ["train", "--method", "banditmatch", "--bandit", data / "bandit.jsonl",
+                 "--logging-policy", data / "logging_policy.json",
+                 "--config", world.parent / "train.cfg", "--out", tmp_path / "new" / "p.json"]
+        argv, line = {
+            "out_dir_is_file": (
+                ["split-and-log", "--world", world, "--corpus", corpus, "--labeled-fraction",
+                 0.5, "--config", world.parent / "train.cfg", "--out-dir", taken],
+                f"{taken / 'labeled.jsonl'}: cannot make directory {taken}: File exists"),
+            "train_log_is_directory": (train + ["--train-log", tmp_path],
+                                       f"{tmp_path}: is a directory"),
+            "file_above_train_log": (
+                train + ["--train-log", taken / "logs" / "log.csv"],
+                f"{taken / 'logs' / 'log.csv'}: cannot make directory {taken / 'logs'}: "
+                "Not a directory"),
+        }[case]
+        capsys.readouterr()
+        assert run(argv) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert sorted(tmp_path.iterdir()) == [taken]
+
 
 # per command: argv, manifest, then the manifest's input and output keys in
 # order; {w} {c} {cfg} {d} are tiny_world_data's files, {o} a fresh directory
@@ -751,6 +781,15 @@ class TestManifests:
         assert written["command"] == argv[0]
         assert list(written["inputs"]) == [fill(path) for path in inputs]
         assert list(written["outputs"]) == [fill(path) for path in outputs]
+
+    @pytest.mark.parametrize("case", list(MANIFEST_CASES))
+    def test_checked_outputs_are_the_written_ones(self, case):
+        # main checks output_paths before the command runs; they must be the
+        # files the command writes, in the order it writes them
+        names = {"w": "w.json", "c": "c.jsonl", "cfg": "t.cfg", "d": "d", "o": "o"}
+        argv, _, _, outputs = MANIFEST_CASES[case]
+        args = cli.build_parser().parse_args([item.format(**names) for item in argv])
+        assert cli.output_paths(args) == [Path(path.format(**names)) for path in outputs]
 
 
 class TestConfigFile:

@@ -134,8 +134,8 @@ def test_random_policy_episodes_match_reference(name, seed):
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_act_lists_predicted_set_in_application_order(name):
     # the turn act gives is the old set {c : p_c > 0.5} sorted by ACTION_ORDER
+    # (a fresh adapter per vector: an adapter keeps the turn of each state it saw)
     schema = SCHEMAS[name]()
-    policy = random_policy(schema, 0)
     rng = np.random.default_rng(21)
     n = schema.num_actions
     for k in range(200):
@@ -144,11 +144,23 @@ def test_act_lists_predicted_set_in_application_order(name):
             p[rng.random(n) < 0.3] = 0.5  # on the threshold: not predicted
         elif k % 4 == 1:
             p = np.full(n, 0.9 if k % 8 == 1 else 0.1)  # every action, none
+        policy = random_policy(schema, 0)
         policy.policy.probs = lambda state, p=p: p
         got = policy.act(np.zeros(schema.state_dim))
         want = sorted({schema.actions[c] for c in range(n) if p[c] > 0.5}, key=dw.ACTION_ORDER)
         assert all(type(i) is int for i in got)
         assert as_actions(schema, got) == want
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_goal_draws_match_reference(name):
+    # the cached-CDF draws take the values rng.choice(p=...) took, from the
+    # same generator stream, and leave the generator in the same state
+    schema = SCHEMAS[name]()
+    got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(5000):
+        assert dw.sample_goal(schema, got_rng) == ref.sample_goal(schema, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_reordered_schema_changes_layout():

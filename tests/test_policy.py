@@ -126,6 +126,32 @@ class TestActionSetAdapter:
         assert actions and all(type(i) is int for i in actions)
         assert all(isinstance(schema.actions[i], dw.AtomicAction) for i in actions)
 
+    def test_probs_asked_once_per_distinct_state(self, schema):
+        policy = small_policy(schema, seed=13)
+        adapter = ActionSetPolicy(policy, schema)
+        asked = []
+        real = policy.probs
+        policy.probs = lambda state: asked.append(state.tobytes()) or real(state)
+        states = (np.random.default_rng(14).random((5, schema.state_dim)) < 0.3).astype(float)
+        order = [0, 1, 0, 2, 1, 1, 3, 4, 0, 4]
+        # a copy per call: a repeated state is equal bytes, not the same array
+        turns = [adapter.act(states[i].copy()) for i in order]
+        assert sorted(asked) == sorted(s.tobytes() for s in states)
+        fresh = ActionSetPolicy(small_policy(schema, seed=13), schema)
+        for i, turn in zip(order, turns):
+            assert turn == fresh.act(states[i]) == turns[order.index(i)]
+        assert len({tuple(t) for t in turns}) > 1
+
+    def test_returned_turn_is_the_callers(self, schema):
+        adapter = ActionSetPolicy(small_policy(schema, seed=12), schema)
+        state = np.ones(schema.state_dim)
+        first = adapter.act(state)
+        assert first
+        want = list(first)
+        first.append(first[0])
+        adapter.act(state).clear()
+        assert adapter.act(state) == want
+
     def test_predict_set_strict_threshold(self, schema):
         policy = small_policy(schema)  # all-0.5 outputs
         assert not predicted_mask(policy.probs(np.zeros(schema.state_dim))).any()
