@@ -42,7 +42,7 @@ import numpy as np
 from . import datasets, dialogworld, nncore, trainer
 from .datasets import DataError, DataVersionError
 from .dialogworld import WorldError, WorldSchema, WorldVersionError
-from .objectives import AugmentConfig, LossWeights
+from .objectives import AugmentConfig, LossWeights, ObjectiveError
 from .policy import ActionSetPolicy, PolicyError, PolicyNet
 from .trainer import ExperimentReport, TrainConfig, TrainerError
 
@@ -110,8 +110,12 @@ def read_config_file(path: Path) -> dict:
     """Parse a ``key = value`` config file (# starts a comment)."""
     if not path.is_file():
         raise CliError(f"config file not found: {path}", EXIT_MISSING_FILE)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path}: not UTF-8 text ({err})", EXIT_INVALID) from err
     values: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -136,16 +140,17 @@ def read_config_file(path: Path) -> dict:
 def build_train_config(file_values: dict, overrides: dict) -> TrainConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    weights = LossWeights(**{
-        f.name: merged.pop(_WEIGHT_PREFIX + f.name)
-        for f in dataclasses.fields(LossWeights) if _WEIGHT_PREFIX + f.name in merged
-    })
-    aug = AugmentConfig(**{
-        f.name: merged.pop(f.name) for f in dataclasses.fields(AugmentConfig) if f.name in merged
-    })
     try:
+        weights = LossWeights(**{
+            f.name: merged.pop(_WEIGHT_PREFIX + f.name)
+            for f in dataclasses.fields(LossWeights) if _WEIGHT_PREFIX + f.name in merged
+        })
+        aug = AugmentConfig(**{
+            f.name: merged.pop(f.name) for f in dataclasses.fields(AugmentConfig)
+            if f.name in merged
+        })
         return TrainConfig(weights=weights, aug=aug, **merged)
-    except (TrainerError, TypeError) as err:
+    except (TrainerError, ObjectiveError, TypeError) as err:
         raise CliError(f"invalid training configuration: {err}", EXIT_INVALID) from err
 
 

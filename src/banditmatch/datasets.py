@@ -152,9 +152,13 @@ def write_bandit_jsonl(path, records: list[BanditRecord]) -> None:
 
 
 def _read_lines(path, kind: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    # bytes, decoded line by line, so a non-UTF-8 byte is reported on its line
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
             if not line:
                 continue
             try:

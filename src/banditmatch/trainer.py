@@ -12,21 +12,15 @@ Fine-tuning warm-starts from the logging policy. Each step draws a
 uniform batch from the log, refreshes the adaptive thresholds from the
 batch's correct positives and negatives, builds the confidence and
 bandit-eligibility masks, and descends the weighted sum of the four loss
-terms. Optional early stopping keeps the parameters that maximize
-exact-match rate on a held-out slice of logged positives
-(composite/pseudo-label methods) or the clipped counterfactual value
-estimate on the held-out log (importance-weighting baselines, whose
-objective is not exact-match); by default every method trains its full
-budget and reports the final model. The held-out slice
-(``holdout_fraction`` of the log, rounded down) is split off either way,
-so without early stopping those rows are neither trained on nor read.
+terms. Every method trains its full budget and returns the final model.
+A tenth of the log (rounded down) is set aside before training and never
+read.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -79,8 +73,6 @@ class TrainConfig:
     no_cbl: bool = False
     no_kl: bool = False
     weight_decay: float = 0.0
-    holdout_fraction: float = 0.1
-    early_stop: bool = False
     ips_clip: float = objectives.DEFAULT_IPS_CLIP
     banditnet_translation: float = objectives.DEFAULT_TRANSLATION
     fixmatch_tau: float = objectives.FIXED_CONFIDENCE
@@ -97,6 +89,11 @@ class TrainConfig:
             (self.no_mc_scale, self.no_fet, self.no_cbl, self.no_kl)
         ):
             raise TrainerError("ablation switches only apply to the banditmatch method")
+        if self.batch_size < 1:
+            raise TrainerError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name in ("epochs", "sl_epochs"):
+            if getattr(self, name) < 0:
+                raise TrainerError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 def apply_ablation(config: TrainConfig, ablation: str) -> TrainConfig:
@@ -177,26 +174,6 @@ class LogArrays:
         return self.states.shape[0]
 
 
-def exact_match_rate(policy: PolicyNet, states: np.ndarray, target_mask: np.ndarray) -> float:
-    if states.shape[0] == 0:
-        return 0.0
-    return float(fet.exact_match_rows(policy.probs(states), target_mask).mean())
-
-
-def clipped_value_estimate(
-    policy: PolicyNet, arrays: LogArrays, clip: float = objectives.DEFAULT_IPS_CLIP
-) -> float:
-    """Held-out clipped importance-weighted feedback estimate."""
-    probs = policy.probs(arrays.states)
-    z = arrays.logged_mask.astype(np.float64)
-    log_w = (
-        z * (np.log(probs) - np.log(arrays.rho))
-        + (1.0 - z) * (np.log(1.0 - probs) - np.log(1.0 - arrays.rho))
-    ).sum(axis=1)
-    w = np.minimum(np.exp(log_w), clip)
-    return float(np.mean(arrays.delta * w))
-
-
 # -- supervised training -----------------------------------------------------------
 
 
@@ -248,14 +225,6 @@ def train_logging_policy(
 # -- fine-tuning on the log ----------------------------------------------------------
 
 
-def _holdout_split(
-    n: int, fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    order = rng.permutation(n)
-    n_hold = int(np.floor(fraction * n))
-    return order[n_hold:], order[:n_hold]
-
-
 def train_on_log(
     logging_policy: PolicyNet,
     records: list[BanditRecord],
@@ -278,24 +247,20 @@ def train_on_log(
         raise TrainerError("the fixmatch baseline needs the labeled split")
     arrays = LogArrays.from_records(records, logging_policy.num_actions)
     rng = derive_rng(config.seed, "train")
-    train_idx, hold_idx = _holdout_split(len(arrays), config.holdout_fraction, rng)
-    train = arrays.take(train_idx)
-    hold = arrays.take(hold_idx)
+    # a shuffle's first tenth is set aside unread: the batch draws, and so
+    # every trained byte, follow this draw and cut (training on those rows is
+    # an open ROADMAP item)
+    train = arrays.take(rng.permutation(len(arrays))[len(arrays) // 10:])
     policy = logging_policy.clone_trainable()
     opt = nncore.Adam(policy.trainable_parameters(), config.learning_rate,
                       weight_decay=config.weight_decay)
-    # step(number, idx, batch) -> (total loss, StepLog) with idx into train;
-    # score(policy, hold) scores a non-empty holdout, None if nothing to score
+    # step(number, idx, batch) -> (total loss, StepLog) with idx into train
     if config.method in (METHOD_IPS, METHOD_BANDITNET):
         step = _crm_step(policy, logging_policy, train, config)
-        score = partial(clipped_value_estimate, clip=config.ips_clip)
     else:
         step = _composite_step(policy, logging_policy, train, rng, config, labeled_split)
-        score = _held_out_exact_match
 
     history: list[StepLog] = []
-    best_score = -np.inf
-    best_params = None
     n = len(train)
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -306,19 +271,7 @@ def train_on_log(
             total.backward()
             opt.step()
             history.append(row)
-        epoch_score = score(policy, hold) if config.early_stop and len(hold) else None
-        if epoch_score is not None and epoch_score > best_score:
-            best_score = epoch_score
-            best_params = [p.data.copy() for p in policy.parameters()]
-    if best_params is not None:
-        for p, data in zip(policy.parameters(), best_params):
-            p.data = data
     return policy, history
-
-
-def _held_out_exact_match(policy: PolicyNet, hold: LogArrays) -> float | None:
-    pos = hold.take(np.flatnonzero(hold.delta == 1))
-    return exact_match_rate(policy, pos.states, pos.logged_mask) if len(pos) else None
 
 
 def _composite_step(policy, logging_policy, train, rng, config, labeled_split):

@@ -474,9 +474,11 @@ class TestErrors:
         corpus = tmp_path / "c.jsonl"
         assert run(["gen-corpus", "--world", world, "--n-dialogs", 2, "--out", corpus]) == 0
         cfg = tmp_path / "bad.cfg"
-        # warm_start, fixmatch_labeled_source and optimizer were keys of earlier versions
+        # warm_start, fixmatch_labeled_source, optimizer, early_stop and
+        # holdout_fraction were keys of earlier versions
         for line in ("learning_speed = 3", "warm_start = false",
-                     "fixmatch_labeled_source = logged_positives", "optimizer = sgd"):
+                     "fixmatch_labeled_source = logged_positives", "optimizer = sgd",
+                     "early_stop = true", "holdout_fraction = 0.1"):
             cfg.write_text(line + "\n")
             capsys.readouterr()
             code = run(["split-and-log", "--world", world, "--corpus", corpus,
@@ -504,6 +506,61 @@ class TestErrors:
         assert code == cli.EXIT_INVALID
         assert capsys.readouterr().err == "error: n_dialogs must be positive, got 0\n"
 
+    @pytest.mark.parametrize("command", ["train", "split-and-log"])
+    @pytest.mark.parametrize("line, message", [
+        ("alpha_weak = -1", "mix-up alpha parameters must be positive"),
+        ("alpha_strong = 0", "mix-up alpha parameters must be positive"),
+        ("batch_size = 0", "batch_size must be at least 1, got 0"),
+        ("batch_size = -1", "batch_size must be at least 1, got -1"),
+        ("epochs = -1", "epochs must not be negative, got -1"),
+        ("sl_epochs = -1", "sl_epochs must not be negative, got -1"),
+    ], ids=["alpha_weak", "alpha_strong", "batch_zero", "batch_negative", "epochs_negative",
+            "sl_epochs_negative"])
+    def test_invalid_training_config_exit_code(self, tiny_world_data, tmp_path, capsys,
+                                               command, line, message):
+        world, corpus, data = tiny_world_data
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        argv = {
+            "train": ["train", "--bandit", data / "bandit.jsonl", "--logging-policy",
+                      data / "logging_policy.json", "--out", tmp_path / "out" / "p.json"],
+            "split-and-log": ["split-and-log", "--world", world, "--corpus", corpus,
+                              "--out-dir", tmp_path / "out"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--config", cfg]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: invalid training configuration: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["corpus", "labeled", "bandit", "config"])
+    def test_non_utf8_input_exit_code(self, tiny_world_data, tmp_path, capsys, flag):
+        # a Latin-1 byte on line 2: the JSONL readers name the line, the
+        # config reader the file
+        world, corpus, data = tiny_world_data
+        source = {"corpus": corpus, "labeled": data / "labeled.jsonl",
+                  "bandit": data / "bandit.jsonl"}.get(flag)
+        bad = tmp_path / f"bad_{flag}"
+        if source is None:
+            bad.write_bytes(b"epochs = 1\n# caf\xe9\n")
+            where, detail = bad, "byte 0xe9 in position 16: invalid continuation byte"
+        else:
+            header, rest = source.read_bytes().split(b"\n", 1)
+            bad.write_bytes(header + b"\n\xff" + rest)
+            where, detail = f"{bad}:2", "byte 0xff in position 0: invalid start byte"
+        train = ["train", "--bandit", data / "bandit.jsonl",
+                 "--logging-policy", data / "logging_policy.json", "--out", tmp_path / "p.json"]
+        argv = {
+            "corpus": ["split-and-log", "--world", world, "--corpus", bad,
+                       "--out-dir", tmp_path / "d"],
+            "labeled": train + ["--labeled", bad],
+            "bandit": train + ["--bandit", bad],  # the last --bandit wins
+            "config": train + ["--config", bad],
+        }[flag]
+        capsys.readouterr()
+        assert run(argv) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: {where}: not UTF-8 text ('utf-8' codec can't decode {detail})\n"
+        )
 
     @pytest.mark.parametrize("flag", ["world", "bandit", "config"])
     def test_directory_as_input_exit_code(self, tiny_world_data, tmp_path, capsys, flag):
@@ -825,7 +882,7 @@ class TestConfigFile:
             "alpha_weak": float, "alpha_strong": float,
             "fet_decay": float, "method": str, "add_kl": bool, "no_mc_scale": bool,
             "no_fet": bool, "no_cbl": bool, "no_kl": bool,
-            "weight_decay": float, "holdout_fraction": float, "early_stop": bool,
+            "weight_decay": float,
             "ips_clip": float, "banditnet_translation": float, "fixmatch_tau": float,
             "replay_labeled": bool,
         }

@@ -12,9 +12,9 @@ only the KL term. ``all_losses`` trains the logging policy further at a
 higher learning rate so every loss term is active, with non-unit loss
 weights, weight decay, replay of the labeled split, and an IPS + KL run.
 ``test_protocol_paths_golden_bytes`` pins the paths those two leave out:
-early stopping for every fine-tuning method, fixmatch and banditnet, the
-threshold trace, ``evaluate --trace`` / ``--jobs 2`` / ``--expert`` and the
-ablation table. ``test_sweep_golden_bytes`` pins the labeled-percentage
+every fine-tuning method (fixmatch and banditnet among them), the threshold
+trace, ``evaluate --trace`` / ``--jobs 2`` / ``--expert`` and the ablation
+table. ``test_sweep_golden_bytes`` pins the labeled-percentage
 sweep.
 
 The digests were taken before the fused-node training step existed (the
@@ -130,12 +130,13 @@ def test_tiny_pipeline_golden_bytes(tmp_path, name):
     assert {path: _sha256(tmp_path / path) for path in golden} == golden
 
 
-# Early stopping on (both score kinds), every fine-tuning method, and the
-# evaluation paths besides the plain report: --trace (given together with
-# --jobs 2, which it takes precedence over), --jobs 2, --expert, and the
-# six-row ablation table (trained without early stopping). At this budget
-# early stopping restores an earlier epoch for every method. Digests taken
-# on the tree before the shared fine-tuning skeleton and evaluation loop.
+# Every fine-tuning method, and the evaluation paths besides the plain
+# report: --trace (given together with --jobs 2, which it takes precedence
+# over), --jobs 2, --expert, and the six-row ablation table. Digests taken on
+# the tree before the shared fine-tuning skeleton and evaluation loop. The
+# four fine-tuned checkpoints and the trace and two reports evaluated from
+# banditmatch.json were re-taken with this config (early stopping off) on
+# the last tree that had early stopping.
 PATHS_CONFIG = "sl_epochs = 60\nlearning_rate = 0.01\nhidden_dims = 16\nbatch_size = 32\nepochs = 4\n"
 PATHS_GOLDEN = {
     "ablate/ablations.csv":
@@ -143,11 +144,11 @@ PATHS_GOLDEN = {
     "ablate/ablations.json":
         "71b4387ce1bacec41af7f765001702776a0d3cf5e80a2cdbdb986ca4fe454e9b",
     "banditmatch.json":
-        "294970dc4e68998b2140b8d14f0b0a22b00c8861933c9e4114fc98e7e586c8fa",
+        "23ef67afa8f5c275059d2992746650338a38daf21748596cc97b0e951d624b26",
     "banditmatch_log.csv":
         "04fc7dff14911a2b206a2d23d729a20aca17875d2ccf3d1ecda6b3faea0bb3f6",
     "banditnet.json":
-        "75da2a99d6588a6deb47112c5735b07142793fac806378673e9effaa5f9e4de9",
+        "5d2610152055c970557d86f282c80536931ce8d9d0a9d4964a4d23a57442b40d",
     "banditnet_log.csv":
         "8531d0574a8a604c6008685bfdca6a44834ef8a0325b86d68341e5d01b8f04dd",
     "corpus.jsonl":
@@ -159,21 +160,21 @@ PATHS_GOLDEN = {
     "data/logging_policy.json":
         "24eb598a5828bcb1195f4b0c0d46e07255fcef6fadbca15854bcf20823f90e05",
     "episodes.jsonl":
-        "43865d89969aefb7c16abbd4a7100b4195dc77e4a285bb89c4075b4aeb8f8e1d",
+        "bdd8e499ea973015f16dbdf17b0576bbf4ca08593792a5f467d0213b209f9aa8",
     "expert.csv":
         "dd3c3d223944af1a2b4c8980e224066e8cbd94c56cfc395f78f6e5792833ff03",
     "fixmatch.json":
-        "a887f8aec17a9c8933c4378188a2a0e032dc27bc57ffdb53c53adc7dc9309d2a",
+        "50992231702735a6a8af8758a71b658e8eabe8de9c4e21401fc3432108745cc6",
     "fixmatch_log.csv":
         "b873352b58edd778979a775855ad7426ef66c7a84e44e7cd4842f0695fc129e8",
     "ips.json":
-        "552e3ce91663d9df6bd9f679c6c1405c9b6d3283f26384d9fc20a5d442b53590",
+        "dc851f2c1e888d76e3e38329cd0f5ad74146c9c3800c1e9f6c2750b8b4749459",
     "ips_log.csv":
         "d349a3dedf941a9dfb7ae4e5d06f2a7d5c3aff74bbabe9df90db47b7fea98094",
     "report_jobs2.csv":
-        "8c8eba69258d00660a92abd5e8cba7e416df2b376c487bec5349cd6379d91d04",
+        "08a304c27b019e6c0cbe2afa6115d0f91abd6bf15d3140261fc8e44ddc6208ef",
     "report_traced.csv":
-        "8c8eba69258d00660a92abd5e8cba7e416df2b376c487bec5349cd6379d91d04",
+        "08a304c27b019e6c0cbe2afa6115d0f91abd6bf15d3140261fc8e44ddc6208ef",
     "thresholds.csv":
         "177b16f0a912c4f366199647561f946a851d5a7737af246cf122f1af95570e76",
     "world.json":
@@ -184,7 +185,7 @@ PATHS_GOLDEN = {
 def test_protocol_paths_golden_bytes(tmp_path):
     methods = ("banditmatch", "fixmatch", "ips", "banditnet")
     argv_sets = _pipeline_argv(
-        tmp_path, PATHS_CONFIG + "early_stop = true\n", methods,
+        tmp_path, PATHS_CONFIG, methods,
         extra_train={"banditmatch": ["--threshold-trace", tmp_path / "thresholds.csv"]},
     )
     world = tmp_path / "world.json"

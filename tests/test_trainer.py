@@ -6,7 +6,6 @@ from banditmatch import dialogworld as dw
 from banditmatch import trainer as tr
 from banditmatch.objectives import LossWeights
 from banditmatch.policy import PolicyNet, policy_spec_for
-from banditmatch.seeding import derive_rng
 from dataclasses import replace
 
 
@@ -75,7 +74,7 @@ class TestLoggingPolicy:
         from banditmatch import fet
 
         targets = fet.sets_to_mask([ex.actions for ex in corpus], spec_full.output_dim)
-        assert tr.exact_match_rate(policy, states, targets) > 0.95
+        assert fet.exact_match_rows(policy.probs(states), targets).mean() > 0.95
 
     def test_returned_frozen(self, setup):
         *_, pi0, _ = setup
@@ -174,35 +173,6 @@ class TestFineTuning:
     def test_empty_log_rejected(self, setup):
         with pytest.raises(tr.TrainerError):
             tr.train_on_log(setup[3], [], setup[2])
-
-    def test_early_stopping_restores_best_checkpoint(self, spec, corpus):
-        # for both early-stop scores the returned parameters are exactly
-        # those of a plain run cut after the first best-scoring epoch, which
-        # here is neither the first nor the last
-        labeled, pool = ds.split_corpus(corpus, ds.SplitConfig(0.2, seed=3))
-        base = tr.TrainConfig(seed=3, sl_epochs=60, epochs=5, hidden_dims=(32,),
-                              learning_rate=0.01, holdout_fraction=0.3)
-        pi0 = tr.train_logging_policy(labeled, spec, base)
-        records = ds.log_bandit_data(pi0, pool)
-        arrays = tr.LogArrays.from_records(records, pi0.num_actions)
-        _, hold_idx = tr._holdout_split(len(arrays), base.holdout_fraction,
-                                        derive_rng(base.seed, "train"))
-        hold = arrays.take(hold_idx)
-        pos = hold.take(np.flatnonzero(hold.delta == 1))
-        cases = {
-            "banditmatch": (3e-3, lambda p: tr.exact_match_rate(p, pos.states, pos.logged_mask)),
-            "ips": (1e-2, lambda p: tr.clipped_value_estimate(p, hold, base.ips_clip)),
-        }
-        for method, (lr, score) in cases.items():
-            cfg = replace(base, method=method, learning_rate=lr)
-            cut = [tr.train_on_log(pi0, records, replace(cfg, epochs=k))[0]
-                   for k in range(1, cfg.epochs + 1)]
-            scores = [score(p) for p in cut]
-            best = scores.index(max(scores))
-            assert 0 < best < cfg.epochs - 1, (method, scores)
-            stopped, _ = tr.train_on_log(pi0, records, replace(cfg, early_stop=True))
-            for x, y in zip(stopped.parameters(), cut[best].parameters()):
-                assert np.array_equal(x.data, y.data), method
 
     def test_crm_kind_with_kl_variant(self, setup, schema):
         cfg = replace(setup[2], epochs=1, method="ips", add_kl=True)
