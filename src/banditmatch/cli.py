@@ -42,7 +42,6 @@ import numpy as np
 from . import datasets, dialogworld, nncore, trainer
 from .datasets import DataError, DataVersionError
 from .dialogworld import WorldError, WorldSchema, WorldVersionError
-from .objectives import AugmentConfig, LossWeights, ObjectiveError
 from .policy import ActionSetPolicy, PolicyError, PolicyNet
 from .trainer import ExperimentReport, TrainConfig, TrainerError
 
@@ -74,27 +73,10 @@ class CliError(Exception):
 
 # -- config files ----------------------------------------------------------------
 
-# config-file keys come from the dataclass fields, whose annotations are
-# strings under postponed evaluation: the loss weights become lambda_<name>
-# and the mix-up strengths keep their names
+# config-file keys are the TrainConfig fields, whose annotations are strings
+# under postponed evaluation
 _KEY_KINDS = {"int": int, "float": float, "str": str, "bool": "bool", "tuple[int, ...]": "dims"}
-_WEIGHT_PREFIX = "lambda_"
-
-
-def _config_keys() -> dict:
-    keys = {}
-    for f in dataclasses.fields(TrainConfig):
-        if f.name == "weights":
-            keys.update({_WEIGHT_PREFIX + w.name: _KEY_KINDS[w.type]
-                         for w in dataclasses.fields(LossWeights)})
-        elif f.name == "aug":
-            keys.update({a.name: _KEY_KINDS[a.type] for a in dataclasses.fields(AugmentConfig)})
-        else:
-            keys[f.name] = _KEY_KINDS[f.type]
-    return keys
-
-
-CONFIG_KEYS = _config_keys()
+CONFIG_KEYS = {f.name: _KEY_KINDS[f.type] for f in dataclasses.fields(TrainConfig)}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -141,16 +123,8 @@ def build_train_config(file_values: dict, overrides: dict) -> TrainConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        weights = LossWeights(**{
-            f.name: merged.pop(_WEIGHT_PREFIX + f.name)
-            for f in dataclasses.fields(LossWeights) if _WEIGHT_PREFIX + f.name in merged
-        })
-        aug = AugmentConfig(**{
-            f.name: merged.pop(f.name) for f in dataclasses.fields(AugmentConfig)
-            if f.name in merged
-        })
-        return TrainConfig(weights=weights, aug=aug, **merged)
-    except (TrainerError, ObjectiveError, TypeError) as err:
+        return TrainConfig(**merged)
+    except (TrainerError, TypeError) as err:
         raise CliError(f"invalid training configuration: {err}", EXIT_INVALID) from err
 
 
@@ -521,11 +495,17 @@ def cmd_sweep(args, files: Files) -> dict | None:
 # -- argument parsing ----------------------------------------------------------------------
 
 
-def _at_least_one(raw: str) -> int:
-    """argparse type: an integer of at least 1 (worker and dialog counts)."""
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer >= 1")
-    return int(raw)
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low`` (seeds, worker and dialog counts)."""
+    def parse(raw: str) -> int:
+        if not raw.strip().isdecimal() or int(raw) < low:
+            raise argparse.ArgumentTypeError(f"{raw!r} is not an integer >= {low}")
+        return int(raw)
+    return parse
+
+
+_at_least_zero = _int_at_least(0)
+_at_least_one = _int_at_least(1)
 
 
 def _comma_list(choices: dict, what: str):
@@ -558,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-corpus", help="roll expert dialogs into a labeled corpus")
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--n-dialogs", type=int, default=DEFAULT_N_DIALOGS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_gen_corpus)
 
@@ -569,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--labeled-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=cmd_split_and_log)
@@ -582,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", type=Path, default=None,
                    help="labeled split (required by the fixmatch baseline)")
     p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least_zero, default=None)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--train-log", type=Path, default=None, help="per-step loss CSV")
     p.add_argument("--threshold-trace", type=Path, default=None,
@@ -597,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method-name", default=None)
     p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
     p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="worker processes for evaluation episodes")
     p.add_argument("--out", type=Path, required=True)
@@ -611,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandit", type=Path, required=True)
     p.add_argument("--logging-policy", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
     p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
     p.add_argument("--out-dir", type=Path, required=True)
@@ -621,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--percentages", default=trainer.DEFAULT_SWEEP_PERCENTAGES,
                    type=_comma_list({str(n): n for n in range(1, 101)}, "an integer in 1..100"),
                    help="comma list of distinct labeled percentages, default 5,10,...,90")

@@ -50,9 +50,6 @@ class BanditRecord:
     propensities: np.ndarray  # full length-C probability vector at logging time
     feedback: int  # 0 or 1
 
-    def logged_set(self) -> set[int]:
-        return set(int(a) for a in self.logged_actions)
-
 
 @dataclass
 class SplitConfig:
@@ -205,8 +202,8 @@ def read_labeled_jsonl(path) -> list[LabeledExample]:
 
 
 def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int]) -> None:
-    """One pass over the stacked corpus: equal state lengths, and actions
-    non-empty, sorted, unique and non-negative."""
+    """One pass over the stacked corpus: equal state lengths, state entries
+    0 or 1, and actions non-empty, sorted, unique and non-negative."""
 
     def fail(i: int, message: str):
         raise DataError(f"{path}:{linenos[i]}: {message}")
@@ -217,6 +214,7 @@ def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int
             fail(i, f"state has {ex.state.size} entries, line {linenos[0]} has {first.state.size}")
         if ex.actions.ndim != 1:
             fail(i, "actions must be a flat list of indices")
+    _check_binary_states(fail, [ex.state for ex in corpus])
     sizes = np.array([ex.actions.size for ex in corpus])
     bad = np.flatnonzero(sizes == 0)
     if bad.size:
@@ -230,6 +228,14 @@ def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int
     bad = rows[1:][(rows[1:] == rows[:-1]) & (actions[1:] <= actions[:-1])]
     if bad.size:
         fail(bad[0], f"actions {corpus[bad[0]].actions.tolist()} are not sorted and unique")
+
+
+def _check_binary_states(fail, states: list[np.ndarray]) -> None:
+    """Equal-length states, stacked: fail on the first row with an entry other than 0 or 1."""
+    stacked = np.stack(states)
+    bad = np.flatnonzero(~((stacked == 0.0) | (stacked == 1.0)).all(axis=1))
+    if bad.size:
+        fail(bad[0], "state entries must be 0 or 1")
 
 
 def read_bandit_jsonl(path) -> list[BanditRecord]:
@@ -260,8 +266,9 @@ def read_bandit_jsonl(path) -> list[BanditRecord]:
 
 def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int],
                           delta: np.ndarray) -> None:
-    """One pass over the stacked log: equal state and rho lengths, delta in
-    {0, 1}, rho strictly inside (0, 1), actions == {c : rho[c] > 0.5}."""
+    """One pass over the stacked log: equal state and rho lengths, state
+    entries 0 or 1, delta in {0, 1}, rho strictly inside (0, 1), actions ==
+    {c : rho[c] > 0.5}."""
 
     def fail(i: int, message: str):
         raise DataError(f"{path}:{linenos[i]}: {message}")
@@ -273,6 +280,7 @@ def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int],
         if r.propensities.ndim != 1 or r.propensities.shape != first.propensities.shape:
             fail(i, f"rho has {r.propensities.size} entries, "
                     f"line {linenos[0]} has {first.propensities.size}")
+    _check_binary_states(fail, [r.state for r in records])
     bad = np.flatnonzero((delta != 0.0) & (delta != 1.0))
     if bad.size:
         fail(bad[0], f"delta must be 0 or 1, got {delta[bad[0]]:g}")

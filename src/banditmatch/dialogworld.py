@@ -29,7 +29,7 @@ domain's feature offsets and a slot -> position map per flag block, plus
 the position each possible last-turn user act sets) and per slot a
 value -> entity bitmask. The encoder writes only the features the context
 holds, and entity matching is an AND of bitmasks (``_entity_mask``), shared
-by the database lookup, goal checks, goal enumeration and the Match metric.
+by the database lookup, goal checks and the Match metric.
 The same tables hold the action index of every act the expert can emit. The
 tables are not rebuilt, so a schema must not be mutated after construction;
 build a new one instead.
@@ -37,7 +37,6 @@ build a new one instead.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from bisect import bisect_right
@@ -260,9 +259,6 @@ class WorldSchema:
     def num_actions(self) -> int:
         return len(self._actions)
 
-    def action_index(self, action: AtomicAction) -> int:
-        return self._index[action]
-
     @property
     def application_order(self) -> np.ndarray:
         """Every action index, in the order an agent turn lists them (read-only)."""
@@ -469,34 +465,6 @@ def _check_satisfiable(schema: WorldSchema, goal: UserGoal) -> None:
     for name, cons in goal.constraints.items():
         if not _entity_mask(schema._tables_for(name), cons):
             raise WorldError(f"goal constraints for {name!r} are unsatisfiable: {cons}")
-
-
-def enumerate_goals(schema: WorldSchema) -> list[UserGoal]:
-    """Every satisfiable single-assignment goal; tractable for tiny schemas."""
-    goals = []
-    for dom in schema.domains:
-        tables = schema._tables_for(dom.name)
-        inf_slots = list(dom.informable)
-        req_slots = list(dom.requestable)
-        constraint_options = []
-        for k in range(len(inf_slots) + 1):
-            for combo in itertools.combinations(inf_slots, k):
-                for values in itertools.product(*(dom.informable[s] for s in combo)):
-                    constraint_options.append(dict(zip(combo, values)))
-        request_options = [
-            list(combo)
-            for k in range(1, len(req_slots) + 1)
-            for combo in itertools.combinations(req_slots, k)
-        ]
-        for cons in constraint_options:
-            if not _entity_mask(tables, cons):
-                continue
-            for reqs in request_options:
-                for book in (False, True):
-                    goals.append(
-                        UserGoal({dom.name: dict(cons)}, {dom.name: list(reqs)}, {dom.name: book})
-                    )
-    return goals
 
 
 # -- dialog context (system view) ----------------------------------------------

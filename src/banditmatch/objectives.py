@@ -20,8 +20,6 @@ gradient ever flows through them; only probability tensors carry graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nncore
@@ -37,26 +35,6 @@ class ObjectiveError(Exception):
     pass
 
 
-@dataclass
-class AugmentConfig:
-    """Mix-up strengths; the mixing weight never drops below 0.5 so the
-    anchor example stays dominant."""
-
-    alpha_weak: float = 0.2
-    alpha_strong: float = 2.0
-
-    def __post_init__(self):
-        if self.alpha_weak <= 0 or self.alpha_strong <= 0:
-            raise ObjectiveError("mix-up alpha parameters must be positive")
-
-
-@dataclass
-class LossWeights:
-    pseudo: float = 1.0
-    bandit: float = 1.0
-    kl: float = 1.0
-
-
 # -- augmentation ----------------------------------------------------------------
 
 
@@ -65,12 +43,6 @@ def sample_mixup_lambda(alpha: float, rng: np.random.Generator, size: int) -> np
         raise ObjectiveError(f"alpha must be positive, got {alpha}")
     b = rng.beta(alpha, alpha, size=size)
     return np.maximum(b, 1.0 - b)
-
-
-def mixup_pair(state_a: np.ndarray, state_b: np.ndarray, lam: float) -> np.ndarray:
-    if state_a.shape != state_b.shape:
-        raise ObjectiveError("mix-up partners must have equal dimension")
-    return lam * state_a + (1.0 - lam) * state_b
 
 
 def mixup_batch(
@@ -217,9 +189,10 @@ def loss_kl_control(probs: Tensor, ref_probs: np.ndarray) -> Tensor:
 
 
 def total_loss(
-    labeled: Tensor, pseudo: Tensor, bandit: Tensor, kl: Tensor, weights: LossWeights
+    labeled: Tensor, pseudo: Tensor, bandit: Tensor, kl: Tensor,
+    lambda_pseudo: float, lambda_bandit: float, lambda_kl: float,
 ) -> Tensor:
-    return labeled + weights.pseudo * pseudo + weights.bandit * bandit + weights.kl * kl
+    return labeled + lambda_pseudo * pseudo + lambda_bandit * bandit + lambda_kl * kl
 
 
 # -- baseline objectives -------------------------------------------------------------

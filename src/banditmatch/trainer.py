@@ -20,7 +20,8 @@ read.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .dialogworld import (
     sample_goal,
 )
 from .nncore import Tensor
-from .objectives import AugmentConfig, LossWeights
 from .policy import ActionSetPolicy, PolicyNet, policy_spec_for
 from .seeding import derive_rng
 
@@ -63,8 +63,13 @@ class TrainConfig:
     sl_label_smoothing: float = 0.2
     learning_rate: float = 1e-3
     hidden_dims: tuple[int, ...] = (128, 128)
-    weights: LossWeights = field(default_factory=LossWeights)
-    aug: AugmentConfig = field(default_factory=AugmentConfig)
+    # loss weights of the pseudo-label, bandit and KL terms
+    lambda_pseudo: float = 1.0
+    lambda_bandit: float = 1.0
+    lambda_kl: float = 1.0
+    # mix-up strengths of the weak and strong passes
+    alpha_weak: float = 0.2
+    alpha_strong: float = 2.0
     fet_decay: float = 0.9
     method: str = METHOD_BANDITMATCH
     add_kl: bool = False  # "+ KL control" variants of ips / banditnet
@@ -91,9 +96,19 @@ class TrainConfig:
             raise TrainerError("ablation switches only apply to the banditmatch method")
         if self.batch_size < 1:
             raise TrainerError(f"batch_size must be at least 1, got {self.batch_size}")
-        for name in ("epochs", "sl_epochs"):
+        for name in ("seed", "epochs", "sl_epochs"):
             if getattr(self, name) < 0:
                 raise TrainerError(f"{name} must not be negative, got {getattr(self, name)}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise TrainerError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("sl_label_smoothing", "fet_decay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise TrainerError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if self.ips_clip <= 0:
+            raise TrainerError(f"ips_clip must be positive, got {self.ips_clip}")
+        if self.alpha_weak <= 0 or self.alpha_strong <= 0:
+            raise TrainerError("mix-up alpha parameters must be positive")
 
 
 def apply_ablation(config: TrainConfig, ablation: str) -> TrainConfig:
@@ -302,8 +317,8 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
     ref_train = logging_policy.probs(train.states) if use_kl else None
 
     def step(number: int, idx: np.ndarray, batch: LogArrays):
-        weak_states, _ = objectives.mixup_batch(batch.states, config.aug.alpha_weak, aug_rng)
-        strong_states, _ = objectives.mixup_batch(batch.states, config.aug.alpha_strong, aug_rng)
+        weak_states, _ = objectives.mixup_batch(batch.states, config.alpha_weak, aug_rng)
+        strong_states, _ = objectives.mixup_batch(batch.states, config.alpha_strong, aug_rng)
 
         # the unaugmented pass feeds only the FET update, CBL and KL
         plain_t = policy.forward(batch.states) if use_fet or use_cbl or use_kl else None
@@ -335,7 +350,7 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
         if use_split:
             lab_idx = rng.integers(0, split_states.shape[0], size=config.batch_size)
             weak_split, _ = objectives.mixup_batch(
-                split_states[lab_idx], config.aug.alpha_weak, aug_rng
+                split_states[lab_idx], config.alpha_weak, aug_rng
             )
             split_t = policy.forward(weak_split)
             l_l = l_l + objectives.loss_labeled(
@@ -353,7 +368,9 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
             l_k = objectives.loss_kl_control(plain_t, ref_train[idx])
         else:
             l_k = Tensor(0.0)
-        total = objectives.total_loss(l_l, l_p, l_b, l_k, config.weights)
+        total = objectives.total_loss(
+            l_l, l_p, l_b, l_k, config.lambda_pseudo, config.lambda_bandit, config.lambda_kl
+        )
         return total, StepLog(
             step=number,
             loss_labeled=l_l.item(),
@@ -393,7 +410,7 @@ def _crm_step(policy, logging_policy, train, config):
         l_k = Tensor(0.0)
         if config.add_kl:
             l_k = objectives.loss_kl_control(probs_t, ref_train[idx])
-            loss = loss + config.weights.kl * l_k
+            loss = loss + config.lambda_kl * l_k
         return loss, StepLog(
             step=number,
             loss_labeled=0.0,

@@ -15,8 +15,11 @@ reuses one per dialog, and the goal sampler draws its weighted counts with
 ``rng.choice(p=...)``, where the package searches a cached CDF. Tests require
 the package to produce equal states, match lists, openings, goals, generator
 states and episode metrics, and agent turns whose actions are these sets in
-sorted order.
+sorted order. ``enumerate_goals`` lists every satisfiable goal of a small
+world for the exhaustive expert checks.
 """
+
+import itertools
 
 import numpy as np
 
@@ -277,3 +280,30 @@ def expert_respond(schema: WorldSchema, ctx: DialogContext) -> set[AtomicAction]
     if not actions:
         actions.add(AtomicAction(GENERAL, BYE))
     return actions
+
+
+def enumerate_goals(schema: WorldSchema) -> list[UserGoal]:
+    """Every satisfiable single-assignment goal; tractable for tiny schemas."""
+    goals = []
+    for dom in schema.domains:
+        inf_slots = list(dom.informable)
+        req_slots = list(dom.requestable)
+        constraint_options = []
+        for k in range(len(inf_slots) + 1):
+            for combo in itertools.combinations(inf_slots, k):
+                for values in itertools.product(*(dom.informable[s] for s in combo)):
+                    constraint_options.append(dict(zip(combo, values)))
+        request_options = [
+            list(combo)
+            for k in range(1, len(req_slots) + 1)
+            for combo in itertools.combinations(req_slots, k)
+        ]
+        for cons in constraint_options:
+            if not entities_matching(dom, cons):
+                continue
+            for reqs in request_options:
+                for book in (False, True):
+                    goals.append(
+                        UserGoal({dom.name: dict(cons)}, {dom.name: list(reqs)}, {dom.name: book})
+                    )
+    return goals

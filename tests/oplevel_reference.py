@@ -5,13 +5,15 @@ The package builds one graph node per forward pass and per loss term
 those nodes replay, plus the per-record loop form of the FET correctness
 estimates and the plain-expression Adam update. Tests require the package to
 match these bit for bit, so every expression here keeps its original operand
-order.
+order. ``mixup_pair`` is the one-pair form of the mix-up that
+``objectives.mixup_batch`` applies to every row, for the mix-up property tests.
 """
 
 import numpy as np
 
 from banditmatch import nncore
 from banditmatch.nncore import LOGIT_CLAMP, Tensor, add, fused
+from banditmatch.objectives import ObjectiveError
 
 # -- ops ---------------------------------------------------------------------------
 #
@@ -176,6 +178,15 @@ def loss_banditnet(probs, rho, delta, logged_mask, translation, clip_at):
     w = exp(log_importance_weights(probs, rho, logged_mask))
     w = clip(w, 0.0, clip_at)
     return tensor_sum(w * (delta - translation)) * (-1.0 / n)
+
+
+# -- mix-up ----------------------------------------------------------------------------
+
+
+def mixup_pair(state_a: np.ndarray, state_b: np.ndarray, lam: float) -> np.ndarray:
+    if state_a.shape != state_b.shape:
+        raise ObjectiveError("mix-up partners must have equal dimension")
+    return lam * state_a + (1.0 - lam) * state_b
 
 
 # -- FET correctness, one record at a time ------------------------------------------

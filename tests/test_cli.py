@@ -190,6 +190,8 @@ def _break_record(record: dict, case: str) -> None:
         rho.pop()
     elif case == "state_length":
         record["state"].pop()
+    elif case == "state_value":
+        record["state"][0] = 0.5
     elif case == "actions":
         record["actions"] = sorted(actions + [below])
 
@@ -200,6 +202,7 @@ BROKEN_LOGS = {
     "rho_one": "rho must lie strictly inside (0, 1)",
     "rho_length": "rho has",
     "state_length": "state has",
+    "state_value": "state entries must be 0 or 1",
     "actions": "differ from {c : rho[c] > 0.5}",
 }
 
@@ -245,6 +248,8 @@ def _break_example(record: dict, case: str) -> None:
     actions = record["actions"]
     if case == "state_length":
         record["state"].pop()
+    elif case == "state_value":
+        record["state"][0] = float("nan")
     elif case == "empty":
         record["actions"] = []
     elif case == "unsorted":
@@ -259,6 +264,7 @@ def _break_example(record: dict, case: str) -> None:
 
 BROKEN_CORPORA = {
     "state_length": ":3: state has",
+    "state_value": ":3: state entries must be 0 or 1",
     "empty": ":3: actions must not be empty",
     "unsorted": ":3: actions [",
     "duplicate": ":3: actions [",
@@ -449,6 +455,26 @@ class TestLoaderErrors:
         self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_VERSION)
 
 
+# config-file line -> the error TrainConfig gives for it
+INVALID_CONFIGS = {
+    "alpha_weak": ("alpha_weak = -1", "mix-up alpha parameters must be positive"),
+    "alpha_strong": ("alpha_strong = 0", "mix-up alpha parameters must be positive"),
+    "batch_zero": ("batch_size = 0", "batch_size must be at least 1, got 0"),
+    "batch_negative": ("batch_size = -1", "batch_size must be at least 1, got -1"),
+    "epochs_negative": ("epochs = -1", "epochs must not be negative, got -1"),
+    "sl_epochs_negative": ("sl_epochs = -1", "sl_epochs must not be negative, got -1"),
+    "seed_negative": ("seed = -4", "seed must not be negative, got -4"),
+    "ips_clip_nan": ("ips_clip = nan", "ips_clip must be finite, got nan"),
+    "learning_rate_inf": ("learning_rate = inf", "learning_rate must be finite, got inf"),
+    "alpha_weak_nan": ("alpha_weak = nan", "alpha_weak must be finite, got nan"),
+    "ips_clip_zero": ("ips_clip = 0", "ips_clip must be positive, got 0.0"),
+    "fet_decay_above_one": ("fet_decay = 5", "fet_decay must lie in [0, 1], got 5.0"),
+    "fet_decay_negative": ("fet_decay = -0.1", "fet_decay must lie in [0, 1], got -0.1"),
+    "sl_label_smoothing_above_one": ("sl_label_smoothing = 3",
+                                     "sl_label_smoothing must lie in [0, 1], got 3.0"),
+}
+
+
 class TestErrors:
     def test_missing_file_exit_code(self, tmp_path):
         code = run(["gen-corpus", "--world", tmp_path / "nope.json",
@@ -506,16 +532,12 @@ class TestErrors:
         assert code == cli.EXIT_INVALID
         assert capsys.readouterr().err == "error: n_dialogs must be positive, got 0\n"
 
-    @pytest.mark.parametrize("command", ["train", "split-and-log"])
-    @pytest.mark.parametrize("line, message", [
-        ("alpha_weak = -1", "mix-up alpha parameters must be positive"),
-        ("alpha_strong = 0", "mix-up alpha parameters must be positive"),
-        ("batch_size = 0", "batch_size must be at least 1, got 0"),
-        ("batch_size = -1", "batch_size must be at least 1, got -1"),
-        ("epochs = -1", "epochs must not be negative, got -1"),
-        ("sl_epochs = -1", "sl_epochs must not be negative, got -1"),
-    ], ids=["alpha_weak", "alpha_strong", "batch_zero", "batch_negative", "epochs_negative",
-            "sl_epochs_negative"])
+    @pytest.mark.parametrize("command, line, message", [
+        pytest.param(command, line, message, id=f"{case}-{command}")
+        for case, (line, message) in INVALID_CONFIGS.items()
+        # split-and-log's --seed (default 0) always overrides the file's seed
+        for command in ("train", "split-and-log") if case != "seed_negative" or command == "train"
+    ])
     def test_invalid_training_config_exit_code(self, tiny_world_data, tmp_path, capsys,
                                                command, line, message):
         world, corpus, data = tiny_world_data
@@ -531,6 +553,33 @@ class TestErrors:
         assert run(argv + ["--config", cfg]) == cli.EXIT_INVALID
         assert capsys.readouterr().err == f"error: invalid training configuration: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen-corpus", "split-and-log", "train", "evaluate",
+                                         "evaluate_expert", "ablate", "sweep"])
+    def test_negative_seed_exit_code(self, tiny_world_data, tmp_path, capsys, command):
+        # rejected while parsing, before any file is read or written
+        world, corpus, data = tiny_world_data
+        out = tmp_path / "out"
+        log = ["--bandit", data / "bandit.jsonl", "--logging-policy", data / "logging_policy.json"]
+        argv = {
+            "gen-corpus": ["gen-corpus", "--world", world, "--out", out / "c.jsonl"],
+            "split-and-log": ["split-and-log", "--world", world, "--corpus", corpus,
+                              "--out-dir", out],
+            "train": ["train", *log, "--out", out / "p.json"],
+            "evaluate": ["evaluate", "--world", world, "--checkpoint",
+                         data / "logging_policy.json", "--out", out / "r.csv"],
+            "evaluate_expert": ["evaluate", "--world", world, "--expert", "--out", out / "r.csv"],
+            "ablate": ["ablate", "--world", world, *log, "--out-dir", out],
+            "sweep": ["sweep", "--world", world, "--corpus", corpus, "--out-dir", out],
+        }[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--seed", "-1"])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"banditmatch {argv[0]}: error: argument --seed: '-1' is not an integer >= 0"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["corpus", "labeled", "bandit", "config"])
     def test_non_utf8_input_exit_code(self, tiny_world_data, tmp_path, capsys, flag):
@@ -822,22 +871,33 @@ MANIFEST_CASES = {
 }
 
 
+def _run_manifest_case(tiny_world_data, tmp_path, case):
+    """Run one MANIFEST_CASES command; return its manifest and the placeholder filler."""
+    world, corpus, data = tiny_world_data
+    names = {"w": world, "c": corpus, "cfg": world.parent / "train.cfg", "d": data,
+             "o": tmp_path}
+    argv, manifest, _, _ = MANIFEST_CASES[case]
+
+    def fill(item):
+        return item.format(**names)
+
+    assert run([fill(item) for item in argv]) == 0
+    return json.loads(Path(fill(manifest)).read_text()), fill
+
+
 class TestManifests:
     @pytest.mark.parametrize("case", list(MANIFEST_CASES))
     def test_lists_what_the_command_touched(self, tiny_world_data, tmp_path, case):
-        world, corpus, data = tiny_world_data
-        names = {"w": world, "c": corpus, "cfg": world.parent / "train.cfg", "d": data,
-                 "o": tmp_path}
-        argv, manifest, inputs, outputs = MANIFEST_CASES[case]
-
-        def fill(item):
-            return item.format(**names)
-
-        assert run([fill(item) for item in argv]) == 0
-        written = json.loads(Path(fill(manifest)).read_text())
+        argv, _, inputs, outputs = MANIFEST_CASES[case]
+        written, fill = _run_manifest_case(tiny_world_data, tmp_path, case)
         assert written["command"] == argv[0]
         assert list(written["inputs"]) == [fill(path) for path in inputs]
         assert list(written["outputs"]) == [fill(path) for path in outputs]
+
+    @pytest.mark.parametrize("case", ["split_and_log", "train", "ablate", "sweep"])
+    def test_config_has_one_entry_per_config_key(self, tiny_world_data, tmp_path, case):
+        written, _ = _run_manifest_case(tiny_world_data, tmp_path, case)
+        assert list(written["config"]) == list(cli.CONFIG_KEYS)
 
     @pytest.mark.parametrize("case", list(MANIFEST_CASES))
     def test_checked_outputs_are_the_written_ones(self, case):
@@ -872,7 +932,7 @@ class TestConfigFile:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("lambda_kl = 0\nlambda_bandit = 0.5\n")
         config = cli.build_train_config(cli.read_config_file(cfg), {})
-        assert config.weights.kl == 0.0 and config.weights.bandit == 0.5
+        assert config.lambda_kl == 0.0 and config.lambda_bandit == 0.5
 
     def test_key_set_and_parsed_types(self, tmp_path):
         key_types = {

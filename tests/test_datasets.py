@@ -88,7 +88,7 @@ class TestPredictSet:
             False, True, False
         ]
         record = self.log_one(zero_policy(schema), np.zeros(schema.state_dim))
-        assert record.logged_set() == set()  # exactly 0.5 everywhere is excluded
+        assert record.logged_actions.size == 0  # exactly 0.5 everywhere is excluded
         assert np.allclose(record.propensities, 0.5)
 
     def test_threshold_rule(self, schema):
@@ -96,7 +96,8 @@ class TestPredictSet:
         state = np.ones(schema.state_dim)
         record = self.log_one(policy, state)
         assert np.array_equal(record.propensities, policy.probs(state))
-        assert record.logged_set() == set(np.flatnonzero(record.propensities > 0.5).tolist())
+        logged = set(record.logged_actions.tolist())
+        assert logged == set(np.flatnonzero(record.propensities > 0.5).tolist())
 
     def test_propensities_full_length(self, schema):
         record = self.log_one(random_policy(schema), np.zeros(schema.state_dim))
@@ -148,7 +149,8 @@ class TestLogging:
         policy = random_policy(schema).clone_frozen()
         records = ds.log_bandit_data(policy, corpus)
         for rec, ex in zip(records, corpus):
-            assert rec.feedback == ds.simulate_feedback(rec.logged_set(), ex.action_set())
+            logged = set(rec.logged_actions.tolist())
+            assert rec.feedback == ds.simulate_feedback(logged, ex.action_set())
 
 
 class TestPersistence:

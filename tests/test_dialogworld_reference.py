@@ -118,7 +118,7 @@ SCHEMAS = {
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_expert_episodes_match_reference(name):
     schema = SCHEMAS[name]()
-    goals = dw.enumerate_goals(schema) if name == "tiny" else goals_for(schema, 60, 11)
+    goals = ref.enumerate_goals(schema) if name == "tiny" else goals_for(schema, 60, 11)
     assert_same_rollouts(schema, goals, expert)
 
 
@@ -194,7 +194,7 @@ def test_opening_turn_matches_reference(name):
     schema = SCHEMAS[name]()
     goals = goals_for(schema, 200, 13)
     if name == "tiny":
-        goals += dw.enumerate_goals(schema)
+        goals += ref.enumerate_goals(schema)
     for goal in goals:
         ctx, ustate, acts = dw.open_dialog(schema, goal)
         want_ctx, want_ustate = dw.DialogContext(schema), dw.UserState(goal)
@@ -223,7 +223,7 @@ def test_entity_matching_agrees_with_scan():
 def test_enumerated_goals_are_exactly_the_satisfiable_ones():
     schema = dw.tiny_schema()
     dom = schema.domains[0]
-    goals = dw.enumerate_goals(schema)
+    goals = ref.enumerate_goals(schema)
     constraint_sets = {tuple(sorted(g.constraints["hotel"].items())) for g in goals}
     assert constraint_sets == {(), (("area", "north"),), (("area", "south"),)}
     for g in goals:

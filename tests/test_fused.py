@@ -45,7 +45,7 @@ class Case:
         self.umask = obj.unconfident_plus_mask(self.delta, self.conf, self.logged)
         self.ref_probs = rng.uniform(0.05, 0.95, (b, c))
         self.clip = 2.0 if seed % 2 else obj.DEFAULT_IPS_CLIP
-        self.weights = obj.LossWeights(pseudo=0.7, bandit=1.3, kl=0.35)
+        self.weights = {"lambda_pseudo": 0.7, "lambda_bandit": 1.3, "lambda_kl": 0.35}
 
     def composite(self, forward, losses, replay: bool):
         """The composite step's graph, built in the trainer's order."""
@@ -60,7 +60,7 @@ class Case:
         l_p = losses.loss_pseudo(strong, self.qhat, self.conf)
         l_b = losses.loss_bandit(plain, self.rho, self.delta, self.umask)
         l_k = losses.loss_kl_control(plain, self.ref_probs)
-        return obj.total_loss(l_l, l_p, l_b, l_k, self.weights)
+        return obj.total_loss(l_l, l_p, l_b, l_k, **self.weights)
 
     def builds(self):
         """name -> builder(forward, losses) of a scalar loss."""
@@ -73,7 +73,7 @@ class Case:
                     loss = losses.loss_ips(probs, s.rho, s.delta, s.logged, s.clip)
                 else:
                     loss = losses.loss_banditnet(probs, s.rho, s.delta, s.logged, 0.9, s.clip)
-                return loss + s.weights.kl * losses.loss_kl_control(probs, s.ref_probs)
+                return loss + s.weights["lambda_kl"] * losses.loss_kl_control(probs, s.ref_probs)
             return build
 
         return {

@@ -4,7 +4,6 @@ import pytest
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
 from banditmatch import trainer as tr
-from banditmatch.objectives import LossWeights
 from banditmatch.policy import PolicyNet, policy_spec_for
 from dataclasses import replace
 
@@ -47,6 +46,10 @@ class TestConfig:
     def test_ablations_only_for_composite_method(self):
         with pytest.raises(tr.TrainerError):
             tr.TrainConfig(method="ips", no_cbl=True)
+
+    def test_alpha_must_be_positive(self):
+        with pytest.raises(tr.TrainerError, match="mix-up alpha parameters must be positive"):
+            tr.TrainConfig(alpha_weak=-1.0)
 
     def test_apply_ablation_switches(self):
         base = tr.TrainConfig()
@@ -121,7 +124,7 @@ class TestFineTuning:
     def test_zero_weights_reduce_to_positive_only_supervision(self, setup):
         # with every extra term switched off the step log shows only the
         # labeled loss
-        cfg = replace(setup[2], epochs=1, weights=LossWeights(0.0, 0.0, 0.0),
+        cfg = replace(setup[2], epochs=1, lambda_pseudo=0.0, lambda_bandit=0.0, lambda_kl=0.0,
                       no_fet=True, no_cbl=True, no_kl=True)
         _, history = tr.train_on_log(setup[3], setup[4], cfg)
         for row in history:
@@ -207,7 +210,7 @@ class TestEvaluate:
     def test_bye_only_policy_scores_zero(self, schema):
         spec_full = policy_spec_for(schema, hidden_dims=(8,))
         policy = PolicyNet(spec_full, rng=None)
-        bye_index = schema.action_index(dw.AtomicAction(dw.GENERAL, dw.BYE))
+        bye_index = schema.actions.index(dw.AtomicAction(dw.GENERAL, dw.BYE))
         policy.net.biases[-1].data[bye_index] = 10.0
         report = tr.evaluate(policy, schema, n_dialogs=30, n_runs=1, seed=18)
         assert report.metrics["success"][0] == 0.0
