@@ -129,7 +129,8 @@ def build_train_config(file_values: dict, overrides: dict) -> TrainConfig:
 
 
 def _train_config(args, **overrides) -> TrainConfig:
-    """The --config file's values under the command's --seed and ``overrides``."""
+    """The --config file's values under ``overrides`` and the command's --seed,
+    when given."""
     file_values = read_config_file(args.config) if args.config else {}
     return build_train_config(file_values, {"seed": args.seed, **overrides})
 
@@ -464,7 +465,7 @@ def cmd_ablate(args, files: Files) -> dict | None:
                     f"logging policy {args.logging_policy}")
     cfg = _train_config(args)
     reports = trainer.run_rows(logging_policy, records, None, schema, trainer.ablation_rows(cfg),
-                               args.n_dialogs, args.n_runs, args.seed)
+                               args.n_dialogs, args.n_runs, cfg.seed)
     table_path, json_path = output_paths(args)
     write_report_csv(files.output(table_path), reports)
     write_report_json(files.output(json_path), reports)
@@ -549,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--labeled-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=_at_least_zero, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=None)
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=cmd_split_and_log)
@@ -591,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandit", type=Path, required=True)
     p.add_argument("--logging-policy", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--seed", type=_at_least_zero, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=None)
     p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
     p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
     p.add_argument("--out-dir", type=Path, required=True)
@@ -601,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--seed", type=_at_least_zero, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=None)
     p.add_argument("--percentages", default=trainer.DEFAULT_SWEEP_PERCENTAGES,
                    type=_comma_list({str(n): n for n in range(1, 101)}, "an integer in 1..100"),
                    help="comma list of distinct labeled percentages, default 5,10,...,90")

@@ -7,13 +7,16 @@ thresholded action set, the full per-class probability vector, and binary
 user feedback (1 iff the predicted set equals the expert set exactly).
 
 Persistence is JSON-lines with a one-object header line carrying the
-schema version; floats round-trip at full precision.
+schema version; floats round-trip at full precision. The binary state
+vectors are written and read as fixed-width ``0.0``/``1.0`` text, a block
+of records per numpy pass (FORMATS.md gives the line layout).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -126,57 +129,149 @@ def _header(kind: str) -> dict:
 
 
 def write_labeled_jsonl(path, corpus: list[LabeledExample]) -> None:
+    states = _state_texts(_binary_states([ex.state for ex in corpus]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_header(KIND_LABELED)) + "\n")
-        for ex in corpus:
-            fh.write(
-                json.dumps({"state": ex.state.tolist(), "actions": ex.actions.tolist()})
-                + "\n"
-            )
+        for ex, state in zip(corpus, states):
+            fh.write(f'{{"state": {state}, "actions": {json.dumps(ex.actions.tolist())}}}\n')
 
 
 def write_bandit_jsonl(path, records: list[BanditRecord]) -> None:
+    states = _state_texts(_binary_states([rec.state for rec in records]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_header(KIND_BANDIT)) + "\n")
-        for rec in records:
-            row = {
-                "state": rec.state.tolist(),
-                "actions": rec.logged_actions.tolist(),
-                "rho": rec.propensities.tolist(),
-                "delta": int(rec.feedback),
-            }
-            fh.write(json.dumps(row) + "\n")
+        for rec, state in zip(records, states):
+            fh.write(
+                f'{{"state": {state}, "actions": {json.dumps(rec.logged_actions.tolist())}, '
+                f'"rho": {json.dumps(rec.propensities.tolist())}, "delta": {int(rec.feedback)}}}\n'
+            )
+
+
+# States are binary, so a writer emits each as fixed-width text ("0.0"/"1.0"
+# entries) and a reader decodes such text as bytes; both work _BLOCK records
+# at a time, so no whole-file copy is ever held.
+_BLOCK = 1024
+_STATE_OPEN = b'{"state": ['
+_STATE_CLOSE = b"], "
+
+
+def _binary_states(states: list[np.ndarray]) -> np.ndarray:
+    """The states as one (n, width) uint8 array of 0s and 1s; DataError on
+    unequal widths or an entry other than 0 or 1 (``-0.0`` counts as 0)."""
+    width = states[0].size if states else 0
+    bits = np.empty((len(states), width), dtype=np.uint8)
+    for start in range(0, len(states), _BLOCK):
+        block = states[start : start + _BLOCK]
+        if any(np.shape(s) != (width,) for s in block):
+            raise DataError(f"states must be flat lists of {width} entries")
+        block = np.stack(block)
+        if not ((block == 0) | (block == 1)).all():
+            raise DataError("state entries must be 0 or 1")
+        bits[start : start + len(block)] = block == 1
+    return bits
+
+
+def _state_texts(bits: np.ndarray):
+    """Yield each row's text as ``json.dumps`` writes it as a list of floats:
+    a copy of the all-``0.0`` template row with the digit bytes set."""
+    template = np.frombuffer(("[" + ", ".join(["0.0"] * bits.shape[1]) + "]").encode("ascii"),
+                             dtype=np.uint8)
+    digits = 1 + 5 * np.arange(bits.shape[1])
+    size = template.size
+    for start in range(0, len(bits), _BLOCK):
+        block = bits[start : start + _BLOCK]
+        rows = np.tile(template, (len(block), 1))
+        rows[:, digits] += block
+        text = rows.tobytes().decode("ascii")
+        yield from (text[i : i + size] for i in range(0, len(text), size))
+
+
+def _canonical_states(block: list[bytes]) -> list:
+    """For each line that opens with ``{"state": [`` and canonical
+    ``0.0``/``1.0`` entries, ``(state, rest of the line after "], ")``; None
+    for every other line. The lines of one width, the first found in the
+    block, are checked in one pass over their bytes."""
+    found = [None] * len(block)
+    n_open = len(_STATE_OPEN)
+    closes = [raw.find(_STATE_CLOSE, n_open) if raw.startswith(_STATE_OPEN) else -1
+              for raw in block]
+    # n entries take 5n - 2 bytes ("0.0" each, ", " between)
+    close = next((c for c in closes if c > n_open and (c - n_open) % 5 == 3), None)
+    if close is None:
+        return found
+    picked = [i for i, c in enumerate(closes) if c == close]
+    width = (close - n_open + 2) // 5
+    text = b", ".join(block[i][n_open:close] for i in picked) + b", "
+    # XOR with "0.0, 0.0, ...": a canonical entry leaves its digit (0 or 1) and zeros
+    diff = np.frombuffer(text, dtype=np.uint8).reshape(len(picked), 5 * width)
+    diff = diff ^ np.frombuffer(b"0.0, " * width, dtype=np.uint8)
+    ok = (diff <= np.frombuffer(b"\x01\x00\x00\x00\x00" * width, dtype=np.uint8)).all(axis=1)
+    states = diff[:, ::5].astype(np.float64)
+    for k in np.flatnonzero(ok):
+        i = picked[k]
+        found[i] = (states[k], block[i][close + len(_STATE_CLOSE) :])
+    return found
+
+
+def _with_state(state: np.ndarray, rest: bytes) -> dict | None:
+    """The object ``{"state": state, ...}`` whose other members are ``rest``,
+    or None when the whole line must be parsed instead: ``rest`` is not UTF-8
+    or not the tail of a JSON object, adds no member, or has its own "state"."""
+    try:
+        obj = json.loads("{" + rest.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError or JSONDecodeError
+        return None
+    if not obj or "state" in obj:
+        return None
+    obj["state"] = state
+    return obj
 
 
 def _read_lines(path, kind: str):
-    # bytes, decoded line by line, so a non-UTF-8 byte is reported on its line
+    """Yield ``(line number, object)`` for each record line after the header.
+    A line that opens with canonical state text has only its rest parsed as
+    JSON; every other line, and any line that path refuses, is decoded and
+    parsed whole, which gives the same object or reports its error."""
+    lineno = 0
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as err:
-                raise DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"{path}:{lineno}: malformed JSON line ({err.msg})") from err
-            if lineno == 1:
-                if not isinstance(obj, dict) or "schema_version" not in obj:
-                    raise DataError(f"{path}:1: not a {kind!r} file (no schema_version header)")
-                version = obj["schema_version"]
-                if version != JSONL_VERSION:
-                    raise DataVersionError(
-                        f"{path}:1: schema version {version!r} unsupported "
-                        f"(expected {JSONL_VERSION!r})"
-                    )
-                if obj.get("record") != kind:
-                    raise DataError(
-                        f"{path}:1: expected a {kind!r} file, found {obj.get('record')!r}"
-                    )
-                continue
-            yield lineno, obj
+        while block := list(islice(fh, _BLOCK)):
+            for raw, canonical in zip(block, _canonical_states(block)):
+                lineno += 1
+                if canonical and lineno > 1:
+                    obj = _with_state(*canonical)
+                    if obj is not None:
+                        yield lineno, obj
+                        continue
+                # bytes, decoded line by line, so a non-UTF-8 byte is reported on its line
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as err:
+                    raise DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise DataError(f"{path}:{lineno}: malformed JSON line ({err.msg})") from err
+                if lineno == 1:
+                    _check_header(path, kind, obj)
+                    continue
+                yield lineno, obj
+
+
+def _check_header(path, kind: str, obj) -> None:
+    if not isinstance(obj, dict) or "schema_version" not in obj:
+        raise DataError(f"{path}:1: not a {kind!r} file (no schema_version header)")
+    version = obj["schema_version"]
+    if version != JSONL_VERSION:
+        raise DataVersionError(
+            f"{path}:1: schema version {version!r} unsupported "
+            f"(expected {JSONL_VERSION!r})"
+        )
+    if obj.get("record") != kind:
+        raise DataError(
+            f"{path}:1: expected a {kind!r} file, found {obj.get('record')!r}"
+        )
 
 
 def read_labeled_jsonl(path) -> list[LabeledExample]:
@@ -187,7 +282,7 @@ def read_labeled_jsonl(path) -> list[LabeledExample]:
         try:
             corpus.append(
                 LabeledExample(
-                    state=np.array(obj["state"], dtype=np.float64),
+                    state=np.asarray(obj["state"], dtype=np.float64),
                     actions=np.array(obj["actions"], dtype=np.int64),
                 )
             )
@@ -248,7 +343,7 @@ def read_bandit_jsonl(path) -> list[BanditRecord]:
             deltas.append(float(obj["delta"]))
             records.append(
                 BanditRecord(
-                    state=np.array(obj["state"], dtype=np.float64),
+                    state=np.asarray(obj["state"], dtype=np.float64),
                     logged_actions=np.array(obj["actions"], dtype=np.int64),
                     propensities=np.array(obj["rho"], dtype=np.float64),
                     feedback=int(obj["delta"]),

@@ -96,7 +96,8 @@ class TrainConfig:
             raise TrainerError("ablation switches only apply to the banditmatch method")
         if self.batch_size < 1:
             raise TrainerError(f"batch_size must be at least 1, got {self.batch_size}")
-        for name in ("seed", "epochs", "sl_epochs"):
+        # a zero learning rate is a run that never moves the policy
+        for name in ("seed", "epochs", "sl_epochs", "learning_rate"):
             if getattr(self, name) < 0:
                 raise TrainerError(f"{name} must not be negative, got {getattr(self, name)}")
         for f in fields(self):
@@ -107,6 +108,10 @@ class TrainConfig:
                 raise TrainerError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.ips_clip <= 0:
             raise TrainerError(f"ips_clip must be positive, got {self.ips_clip}")
+        # confident means p > tau or p < 1 - tau, so tau <= 0.5 marks every class
+        # and tau >= 1 none
+        if not 0.5 < self.fixmatch_tau < 1.0:
+            raise TrainerError(f"fixmatch_tau must lie in (0.5, 1), got {self.fixmatch_tau}")
         if self.alpha_weak <= 0 or self.alpha_strong <= 0:
             raise TrainerError("mix-up alpha parameters must be positive")
 
@@ -342,7 +347,6 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
             conf = objectives.fixmatch_mask(weak_probs, batch.delta, config.fixmatch_tau)
             stats = fet.CorrectnessStats(0.0, 0.0, available=False)
 
-        qhat = objectives.pseudo_labels(weak_probs)
         if split_only_labels:
             l_l = Tensor(0.0)
         else:
@@ -356,8 +360,12 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
             l_l = l_l + objectives.loss_labeled(
                 split_t, split_targets[lab_idx], np.ones(len(lab_idx), dtype=np.int64)
             )
-        strong_t = policy.forward(strong_states)
-        l_p = objectives.loss_pseudo(strong_t, qhat, conf)
+        # the strong pass feeds only the pseudo-label term, which is 0 with no class confident
+        if conf.any():
+            strong_t = policy.forward(strong_states)
+            l_p = objectives.loss_pseudo(strong_t, objectives.pseudo_labels(weak_probs), conf)
+        else:
+            l_p = Tensor(0.0)
         if use_cbl:
             umask = objectives.unconfident_plus_mask(batch.delta, conf, batch.logged_mask)
             l_b = objectives.loss_bandit(plain_t, batch.rho, batch.delta, umask)

@@ -1,0 +1,111 @@
+"""The JSONL writers and readers as plain ``json.dumps`` / ``json.loads``
+per line: the reference the fixed-width state codec in ``datasets`` must
+match byte for byte (writers) and record for record or error for error
+(readers)."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from banditmatch import datasets as ds
+
+
+def write_labeled_jsonl(path, corpus) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(ds._header(ds.KIND_LABELED)) + "\n")
+        for ex in corpus:
+            fh.write(
+                json.dumps({"state": ex.state.tolist(), "actions": ex.actions.tolist()})
+                + "\n"
+            )
+
+
+def write_bandit_jsonl(path, records) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(ds._header(ds.KIND_BANDIT)) + "\n")
+        for rec in records:
+            row = {
+                "state": rec.state.tolist(),
+                "actions": rec.logged_actions.tolist(),
+                "rho": rec.propensities.tolist(),
+                "delta": int(rec.feedback),
+            }
+            fh.write(json.dumps(row) + "\n")
+
+
+def _read_lines(path, kind: str):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise ds.DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ds.DataError(f"{path}:{lineno}: malformed JSON line ({err.msg})") from err
+            if lineno == 1:
+                if not isinstance(obj, dict) or "schema_version" not in obj:
+                    raise ds.DataError(f"{path}:1: not a {kind!r} file (no schema_version header)")
+                version = obj["schema_version"]
+                if version != ds.JSONL_VERSION:
+                    raise ds.DataVersionError(
+                        f"{path}:1: schema version {version!r} unsupported "
+                        f"(expected {ds.JSONL_VERSION!r})"
+                    )
+                if obj.get("record") != kind:
+                    raise ds.DataError(
+                        f"{path}:1: expected a {kind!r} file, found {obj.get('record')!r}"
+                    )
+                continue
+            yield lineno, obj
+
+
+def read_labeled_jsonl(path) -> list:
+    corpus = []
+    linenos = []
+    for lineno, obj in _read_lines(path, ds.KIND_LABELED):
+        try:
+            corpus.append(
+                ds.LabeledExample(
+                    state=np.array(obj["state"], dtype=np.float64),
+                    actions=np.array(obj["actions"], dtype=np.int64),
+                )
+            )
+        except KeyError as err:
+            raise ds.DataError(f"{path}:{lineno}: missing field {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ds.DataError(f"{path}:{lineno}: malformed field value ({err})") from err
+        linenos.append(lineno)
+    if corpus:
+        ds._check_labeled_records(path, corpus, linenos)
+    return corpus
+
+
+def read_bandit_jsonl(path) -> list:
+    records = []
+    linenos = []
+    deltas = []
+    for lineno, obj in _read_lines(path, ds.KIND_BANDIT):
+        try:
+            deltas.append(float(obj["delta"]))
+            records.append(
+                ds.BanditRecord(
+                    state=np.array(obj["state"], dtype=np.float64),
+                    logged_actions=np.array(obj["actions"], dtype=np.int64),
+                    propensities=np.array(obj["rho"], dtype=np.float64),
+                    feedback=int(obj["delta"]),
+                )
+            )
+        except KeyError as err:
+            raise ds.DataError(f"{path}:{lineno}: missing field {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ds.DataError(f"{path}:{lineno}: malformed field value ({err})") from err
+        linenos.append(lineno)
+    if records:
+        ds._check_bandit_records(path, records, linenos, np.array(deltas))
+    return records

@@ -472,6 +472,10 @@ INVALID_CONFIGS = {
     "fet_decay_negative": ("fet_decay = -0.1", "fet_decay must lie in [0, 1], got -0.1"),
     "sl_label_smoothing_above_one": ("sl_label_smoothing = 3",
                                      "sl_label_smoothing must lie in [0, 1], got 3.0"),
+    "learning_rate_negative": ("learning_rate = -1",
+                               "learning_rate must not be negative, got -1.0"),
+    "fixmatch_tau_above_one": ("fixmatch_tau = 7", "fixmatch_tau must lie in (0.5, 1), got 7.0"),
+    "fixmatch_tau_half": ("fixmatch_tau = 0.5", "fixmatch_tau must lie in (0.5, 1), got 0.5"),
 }
 
 
@@ -535,8 +539,7 @@ class TestErrors:
     @pytest.mark.parametrize("command, line, message", [
         pytest.param(command, line, message, id=f"{case}-{command}")
         for case, (line, message) in INVALID_CONFIGS.items()
-        # split-and-log's --seed (default 0) always overrides the file's seed
-        for command in ("train", "split-and-log") if case != "seed_negative" or command == "train"
+        for command in ("train", "split-and-log")
     ])
     def test_invalid_training_config_exit_code(self, tiny_world_data, tmp_path, capsys,
                                                command, line, message):
@@ -928,6 +931,31 @@ class TestConfigFile:
         config = cli.build_train_config(cli.read_config_file(cfg), {"seed": 9})
         assert config.seed == 9 and config.epochs == 7
 
+    @pytest.mark.parametrize("command", ["split-and-log", "ablate", "sweep"])
+    def test_file_seed_used_without_seed_flag(self, tiny_world_data, tmp_path, command):
+        world, corpus, data = tiny_world_data
+        budget = "sl_epochs = 2\nepochs = 1\nhidden_dims = 8\n"
+        argv = {
+            "split-and-log": ["split-and-log", "--world", world, "--corpus", corpus],
+            "ablate": ["ablate", "--world", world, "--bandit", data / "bandit.jsonl",
+                       "--logging-policy", data / "logging_policy.json",
+                       "--n-dialogs", 3, "--n-runs", 1],
+            "sweep": ["sweep", "--world", world, "--corpus", corpus, "--percentages", 50,
+                      "--methods", "banditmatch", "--n-dialogs", 3, "--n-runs", 1],
+        }[command]
+
+        def outputs(name, cfg_text, *flags):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(cfg_text)
+            out = tmp_path / name
+            assert run(argv + ["--config", cfg, *flags, "--out-dir", out]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                    if not p.name.endswith(".manifest.json")}
+
+        from_file = outputs("file", budget + "seed = 4\n")
+        assert from_file == outputs("flag", budget, "--seed", 4)
+        assert from_file != outputs("default", budget)
+
     def test_lambda_keys_map_to_weights(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("lambda_kl = 0\nlambda_bandit = 0.5\n")
@@ -1036,6 +1064,7 @@ class TestBlasThreads:
         out = subprocess.run(
             [sys.executable, "-c",
              "import os, banditmatch.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
+            env=env, capture_output=True, text=True, timeout=60,
         )
+        assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == expected

@@ -1,0 +1,243 @@
+"""The JSONL writers and readers against the plain json.dumps / json.loads
+reference in ``jsonl_reference``: writers give the same bytes, readers the
+same records or the same ``path:line: reason`` on any input."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import jsonl_reference as ref
+from banditmatch import datasets as ds
+
+CODEC_SETTINGS = settings(max_examples=60, deadline=None, database=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+KINDS = {
+    "labeled": (ds.write_labeled_jsonl, ds.read_labeled_jsonl,
+                ref.write_labeled_jsonl, ref.read_labeled_jsonl),
+    "bandit": (ds.write_bandit_jsonl, ds.read_bandit_jsonl,
+               ref.write_bandit_jsonl, ref.read_bandit_jsonl),
+}
+
+
+@st.composite
+def record_lists(draw, kind):
+    """Records of one state width (1-200); bandit ``rho`` is random, with all
+    entries below or above 0.5 for some records, so logged sets run from
+    empty to full; corpus actions are any short index lists."""
+    width = draw(st.integers(1, 200))
+    num_classes = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 6))
+    records = []
+    for _ in range(n):
+        state = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=width,
+                                       max_size=width)))
+        if kind == "labeled":
+            actions = draw(st.lists(st.integers(-1, 70), min_size=0, max_size=4))
+            records.append(ds.LabeledExample(state=state, actions=np.array(actions, np.int64)))
+            continue
+        side = draw(st.sampled_from(["low", "high", "mixed"]))
+        low, high = {"low": (0.0, 0.5), "high": (0.5, 1.0), "mixed": (0.0, 1.0)}[side]
+        rho = np.array(draw(st.lists(
+            st.floats(low, high, exclude_min=True, exclude_max=True),
+            min_size=num_classes, max_size=num_classes)))
+        records.append(ds.BanditRecord(
+            state=state, logged_actions=np.flatnonzero(rho > 0.5), propensities=rho,
+            feedback=draw(st.integers(0, 1))))
+    return records
+
+
+def outcome(read, path):
+    """Every field of every record, with dtype and shape, or the error raised."""
+    try:
+        records = read(path)
+    except ds.DataError as err:
+        return type(err).__name__, str(err)
+    return [
+        [(np.asarray(v).dtype.str, np.shape(v), np.asarray(v).tobytes())
+         for v in vars(rec).values()]
+        for rec in records
+    ]
+
+
+def rewrite_lines(path, transform) -> None:
+    """Apply ``transform`` to the JSON object of every line after the header."""
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [transform(json.loads(line)) for line in lines]) + "\n")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_writer_bytes_and_reader_records_match_reference(kind, tmp_path_factory):
+    write, read, ref_write, ref_read = KINDS[kind]
+    root = tmp_path_factory.mktemp(f"codec_{kind}")
+
+    @CODEC_SETTINGS
+    @given(records=record_lists(kind))
+    def check(records):
+        new, old = root / "new.jsonl", root / "old.jsonl"
+        write(new, records)
+        ref_write(old, records)
+        assert new.read_bytes() == old.read_bytes()
+        assert outcome(read, new) == outcome(ref_read, new)
+        # the same records in other spellings take the whole-line parse
+        for transform in (
+            lambda obj: json.dumps(obj, separators=(",", ":")),
+            lambda obj: json.dumps({**obj, "state": [int(x) for x in obj["state"]]}),
+        ):
+            rewrite_lines(old, transform)
+            assert outcome(read, old) == outcome(ref_read, old)
+
+    check()
+
+
+# bytes spliced into a canonical line: JSON punctuation, digits, whitespace,
+# a line break, a byte that is not UTF-8, and the neighbours ("/", "!", "-",
+# "1") of the bytes around a state digit
+FUZZ_BYTES = [bytes([b]) for b in b'01.,-5e ]["{}:\tx\n/!+2'] + [b"\xff"]
+
+
+def _fuzz_file(kind, path):
+    write = KINDS[kind][0]
+    state = np.array([0.0, 1.0, 1.0, 0.0])
+    if kind == "labeled":
+        write(path, [ds.LabeledExample(state=state, actions=np.array([0, 2]))] * 2)
+    else:
+        rho = np.array([0.75, 0.125, 0.5625])
+        write(path, [ds.BanditRecord(state=state, logged_actions=np.array([0, 2]),
+                                     propensities=rho, feedback=1)] * 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_single_byte_edits_read_the_same(kind, tmp_path):
+    _, read, _, ref_read = KINDS[kind]
+    path = tmp_path / "fuzz.jsonl"
+    _fuzz_file(kind, path)
+    original = path.read_bytes()
+    start = original.index(b"\n") + 1  # the first record line
+    end = original.index(b"\n", start)
+    edits = set()
+    for pos in range(start, end + 1):
+        edits.add(original[:pos] + original[pos + 1:])
+        for byte in FUZZ_BYTES:
+            edits.add(original[:pos] + byte + original[pos + 1:])
+            edits.add(original[:pos] + byte + original[pos:])
+    edits.discard(original)
+    fast = 0
+    for data in sorted(edits):
+        path.write_bytes(data)
+        got = outcome(read, path)
+        assert got == outcome(ref_read, path), data
+        fast += isinstance(got, list)
+    assert 0 < fast < len(edits)  # some edits still read, most are refused
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocks_mix_canonical_and_other_lines(kind, tmp_path):
+    """More lines than one block, with every tenth line compact: the reader
+    takes both paths inside one block and across block boundaries."""
+    write, read, _, ref_read = KINDS[kind]
+    rng = np.random.default_rng(0)
+    n = 2 * ds._BLOCK + 50
+    states = (rng.random((n, 9)) < 0.3).astype(np.float64)
+    if kind == "labeled":
+        records = [ds.LabeledExample(state=s, actions=np.array([1, 3])) for s in states]
+    else:
+        rho = rng.uniform(0.01, 0.99, size=(n, 5))
+        records = [ds.BanditRecord(state=s, logged_actions=np.flatnonzero(r > 0.5),
+                                   propensities=r, feedback=int(i % 2))
+                   for i, (s, r) in enumerate(zip(states, rho))]
+    path = tmp_path / "mixed.jsonl"
+    write(path, records)
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines), 10):
+        lines[i] = json.dumps(json.loads(lines[i]), separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    got = read(path)
+    assert outcome(read, path) == outcome(ref_read, path)
+    assert np.array_equal(np.stack([r.state for r in got]), states)
+    # a record of another width in the last block is reported on its line
+    lines[-3] = lines[-3].replace('"state": [', '"state": [0.0, ', 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert outcome(read, path) == outcome(ref_read, path)
+    assert f":{len(lines) - 2}: state has 10 entries" in outcome(read, path)[1]
+
+
+EDGE_LINES = {
+    "no_other_member": '{"state": [0.0, 1.0], }',
+    "no_other_member_spaced": '{"state": [0.0, 1.0],   }',
+    "trailing_spaces": '{"state": [0.0, 1.0], "actions": [1]}   ',
+    "trailing_carriage_return": '{"state": [0.0, 1.0], "actions": [1]}\r',
+    "trailing_vertical_tab": '{"state": [0.0, 1.0], "actions": [1]}\x0b',
+    "empty_state": '{"state": [], "actions": [1]}',
+    "extra_bracket": '{"state": [1.0, 0.0]], "actions": [1]}',
+    "nested_state": '{"state": [[1.0], 0.0], "actions": [1]}',
+    "second_object": '{"state": [0.0, 1.0], "actions": [1]} {"x": 1}',
+    "extra_brace": '{"state": [0.0, 1.0], "actions": [1]}}',
+    "last_state_wins": '{"state": [0.0, 1.0], "actions": [1], "state": [1.0, 1.0]}',
+    "unicode_rest": '{"state": [0.0, 1.0], "actions": [1], "note": "caf\u00e9"}',
+}
+
+
+@pytest.mark.parametrize("line", EDGE_LINES.values(), ids=EDGE_LINES)
+def test_edge_lines_read_the_same(line, tmp_path):
+    path = tmp_path / "edge.jsonl"
+    path.write_text('{"schema_version": "v1", "record": "labeled"}\n' + line + "\n"
+                    '{"state": [1.0, 0.0], "actions": [2]}\n', encoding="utf-8")
+    assert outcome(ds.read_labeled_jsonl, path) == outcome(ref.read_labeled_jsonl, path)
+
+
+def test_header_line_never_read_as_a_record(tmp_path):
+    # line 1 is the header even when it opens with canonical state text
+    path = tmp_path / "header.jsonl"
+    path.write_text('{"state": [0.0], "schema_version": "v1", "record": "labeled"}\n'
+                    '{"state": [1.0], "actions": [0]}\n')
+    got = outcome(ds.read_labeled_jsonl, path)
+    assert got == outcome(ref.read_labeled_jsonl, path) and len(got) == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rest_with_its_own_state_key(kind, tmp_path):
+    # duplicate keys: the last one wins, as json.loads reads the whole line
+    write, read, _, ref_read = KINDS[kind]
+    path = tmp_path / "dup.jsonl"
+    _fuzz_file(kind, path)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:-1] + ', "state": [1.0, 1.0, 1.0, 1.0]}'
+    path.write_text("\n".join(lines) + "\n")
+    got = read(path)
+    assert outcome(read, path) == outcome(ref_read, path)
+    assert got[0].state.tolist() == [1.0] * 4
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("entry", [0.5, float("nan"), 2.0])
+def test_writers_refuse_non_binary_states(kind, entry, tmp_path):
+    write = KINDS[kind][0]
+    state = np.array([0.0, entry, 1.0])
+    if kind == "labeled":
+        records = [ds.LabeledExample(state=state, actions=np.array([0]))]
+    else:
+        records = [ds.BanditRecord(state=state, logged_actions=np.array([], np.int64),
+                                   propensities=np.array([0.25]), feedback=0)]
+    with pytest.raises(ds.DataError, match="state entries must be 0 or 1"):
+        write(tmp_path / "x.jsonl", records)
+    assert not (tmp_path / "x.jsonl").exists()  # refused before the file is opened
+
+
+def test_writer_refuses_unequal_widths(tmp_path):
+    corpus = [ds.LabeledExample(state=np.zeros(3), actions=np.array([0])),
+              ds.LabeledExample(state=np.zeros(4), actions=np.array([0]))]
+    with pytest.raises(ds.DataError, match="states must be flat lists of 3 entries"):
+        ds.write_labeled_jsonl(tmp_path / "x.jsonl", corpus)
+
+
+def test_negative_zero_written_as_zero(tmp_path):
+    path = tmp_path / "x.jsonl"
+    ds.write_labeled_jsonl(path, [ds.LabeledExample(state=np.array([-0.0, 1.0]),
+                                                    actions=np.array([0]))])
+    assert path.read_text().splitlines()[1] == '{"state": [0.0, 1.0], "actions": [0]}'
+    (ex,) = ds.read_labeled_jsonl(path)
+    assert not np.signbit(ex.state).any()
