@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="roll expert dialogs into a labeled corpus")
     p.add_argument("--world", type=Path, required=True)
-    p.add_argument("--n-dialogs", type=int, default=DEFAULT_N_DIALOGS)
+    p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_N_DIALOGS)
     p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_gen_corpus)
@@ -631,9 +631,13 @@ def main(argv=None) -> int:
     else:
         manifest = args.out.with_name(f"{args.out.stem}.manifest.json")
     try:
-        # an output that cannot be written fails here, before any work
+        # an output that cannot be written, or that another output also
+        # names, fails here, before any work
+        written: dict[Path, Path] = {}
         for path in (*output_paths(args), manifest):
             check_output(path)
+            if written.setdefault(path.resolve(), path) is not path:
+                raise CliError(f"{path}: two outputs name this file", EXIT_INVALID)
         config = args.func(args, files)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

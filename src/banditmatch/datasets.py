@@ -229,9 +229,11 @@ def _with_state(state: np.ndarray, rest: bytes) -> dict | None:
 
 def _read_lines(path, kind: str):
     """Yield ``(line number, object)`` for each record line after the header.
-    A line that opens with canonical state text has only its rest parsed as
-    JSON; every other line, and any line that path refuses, is decoded and
-    parsed whole, which gives the same object or reports its error."""
+    Line 1 is the header whatever it holds, so an empty file or a blank
+    first line is refused; later blank lines are skipped. A line that opens
+    with canonical state text has only its rest parsed as JSON; every other
+    line, and any line that path refuses, is decoded and parsed whole, which
+    gives the same object or reports its error."""
     lineno = 0
     with open(path, "rb") as fh:
         while block := list(islice(fh, _BLOCK)):
@@ -248,6 +250,8 @@ def _read_lines(path, kind: str):
                 except UnicodeDecodeError as err:
                     raise DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
                 if not line:
+                    if lineno == 1:
+                        _check_header(path, kind, None)
                     continue
                 try:
                     obj = json.loads(line)
@@ -257,6 +261,8 @@ def _read_lines(path, kind: str):
                     _check_header(path, kind, obj)
                     continue
                 yield lineno, obj
+    if lineno == 0:
+        _check_header(path, kind, None)
 
 
 def _check_header(path, kind: str, obj) -> None:

@@ -355,30 +355,18 @@ def _check_finite(params: Sequence[Tensor]) -> None:
 class Sgd:
     """Plain gradient descent, used for hand-checkable tests."""
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        learning_rate: float = 0.1,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: Sequence[Tensor], learning_rate: float = 0.1):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.weight_decay = float(weight_decay)
 
     def step(self) -> None:
         _check_finite(self.params)
         for p in self.params:
-            if self.weight_decay:
-                p.data -= self.learning_rate * self.weight_decay * p.data
             p.data -= self.learning_rate * p.grad
 
 
 class Adam:
-    """Adaptive-moment optimizer with decoupled weight decay.
-
-    The decay keeps logits moderate (calibrated probabilities) instead of
-    letting small-corpus fits saturate every sigmoid.
-    """
+    """Adaptive-moment optimizer."""
 
     def __init__(
         self,
@@ -387,14 +375,12 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -406,7 +392,6 @@ class Adam:
 
             m = beta1 * m + (1 - beta1) * g
             v = beta2 * v + ((1 - beta2) * g) * g
-            p -= (lr * wd) * p                      # when weight_decay
             p -= (lr * (m / b1t)) / (sqrt(v / b2t) + eps)
         """
         _check_finite(self.params)
@@ -423,9 +408,6 @@ class Adam:
             np.multiply(g, 1.0 - self.beta2, out=a)
             a *= g
             v += a
-            if self.weight_decay:
-                np.multiply(p.data, lr * self.weight_decay, out=a)
-                p.data -= a
             np.divide(v, b2t, out=a)
             np.sqrt(a, out=a)
             a += self.eps

@@ -77,13 +77,9 @@ class TrainConfig:
     no_fet: bool = False
     no_cbl: bool = False
     no_kl: bool = False
-    weight_decay: float = 0.0
     ips_clip: float = objectives.DEFAULT_IPS_CLIP
     banditnet_translation: float = objectives.DEFAULT_TRANSLATION
     fixmatch_tau: float = objectives.FIXED_CONFIDENCE
-    # replay the expert split next to logged positives during composite
-    # fine-tuning (off: logged positives only)
-    replay_labeled: bool = False
 
     def __post_init__(self):
         if self.method not in FINETUNE_METHODS:
@@ -197,6 +193,21 @@ class LogArrays:
 # -- supervised training -----------------------------------------------------------
 
 
+def _descend(policy: PolicyNet, rng: np.random.Generator, n: int, epochs: int,
+             config: TrainConfig, step) -> None:
+    """The descent loop of both trainers: Adam over the trainable
+    parameters and, per epoch, one ``rng`` permutation of the ``n`` rows cut
+    into ``batch_size`` slices. ``step(idx)`` returns the slice's loss."""
+    opt = nncore.Adam(policy.trainable_parameters(), config.learning_rate)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            loss = step(order[start : start + config.batch_size])
+            policy.zero_grad()
+            loss.backward()
+            opt.step()
+
+
 def train_supervised(
     examples: list[LabeledExample],
     spec: nncore.MlpSpec,
@@ -219,18 +230,9 @@ def train_supervised(
     targets = fet.sets_to_mask([ex.actions for ex in examples], spec.output_dim)
     targets = targets.astype(np.float64) * (1.0 - eps) + eps / 2.0
     delta = np.ones(len(examples), dtype=np.int64)
-    opt = nncore.Adam(policy.trainable_parameters(), config.learning_rate,
-                      weight_decay=config.weight_decay)
-    n = len(examples)
-    for _ in range(config.sl_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            probs = policy.forward(states[idx])
-            loss = objectives.loss_labeled(probs, targets[idx], delta[idx])
-            policy.zero_grad()
-            loss.backward()
-            opt.step()
+    _descend(policy, rng, len(examples), config.sl_epochs, config,
+             lambda idx: objectives.loss_labeled(policy.forward(states[idx]), targets[idx],
+                                                 delta[idx]))
     return policy
 
 
@@ -254,12 +256,12 @@ def train_on_log(
     """Fine-tune a copy of the logging policy on the logged feedback.
 
     Dispatches on ``config.method``; ablation switches refine the
-    composite method. ``labeled_split`` is the small expert split: the
-    feedback-blind fixmatch baseline requires it (it is that method's only
-    labeled data; logged feedback enters solely through the unlabeled
-    pseudo-label pathway), while the composite method can optionally
-    replay it next to the logged positives. Returns the trained policy
-    and the per-step log.
+    composite method. ``labeled_split`` is the small expert split, read
+    only by the feedback-blind fixmatch baseline, which requires it (it is
+    that method's only labeled data; logged feedback enters solely through
+    the unlabeled pseudo-label pathway). Every other method takes its
+    labeled term from the logged positives. Returns the trained policy and
+    the per-step log.
     """
     if not records:
         raise TrainerError("empty bandit log")
@@ -272,8 +274,6 @@ def train_on_log(
     # an open ROADMAP item)
     train = arrays.take(rng.permutation(len(arrays))[len(arrays) // 10:])
     policy = logging_policy.clone_trainable()
-    opt = nncore.Adam(policy.trainable_parameters(), config.learning_rate,
-                      weight_decay=config.weight_decay)
     # step(number, idx, batch) -> (total loss, StepLog) with idx into train
     if config.method in (METHOD_IPS, METHOD_BANDITNET):
         step = _crm_step(policy, logging_policy, train, config)
@@ -281,38 +281,27 @@ def train_on_log(
         step = _composite_step(policy, logging_policy, train, rng, config, labeled_split)
 
     history: list[StepLog] = []
-    n = len(train)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            total, row = step(len(history) + 1, idx, train.take(idx))
-            policy.zero_grad()
-            total.backward()
-            opt.step()
-            history.append(row)
+
+    def logged_step(idx):
+        total, row = step(len(history) + 1, idx, train.take(idx))
+        history.append(row)
+        return total
+
+    _descend(policy, rng, len(train), config.epochs, config, logged_step)
     return policy, history
 
 
 def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
-    mix-up passes, optional split replay, and the four weighted terms."""
+    mix-up passes, and the four weighted terms. The supervised term is the
+    mixed-up expert split for fixmatch and the logged positives otherwise."""
     use_fet = not config.no_fet and config.method == METHOD_BANDITMATCH
     use_cbl = not config.no_cbl and config.method == METHOD_BANDITMATCH
     use_kl = not config.no_kl and config.method == METHOD_BANDITMATCH
-    # which examples feed the supervised term: the fixmatch baseline draws
-    # on the expert split only; the composite method uses logged positives
-    # (optionally replaying the split next to them)
-    split_only_labels = config.method == METHOD_FIXMATCH
-    use_split = split_only_labels or (
-        config.method == METHOD_BANDITMATCH and config.replay_labeled
-    )
-    if use_split and not labeled_split:
-        raise TrainerError(f"{config.method} configuration needs the labeled split")
+    use_split = config.method == METHOD_FIXMATCH
 
     num_classes = logging_policy.num_actions
     aug_rng = derive_rng(config.seed, "augment")
-    split_states = split_targets = None
     if use_split:
         split_states = np.stack([ex.state for ex in labeled_split])
         split_targets = fet.sets_to_mask([ex.actions for ex in labeled_split], num_classes)
@@ -347,19 +336,17 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
             conf = objectives.fixmatch_mask(weak_probs, batch.delta, config.fixmatch_tau)
             stats = fet.CorrectnessStats(0.0, 0.0, available=False)
 
-        if split_only_labels:
-            l_l = Tensor(0.0)
-        else:
-            l_l = objectives.loss_labeled(weak_t, batch.logged_mask, batch.delta)
         if use_split:
             lab_idx = rng.integers(0, split_states.shape[0], size=config.batch_size)
             weak_split, _ = objectives.mixup_batch(
                 split_states[lab_idx], config.alpha_weak, aug_rng
             )
-            split_t = policy.forward(weak_split)
-            l_l = l_l + objectives.loss_labeled(
-                split_t, split_targets[lab_idx], np.ones(len(lab_idx), dtype=np.int64)
+            l_l = objectives.loss_labeled(
+                policy.forward(weak_split), split_targets[lab_idx],
+                np.ones(len(lab_idx), dtype=np.int64),
             )
+        else:
+            l_l = objectives.loss_labeled(weak_t, batch.logged_mask, batch.delta)
         # the strong pass feeds only the pseudo-label term, which is 0 with no class confident
         if conf.any():
             strong_t = policy.forward(strong_states)

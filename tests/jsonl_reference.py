@@ -36,33 +36,35 @@ def write_bandit_jsonl(path, records) -> None:
 
 
 def _read_lines(path, kind: str):
+    # line 1 is the header whatever it holds: an empty file has a blank one
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as err:
-                raise ds.DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ds.DataError(f"{path}:{lineno}: malformed JSON line ({err.msg})") from err
-            if lineno == 1:
-                if not isinstance(obj, dict) or "schema_version" not in obj:
-                    raise ds.DataError(f"{path}:1: not a {kind!r} file (no schema_version header)")
-                version = obj["schema_version"]
-                if version != ds.JSONL_VERSION:
-                    raise ds.DataVersionError(
-                        f"{path}:1: schema version {version!r} unsupported "
-                        f"(expected {ds.JSONL_VERSION!r})"
-                    )
-                if obj.get("record") != kind:
-                    raise ds.DataError(
-                        f"{path}:1: expected a {kind!r} file, found {obj.get('record')!r}"
-                    )
-                continue
-            yield lineno, obj
+        lines = list(fh) or [b""]
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as err:
+            raise ds.DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
+        if not line and lineno > 1:
+            continue
+        try:
+            obj = json.loads(line) if line else None
+        except json.JSONDecodeError as err:
+            raise ds.DataError(f"{path}:{lineno}: malformed JSON line ({err.msg})") from err
+        if lineno == 1:
+            if not isinstance(obj, dict) or "schema_version" not in obj:
+                raise ds.DataError(f"{path}:1: not a {kind!r} file (no schema_version header)")
+            version = obj["schema_version"]
+            if version != ds.JSONL_VERSION:
+                raise ds.DataVersionError(
+                    f"{path}:1: schema version {version!r} unsupported "
+                    f"(expected {ds.JSONL_VERSION!r})"
+                )
+            if obj.get("record") != kind:
+                raise ds.DataError(
+                    f"{path}:1: expected a {kind!r} file, found {obj.get('record')!r}"
+                )
+            continue
+        yield lineno, obj
 
 
 def read_labeled_jsonl(path) -> list:

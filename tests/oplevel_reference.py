@@ -218,10 +218,9 @@ def model_correctness_neg(probs_n, sets_n, rho_n) -> float:
 class Adam:
     """The Adam update written as plain array expressions."""
 
-    def __init__(self, params, learning_rate, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -237,6 +236,4 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            if self.weight_decay:
-                p.data -= self.learning_rate * self.weight_decay * p.data
             p.data -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

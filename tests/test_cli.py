@@ -284,12 +284,10 @@ class TestLabeledCorpusContract:
         lines[2] = json.dumps(record)
         broken = tmp_path / "labeled.jsonl"
         broken.write_text("\n".join(lines) + "\n")
-        replay = tmp_path / "replay.cfg"
-        replay.write_text(cfg.read_text() + "\nreplay_labeled = true\n")
         capsys.readouterr()
         code = run(["train", "--method", "banditmatch", "--bandit", data / "bandit.jsonl",
                     "--logging-policy", data / "logging_policy.json", "--labeled", broken,
-                    "--config", replay, "--seed", 5, "--out", tmp_path / "p.json"])
+                    "--config", cfg, "--seed", 5, "--out", tmp_path / "p.json"])
         err = capsys.readouterr().err
         assert code == cli.EXIT_INVALID
         assert f"{broken}{BROKEN_CORPORA[case]}" in err
@@ -504,11 +502,11 @@ class TestErrors:
         corpus = tmp_path / "c.jsonl"
         assert run(["gen-corpus", "--world", world, "--n-dialogs", 2, "--out", corpus]) == 0
         cfg = tmp_path / "bad.cfg"
-        # warm_start, fixmatch_labeled_source, optimizer, early_stop and
-        # holdout_fraction were keys of earlier versions
+        # every line but the first names a key of an earlier version
         for line in ("learning_speed = 3", "warm_start = false",
                      "fixmatch_labeled_source = logged_positives", "optimizer = sgd",
-                     "early_stop = true", "holdout_fraction = 0.1"):
+                     "early_stop = true", "holdout_fraction = 0.1",
+                     "weight_decay = 0.001", "replay_labeled = true"):
             cfg.write_text(line + "\n")
             capsys.readouterr()
             code = run(["split-and-log", "--world", world, "--corpus", corpus,
@@ -531,10 +529,6 @@ class TestErrors:
                     "--labeled-fraction", "1.5", "--out-dir", tmp_path / "d"])
         assert code == cli.EXIT_INVALID
         assert capsys.readouterr().err == "error: labeled_fraction must be in (0, 1], got 1.5\n"
-        code = run(["gen-corpus", "--world", world, "--n-dialogs", 0,
-                    "--out", tmp_path / "c0.jsonl"])
-        assert code == cli.EXIT_INVALID
-        assert capsys.readouterr().err == "error: n_dialogs must be positive, got 0\n"
 
     @pytest.mark.parametrize("command, line, message", [
         pytest.param(command, line, message, id=f"{case}-{command}")
@@ -673,15 +667,19 @@ class TestGridPointSizes:
 
 
 class TestCountFlags:
-    """``--jobs`` and the ``--n-dialogs`` / ``--n-runs`` of evaluate, ablate and
-    sweep take integers of at least 1 and fail while parsing (exit 2), before
-    any file is read or any policy trained; the pool never asks for more
-    workers than the machine has cores."""
+    """``--jobs``, the ``--n-dialogs`` of gen-corpus and the ``--n-dialogs`` /
+    ``--n-runs`` of evaluate, ablate and sweep take integers of at least 1
+    and fail while parsing (exit 2), before any file is read or any policy
+    trained; the pool never asks for more workers than the machine has
+    cores."""
 
     @staticmethod
     def _argv(command, root, world, corpus, data, cfg):
         out = root / "counts_out"
         return {
+            # a missing world: the count is refused before the world is read
+            "gen-corpus": ["gen-corpus", "--world", root / "missing.json", "--out",
+                           out / "c.jsonl"],
             "evaluate": ["evaluate", "--world", world, "--expert", "--out", out / "r.csv"],
             "ablate": ["ablate", "--world", world, "--bandit", data / "bandit.jsonl",
                        "--logging-policy", data / "logging_policy.json", "--config", cfg,
@@ -690,10 +688,16 @@ class TestCountFlags:
                       "--percentages", "20", "--methods", "ips", "--out-dir", out],
         }[command]
 
-    @pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep"])
-    @pytest.mark.parametrize("flag, value", [
-        ("--n-dialogs", "0"), ("--n-runs", "0"), ("--n-runs", "-2"), ("--n-dialogs", "x"),
-    ], ids=["dialogs_zero", "runs_zero", "runs_negative", "dialogs_not_int"])
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param(command, flag, value, id=f"{case}-{command}")
+        for command in ("evaluate", "ablate", "sweep", "gen-corpus")
+        for case, flag, value in (
+            ("dialogs_zero", "--n-dialogs", "0"), ("runs_zero", "--n-runs", "0"),
+            ("runs_negative", "--n-runs", "-2"), ("dialogs_not_int", "--n-dialogs", "x"),
+            ("dialogs_negative", "--n-dialogs", "-3"))
+        # gen-corpus has no --n-runs
+        if flag == "--n-dialogs" or command != "gen-corpus"
+    ])
     def test_counts_rejected_before_training(self, pipeline, capsys, monkeypatch,
                                              command, flag, value):
         root, world, corpus, data, cfg, ckpt = pipeline
@@ -825,6 +829,44 @@ class TestOutputPaths:
         assert run(argv) == cli.EXIT_INVALID
         assert capsys.readouterr().err == f"error: {line}\n"
         assert sorted(tmp_path.iterdir()) == [taken]
+
+    @pytest.mark.parametrize("case", ["json_is_manifest", "train_log_is_out",
+                                      "trace_is_dotted_train_log"])
+    def test_two_outputs_one_file(self, tiny_world_data, tmp_path, capsys, monkeypatch, case):
+        # two outputs, or an output and the manifest, that resolve to one
+        # file exit 5 before any work instead of overwriting each other
+        world, corpus, data = tiny_world_data
+        for name in ("train_on_log", "evaluate", "evaluate_expert"):
+            monkeypatch.setattr(cli.trainer, name, lambda *a, name=name, **k: pytest.fail(name))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "new"
+        train = ["train", "--method", "banditmatch", "--bandit", data / "bandit.jsonl",
+                 "--logging-policy", data / "logging_policy.json",
+                 "--config", world.parent / "train.cfg", "--out", out / "p.json"]
+        argv, path = {
+            "json_is_manifest": (
+                ["evaluate", "--world", world, "--expert", "--n-dialogs", 2, "--n-runs", 1,
+                 "--out", out / "r.csv", "--json", out / "r.manifest.json"],
+                out / "r.manifest.json"),
+            "train_log_is_out": (train + ["--train-log", out / "p.json"], out / "p.json"),
+            "trace_is_dotted_train_log": (
+                train + ["--train-log", "./new/log.csv", "--threshold-trace", out / "log.csv"],
+                out / "log.csv"),
+        }[case]
+        capsys.readouterr()
+        assert run(argv) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {path}: two outputs name this file\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_may_be_an_input(self, tmp_path):
+        # gen-world re-emits a schema file in place
+        world = tmp_path / "w.json"
+        assert run(["gen-world", "--out", world, "--tiny"]) == 0
+        before = world.read_bytes()
+        assert run(["gen-world", "--schema-config", world, "--out", world]) == 0
+        assert world.read_bytes() == before
+        manifest = json.loads((tmp_path / "w.manifest.json").read_text())
+        assert manifest["outputs"] == {str(world): hashlib.sha256(before).hexdigest()}
 
 
 # per command: argv, manifest, then the manifest's input and output keys in
@@ -970,10 +1012,9 @@ class TestConfigFile:
             "alpha_weak": float, "alpha_strong": float,
             "fet_decay": float, "method": str, "add_kl": bool, "no_mc_scale": bool,
             "no_fet": bool, "no_cbl": bool, "no_kl": bool,
-            "weight_decay": float,
             "ips_clip": float, "banditnet_translation": float, "fixmatch_tau": float,
-            "replay_labeled": bool,
         }
+        assert len(key_types) == 22
         raw = {int: "3", float: "0.5", str: "x", tuple: "16,8", bool: "true"}
         cfg = tmp_path / "c.cfg"
         cfg.write_text("".join(f"{key} = {raw[kind]}\n" for key, kind in key_types.items()))

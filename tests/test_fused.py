@@ -137,13 +137,12 @@ def test_composite_graph_has_one_node_per_forward_and_loss():
     assert len(nodes.keys() - params) == 3 + 4 + 9
 
 
-@pytest.mark.parametrize("weight_decay", (0.0, 0.01))
-def test_adam_in_place_matches_plain_expressions(weight_decay):
+def test_adam_in_place_matches_plain_expressions():
     rng = np.random.default_rng(7)
     a = Mlp(MlpSpec(5, (4,), 3), rng=rng)
     b = a.copy()
-    opt = nncore.Adam(a.parameters(), learning_rate=1e-2, weight_decay=weight_decay)
-    ref_opt = ref.Adam(b.parameters(), learning_rate=1e-2, weight_decay=weight_decay)
+    opt = nncore.Adam(a.parameters(), learning_rate=1e-2)
+    ref_opt = ref.Adam(b.parameters(), learning_rate=1e-2)
     for _ in range(6):
         for pa, pb in zip(a.parameters(), b.parameters()):
             pa.grad = rng.standard_normal(pa.shape)

@@ -10,7 +10,9 @@ twice; these fixed digests can.
 Its logging policy earns no positive feedback, so fine-tuning there moves
 only the KL term. ``all_losses`` trains the logging policy further at a
 higher learning rate so every loss term is active, with non-unit loss
-weights, weight decay, replay of the labeled split, and an IPS + KL run.
+weights and an IPS + KL run. Its digests other than the world and corpus
+were re-taken, with this config, on the last tree that had weight decay and
+replay of the labeled split.
 ``test_protocol_paths_golden_bytes`` pins the paths those two leave out:
 every fine-tuning method (fixmatch and banditnet among them), the threshold
 trace, ``evaluate --trace`` / ``--jobs 2`` / ``--expert`` and the ablation
@@ -54,8 +56,8 @@ PIPELINES = {
         },
     ),
     "all_losses": (
-        "sl_epochs = 60\nlearning_rate = 0.01\nweight_decay = 0.001\n"
-        "lambda_pseudo = 0.7\nlambda_kl = 0.35\nreplay_labeled = true\nadd_kl = true\n"
+        "sl_epochs = 60\nlearning_rate = 0.01\n"
+        "lambda_pseudo = 0.7\nlambda_kl = 0.35\nadd_kl = true\n"
         + BASE_CONFIG,
         ("banditmatch", "ips"),
         {
@@ -64,19 +66,19 @@ PIPELINES = {
             "corpus.jsonl":
                 "6060f9fddf946ce74451652b6a4df4164f3fa124089b7a21d8be4d6bbc2a82dd",
             "data/logging_policy.json":
-                "e3dd9bf96f11792d4ab2415f4136b60f69b127d8692c4ec67f085e4da4625df3",
+                "24eb598a5828bcb1195f4b0c0d46e07255fcef6fadbca15854bcf20823f90e05",
             "data/bandit.jsonl":
-                "bdeb5f7a565f8976fa2b4b0d24165d06fbe114935db4d9a57953ddfd1a84b7d7",
+                "c9dc3e9ef8e1b5ed6d8a8c28b83aa81e3eaaa4e8fff1f170e17458ac2f223683",
             "banditmatch.json":
-                "5fc31b479617c8851993fd4150093ce8738cc6665d255e78ce926a83b35cfb0e",
+                "d848013e02652f07a163cc6d3632505efa1a68905affbaddde8c05b4de9e6d83",
             "banditmatch_log.csv":
-                "f47d37e39a3d7881bc1430744bf2b6c1a14f7bfd329bffa42c235683b1338ef1",
+                "f843b2c1e474aa394482200dfa0e62c8cb4fbc91b79005d53a7085a592c6c6e7",
             "ips.json":
-                "b01bf3b3f0158a84eadcec9c333688d569b304a83abe559cc0327487b25b519b",
+                "29c516a282cf4e6a8f943318b3a5bf46c1cda60a2ebf68d265b4bc261f4b31ba",
             "ips_log.csv":
-                "82e4944eb386b8e69e6c3f6b7820b6979f37a9e02a6e8f187afbac0cd035d7d3",
+                "d430cd86b51888db36e3dfbd0e58e5fe1500ecef7f91e4036e5afc178aa56da0",
             "report.csv":
-                "0e01d17a6e5a526677e931ac75d99d21934a84f4b7760e27ad50d84adb0af366",
+                "5d47fb40b72dd4b1e860d0b144316dbf94a0d6fb3ce8f92035c3ddda43b763ff",
         },
     ),
 }

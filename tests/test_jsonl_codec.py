@@ -199,6 +199,19 @@ def test_header_line_never_read_as_a_record(tmp_path):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("before", [b"", b"\n", b"  \r\n"], ids=["empty", "blank", "spaces"])
+def test_missing_header_refused(kind, before, tmp_path):
+    # line 1 is the header whatever it holds: a file that is empty, or that
+    # puts a blank line before a valid header and records, is refused there
+    write, read, _, ref_read = KINDS[kind]
+    path = tmp_path / "no_header.jsonl"
+    _fuzz_file(kind, path)
+    path.write_bytes(before + path.read_bytes() if before else b"")
+    message = f"{path}:1: not a {kind!r} file (no schema_version header)"
+    assert outcome(read, path) == outcome(ref_read, path) == ("DataError", message)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_rest_with_its_own_state_key(kind, tmp_path):
     # duplicate keys: the last one wins, as json.loads reads the whole line
     write, read, _, ref_read = KINDS[kind]

@@ -132,7 +132,7 @@ class TestFineTuning:
 
     def test_forward_passes_per_step(self, setup, monkeypatch):
         # weak and strong passes always; the unaugmented pass only when FET,
-        # CBL or KL reads it; one split pass when the split feeds the labels
+        # CBL or KL reads it; fixmatch's split pass in its place
         calls = []
         forward = PolicyNet.forward
         monkeypatch.setattr(PolicyNet, "forward",
@@ -140,7 +140,6 @@ class TestFineTuning:
         base = replace(setup[2], epochs=1)
         cases = {
             "banditmatch": (base, 3),
-            "replay_labeled": (replace(base, replay_labeled=True), 4),
             "no_fet": (tr.apply_ablation(base, "no_fet"), 3),
             "no_cbl": (tr.apply_ablation(base, "no_cbl"), 3),
             "no_kl": (tr.apply_ablation(base, "no_kl"), 3),
@@ -156,6 +155,38 @@ class TestFineTuning:
         cfg = replace(setup[2], epochs=1, method="fixmatch")
         with pytest.raises(tr.TrainerError):
             tr.train_on_log(setup[3], setup[4], cfg)
+
+    @pytest.mark.parametrize("row", [name for name, _ in tr.ablation_rows(tr.TrainConfig())]
+                             + ["ips", "banditnet"])
+    def test_only_fixmatch_reads_labeled_split(self, setup, row):
+        base = replace(setup[2], epochs=1)
+        rows = dict(tr.ablation_rows(base))
+        cfg = rows.get(row) or replace(base, method=row)
+        runs = [tr.train_on_log(setup[3], setup[4], cfg, labeled_split=split)
+                for split in (setup[0], None)]
+        (with_split, log_a), (without, log_b) = runs
+        for x, y in zip(with_split.parameters(), without.parameters()):
+            assert np.array_equal(x.data, y.data)
+        assert len(log_a) == len(log_b) > 0
+        for a, b in zip(log_a, log_b):
+            assert [getattr(a, c) for c in tr.TRAINING_LOG_COLUMNS] == \
+                [getattr(b, c) for c in tr.TRAINING_LOG_COLUMNS]
+            assert (a.thresholds is None) == (b.thresholds is None)
+            if a.thresholds is not None:
+                assert np.array_equal(a.thresholds.accept, b.thresholds.accept)
+                assert np.array_equal(a.thresholds.reject, b.thresholds.reject)
+
+    def test_fixmatch_trains_on_split_action_sets(self, setup):
+        cfg = replace(setup[2], epochs=1, method="fixmatch")
+        labeled = setup[0]
+        # the same states, each with the next example's action set
+        shifted = [ds.LabeledExample(ex.state, labeled[(i + 1) % len(labeled)].actions)
+                   for i, ex in enumerate(labeled)]
+        assert any(not np.array_equal(a.actions, b.actions) for a, b in zip(labeled, shifted))
+        a, _ = tr.train_on_log(setup[3], setup[4], cfg, labeled_split=labeled)
+        b, _ = tr.train_on_log(setup[3], setup[4], cfg, labeled_split=shifted)
+        assert any(not np.array_equal(x.data, y.data)
+                   for x, y in zip(a.parameters(), b.parameters()))
 
     def test_crm_training_logs_bandit_loss_only(self, setup):
         cfg = replace(setup[2], epochs=1, method="ips")
