@@ -486,8 +486,9 @@ def save_checkpoint(path, spec: MlpSpec, named: dict[str, Tensor], extra: dict |
     }
     if extra:
         payload["extra"] = extra
+    # one dumps, not dump: dump streams through json's pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_checkpoint(path) -> tuple[MlpSpec, dict[str, np.ndarray], dict]:

@@ -267,12 +267,12 @@ def train_on_log(
         raise TrainerError("empty bandit log")
     if config.method == METHOD_FIXMATCH and not labeled_split:
         raise TrainerError("the fixmatch baseline needs the labeled split")
-    arrays = LogArrays.from_records(records, logging_policy.num_actions)
     rng = derive_rng(config.seed, "train")
-    # a shuffle's first tenth is set aside unread: the batch draws, and so
-    # every trained byte, follow this draw and cut (training on those rows is
-    # an open ROADMAP item)
-    train = arrays.take(rng.permutation(len(arrays))[len(arrays) // 10:])
+    # a shuffle's first tenth is set aside unread and never stacked: the batch
+    # draws, and so every trained byte, follow this draw and cut (training on
+    # those rows is an open ROADMAP item)
+    kept = rng.permutation(len(records))[len(records) // 10:]
+    train = LogArrays.from_records([records[i] for i in kept], logging_policy.num_actions)
     policy = logging_policy.clone_trainable()
     # step(number, idx, batch) -> (total loss, StepLog) with idx into train
     if config.method in (METHOD_IPS, METHOD_BANDITNET):

@@ -47,20 +47,31 @@ class Case:
         self.clip = 2.0 if seed % 2 else obj.DEFAULT_IPS_CLIP
         self.weights = {"lambda_pseudo": 0.7, "lambda_bandit": 1.3, "lambda_kl": 0.35}
 
-    def composite(self, forward, losses, replay: bool):
-        """The composite step's graph, built in the trainer's order."""
+    def composite(self, forward, losses):
+        """The banditmatch step's graph, built in the trainer's order."""
         plain = forward(self.net, self.states)
         weak = forward(self.net, self.weak)
         l_l = losses.loss_labeled(weak, self.logged, self.delta)
-        if replay:
-            split = forward(self.net, self.split)
-            ones = np.ones(len(self.split), dtype=np.int64)
-            l_l = l_l + losses.loss_labeled(split, self.split_targets, ones)
         strong = forward(self.net, self.strong)
         l_p = losses.loss_pseudo(strong, self.qhat, self.conf)
         l_b = losses.loss_bandit(plain, self.rho, self.delta, self.umask)
         l_k = losses.loss_kl_control(plain, self.ref_probs)
         return obj.total_loss(l_l, l_p, l_b, l_k, **self.weights)
+
+    def fixmatch(self, forward, losses):
+        """The fixmatch step's graph, built in the trainer's order: the weak
+        pass only sets the mask and pseudo-labels, the labeled term is on the
+        mixed split, and there is no plain pass, bandit or KL term."""
+        weak_probs = forward(self.net, self.weak).data
+        conf = obj.fixmatch_mask(weak_probs, self.delta, tau=0.6)
+        ones = np.ones(len(self.split), dtype=np.int64)
+        l_l = losses.loss_labeled(forward(self.net, self.split), self.split_targets, ones)
+        if conf.any():
+            strong = forward(self.net, self.strong)
+            l_p = losses.loss_pseudo(strong, obj.pseudo_labels(weak_probs), conf)
+        else:
+            l_p = nncore.Tensor(0.0)
+        return obj.total_loss(l_l, l_p, nncore.Tensor(0.0), nncore.Tensor(0.0), **self.weights)
 
     def builds(self):
         """name -> builder(forward, losses) of a scalar loss."""
@@ -84,8 +95,8 @@ class Case:
             "ips": lambda f, L: L.loss_ips(f(s.net, s.states), s.rho, s.delta, s.logged, s.clip),
             "banditnet": lambda f, L: L.loss_banditnet(
                 f(s.net, s.states), s.rho, s.delta, s.logged, 0.9, s.clip),
-            "composite": lambda f, L: s.composite(f, L, replay=False),
-            "composite_replay": lambda f, L: s.composite(f, L, replay=True),
+            "composite": s.composite,
+            "fixmatch": s.fixmatch,
             "ips_kl": crm("ips"),
             "banditnet_kl": crm("banditnet"),
         }
@@ -124,7 +135,7 @@ def test_fused_forward_matches_op_chain(activation):
 
 def test_composite_graph_has_one_node_per_forward_and_loss():
     case = Case(1, "relu")
-    total = case.composite(fused_forward, obj, replay=False)
+    total = case.composite(fused_forward, obj)
     nodes, stack = {}, [total]
     while stack:
         node = stack.pop()

@@ -173,6 +173,11 @@ class TestCheckpoints:
         assert extra == {"role": "frozen"}
         for name, tensor in net.named_parameters().items():
             assert np.array_equal(tensors[name], tensor.data)
+        # load then save gives back the file's exact bytes
+        again = tmp_path / "again.json"
+        nncore.save_checkpoint(again, spec, {n: nncore.Tensor(t) for n, t in tensors.items()},
+                               extra=extra)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_version_mismatch_rejected(self, tmp_path):
         net = make_net()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,26 @@ class TestFineTuning:
     def test_empty_log_rejected(self, setup):
         with pytest.raises(tr.TrainerError):
             tr.train_on_log(setup[3], [], setup[2])
+
+    def test_stacks_only_the_training_rows(self, schema, spec):
+        # the unread tenth of the log is never stacked, and no second copy of
+        # the training rows is kept: a zero-epoch run peaks at about one
+        # copy of their states, propensities and logged-set mask
+        rng = np.random.default_rng(17)
+        d, c, n = schema.state_dim, schema.num_actions, 3000
+        records = [ds.BanditRecord(rng.random(d), np.flatnonzero(rng.random(c) < 0.2),
+                                   rng.uniform(0.05, 0.95, c), int(rng.integers(2)))
+                   for _ in range(n)]
+        pi0 = PolicyNet(spec, rng=rng).clone_frozen()
+        cfg = tr.TrainConfig(method="ips", epochs=0, hidden_dims=spec.hidden_dims)
+        row_bytes = (n - n // 10) * (d * 8 + c * 8 + c)
+        tracemalloc.start()
+        try:
+            tr.train_on_log(pi0, records, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * row_bytes, peak / row_bytes
 
     def test_crm_kind_with_kl_variant(self, setup, schema):
         cfg = replace(setup[2], epochs=1, method="ips", add_kl=True)
