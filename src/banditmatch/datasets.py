@@ -9,7 +9,8 @@ user feedback (1 iff the predicted set equals the expert set exactly).
 Persistence is JSON-lines with a one-object header line carrying the
 schema version; floats round-trip at full precision. The binary state
 vectors are written and read as fixed-width ``0.0``/``1.0`` text, a block
-of records per numpy pass (FORMATS.md gives the line layout).
+of records per numpy pass (FORMATS.md gives the line layout), and held in
+memory as ``uint8``, one byte per entry.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class DataVersionError(DataError):
 
 @dataclass
 class LabeledExample:
-    state: np.ndarray
+    state: np.ndarray  # uint8 0/1 entries
     actions: np.ndarray  # sorted atomic-action indices, non-empty
 
     def action_set(self) -> set[int]:
@@ -48,7 +49,7 @@ class LabeledExample:
 
 @dataclass
 class BanditRecord:
-    state: np.ndarray
+    state: np.ndarray  # uint8 0/1 entries
     logged_actions: np.ndarray  # sorted indices of the logged set (may be empty)
     propensities: np.ndarray  # full length-C probability vector at logging time
     feedback: int  # 0 or 1
@@ -156,8 +157,9 @@ _STATE_CLOSE = b"], "
 
 
 def _binary_states(states: list[np.ndarray]) -> np.ndarray:
-    """The states as one (n, width) uint8 array of 0s and 1s; DataError on
-    unequal widths or an entry other than 0 or 1 (``-0.0`` counts as 0)."""
+    """The states (uint8 or float) as one (n, width) uint8 array of 0s and
+    1s; DataError on unequal widths or an entry other than 0 or 1 (``-0.0``
+    counts as 0)."""
     width = states[0].size if states else 0
     bits = np.empty((len(states), width), dtype=np.uint8)
     for start in range(0, len(states), _BLOCK):
@@ -188,9 +190,9 @@ def _state_texts(bits: np.ndarray):
 
 def _canonical_states(block: list[bytes]) -> list:
     """For each line that opens with ``{"state": [`` and canonical
-    ``0.0``/``1.0`` entries, ``(state, rest of the line after "], ")``; None
-    for every other line. The lines of one width, the first found in the
-    block, are checked in one pass over their bytes."""
+    ``0.0``/``1.0`` entries, ``(uint8 state, rest of the line after "], ")``;
+    None for every other line. The lines of one width, the first found in
+    the block, are checked in one pass over their bytes."""
     found = [None] * len(block)
     n_open = len(_STATE_OPEN)
     closes = [raw.find(_STATE_CLOSE, n_open) if raw.startswith(_STATE_OPEN) else -1
@@ -206,10 +208,11 @@ def _canonical_states(block: list[bytes]) -> list:
     diff = np.frombuffer(text, dtype=np.uint8).reshape(len(picked), 5 * width)
     diff = diff ^ np.frombuffer(b"0.0, " * width, dtype=np.uint8)
     ok = (diff <= np.frombuffer(b"\x01\x00\x00\x00\x00" * width, dtype=np.uint8)).all(axis=1)
-    states = diff[:, ::5].astype(np.float64)
-    for k in np.flatnonzero(ok):
+    rows = np.flatnonzero(ok)
+    # the digits of the canonical rows, copied out so no state keeps diff alive
+    for k, state in zip(rows, diff[rows, ::5]):
         i = picked[k]
-        found[i] = (states[k], block[i][close + len(_STATE_CLOSE) :])
+        found[i] = (state, block[i][close + len(_STATE_CLOSE) :])
     return found
 
 
@@ -280,23 +283,69 @@ def _check_header(path, kind: str, obj) -> None:
         )
 
 
-def read_labeled_jsonl(path) -> list[LabeledExample]:
-    """Read a labeled corpus and enforce the FORMATS.md record contract."""
-    corpus = []
-    linenos = []
-    for lineno, obj in _read_lines(path, KIND_LABELED):
+class _FieldError(Exception):
+    """A field value the record contract refuses; the reader names its line."""
+
+
+def _state_field(value) -> np.ndarray:
+    """A canonical line's state arrives uint8; a state parsed with its whole
+    line is read as float64 and made uint8 by the record checks."""
+    return value if isinstance(value, np.ndarray) else np.asarray(value, dtype=np.float64)
+
+
+def _indices_field(value) -> np.ndarray:
+    """``actions`` as int64 indices. Only a JSON list of JSON integers is
+    one: a float, bool or string entry would be truncated or coerced."""
+    if not isinstance(value, list):
+        raise _FieldError("actions must be a flat list of indices")
+    for a in value:
+        if type(a) is not int:
+            raise _FieldError("actions must be a flat list of indices" if isinstance(a, list)
+                              else f"actions entry {json.dumps(a)} is not an integer")
+    return np.array(value, dtype=np.int64)
+
+
+def _delta_field(value) -> int:
+    """``delta``: the JSON integer 0 or 1 (``true`` and ``1.0`` are not)."""
+    if type(value) is not int or value not in (0, 1):
+        raise _FieldError(f"delta must be 0 or 1, got {json.dumps(value)}")
+    return value
+
+
+def _labeled_example(obj) -> LabeledExample:
+    return LabeledExample(state=_state_field(obj["state"]),
+                          actions=_indices_field(obj["actions"]))
+
+
+def _bandit_record(obj) -> BanditRecord:
+    return BanditRecord(
+        state=_state_field(obj["state"]),
+        logged_actions=_indices_field(obj["actions"]),
+        propensities=np.array(obj["rho"], dtype=np.float64),
+        feedback=_delta_field(obj["delta"]),
+    )
+
+
+def _build_records(path, lines, build) -> tuple[list, list[int]]:
+    """``build(obj)`` for each ``(line number, object)`` of ``lines``, and the
+    line numbers; the first field that fails stops with a ``path:line:`` error."""
+    records, linenos = [], []
+    for lineno, obj in lines:
         try:
-            corpus.append(
-                LabeledExample(
-                    state=np.asarray(obj["state"], dtype=np.float64),
-                    actions=np.array(obj["actions"], dtype=np.int64),
-                )
-            )
+            records.append(build(obj))
         except KeyError as err:
             raise DataError(f"{path}:{lineno}: missing field {err}") from err
-        except (TypeError, ValueError) as err:
+        except _FieldError as err:
+            raise DataError(f"{path}:{lineno}: {err}") from err
+        except (TypeError, ValueError, OverflowError) as err:
             raise DataError(f"{path}:{lineno}: malformed field value ({err})") from err
         linenos.append(lineno)
+    return records, linenos
+
+
+def read_labeled_jsonl(path) -> list[LabeledExample]:
+    """Read a labeled corpus and enforce the FORMATS.md record contract."""
+    corpus, linenos = _build_records(path, _read_lines(path, KIND_LABELED), _labeled_example)
     if corpus:
         _check_labeled_records(path, corpus, linenos)
     return corpus
@@ -304,7 +353,8 @@ def read_labeled_jsonl(path) -> list[LabeledExample]:
 
 def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int]) -> None:
     """One pass over the stacked corpus: equal state lengths, state entries
-    0 or 1, and actions non-empty, sorted, unique and non-negative."""
+    0 or 1 (every state leaves uint8), and actions non-empty, sorted, unique
+    and non-negative."""
 
     def fail(i: int, message: str):
         raise DataError(f"{path}:{linenos[i]}: {message}")
@@ -313,9 +363,7 @@ def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int
     for i, ex in enumerate(corpus):
         if ex.state.ndim != 1 or ex.state.shape != first.state.shape:
             fail(i, f"state has {ex.state.size} entries, line {linenos[0]} has {first.state.size}")
-        if ex.actions.ndim != 1:
-            fail(i, "actions must be a flat list of indices")
-    _check_binary_states(fail, [ex.state for ex in corpus])
+    _check_binary_states(fail, corpus)
     sizes = np.array([ex.actions.size for ex in corpus])
     bad = np.flatnonzero(sizes == 0)
     if bad.size:
@@ -331,45 +379,34 @@ def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int
         fail(bad[0], f"actions {corpus[bad[0]].actions.tolist()} are not sorted and unique")
 
 
-def _check_binary_states(fail, states: list[np.ndarray]) -> None:
-    """Equal-length states, stacked: fail on the first row with an entry other than 0 or 1."""
-    stacked = np.stack(states)
+def _check_binary_states(fail, records: list) -> None:
+    """Equal-length states: fail on the first record with an entry other
+    than 0 or 1, then make every state uint8. Canonical lines arrive uint8
+    and 0/1 already, so only the states parsed with their whole line are
+    stacked, checked and converted."""
+    parsed = [i for i, r in enumerate(records) if r.state.dtype != np.uint8]
+    if not parsed:
+        return
+    stacked = np.stack([records[i].state for i in parsed])
     bad = np.flatnonzero(~((stacked == 0.0) | (stacked == 1.0)).all(axis=1))
     if bad.size:
-        fail(bad[0], "state entries must be 0 or 1")
+        fail(parsed[bad[0]], "state entries must be 0 or 1")
+    for i, bits in zip(parsed, stacked.astype(np.uint8)):
+        records[i].state = bits
 
 
 def read_bandit_jsonl(path) -> list[BanditRecord]:
     """Read a bandit log and enforce the FORMATS.md record contract."""
-    records = []
-    linenos = []
-    deltas = []
-    for lineno, obj in _read_lines(path, KIND_BANDIT):
-        try:
-            deltas.append(float(obj["delta"]))
-            records.append(
-                BanditRecord(
-                    state=np.asarray(obj["state"], dtype=np.float64),
-                    logged_actions=np.array(obj["actions"], dtype=np.int64),
-                    propensities=np.array(obj["rho"], dtype=np.float64),
-                    feedback=int(obj["delta"]),
-                )
-            )
-        except KeyError as err:
-            raise DataError(f"{path}:{lineno}: missing field {err}") from err
-        except (TypeError, ValueError) as err:
-            raise DataError(f"{path}:{lineno}: malformed field value ({err})") from err
-        linenos.append(lineno)
+    records, linenos = _build_records(path, _read_lines(path, KIND_BANDIT), _bandit_record)
     if records:
-        _check_bandit_records(path, records, linenos, np.array(deltas))
+        _check_bandit_records(path, records, linenos)
     return records
 
 
-def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int],
-                          delta: np.ndarray) -> None:
+def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int]) -> None:
     """One pass over the stacked log: equal state and rho lengths, state
-    entries 0 or 1, delta in {0, 1}, rho strictly inside (0, 1), actions ==
-    {c : rho[c] > 0.5}."""
+    entries 0 or 1 (every state leaves uint8), rho strictly inside (0, 1),
+    actions == {c : rho[c] > 0.5}."""
 
     def fail(i: int, message: str):
         raise DataError(f"{path}:{linenos[i]}: {message}")
@@ -381,17 +418,14 @@ def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int],
         if r.propensities.ndim != 1 or r.propensities.shape != first.propensities.shape:
             fail(i, f"rho has {r.propensities.size} entries, "
                     f"line {linenos[0]} has {first.propensities.size}")
-    _check_binary_states(fail, [r.state for r in records])
-    bad = np.flatnonzero((delta != 0.0) & (delta != 1.0))
-    if bad.size:
-        fail(bad[0], f"delta must be 0 or 1, got {delta[bad[0]]:g}")
+    _check_binary_states(fail, records)
     rho = np.stack([r.propensities for r in records])
     bad = np.flatnonzero(~((rho > 0.0) & (rho < 1.0)).all(axis=1))
     if bad.size:
         fail(bad[0], "rho must lie strictly inside (0, 1)")
     n, num_classes = rho.shape
     sizes = np.array([r.logged_actions.size for r in records])
-    actions = np.concatenate([r.logged_actions.reshape(-1) for r in records])
+    actions = np.concatenate([r.logged_actions for r in records])
     rows = np.repeat(np.arange(n), sizes)
     in_range = (actions >= 0) & (actions < num_classes)
     logged = np.zeros((n, num_classes), dtype=bool)

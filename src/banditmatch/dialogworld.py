@@ -568,9 +568,10 @@ def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
     turn-count bucket one-hot (0..4, 5+).
 
     Only the features the context holds are walked, and each is written at
-    its precomputed position.
+    its precomputed position. Entries are ``uint8``, one byte each; the
+    network input converts a batch to float64.
     """
-    state = np.zeros(schema.state_dim, dtype=np.float64)
+    state = np.zeros(schema.state_dim, dtype=np.uint8)
     for tables in schema._tables:
         dctx = ctx.domains[tables.dom.name]
         for pos, present in ((tables.expressed, dctx.expressed),
@@ -578,23 +579,23 @@ def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
                              (tables.informed, dctx.informed)):
             for s in present:
                 if s in pos:
-                    state[pos[s]] = 1.0
+                    state[pos[s]] = 1
         if dctx.active:
             n = _expressed_mask(tables, dctx).bit_count()
-            state[tables.match + (0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3)] = 1.0
-            state[tables.flags + 2] = 1.0
+            state[tables.match + (0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3)] = 1
+            state[tables.flags + 2] = 1
         if dctx.booking_requested:
-            state[tables.flags] = 1.0
+            state[tables.flags] = 1
         if dctx.booked:
-            state[tables.flags + 1] = 1.0
+            state[tables.flags + 1] = 1
     last_act_pos = schema._last_act_pos
     for a in ctx.last_user_acts:
         i = last_act_pos.get((a.domain, a.act_type, None if a.act_type == BOOK else a.slot))
         if i is not None:
-            state[i] = 1.0
+            state[i] = 1
     if ctx.user_said_bye:
-        state[schema._bye_pos] = 1.0
-    state[schema._turn_pos + min(ctx.turn, TURN_BUCKETS - 1)] = 1.0
+        state[schema._bye_pos] = 1
+    state[schema._turn_pos + min(ctx.turn, TURN_BUCKETS - 1)] = 1
     return state
 
 

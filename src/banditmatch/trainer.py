@@ -168,6 +168,10 @@ def write_threshold_trace(path, rows: list[StepLog]) -> None:
 
 @dataclass
 class LogArrays:
+    """The log's fields stacked by row: ``states`` keeps the records' uint8
+    entries (a training step converts its batch to float64 once),
+    ``logged_mask`` is boolean, ``rho`` float64 and ``delta`` int64."""
+
     states: np.ndarray
     logged_mask: np.ndarray
     rho: np.ndarray
@@ -291,6 +295,27 @@ def train_on_log(
     return policy, history
 
 
+# rows per block of the frozen reference's pass over the training rows
+_REF_BLOCK = 256
+
+
+def _reference_probs(logging_policy: PolicyNet, states: np.ndarray) -> np.ndarray:
+    """``logging_policy.probs(states)``, built ``_REF_BLOCK`` rows at a time
+    into one (n, C) array, so no float64 copy of all the states is held. No
+    block is a single row, as a 1-row tail joins the block before it: numpy
+    multiplies one row through gemv, which can differ from the same row of a
+    batch in the last bit, while blocks of 2 or more rows give the bits of
+    one call over all the rows."""
+    n = len(states)
+    starts = list(range(0, n, _REF_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    probs = np.empty((n, logging_policy.num_actions))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        probs[start:stop] = logging_policy.probs(states[start:stop])
+    return probs
+
+
 def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
     mix-up passes, and the four weighted terms. The supervised term is the
@@ -308,14 +333,15 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
     tracker = fet.FetTracker(
         num_classes, decay=config.fet_decay, apply_scale=not config.no_mc_scale
     )
-    ref_train = logging_policy.probs(train.states) if use_kl else None
+    ref_train = _reference_probs(logging_policy, train.states) if use_kl else None
 
     def step(number: int, idx: np.ndarray, batch: LogArrays):
-        weak_states, _ = objectives.mixup_batch(batch.states, config.alpha_weak, aug_rng)
-        strong_states, _ = objectives.mixup_batch(batch.states, config.alpha_strong, aug_rng)
+        states = batch.states.astype(np.float64)  # the batch's one float64 copy
+        weak_states, _ = objectives.mixup_batch(states, config.alpha_weak, aug_rng)
+        strong_states, _ = objectives.mixup_batch(states, config.alpha_strong, aug_rng)
 
         # the unaugmented pass feeds only the FET update, CBL and KL
-        plain_t = policy.forward(batch.states) if use_fet or use_cbl or use_kl else None
+        plain_t = policy.forward(states) if use_fet or use_cbl or use_kl else None
         weak_t = policy.forward(weak_states)
         weak_probs = weak_t.data
 
@@ -339,7 +365,7 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
         if use_split:
             lab_idx = rng.integers(0, split_states.shape[0], size=config.batch_size)
             weak_split, _ = objectives.mixup_batch(
-                split_states[lab_idx], config.alpha_weak, aug_rng
+                split_states[lab_idx].astype(np.float64), config.alpha_weak, aug_rng
             )
             l_l = objectives.loss_labeled(
                 policy.forward(weak_split), split_targets[lab_idx],
@@ -385,7 +411,7 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
 
 def _crm_step(policy, logging_policy, train, config):
     """The ips / banditnet step, with the optional KL control term."""
-    ref_train = logging_policy.probs(train.states) if config.add_kl else None
+    ref_train = _reference_probs(logging_policy, train.states) if config.add_kl else None
 
     def step(number: int, idx: np.ndarray, batch: LogArrays):
         probs_t = policy.forward(batch.states)

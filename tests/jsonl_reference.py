@@ -1,13 +1,12 @@
 """The JSONL writers and readers as plain ``json.dumps`` / ``json.loads``
 per line: the reference the fixed-width state codec in ``datasets`` must
 match byte for byte (writers) and record for record or error for error
-(readers)."""
+(readers). The readers parse every line whole and share the package's
+field rules and record checks, so only the line decoding is compared."""
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
 
 from banditmatch import datasets as ds
 
@@ -68,46 +67,16 @@ def _read_lines(path, kind: str):
 
 
 def read_labeled_jsonl(path) -> list:
-    corpus = []
-    linenos = []
-    for lineno, obj in _read_lines(path, ds.KIND_LABELED):
-        try:
-            corpus.append(
-                ds.LabeledExample(
-                    state=np.array(obj["state"], dtype=np.float64),
-                    actions=np.array(obj["actions"], dtype=np.int64),
-                )
-            )
-        except KeyError as err:
-            raise ds.DataError(f"{path}:{lineno}: missing field {err}") from err
-        except (TypeError, ValueError) as err:
-            raise ds.DataError(f"{path}:{lineno}: malformed field value ({err})") from err
-        linenos.append(lineno)
+    corpus, linenos = ds._build_records(path, _read_lines(path, ds.KIND_LABELED),
+                                        ds._labeled_example)
     if corpus:
         ds._check_labeled_records(path, corpus, linenos)
     return corpus
 
 
 def read_bandit_jsonl(path) -> list:
-    records = []
-    linenos = []
-    deltas = []
-    for lineno, obj in _read_lines(path, ds.KIND_BANDIT):
-        try:
-            deltas.append(float(obj["delta"]))
-            records.append(
-                ds.BanditRecord(
-                    state=np.array(obj["state"], dtype=np.float64),
-                    logged_actions=np.array(obj["actions"], dtype=np.int64),
-                    propensities=np.array(obj["rho"], dtype=np.float64),
-                    feedback=int(obj["delta"]),
-                )
-            )
-        except KeyError as err:
-            raise ds.DataError(f"{path}:{lineno}: missing field {err}") from err
-        except (TypeError, ValueError) as err:
-            raise ds.DataError(f"{path}:{lineno}: malformed field value ({err})") from err
-        linenos.append(lineno)
+    records, linenos = ds._build_records(path, _read_lines(path, ds.KIND_BANDIT),
+                                         ds._bandit_record)
     if records:
-        ds._check_bandit_records(path, records, linenos, np.array(deltas))
+        ds._check_bandit_records(path, records, linenos)
     return records

@@ -194,10 +194,26 @@ def _break_record(record: dict, case: str) -> None:
         record["state"][0] = 0.5
     elif case == "actions":
         record["actions"] = sorted(actions + [below])
+    elif case == "actions_scalar":
+        record["actions"] = (actions or [below])[0]
+    elif case == "actions_float":
+        record["actions"] = [a + 0.5 for a in actions or [below]]
+    elif case == "actions_bool":
+        record["actions"] = [True] + actions[1:]
+    elif case == "delta_bool":
+        record["delta"] = record["delta"] == 1
+    elif case == "delta_float":
+        record["delta"] = float(record["delta"])
 
 
 BROKEN_LOGS = {
-    "delta": "delta must be 0 or 1",
+    "delta": "delta must be 0 or 1, got 7",
+    # no truncation or coercion: an index or delta must be a JSON integer
+    "actions_scalar": ":3: actions must be a flat list of indices",
+    "actions_float": ":3: actions entry ",
+    "actions_bool": ":3: actions entry true is not an integer",
+    "delta_bool": ":3: delta must be 0 or 1, got ",
+    "delta_float": ":3: delta must be 0 or 1, got ",
     "rho_zero": "rho must lie strictly inside (0, 1)",
     "rho_one": "rho must lie strictly inside (0, 1)",
     "rho_length": "rho has",
@@ -260,6 +276,14 @@ def _break_example(record: dict, case: str) -> None:
         record["actions"] = [-1] + actions
     elif case == "out_of_range":
         record["actions"] = [999]
+    elif case == "scalar":
+        record["actions"] = actions[0]
+    elif case == "float":
+        record["actions"] = [float(a) for a in actions]
+    elif case == "bool":
+        record["actions"] = [True]
+    elif case == "overflow":
+        record["actions"] = [2**70]
 
 
 BROKEN_CORPORA = {
@@ -269,6 +293,10 @@ BROKEN_CORPORA = {
     "unsorted": ":3: actions [",
     "duplicate": ":3: actions [",
     "negative": ":3: actions [-1,",
+    "scalar": ":3: actions must be a flat list of indices",
+    "float": ":3: actions entry ",
+    "bool": ":3: actions entry true is not an integer",
+    "overflow": ":3: malformed field value (",
     # the reader accepts it; the index is checked against the logging policy
     "out_of_range": ": record 2 has action index 999, not below output_dim 61 of logging policy",
 }

@@ -198,3 +198,9 @@ class TestPersistence:
         ds.write_labeled_jsonl(path, corpus[:1])
         with pytest.raises(ds.DataError, match="bandit"):
             ds.read_bandit_jsonl(path)
+
+
+class TestStateBytes:
+    def test_corpus_states_are_uint8(self, corpus):
+        assert all(ex.state.dtype == np.uint8 for ex in corpus)
+        assert set(np.unique(np.stack([ex.state for ex in corpus]))) == {0, 1}

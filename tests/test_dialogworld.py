@@ -148,6 +148,19 @@ class TestEncoder:
         for state, _ in collected:
             assert set(np.unique(state)) <= {0.0, 1.0}
 
+    def test_uint8_one_byte_per_entry(self, schema):
+        # policy and expert episodes both see uint8 states
+        seen = []
+        policy = SimpleNamespace(act=lambda state: seen.append(state) or [])
+        goal = dw.sample_goal(schema, np.random.default_rng(4))
+        dw.run_episode(policy, schema, goal, max_turns=3)
+        collected = []
+        dw.run_expert_episode(schema, goal, collect=collected)
+        states = seen + [state for state, _ in collected]
+        assert seen and collected
+        for state in states:
+            assert state.dtype == np.uint8 and state.shape == (schema.state_dim,)
+
 
 class TestExpert:
     def test_pending_requests_answered_with_unique_match(self, schema):

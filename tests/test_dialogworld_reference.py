@@ -82,7 +82,7 @@ def assert_same_rollouts(schema, goals, respond):
         assert got == want
         assert len(got_turns) == len(want_turns)
         for (s1, m1, a1), (s2, m2, a2) in zip(got_turns, want_turns):
-            assert s1.dtype == s2.dtype and np.array_equal(s1, s2)
+            assert s1.dtype == np.uint8 and np.array_equal(s1, s2)
             assert m1 == m2
             assert a1 == a2
 

@@ -3,6 +3,7 @@ reference in ``jsonl_reference``: writers give the same bytes, readers the
 same records or the same ``path:line: reason`` on any input."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ def outcome(read, path):
     ]
 
 
+def read_as_bytes(read, path):
+    """``outcome(read, path)``, asserting that every state read is uint8."""
+    got = outcome(read, path)
+    assert isinstance(got, tuple) or all(fields[0][0] == "|u1" for fields in got)
+    return got
+
+
 def rewrite_lines(path, transform) -> None:
     """Apply ``transform`` to the JSON object of every line after the header."""
     header, *lines = path.read_text().splitlines()
@@ -77,18 +85,21 @@ def test_writer_bytes_and_reader_records_match_reference(kind, tmp_path_factory)
     @CODEC_SETTINGS
     @given(records=record_lists(kind))
     def check(records):
-        new, old = root / "new.jsonl", root / "old.jsonl"
+        new, old, bits = root / "new.jsonl", root / "old.jsonl", root / "bits.jsonl"
         write(new, records)
         ref_write(old, records)
         assert new.read_bytes() == old.read_bytes()
-        assert outcome(read, new) == outcome(ref_read, new)
+        # the same bytes from the uint8 states the encoder and readers give
+        write(bits, [replace(r, state=r.state.astype(np.uint8)) for r in records])
+        assert bits.read_bytes() == new.read_bytes()
+        assert read_as_bytes(read, new) == outcome(ref_read, new)
         # the same records in other spellings take the whole-line parse
         for transform in (
             lambda obj: json.dumps(obj, separators=(",", ":")),
             lambda obj: json.dumps({**obj, "state": [int(x) for x in obj["state"]]}),
         ):
             rewrite_lines(old, transform)
-            assert outcome(read, old) == outcome(ref_read, old)
+            assert read_as_bytes(read, old) == outcome(ref_read, old)
 
     check()
 
@@ -156,7 +167,7 @@ def test_blocks_mix_canonical_and_other_lines(kind, tmp_path):
         lines[i] = json.dumps(json.loads(lines[i]), separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     got = read(path)
-    assert outcome(read, path) == outcome(ref_read, path)
+    assert read_as_bytes(read, path) == outcome(ref_read, path)
     assert np.array_equal(np.stack([r.state for r in got]), states)
     # a record of another width in the last block is reported on its line
     lines[-3] = lines[-3].replace('"state": [', '"state": [0.0, ', 1)

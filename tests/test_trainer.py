@@ -230,6 +230,42 @@ class TestFineTuning:
             tracemalloc.stop()
         assert peak <= 1.75 * row_bytes, peak / row_bytes
 
+    def test_kl_reference_built_in_blocks(self, schema, spec):
+        # a zero-epoch banditmatch run holds the training rows' uint8 states,
+        # propensities and logged-set mask and the frozen reference's
+        # probabilities; the reference pass adds one block's float64 layers,
+        # not a float64 copy of every state and every hidden activation
+        rng = np.random.default_rng(19)
+        d, c, n = schema.state_dim, schema.num_actions, 3000
+        records = [ds.BanditRecord((rng.random(d) < 0.2).astype(np.uint8),
+                                   np.flatnonzero(rng.random(c) < 0.2),
+                                   rng.uniform(0.05, 0.95, c), int(rng.integers(2)))
+                   for _ in range(n)]
+        pi0 = PolicyNet(spec, rng=rng).clone_frozen()
+        cfg = tr.TrainConfig(epochs=0, hidden_dims=spec.hidden_dims)
+        row_bytes = (n - n // 10) * (d + c * 8 + c + c * 8)
+        tracemalloc.start()
+        try:
+            tr.train_on_log(pi0, records, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * row_bytes, peak / row_bytes
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (1, 2),
+                                               (2, 1)],
+                             ids=["1", "2", "B-1", "B", "B+1", "B+2", "2B+1"])
+    def test_block_reference_equals_one_call(self, schema, spec, blocks, extra):
+        # a single-row product goes through gemv and differs from the batched
+        # row in the last bit, so a 1-row tail block would show here
+        n = blocks * tr._REF_BLOCK + extra
+        rng = np.random.default_rng(n)
+        states = (rng.random((n, schema.state_dim)) < 0.2).astype(np.uint8)
+        policy = PolicyNet(spec, rng=rng).clone_frozen()
+        got = tr._reference_probs(policy, states)
+        assert got.shape == (n, schema.num_actions)
+        assert np.array_equal(got, policy.probs(states))
+
     def test_crm_kind_with_kl_variant(self, setup, schema):
         cfg = replace(setup[2], epochs=1, method="ips", add_kl=True)
         policy, _ = tr.train_on_log(setup[3], setup[4], cfg)
