@@ -330,22 +330,18 @@ _POOL_STATE: dict = {}
 
 
 def _episode_worker(goal):
-    state = _POOL_STATE
-    return dialogworld.run_episode(state["adapter"], state["schema"], goal,
-                                   max_turns=state["max_turns"])
+    return dialogworld.run_episode(_POOL_STATE["adapter"], _POOL_STATE["schema"], goal)
 
 
 def evaluate_parallel(policy, schema, n_dialogs, n_runs, seed, jobs,
-                      method="policy", max_turns=20) -> ExperimentReport:
+                      method="policy") -> ExperimentReport:
     """Evaluation with each run's pre-sampled goals played over at most
     ``os.cpu_count()`` worker processes; the result is identical to the
     sequential path regardless of worker count."""
     if jobs <= 1:
-        return trainer.evaluate(policy, schema, n_dialogs, n_runs, seed,
-                                max_turns=max_turns, method=method)
+        return trainer.evaluate(policy, schema, n_dialogs, n_runs, seed, method=method)
     ctx = multiprocessing.get_context("fork")
-    _POOL_STATE.update(adapter=ActionSetPolicy(policy, schema), schema=schema,
-                       max_turns=max_turns)
+    _POOL_STATE.update(adapter=ActionSetPolicy(policy, schema), schema=schema)
     try:
         with ctx.Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
             return trainer._evaluate_runs(

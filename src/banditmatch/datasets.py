@@ -50,7 +50,7 @@ class LabeledExample:
 @dataclass
 class BanditRecord:
     state: np.ndarray  # uint8 0/1 entries
-    logged_actions: np.ndarray  # sorted indices of the logged set (may be empty)
+    logged_actions: np.ndarray  # sorted indices of the logged set (empty only if feedback is 0)
     propensities: np.ndarray  # full length-C probability vector at logging time
     feedback: int  # 0 or 1
 
@@ -258,8 +258,9 @@ def _read_lines(path, kind: str):
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise DataError(f"{path}:{lineno}: malformed JSON line ({err.msg})") from err
+                except ValueError as err:  # JSONDecodeError, or an integer of too many digits
+                    raise DataError(f"{path}:{lineno}: malformed JSON line "
+                                    f"({getattr(err, 'msg', err)})") from err
                 if lineno == 1:
                     _check_header(path, kind, obj)
                     continue
@@ -287,10 +288,22 @@ class _FieldError(Exception):
     """A field value the record contract refuses; the reader names its line."""
 
 
+def _numbers_field(value, name: str) -> np.ndarray:
+    """``state`` or ``rho`` as float64. Only a JSON list of JSON numbers is
+    one: a string or bool entry would be coerced."""
+    if not isinstance(value, list):
+        raise _FieldError(f"{name} must be a flat list of numbers")
+    if not set(map(type, value)) <= {int, float}:
+        bad = next(a for a in value if type(a) not in (int, float))
+        raise _FieldError(f"{name} must be a flat list of numbers" if isinstance(bad, list)
+                          else f"{name} entry {json.dumps(bad)} is not a number")
+    return np.array(value, dtype=np.float64)
+
+
 def _state_field(value) -> np.ndarray:
     """A canonical line's state arrives uint8; a state parsed with its whole
     line is read as float64 and made uint8 by the record checks."""
-    return value if isinstance(value, np.ndarray) else np.asarray(value, dtype=np.float64)
+    return value if isinstance(value, np.ndarray) else _numbers_field(value, "state")
 
 
 def _indices_field(value) -> np.ndarray:
@@ -321,7 +334,7 @@ def _bandit_record(obj) -> BanditRecord:
     return BanditRecord(
         state=_state_field(obj["state"]),
         logged_actions=_indices_field(obj["actions"]),
-        propensities=np.array(obj["rho"], dtype=np.float64),
+        propensities=_numbers_field(obj["rho"], "rho"),
         feedback=_delta_field(obj["delta"]),
     )
 
@@ -406,7 +419,7 @@ def read_bandit_jsonl(path) -> list[BanditRecord]:
 def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int]) -> None:
     """One pass over the stacked log: equal state and rho lengths, state
     entries 0 or 1 (every state leaves uint8), rho strictly inside (0, 1),
-    actions == {c : rho[c] > 0.5}."""
+    actions == {c : rho[c] > 0.5}, and no empty set with feedback 1."""
 
     def fail(i: int, message: str):
         raise DataError(f"{path}:{linenos[i]}: {message}")
@@ -438,3 +451,7 @@ def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int])
         i = bad[0]
         fail(i, f"actions {records[i].logged_actions.tolist()} differ from "
                 f"{{c : rho[c] > 0.5}} = {np.flatnonzero(predicted[i]).tolist()}")
+    # feedback 1 means the logged set is the expert's, and no expert set is empty
+    bad = np.flatnonzero((sizes == 0) & np.array([r.feedback == 1 for r in records]))
+    if bad.size:
+        fail(bad[0], "a positive record must log a non-empty action set")

@@ -27,6 +27,8 @@ from .policy import predicted_mask
 FALLBACK_ACCEPT = 0.95
 FALLBACK_REJECT = 0.05
 CORRECTNESS_EPS = 1e-3
+# the tracker's smoothing of the baselines and positive-side correctness across batches
+EMA_DECAY = 0.9
 
 
 @dataclass
@@ -196,15 +198,14 @@ class FetTracker:
     """Per-step FET state with exponential smoothing across batches.
 
     The baselines and positive-side correctness are recomputed on each
-    batch's correct positives and smoothed with an EMA (decay 0.9) to tame
+    batch's correct positives and smoothed with an EMA (``EMA_DECAY``) to tame
     small-batch variance; the negative-side correctness always comes from
     the current batch. Classes (or steps) without support fall back to the
     fixed threshold pair.
     """
 
-    def __init__(self, num_classes: int, decay: float = 0.9, apply_scale: bool = True):
+    def __init__(self, num_classes: int, apply_scale: bool = True):
         self.num_classes = num_classes
-        self.decay = decay
         self.apply_scale = apply_scale
         self.accept_ema = np.zeros(num_classes)
         self.reject_ema = np.zeros(num_classes)
@@ -216,7 +217,7 @@ class FetTracker:
     def _ema_update(self, ema, seen, new, valid):
         ema[valid & ~seen] = new[valid & ~seen]
         both = valid & seen
-        ema[both] = self.decay * ema[both] + (1.0 - self.decay) * new[both]
+        ema[both] = EMA_DECAY * ema[both] + (1.0 - EMA_DECAY) * new[both]
         seen |= valid
 
     def update(
@@ -241,7 +242,7 @@ class FetTracker:
             if self.mc_pos_ema is None:
                 self.mc_pos_ema = mc_pos
             else:
-                self.mc_pos_ema = self.decay * self.mc_pos_ema + (1.0 - self.decay) * mc_pos
+                self.mc_pos_ema = EMA_DECAY * self.mc_pos_ema + (1.0 - EMA_DECAY) * mc_pos
         try:
             self.last_mc_neg = model_correctness_neg(neg_probs, neg_sets, neg_rho)
         except ValueError:

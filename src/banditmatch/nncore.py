@@ -211,24 +211,23 @@ def mul(a, b) -> Tensor:
 # -- networks ---------------------------------------------------------------
 
 
+# the only hidden activation, which checkpoints name
+HIDDEN_ACTIVATION = "relu"
+
+
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture of a multi-label policy head: per-class sigmoid outputs."""
+    """Architecture of a multi-label policy head: relu hidden layers and
+    per-class sigmoid outputs."""
 
     input_dim: int
     hidden_dims: tuple[int, ...] = (128, 128)
     output_dim: int = 1
-    # the only hidden activation; kept as a field so checkpoints name it
-    hidden_activation: str = "relu"
 
     def __post_init__(self):
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(d) <= 0 for d in dims):
             raise ConfigurationError(f"all layer dims must be positive, got {dims}")
-        if self.hidden_activation != "relu":
-            raise ConfigurationError(
-                f"unknown hidden activation {self.hidden_activation!r}"
-            )
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
 
     def to_dict(self) -> dict:
@@ -236,16 +235,17 @@ class MlpSpec:
             "input_dim": self.input_dim,
             "hidden_dims": list(self.hidden_dims),
             "output_dim": self.output_dim,
-            "hidden_activation": self.hidden_activation,
+            "hidden_activation": HIDDEN_ACTIVATION,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
+        if d["hidden_activation"] != HIDDEN_ACTIVATION:
+            raise ConfigurationError(f"unknown hidden activation {d['hidden_activation']!r}")
         return cls(
             input_dim=int(d["input_dim"]),
             hidden_dims=tuple(int(h) for h in d["hidden_dims"]),
             output_dim=int(d["output_dim"]),
-            hidden_activation=str(d["hidden_activation"]),
         )
 
 

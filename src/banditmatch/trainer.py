@@ -60,26 +60,18 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 30
     sl_epochs: int = 240
-    sl_label_smoothing: float = 0.2
     learning_rate: float = 1e-3
     hidden_dims: tuple[int, ...] = (128, 128)
     # loss weights of the pseudo-label, bandit and KL terms
     lambda_pseudo: float = 1.0
     lambda_bandit: float = 1.0
     lambda_kl: float = 1.0
-    # mix-up strengths of the weak and strong passes
-    alpha_weak: float = 0.2
-    alpha_strong: float = 2.0
-    fet_decay: float = 0.9
     method: str = METHOD_BANDITMATCH
     add_kl: bool = False  # "+ KL control" variants of ips / banditnet
     no_mc_scale: bool = False
     no_fet: bool = False
     no_cbl: bool = False
     no_kl: bool = False
-    ips_clip: float = objectives.DEFAULT_IPS_CLIP
-    banditnet_translation: float = objectives.DEFAULT_TRANSLATION
-    fixmatch_tau: float = objectives.FIXED_CONFIDENCE
 
     def __post_init__(self):
         if self.method not in FINETUNE_METHODS:
@@ -99,17 +91,6 @@ class TrainConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise TrainerError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name in ("sl_label_smoothing", "fet_decay"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise TrainerError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        if self.ips_clip <= 0:
-            raise TrainerError(f"ips_clip must be positive, got {self.ips_clip}")
-        # confident means p > tau or p < 1 - tau, so tau <= 0.5 marks every class
-        # and tau >= 1 none
-        if not 0.5 < self.fixmatch_tau < 1.0:
-            raise TrainerError(f"fixmatch_tau must lie in (0.5, 1), got {self.fixmatch_tau}")
-        if self.alpha_weak <= 0 or self.alpha_strong <= 0:
-            raise TrainerError("mix-up alpha parameters must be positive")
 
 
 def apply_ablation(config: TrainConfig, ablation: str) -> TrainConfig:
@@ -196,6 +177,9 @@ class LogArrays:
 
 # -- supervised training -----------------------------------------------------------
 
+# the supervised targets' label smoothing: 1 - eps / 2 in the set, eps / 2 outside
+SL_LABEL_SMOOTHING = 0.2
+
 
 def _descend(policy: PolicyNet, rng: np.random.Generator, n: int, epochs: int,
              config: TrainConfig, step) -> None:
@@ -230,7 +214,7 @@ def train_supervised(
     rng = derive_rng(config.seed, stream)
     policy = PolicyNet(spec, rng=rng)
     states = np.stack([ex.state for ex in examples])
-    eps = config.sl_label_smoothing
+    eps = SL_LABEL_SMOOTHING
     targets = fet.sets_to_mask([ex.actions for ex in examples], spec.output_dim)
     targets = targets.astype(np.float64) * (1.0 - eps) + eps / 2.0
     delta = np.ones(len(examples), dtype=np.int64)
@@ -295,6 +279,10 @@ def train_on_log(
     return policy, history
 
 
+# mix-up strengths of the composite step's weak and strong passes
+ALPHA_WEAK = 0.2
+ALPHA_STRONG = 2.0
+
 # rows per block of the frozen reference's pass over the training rows
 _REF_BLOCK = 256
 
@@ -330,15 +318,13 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
     if use_split:
         split_states = np.stack([ex.state for ex in labeled_split])
         split_targets = fet.sets_to_mask([ex.actions for ex in labeled_split], num_classes)
-    tracker = fet.FetTracker(
-        num_classes, decay=config.fet_decay, apply_scale=not config.no_mc_scale
-    )
+    tracker = fet.FetTracker(num_classes, apply_scale=not config.no_mc_scale)
     ref_train = _reference_probs(logging_policy, train.states) if use_kl else None
 
     def step(number: int, idx: np.ndarray, batch: LogArrays):
         states = batch.states.astype(np.float64)  # the batch's one float64 copy
-        weak_states, _ = objectives.mixup_batch(states, config.alpha_weak, aug_rng)
-        strong_states, _ = objectives.mixup_batch(states, config.alpha_strong, aug_rng)
+        weak_states, _ = objectives.mixup_batch(states, ALPHA_WEAK, aug_rng)
+        strong_states, _ = objectives.mixup_batch(states, ALPHA_STRONG, aug_rng)
 
         # the unaugmented pass feeds only the FET update, CBL and KL
         plain_t = policy.forward(states) if use_fet or use_cbl or use_kl else None
@@ -359,13 +345,13 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
             conf = fet.confidence_mask(weak_probs, batch.delta, thresholds)
             stats = tracker.correctness()
         else:
-            conf = objectives.fixmatch_mask(weak_probs, batch.delta, config.fixmatch_tau)
+            conf = objectives.fixmatch_mask(weak_probs, batch.delta)
             stats = fet.CorrectnessStats(0.0, 0.0, available=False)
 
         if use_split:
             lab_idx = rng.integers(0, split_states.shape[0], size=config.batch_size)
             weak_split, _ = objectives.mixup_batch(
-                split_states[lab_idx].astype(np.float64), config.alpha_weak, aug_rng
+                split_states[lab_idx].astype(np.float64), ALPHA_WEAK, aug_rng
             )
             l_l = objectives.loss_labeled(
                 policy.forward(weak_split), split_targets[lab_idx],
@@ -415,19 +401,8 @@ def _crm_step(policy, logging_policy, train, config):
 
     def step(number: int, idx: np.ndarray, batch: LogArrays):
         probs_t = policy.forward(batch.states)
-        if config.method == METHOD_IPS:
-            loss = objectives.loss_ips(
-                probs_t, batch.rho, batch.delta, batch.logged_mask, config.ips_clip
-            )
-        else:
-            loss = objectives.loss_banditnet(
-                probs_t,
-                batch.rho,
-                batch.delta,
-                batch.logged_mask,
-                config.banditnet_translation,
-                config.ips_clip,
-            )
+        crm_loss = objectives.loss_ips if config.method == METHOD_IPS else objectives.loss_banditnet
+        loss = crm_loss(probs_t, batch.rho, batch.delta, batch.logged_mask)
         l_k = Tensor(0.0)
         if config.add_kl:
             l_k = objectives.loss_kl_control(probs_t, ref_train[idx])
@@ -486,7 +461,6 @@ def evaluate(
     n_dialogs: int = 500,
     n_runs: int = 5,
     seed: int = 0,
-    max_turns: int = 20,
     method: str = "policy",
     on_episode=None,
 ) -> ExperimentReport:
@@ -499,9 +473,9 @@ def evaluate(
 
     def play_one(run, index, goal):
         if on_episode is None:
-            return run_episode(adapter, schema, goal, max_turns=max_turns)
+            return run_episode(adapter, schema, goal)
         turns: list = []
-        episode = run_episode(adapter, schema, goal, max_turns=max_turns, trace=turns)
+        episode = run_episode(adapter, schema, goal, trace=turns)
         on_episode(run, index, turns)
         return episode
 
@@ -516,11 +490,10 @@ def evaluate_expert(
     n_dialogs: int = 500,
     n_runs: int = 5,
     seed: int = 0,
-    max_turns: int = 20,
 ) -> ExperimentReport:
     """Evaluate the rule expert under the same protocol (skyline check)."""
     return _evaluate_runs(
-        lambda run, goals: [run_expert_episode(schema, goal, max_turns=max_turns) for goal in goals],
+        lambda run, goals: [run_expert_episode(schema, goal) for goal in goals],
         schema, n_dialogs, n_runs, seed, "expert",
     )
 

@@ -47,8 +47,9 @@ def _read_lines(path, kind: str):
             continue
         try:
             obj = json.loads(line) if line else None
-        except json.JSONDecodeError as err:
-            raise ds.DataError(f"{path}:{lineno}: malformed JSON line ({err.msg})") from err
+        except ValueError as err:  # JSONDecodeError, or an integer of too many digits
+            raise ds.DataError(f"{path}:{lineno}: malformed JSON line "
+                               f"({getattr(err, 'msg', err)})") from err
         if lineno == 1:
             if not isinstance(obj, dict) or "schema_version" not in obj:
                 raise ds.DataError(f"{path}:1: not a {kind!r} file (no schema_version header)")

@@ -204,6 +204,27 @@ def _break_record(record: dict, case: str) -> None:
         record["delta"] = record["delta"] == 1
     elif case == "delta_float":
         record["delta"] = float(record["delta"])
+    elif case == "positive_empty":
+        record.update(rho=[0.25] * len(rho), actions=[], delta=1)
+    elif case == "rho_string":
+        rho[below] = "0.25"
+    elif case == "rho_bool":
+        rho[below] = False
+    elif case == "state_string":
+        record["state"][0] = "1"
+    elif case == "state_bool":
+        record["state"][0] = True
+    elif case == "huge_int":
+        record["actions"] = [HUGE_INT]
+
+
+# json.dumps refuses an integer of over 4,300 digits, so a record holds this
+# placeholder and dump_record writes the digits in its place
+HUGE_INT = "<5000 digits>"
+
+
+def dump_record(record: dict) -> str:
+    return json.dumps(record).replace(json.dumps(HUGE_INT), "9" * 5000)
 
 
 BROKEN_LOGS = {
@@ -220,6 +241,13 @@ BROKEN_LOGS = {
     "state_length": "state has",
     "state_value": "state entries must be 0 or 1",
     "actions": "differ from {c : rho[c] > 0.5}",
+    "positive_empty": ":3: a positive record must log a non-empty action set",
+    # a string or bool is refused, never coerced into a number
+    "rho_string": ':3: rho entry "0.25" is not a number',
+    "rho_bool": ":3: rho entry false is not a number",
+    "state_string": ':3: state entry "1" is not a number',
+    "state_bool": ":3: state entry true is not a number",
+    "huge_int": ":3: malformed JSON line (Exceeds the limit (4300 digits)",
 }
 
 
@@ -230,7 +258,7 @@ class TestBanditLogContract:
         lines = (data / "bandit.jsonl").read_text().splitlines()
         record = json.loads(lines[2])
         _break_record(record, case)
-        lines[2] = json.dumps(record)
+        lines[2] = dump_record(record)
         broken = tmp_path / "bandit.jsonl"
         broken.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -284,6 +312,12 @@ def _break_example(record: dict, case: str) -> None:
         record["actions"] = [True]
     elif case == "overflow":
         record["actions"] = [2**70]
+    elif case == "huge_int":
+        record["actions"] = [HUGE_INT]
+    elif case == "state_string":
+        record["state"][0] = "1"
+    elif case == "state_bool":
+        record["state"][0] = True
 
 
 BROKEN_CORPORA = {
@@ -297,6 +331,9 @@ BROKEN_CORPORA = {
     "float": ":3: actions entry ",
     "bool": ":3: actions entry true is not an integer",
     "overflow": ":3: malformed field value (",
+    "huge_int": ":3: malformed JSON line (Exceeds the limit (4300 digits)",
+    "state_string": ':3: state entry "1" is not a number',
+    "state_bool": ":3: state entry true is not a number",
     # the reader accepts it; the index is checked against the logging policy
     "out_of_range": ": record 2 has action index 999, not below output_dim 61 of logging policy",
 }
@@ -309,7 +346,7 @@ class TestLabeledCorpusContract:
         lines = (data / "labeled.jsonl").read_text().splitlines()
         record = json.loads(lines[2])
         _break_example(record, case)
-        lines[2] = json.dumps(record)
+        lines[2] = dump_record(record)
         broken = tmp_path / "labeled.jsonl"
         broken.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -481,27 +518,31 @@ class TestLoaderErrors:
         self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_VERSION)
 
 
-# config-file line -> the error TrainConfig gives for it
+# the keys of values no run varied, which are now module constants
+REMOVED_KEYS = ("sl_label_smoothing", "alpha_weak", "alpha_strong", "fet_decay", "ips_clip",
+                "banditnet_translation", "fixmatch_tau")
+
+# config-file line -> the error TrainConfig gives for it, or None for a line
+# naming a removed key, which is refused as unknown whatever its value
 INVALID_CONFIGS = {
-    "alpha_weak": ("alpha_weak = -1", "mix-up alpha parameters must be positive"),
-    "alpha_strong": ("alpha_strong = 0", "mix-up alpha parameters must be positive"),
+    "alpha_weak": ("alpha_weak = -1", None),
+    "alpha_strong": ("alpha_strong = 0", None),
     "batch_zero": ("batch_size = 0", "batch_size must be at least 1, got 0"),
     "batch_negative": ("batch_size = -1", "batch_size must be at least 1, got -1"),
     "epochs_negative": ("epochs = -1", "epochs must not be negative, got -1"),
     "sl_epochs_negative": ("sl_epochs = -1", "sl_epochs must not be negative, got -1"),
     "seed_negative": ("seed = -4", "seed must not be negative, got -4"),
-    "ips_clip_nan": ("ips_clip = nan", "ips_clip must be finite, got nan"),
+    "ips_clip_nan": ("ips_clip = nan", None),
     "learning_rate_inf": ("learning_rate = inf", "learning_rate must be finite, got inf"),
-    "alpha_weak_nan": ("alpha_weak = nan", "alpha_weak must be finite, got nan"),
-    "ips_clip_zero": ("ips_clip = 0", "ips_clip must be positive, got 0.0"),
-    "fet_decay_above_one": ("fet_decay = 5", "fet_decay must lie in [0, 1], got 5.0"),
-    "fet_decay_negative": ("fet_decay = -0.1", "fet_decay must lie in [0, 1], got -0.1"),
-    "sl_label_smoothing_above_one": ("sl_label_smoothing = 3",
-                                     "sl_label_smoothing must lie in [0, 1], got 3.0"),
+    "alpha_weak_nan": ("alpha_weak = nan", None),
+    "ips_clip_zero": ("ips_clip = 0", None),
+    "fet_decay_above_one": ("fet_decay = 5", None),
+    "fet_decay_negative": ("fet_decay = -0.1", None),
+    "sl_label_smoothing_above_one": ("sl_label_smoothing = 3", None),
     "learning_rate_negative": ("learning_rate = -1",
                                "learning_rate must not be negative, got -1.0"),
-    "fixmatch_tau_above_one": ("fixmatch_tau = 7", "fixmatch_tau must lie in (0.5, 1), got 7.0"),
-    "fixmatch_tau_half": ("fixmatch_tau = 0.5", "fixmatch_tau must lie in (0.5, 1), got 0.5"),
+    "fixmatch_tau_above_one": ("fixmatch_tau = 7", None),
+    "fixmatch_tau_half": ("fixmatch_tau = 0.5", None),
 }
 
 
@@ -530,11 +571,15 @@ class TestErrors:
         corpus = tmp_path / "c.jsonl"
         assert run(["gen-corpus", "--world", world, "--n-dialogs", 2, "--out", corpus]) == 0
         cfg = tmp_path / "bad.cfg"
-        # every line but the first names a key of an earlier version
+        # every line but the first names a key of an earlier version; the
+        # last seven give each removed key its old default
         for line in ("learning_speed = 3", "warm_start = false",
                      "fixmatch_labeled_source = logged_positives", "optimizer = sgd",
                      "early_stop = true", "holdout_fraction = 0.1",
-                     "weight_decay = 0.001", "replay_labeled = true"):
+                     "weight_decay = 0.001", "replay_labeled = true",
+                     "sl_label_smoothing = 0.2", "alpha_weak = 0.2", "alpha_strong = 2.0",
+                     "fet_decay = 0.9", "ips_clip = 100.0", "banditnet_translation = 0.9",
+                     "fixmatch_tau = 0.95"):
             cfg.write_text(line + "\n")
             capsys.readouterr()
             code = run(["split-and-log", "--world", world, "--corpus", corpus,
@@ -576,7 +621,10 @@ class TestErrors:
         }[command]
         capsys.readouterr()
         assert run(argv + ["--config", cfg]) == cli.EXIT_INVALID
-        assert capsys.readouterr().err == f"error: invalid training configuration: {message}\n"
+        key = line.split(" = ")[0]
+        expected = (f"invalid training configuration: {message}" if key not in REMOVED_KEYS
+                    else f"{cfg}:1: unknown config key {key!r}")
+        assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["gen-corpus", "split-and-log", "train", "evaluate",
@@ -1035,14 +1083,12 @@ class TestConfigFile:
     def test_key_set_and_parsed_types(self, tmp_path):
         key_types = {
             "seed": int, "batch_size": int, "epochs": int, "sl_epochs": int,
-            "sl_label_smoothing": float, "learning_rate": float, "hidden_dims": tuple,
+            "learning_rate": float, "hidden_dims": tuple,
             "lambda_pseudo": float, "lambda_bandit": float, "lambda_kl": float,
-            "alpha_weak": float, "alpha_strong": float,
-            "fet_decay": float, "method": str, "add_kl": bool, "no_mc_scale": bool,
+            "method": str, "add_kl": bool, "no_mc_scale": bool,
             "no_fet": bool, "no_cbl": bool, "no_kl": bool,
-            "ips_clip": float, "banditnet_translation": float, "fixmatch_tau": float,
         }
-        assert len(key_types) == 22
+        assert len(key_types) == 15
         raw = {int: "3", float: "0.5", str: "x", tuple: "16,8", bool: "true"}
         cfg = tmp_path / "c.cfg"
         cfg.write_text("".join(f"{key} = {raw[kind]}\n" for key, kind in key_types.items()))

@@ -343,7 +343,7 @@ class TestTracker:
         assert not tracker.correctness().available
 
     def test_ema_moves_toward_new_batch(self):
-        tracker = FetTracker(num_classes=1, decay=0.9)
+        tracker = FetTracker(num_classes=1)
         probs_a = np.array([[0.8]])
         sets = np.array([[True]])
         rho = np.array([[0.8]])

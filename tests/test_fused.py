@@ -15,19 +15,17 @@ from banditmatch import objectives as obj
 from banditmatch.nncore import Mlp, MlpSpec
 
 SEEDS = range(10)
-# the one hidden activation; the parameter keeps it in each test id
-ACTIVATIONS = ("relu",)
 
 
 class Case:
     """A random network and batch; some seeds saturate logits past the clamp,
     clip the importance weights, or leave no positive rows."""
 
-    def __init__(self, seed: int, activation: str):
+    def __init__(self, seed: int):
         rng = np.random.default_rng(1000 + seed)
         d, c, b = int(rng.integers(3, 9)), int(rng.integers(2, 7)), int(rng.integers(2, 9))
         hidden = tuple(int(h) for h in rng.integers(2, 8, size=seed % 3))
-        self.net = Mlp(MlpSpec(d, hidden, c, activation), rng=rng)
+        self.net = Mlp(MlpSpec(d, hidden, c), rng=rng)
         if seed % 4 == 3:
             for w in self.net.weights:
                 w.data *= 8.0
@@ -114,10 +112,9 @@ def run(case: Case, build, forward, losses):
     return loss.data.copy(), [p.grad.copy() for p in params]
 
 
-@pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fused_losses_and_gradients_bit_identical(seed, activation):
-    case = Case(seed, activation)
+def test_fused_losses_and_gradients_bit_identical(seed):
+    case = Case(seed)
     for name, build in case.builds().items():
         value, grads = run(case, build, fused_forward, obj)
         ref_value, ref_grads = run(case, build, ref.mlp_forward, ref)
@@ -126,15 +123,14 @@ def test_fused_losses_and_gradients_bit_identical(seed, activation):
             assert np.array_equal(g, r), f"{name}: parameter {i}"
 
 
-@pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_fused_forward_matches_op_chain(activation):
-    case = Case(3, activation)
+def test_fused_forward_matches_op_chain():
+    case = Case(3)
     for states in (case.states, case.states[0]):
         assert np.array_equal(case.net.forward(states).data, ref.mlp_forward(case.net, states).data)
 
 
 def test_composite_graph_has_one_node_per_forward_and_loss():
-    case = Case(1, "relu")
+    case = Case(1)
     total = case.composite(fused_forward, obj)
     nodes, stack = {}, [total]
     while stack:

@@ -28,7 +28,8 @@ KINDS = {
 def record_lists(draw, kind):
     """Records of one state width (1-200); bandit ``rho`` is random, with all
     entries below or above 0.5 for some records, so logged sets run from
-    empty to full; corpus actions are any short index lists."""
+    empty to full (an empty one with feedback 0, as the readers require);
+    corpus actions are any short index lists."""
     width = draw(st.integers(1, 200))
     num_classes = draw(st.integers(1, 12))
     n = draw(st.integers(0, 6))
@@ -47,7 +48,7 @@ def record_lists(draw, kind):
             min_size=num_classes, max_size=num_classes)))
         records.append(ds.BanditRecord(
             state=state, logged_actions=np.flatnonzero(rho > 0.5), propensities=rho,
-            feedback=draw(st.integers(0, 1))))
+            feedback=draw(st.integers(0, int((rho > 0.5).any())))))
     return records
 
 
@@ -158,7 +159,7 @@ def test_blocks_mix_canonical_and_other_lines(kind, tmp_path):
     else:
         rho = rng.uniform(0.01, 0.99, size=(n, 5))
         records = [ds.BanditRecord(state=s, logged_actions=np.flatnonzero(r > 0.5),
-                                   propensities=r, feedback=int(i % 2))
+                                   propensities=r, feedback=int(i % 2 and (r > 0.5).any()))
                    for i, (s, r) in enumerate(zip(states, rho))]
     path = tmp_path / "mixed.jsonl"
     write(path, records)
@@ -189,6 +190,8 @@ EDGE_LINES = {
     "extra_brace": '{"state": [0.0, 1.0], "actions": [1]}}',
     "last_state_wins": '{"state": [0.0, 1.0], "actions": [1], "state": [1.0, 1.0]}',
     "unicode_rest": '{"state": [0.0, 1.0], "actions": [1], "note": "caf\u00e9"}',
+    "huge_int": '{"state": [0.0, 1.0], "actions": [' + "9" * 5000 + "]}",
+    "bool_state": '{"state": [true, 0], "actions": [1]}',
 }
 
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -203,7 +204,14 @@ class TestSpecValidation:
         with pytest.raises(nncore.ConfigurationError):
             MlpSpec(input_dim=0, hidden_dims=(4,), output_dim=2)
 
-    def test_unknown_activation_rejected(self):
+    def test_unknown_activation_rejected(self, tmp_path):
+        net = make_net()
+        path = tmp_path / "ckpt.json"
+        nncore.save_checkpoint(path, net.spec, net.named_parameters())
+        payload = json.loads(path.read_text())
         for activation in ("gelu", "tanh"):
-            with pytest.raises(nncore.ConfigurationError):
-                MlpSpec(input_dim=2, hidden_dims=(4,), output_dim=2, hidden_activation=activation)
+            payload["spec"]["hidden_activation"] = activation
+            path.write_text(json.dumps(payload))
+            with pytest.raises(nncore.CheckpointError,
+                               match=f"unknown hidden activation '{activation}'"):
+                nncore.load_checkpoint(path)

@@ -49,10 +49,6 @@ class TestConfig:
         with pytest.raises(tr.TrainerError):
             tr.TrainConfig(method="ips", no_cbl=True)
 
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(tr.TrainerError, match="mix-up alpha parameters must be positive"):
-            tr.TrainConfig(alpha_weak=-1.0)
-
     def test_apply_ablation_switches(self):
         base = tr.TrainConfig()
         assert tr.apply_ablation(base, "no_fet").no_fet
