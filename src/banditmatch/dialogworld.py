@@ -21,7 +21,7 @@ user-turn updates walk the list as given.
 Episode flow: the user opens (``open_dialog``), then agent and user
 alternate (``play_turn``); policy and expert episodes share both. The episode
 ends when the user has everything it needs (it says bye), when the agent
-says bye, or at ``max_turns`` agent turns.
+says bye, or after ``MAX_TURNS`` agent turns.
 
 Lookup tables. ``WorldSchema`` builds its tables once, at construction,
 one ``_DomainTables`` per domain behind a name map: the state layout (the
@@ -59,6 +59,7 @@ SCHEMA_VERSION = "v1"
 
 TURN_BUCKETS = 6  # one-hot over turn counts 0..4 and 5+
 MATCH_BUCKETS = 4  # 0, 1, 2-3, >=4 database matches
+MAX_TURNS = 20  # agent turns after which an episode ends
 
 
 class WorldError(Exception):
@@ -852,7 +853,6 @@ def run_episode(
     policy,
     schema: WorldSchema,
     goal: UserGoal,
-    max_turns: int = 20,
     trace: list | None = None,
 ) -> EpisodeMetrics:
     """Roll one dialog between ``policy`` and the agenda user.
@@ -862,7 +862,7 @@ def run_episode(
     The turns are not checked. ``trace`` rows list the agent's labels sorted.
     """
     ctx, ustate, user_acts = open_dialog(schema, goal)
-    while ctx.turn < max_turns:
+    while ctx.turn < MAX_TURNS:
         actions = policy.act(encode_state(schema, ctx))
         if trace is not None:
             trace.append(
@@ -878,16 +878,14 @@ def run_episode(
     return finish_metrics(ctx, goal, ctx.turn)
 
 
-def run_expert_episode(
-    schema: WorldSchema, goal: UserGoal, max_turns: int = 20, collect=None
-) -> EpisodeMetrics:
+def run_expert_episode(schema: WorldSchema, goal: UserGoal, collect=None) -> EpisodeMetrics:
     """Like run_episode but drives the rule expert on the live context.
 
     When ``collect`` is a list, (state, agent turn) pairs are appended for
     corpus generation; states are encoded only then.
     """
     ctx, ustate, _ = open_dialog(schema, goal)
-    while ctx.turn < max_turns:
+    while ctx.turn < MAX_TURNS:
         actions = expert_respond(schema, ctx)
         if collect is not None:
             collect.append((encode_state(schema, ctx), actions))

@@ -2,8 +2,9 @@
 
 Everything runs on float64 numpy arrays. The graph has three kinds of
 node: ``fused`` nodes with a caller-supplied backward (every forward pass
-and loss term), and ``add`` and ``mul`` for weighting and summing the loss
-terms. No general broadcasting beyond bias rows and scalars.
+and loss term), ``add``, with which the package sums its loss terms, and
+``mul``, which stays for the Tensor arithmetic of the op-level oracle. No
+general broadcasting beyond bias rows and scalars.
 
 Gradient conventions:
   * ``Tensor.backward()`` accumulates into ``grad``; callers zero grads

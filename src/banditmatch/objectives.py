@@ -1,6 +1,6 @@
 """Loss terms for policy fine-tuning on logged feedback.
 
-The composite objective combines four parts:
+The composite objective is the plain sum of four parts:
   * labeled loss: class-summed binary cross-entropy on the weakly
     augmented positive-feedback examples against their logged sets;
   * pseudo-label loss: cross-entropy between hard pseudo labels obtained
@@ -188,11 +188,9 @@ def loss_kl_control(probs: Tensor, ref_probs: np.ndarray) -> Tensor:
     return nncore.fused(kl.sum() * scale, (probs,), backward)
 
 
-def total_loss(
-    labeled: Tensor, pseudo: Tensor, bandit: Tensor, kl: Tensor,
-    lambda_pseudo: float, lambda_bandit: float, lambda_kl: float,
-) -> Tensor:
-    return labeled + lambda_pseudo * pseudo + lambda_bandit * bandit + lambda_kl * kl
+def total_loss(labeled: Tensor, pseudo: Tensor, bandit: Tensor, kl: Tensor) -> Tensor:
+    """The composite objective: the plain sum of the four terms."""
+    return labeled + pseudo + bandit + kl
 
 
 # -- baseline objectives -------------------------------------------------------------

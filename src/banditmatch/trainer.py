@@ -11,7 +11,7 @@ acceptance comparison are built from these two.
 Fine-tuning warm-starts from the logging policy. Each step draws a
 uniform batch from the log, refreshes the adaptive thresholds from the
 batch's correct positives and negatives, builds the confidence and
-bandit-eligibility masks, and descends the weighted sum of the four loss
+bandit-eligibility masks, and descends the sum of the four loss
 terms. Every method trains its full budget and returns the final model.
 A tenth of the log (rounded down) is set aside before training and never
 read.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class TrainConfig:
     sl_epochs: int = 240
     learning_rate: float = 1e-3
     hidden_dims: tuple[int, ...] = (128, 128)
-    # loss weights of the pseudo-label, bandit and KL terms
-    lambda_pseudo: float = 1.0
-    lambda_bandit: float = 1.0
-    lambda_kl: float = 1.0
     method: str = METHOD_BANDITMATCH
     add_kl: bool = False  # "+ KL control" variants of ips / banditnet
     no_mc_scale: bool = False
@@ -88,9 +84,8 @@ class TrainConfig:
         for name in ("seed", "epochs", "sl_epochs", "learning_rate"):
             if getattr(self, name) < 0:
                 raise TrainerError(f"{name} must not be negative, got {getattr(self, name)}")
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise TrainerError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if not math.isfinite(self.learning_rate):
+            raise TrainerError(f"learning_rate must be finite, got {self.learning_rate}")
 
 
 def apply_ablation(config: TrainConfig, ablation: str) -> TrainConfig:
@@ -255,6 +250,10 @@ def train_on_log(
         raise TrainerError("empty bandit log")
     if config.method == METHOD_FIXMATCH and not labeled_split:
         raise TrainerError("the fixmatch baseline needs the labeled split")
+    # feedback 1 means the logged set is the expert's, and no expert set is empty
+    for i, record in enumerate(records):
+        if record.feedback == 1 and not record.logged_actions.size:
+            raise TrainerError(f"record {i}: a positive record must log a non-empty action set")
     rng = derive_rng(config.seed, "train")
     # a shuffle's first tenth is set aside unread and never stacked: the batch
     # draws, and so every trained byte, follow this draw and cut (training on
@@ -306,7 +305,7 @@ def _reference_probs(logging_policy: PolicyNet, states: np.ndarray) -> np.ndarra
 
 def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
-    mix-up passes, and the four weighted terms. The supervised term is the
+    mix-up passes, and the sum of the four terms. The supervised term is the
     mixed-up expert split for fixmatch and the logged positives otherwise."""
     use_fet = not config.no_fet and config.method == METHOD_BANDITMATCH
     use_cbl = not config.no_cbl and config.method == METHOD_BANDITMATCH
@@ -375,9 +374,7 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
             l_k = objectives.loss_kl_control(plain_t, ref_train[idx])
         else:
             l_k = Tensor(0.0)
-        total = objectives.total_loss(
-            l_l, l_p, l_b, l_k, config.lambda_pseudo, config.lambda_bandit, config.lambda_kl
-        )
+        total = objectives.total_loss(l_l, l_p, l_b, l_k)
         return total, StepLog(
             step=number,
             loss_labeled=l_l.item(),
@@ -406,7 +403,7 @@ def _crm_step(policy, logging_policy, train, config):
         l_k = Tensor(0.0)
         if config.add_kl:
             l_k = objectives.loss_kl_control(probs_t, ref_train[idx])
-            loss = loss + config.lambda_kl * l_k
+            loss = loss + l_k
         return loss, StepLog(
             step=number,
             loss_labeled=0.0,

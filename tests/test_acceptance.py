@@ -63,7 +63,6 @@ def test_criterion_01_gradient_suite():
                 obj.loss_pseudo(net.forward(states), qhat, conf),
                 obj.loss_bandit(net.forward(states), rho, delta, mask),
                 obj.loss_kl_control(net.forward(states), ref),
-                1.0, 1.0, 1.0,
             ),
             "ips": lambda: obj.loss_ips(net.forward(states), rho, delta, logged),
             "banditnet": lambda: obj.loss_banditnet(net.forward(states), rho, delta, logged),

@@ -572,14 +572,15 @@ class TestErrors:
         assert run(["gen-corpus", "--world", world, "--n-dialogs", 2, "--out", corpus]) == 0
         cfg = tmp_path / "bad.cfg"
         # every line but the first names a key of an earlier version; the
-        # last seven give each removed key its old default
+        # last ten give each removed key its old default
         for line in ("learning_speed = 3", "warm_start = false",
                      "fixmatch_labeled_source = logged_positives", "optimizer = sgd",
                      "early_stop = true", "holdout_fraction = 0.1",
                      "weight_decay = 0.001", "replay_labeled = true",
                      "sl_label_smoothing = 0.2", "alpha_weak = 0.2", "alpha_strong = 2.0",
                      "fet_decay = 0.9", "ips_clip = 100.0", "banditnet_translation = 0.9",
-                     "fixmatch_tau = 0.95"):
+                     "fixmatch_tau = 0.95", "lambda_pseudo = 1.0", "lambda_bandit = 1.0",
+                     "lambda_kl = 1.0"):
             cfg.write_text(line + "\n")
             capsys.readouterr()
             code = run(["split-and-log", "--world", world, "--corpus", corpus,
@@ -1074,21 +1075,13 @@ class TestConfigFile:
         assert from_file == outputs("flag", budget, "--seed", 4)
         assert from_file != outputs("default", budget)
 
-    def test_lambda_keys_map_to_weights(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("lambda_kl = 0\nlambda_bandit = 0.5\n")
-        config = cli.build_train_config(cli.read_config_file(cfg), {})
-        assert config.lambda_kl == 0.0 and config.lambda_bandit == 0.5
-
     def test_key_set_and_parsed_types(self, tmp_path):
         key_types = {
             "seed": int, "batch_size": int, "epochs": int, "sl_epochs": int,
-            "learning_rate": float, "hidden_dims": tuple,
-            "lambda_pseudo": float, "lambda_bandit": float, "lambda_kl": float,
-            "method": str, "add_kl": bool, "no_mc_scale": bool,
-            "no_fet": bool, "no_cbl": bool, "no_kl": bool,
+            "learning_rate": float, "hidden_dims": tuple, "method": str,
+            "add_kl": bool, "no_mc_scale": bool, "no_fet": bool, "no_cbl": bool, "no_kl": bool,
         }
-        assert len(key_types) == 15
+        assert len(key_types) == 12
         raw = {int: "3", float: "0.5", str: "x", tuple: "16,8", bool: "true"}
         cfg = tmp_path / "c.cfg"
         cfg.write_text("".join(f"{key} = {raw[kind]}\n" for key, kind in key_types.items()))

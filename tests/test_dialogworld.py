@@ -153,7 +153,7 @@ class TestEncoder:
         seen = []
         policy = SimpleNamespace(act=lambda state: seen.append(state) or [])
         goal = dw.sample_goal(schema, np.random.default_rng(4))
-        dw.run_episode(policy, schema, goal, max_turns=3)
+        dw.run_episode(policy, schema, goal)
         collected = []
         dw.run_expert_episode(schema, goal, collect=collected)
         states = seen + [state for state, _ in collected]
@@ -318,8 +318,9 @@ class TestEpisodes:
     def test_turn_cap(self, schema):
         rng = np.random.default_rng(8)
         goal = dw.sample_goal(schema, rng)
-        metrics = dw.run_episode(SimpleNamespace(act=lambda s: []), schema, goal, max_turns=5)
-        assert metrics.turns <= 5 and metrics.success == 0
+        # an agent with empty turns never meets a goal, so only the cap ends the dialog
+        metrics = dw.run_episode(SimpleNamespace(act=lambda s: []), schema, goal)
+        assert metrics.turns == dw.MAX_TURNS and metrics.success == 0
 
     def test_expert_encodes_only_collected_states(self, schema, monkeypatch):
         calls = []
@@ -346,9 +347,8 @@ class TestEpisodes:
         goal = dw.sample_goal(schema, rng)
         trace = []
         bye = turn(schema, dw.AtomicAction(dw.GENERAL, dw.BYE))
-        dw.run_episode(SimpleNamespace(act=lambda state: bye), schema, goal, max_turns=3,
-                       trace=trace)
-        assert len(trace) == 3 and all("agent" in row and "user" in row for row in trace)
+        dw.run_episode(SimpleNamespace(act=lambda state: bye), schema, goal, trace=trace)
+        assert len(trace) == dw.MAX_TURNS and all("agent" in row and "user" in row for row in trace)
 
 
 class TestExpertOracleExhaustive:

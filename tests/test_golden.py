@@ -9,10 +9,12 @@ twice; these fixed digests can.
 ``criterion9`` is the acceptance criterion-9 pipeline plus a training log.
 Its logging policy earns no positive feedback, so fine-tuning there moves
 only the KL term. ``all_losses`` trains the logging policy further at a
-higher learning rate so every loss term is active, with non-unit loss
-weights and an IPS + KL run. Its digests other than the world and corpus
-were re-taken, with this config, on the last tree that had weight decay and
-replay of the labeled split.
+higher learning rate so every loss term is active, with an IPS + KL run.
+Its digests other than the world and corpus were re-taken on the last tree
+that had weight decay and replay of the labeled split. Its fine-tuned
+checkpoints, training logs and report were re-taken again, with this config,
+on the last tree that had loss weights, once the config's non-unit
+pseudo-label and KL weights were dropped.
 ``test_protocol_paths_golden_bytes`` pins the paths those two leave out:
 every fine-tuning method (fixmatch and banditnet among them), the threshold
 trace, ``evaluate --trace`` / ``--jobs 2`` / ``--expert`` and the ablation
@@ -56,9 +58,7 @@ PIPELINES = {
         },
     ),
     "all_losses": (
-        "sl_epochs = 60\nlearning_rate = 0.01\n"
-        "lambda_pseudo = 0.7\nlambda_kl = 0.35\nadd_kl = true\n"
-        + BASE_CONFIG,
+        "sl_epochs = 60\nlearning_rate = 0.01\nadd_kl = true\n" + BASE_CONFIG,
         ("banditmatch", "ips"),
         {
             "world.json":
@@ -70,15 +70,15 @@ PIPELINES = {
             "data/bandit.jsonl":
                 "c9dc3e9ef8e1b5ed6d8a8c28b83aa81e3eaaa4e8fff1f170e17458ac2f223683",
             "banditmatch.json":
-                "d848013e02652f07a163cc6d3632505efa1a68905affbaddde8c05b4de9e6d83",
+                "b3a4b04049cf8f4afccc62757039bc858724d64eb565f612e0166fb5824ef906",
             "banditmatch_log.csv":
-                "f843b2c1e474aa394482200dfa0e62c8cb4fbc91b79005d53a7085a592c6c6e7",
+                "1170d5041bc15d3eee85d9cde9c7c345d1792bbce1a5e358b8f4a27026bffd99",
             "ips.json":
-                "29c516a282cf4e6a8f943318b3a5bf46c1cda60a2ebf68d265b4bc261f4b31ba",
+                "c6afd3c2d6771eb9135a7fb2d242276721af4204e9aca1bf0f740b5fc5415514",
             "ips_log.csv":
-                "d430cd86b51888db36e3dfbd0e58e5fe1500ecef7f91e4036e5afc178aa56da0",
+                "98b7eaac23f104d59ccaebb3eacfa9d843a90690ae0ac4438ccdc34d3c6b5943",
             "report.csv":
-                "5d47fb40b72dd4b1e860d0b144316dbf94a0d6fb3ce8f92035c3ddda43b763ff",
+                "f31e516fe910ec9ea317ab4b4e21c6e621c9cbae399ac1156719f94ed608dcb5",
         },
     ),
 }

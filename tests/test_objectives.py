@@ -260,44 +260,34 @@ class TestKlControl:
 
 
 class TestTotalLoss:
-    def test_zero_weights_reduce_to_labeled(self):
-        parts = [Tensor(float(v)) for v in (1.5, 2.0, 3.0, 4.0)]
-        total = obj.total_loss(*parts, 0.0, 0.0, 0.0)
-        assert total.item() == 1.5
-
     def test_default_weights_plain_sum(self):
         parts = [Tensor(float(v)) for v in (1.0, 2.0, 3.0, 4.0)]
-        total = obj.total_loss(*parts, 1.0, 1.0, 1.0)
-        assert total.item() == 10.0
+        assert obj.total_loss(*parts).item() == 10.0
 
     def test_gradient_linearity(self):
+        # the total's gradient is the sum of the four terms' gradients
         net = toy_net(seed=9)
         states, logged, rho, delta = toy_batch(seed=10)
         conf = obj.fixmatch_mask(net.probs(states), delta, tau=0.6)
         qhat = obj.pseudo_labels(net.probs(states))
         mask = obj.unconfident_plus_mask(delta, conf, logged)
         ref = np.clip(np.random.default_rng(11).random((5, 4)), 0.1, 0.9)
+        terms = (
+            lambda: obj.loss_labeled(net.forward(states), logged, delta),
+            lambda: obj.loss_pseudo(net.forward(states), qhat, conf),
+            lambda: obj.loss_bandit(net.forward(states), rho, delta, mask),
+            lambda: obj.loss_kl_control(net.forward(states), ref),
+        )
 
-        def term_grads(weights):
+        def grads(loss_fn):
             net.zero_grad()
-            p = net.forward(states)
-            total = obj.total_loss(
-                obj.loss_labeled(p, logged, delta),
-                obj.loss_pseudo(net.forward(states), qhat, conf),
-                obj.loss_bandit(net.forward(states), rho, delta, mask),
-                obj.loss_kl_control(net.forward(states), ref),
-                *weights,
-            )
-            total.backward()
+            loss_fn().backward()
             return [g.grad.copy() for g in net.parameters()]
 
-        g_all = term_grads((1.0, 1.0, 1.0))
-        g_l = term_grads((0.0, 0.0, 0.0))
-        g_p = term_grads((1.0, 0.0, 0.0))
-        g_b = term_grads((0.0, 1.0, 0.0))
-        g_k = term_grads((0.0, 0.0, 1.0))
-        for a, l, p_, b, k in zip(g_all, g_l, g_p, g_b, g_k):
-            assert np.allclose(a, p_ + b + k - 2 * l, atol=1e-12)
+        g_all = grads(lambda: obj.total_loss(*(term() for term in terms)))
+        g_terms = [grads(term) for term in terms]
+        for a, *parts in zip(g_all, *g_terms):
+            assert np.allclose(a, sum(parts), atol=1e-12)
 
 
 class TestBaselines:
@@ -369,7 +359,6 @@ class TestGradientSuite:
                 obj.loss_pseudo(net.forward(states), qhat, conf),
                 obj.loss_bandit(net.forward(states), rho, delta, mask),
                 obj.loss_kl_control(net.forward(states), ref),
-                1.0, 1.0, 1.0,
             ),
         }
         for name, fn in cases.items():
@@ -391,7 +380,6 @@ class TestEmptyMaskGradients:
             obj.loss_pseudo(net.forward(states), qhat, conf),
             obj.loss_bandit(net.forward(states), rho, delta, umask),
             Tensor(0.0),
-            1.0, 1.0, 1.0,
         )
         total.backward()
         for p in net.parameters():

@@ -7,6 +7,7 @@ from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
 from banditmatch import trainer as tr
 from banditmatch.policy import PolicyNet, policy_spec_for
+from banditmatch.seeding import derive_rng
 from dataclasses import replace
 
 
@@ -119,15 +120,6 @@ class TestFineTuning:
         for x, y in zip(a.parameters(), b.parameters()):
             assert np.array_equal(x.data, y.data)
 
-    def test_zero_weights_reduce_to_positive_only_supervision(self, setup):
-        # with every extra term switched off the step log shows only the
-        # labeled loss
-        cfg = replace(setup[2], epochs=1, lambda_pseudo=0.0, lambda_bandit=0.0, lambda_kl=0.0,
-                      no_fet=True, no_cbl=True, no_kl=True)
-        _, history = tr.train_on_log(setup[3], setup[4], cfg)
-        for row in history:
-            assert row.total == row.loss_labeled
-
     def test_forward_passes_per_step(self, setup, monkeypatch):
         # weak and strong passes always; the unaugmented pass only when FET,
         # CBL or KL reads it; fixmatch's split pass in its place
@@ -205,6 +197,26 @@ class TestFineTuning:
     def test_empty_log_rejected(self, setup):
         with pytest.raises(tr.TrainerError):
             tr.train_on_log(setup[3], [], setup[2])
+
+    def test_positive_record_with_empty_set_rejected(self, setup):
+        # records built in memory skip the reader's rule: a logging policy
+        # that predicts the empty set everywhere, with every feedback 1, would
+        # take an empty set into the FET attribution
+        pi0 = setup[3].clone_trainable()
+        pi0.parameters()[-1].data[:] = -20.0
+        pi0 = pi0.clone_frozen()
+        empty = np.array([], dtype=np.int64)
+        records = [replace(r, logged_actions=empty, feedback=1) for r in setup[4]]
+        cfg = replace(setup[2], epochs=1)
+        message = "a positive record must log a non-empty action set"
+        with pytest.raises(tr.TrainerError, match=f"record 0: {message}"):
+            tr.train_on_log(pi0, records, cfg)
+        # one such record in the unread tenth is named too
+        unread = derive_rng(cfg.seed, "train").permutation(len(setup[4]))[: len(setup[4]) // 10]
+        records = list(setup[4])
+        records[unread[0]] = replace(records[unread[0]], logged_actions=empty, feedback=1)
+        with pytest.raises(tr.TrainerError, match=f"record {unread[0]}: {message}"):
+            tr.train_on_log(setup[3], records, cfg)
 
     def test_stacks_only_the_training_rows(self, schema, spec):
         # the unread tenth of the log is never stacked, and no second copy of
