@@ -20,12 +20,12 @@ reads or trains anything.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import errno
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -42,7 +42,7 @@ import numpy as np
 from . import datasets, dialogworld, nncore, trainer
 from .datasets import DataError, DataVersionError
 from .dialogworld import WorldError, WorldSchema, WorldVersionError
-from .policy import ActionSetPolicy, PolicyError, PolicyNet
+from .policy import PolicyError, PolicyNet
 from .trainer import ExperimentReport, TrainConfig, TrainerError
 
 EXIT_OK = 0
@@ -324,34 +324,6 @@ def write_report_json(path: Path, reports: list) -> None:
         fh.write("\n")
 
 
-# -- parallel evaluation ----------------------------------------------------------------
-
-_POOL_STATE: dict = {}
-
-
-def _episode_worker(goal):
-    return dialogworld.run_episode(_POOL_STATE["adapter"], _POOL_STATE["schema"], goal)
-
-
-def evaluate_parallel(policy, schema, n_dialogs, n_runs, seed, jobs,
-                      method="policy") -> ExperimentReport:
-    """Evaluation with each run's pre-sampled goals played over at most
-    ``os.cpu_count()`` worker processes; the result is identical to the
-    sequential path regardless of worker count."""
-    if jobs <= 1:
-        return trainer.evaluate(policy, schema, n_dialogs, n_runs, seed, method=method)
-    ctx = multiprocessing.get_context("fork")
-    _POOL_STATE.update(adapter=ActionSetPolicy(policy, schema), schema=schema)
-    try:
-        with ctx.Pool(processes=min(jobs, os.cpu_count() or 1)) as pool:
-            return trainer._evaluate_runs(
-                lambda run, goals: pool.map(_episode_worker, goals),
-                schema, n_dialogs, n_runs, seed, method,
-            )
-    finally:
-        _POOL_STATE.clear()
-
-
 # -- commands ---------------------------------------------------------------------------
 # Each command reads through ``files.load`` and writes through ``files.output``;
 # it returns the training config it used as a dict (None if it trains nothing)
@@ -427,18 +399,14 @@ def cmd_evaluate(args, files: Files) -> dict | None:
             raise CliError("either --checkpoint or --expert is required", EXIT_INVALID)
         policy = files.load(PolicyNet.load, args.checkpoint)
         _check_policy_fits(f"checkpoint {args.checkpoint}", policy, schema, f"world {args.world}")
-        name = args.method_name or "policy"
-        if args.trace:  # sequential: the trace is written in episode order
-            with open(files.output(args.trace), "w", encoding="utf-8") as fh:
-                report = trainer.evaluate(
-                    policy, schema, args.n_dialogs, args.n_runs, args.seed, method=name,
-                    on_episode=lambda run, index, turns: fh.write(
-                        json.dumps({"run": run, "episode": index, "turns": turns}) + "\n"
-                    ),
-                )
-        else:
-            report = evaluate_parallel(policy, schema, args.n_dialogs, args.n_runs,
-                                       args.seed, args.jobs, method=name)
+        trace = open(files.output(args.trace), "w", encoding="utf-8") if args.trace else None
+        with trace or contextlib.nullcontext():
+            report = trainer.evaluate(
+                policy, schema, args.n_dialogs, args.n_runs, args.seed,
+                method=args.method_name or "policy",
+                on_episode=None if trace is None else lambda run, index, turns: trace.write(
+                    json.dumps({"run": run, "episode": index, "turns": turns}) + "\n"),
+            )
     write_report_csv(files.output(args.out), [report])
     if args.json:
         write_report_json(files.output(args.json), [report])
@@ -493,7 +461,7 @@ def cmd_sweep(args, files: Files) -> dict | None:
 
 
 def _int_at_least(low: int):
-    """argparse type: an integer of at least ``low`` (seeds, worker and dialog counts)."""
+    """argparse type: an integer of at least ``low`` (seeds, dialog and run counts)."""
     def parse(raw: str) -> int:
         if not raw.strip().isdecimal() or int(raw) < low:
             raise argparse.ArgumentTypeError(f"{raw!r} is not an integer >= {low}")
@@ -575,8 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
     p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
     p.add_argument("--seed", type=_at_least_zero, default=0)
-    p.add_argument("--jobs", type=_at_least_one, default=1,
-                   help="worker processes for evaluation episodes")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--json", type=Path, default=None)
     p.add_argument("--trace", type=Path, default=None,

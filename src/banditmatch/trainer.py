@@ -6,7 +6,7 @@ objectives), interactive evaluation against the dialog world, and the
 paired comparison protocol: a grid point (split, logging policy, log) and
 a row loop that trains every row on that one log and evaluates all rows on
 one shared seed. The ablation table, the labeled-percentage sweep and the
-acceptance comparison are built from these two.
+acceptance comparison are built from these two, whose rows run over ``map_jobs``.
 
 Fine-tuning warm-starts from the logging policy. Each step draws a
 uniform batch from the log, refreshes the adaptive thresholds from the
@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -537,12 +540,13 @@ def run_rows(logging_policy: PolicyNet, records: list[BanditRecord],
              rows: list[tuple[str, TrainConfig]], n_dialogs: int, n_runs: int,
              eval_seed: int) -> list[ExperimentReport]:
     """Train every ``(name, config)`` row on the one log and evaluate it on
-    the one evaluation seed, so row differences are paired."""
-    reports = []
-    for name, cfg in rows:
+    the one evaluation seed, so row differences are paired. Rows run over ``map_jobs``."""
+    def run_row(row):
+        name, cfg = row
         trained, _ = train_on_log(logging_policy, records, cfg, labeled_split=labeled)
-        reports.append(evaluate(trained, schema, n_dialogs, n_runs, eval_seed, method=name))
-    return reports
+        return evaluate(trained, schema, n_dialogs, n_runs, eval_seed, method=name)
+
+    return map_jobs(run_row, rows)
 
 
 def run_sl_sweep(corpus: list[LabeledExample], schema: WorldSchema, config: TrainConfig,
@@ -552,22 +556,52 @@ def run_sl_sweep(corpus: list[LabeledExample], schema: WorldSchema, config: Trai
     """Per percentage point, a grid point seeded from the point, then every
     method trained and evaluated on its log. The rows are built and every
     point's split checked first, so an unknown method or a point with an
-    empty side fails before any training."""
+    empty side fails before any training. The points run through
+    ``map_jobs``; a point in a worker runs its rows one at a time."""
     rows = [(method, replace(config, method=method)) for method in methods]
     for p in percentages:
         _check_point(len(corpus), p / 100.0)
-    results: dict[str, list[tuple[int, ExperimentReport]]] = {m: [] for m in methods}
-    results["logging"] = []
-    for p in percentages:
+
+    def run_point(p):
         point_seed = int(derive_rng(config.seed, "sweep", p).integers(2**31))
         labeled, logging_policy, records = log_point(
             corpus, schema, p / 100.0, replace(config, seed=point_seed)
         )
-        results["logging"].append(
-            (p, evaluate(logging_policy, schema, n_dialogs, n_runs, point_seed, method="logging"))
-        )
         point_rows = [(name, replace(cfg, seed=point_seed)) for name, cfg in rows]
-        for report in run_rows(logging_policy, records, labeled, schema, point_rows,
-                               n_dialogs, n_runs, point_seed):
+        logging_report = evaluate(logging_policy, schema, n_dialogs, n_runs, point_seed,
+                                  method="logging")
+        return [logging_report] + run_rows(logging_policy, records, labeled, schema, point_rows,
+                                           n_dialogs, n_runs, point_seed)
+
+    results: dict[str, list] = {m: [] for m in (*methods, "logging")}
+    for p, reports in zip(percentages, map_jobs(run_point, percentages)):
+        for report in reports:
             results[report.method].append((p, report))
     return results
+
+
+# -- one process pool ------------------------------------------------------------------
+
+# the fn and items a forked worker maps, set only in workers: fork hands
+# them over without pickling, so fn may be a closure
+_WORKER: dict = {}
+
+
+def _map_worker(index: int):
+    return _WORKER["fn"](_WORKER["items"][index])
+
+
+def map_jobs(fn, items) -> list:
+    """``[fn(item) for item in items]`` over a fork pool of one worker per
+    usable CPU and item. Results and the first failure come in input order;
+    a killed worker raises ``BrokenProcessPool``. Inline when fewer than two
+    workers would run, where fork is unavailable, and in another map's worker."""
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(items), cpus or 1)
+    if workers < 2 or _WORKER or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    # after the first failure, the items no worker has taken are cancelled
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _WORKER.update,
+                             ({"fn": fn, "items": items},)) as pool:
+        return list(pool.map(_map_worker, range(len(items))))

@@ -17,9 +17,9 @@ on the last tree that had loss weights, once the config's non-unit
 pseudo-label and KL weights were dropped.
 ``test_protocol_paths_golden_bytes`` pins the paths those two leave out:
 every fine-tuning method (fixmatch and banditnet among them), the threshold
-trace, ``evaluate --trace`` / ``--jobs 2`` / ``--expert`` and the ablation
-table. ``test_sweep_golden_bytes`` pins the labeled-percentage
-sweep.
+trace, ``evaluate --trace`` / ``--expert`` and the ablation table, whose rows
+run over the usable CPUs. ``test_sweep_golden_bytes`` pins the
+labeled-percentage sweep, whose points run the same way.
 
 The digests were taken before the fused-node training step existed (the
 world and corpus digests before the array-native dialog turn), with
@@ -133,12 +133,12 @@ def test_tiny_pipeline_golden_bytes(tmp_path, name):
 
 
 # Every fine-tuning method, and the evaluation paths besides the plain
-# report: --trace (given together with --jobs 2, which it takes precedence
-# over), --jobs 2, --expert, and the six-row ablation table. Digests taken on
+# report: --trace, --expert, and the six-row ablation table. Digests taken on
 # the tree before the shared fine-tuning skeleton and evaluation loop. The
-# four fine-tuned checkpoints and the trace and two reports evaluated from
+# four fine-tuned checkpoints and the trace and report evaluated from
 # banditmatch.json were re-taken with this config (early stopping off) on
-# the last tree that had early stopping.
+# the last tree that had early stopping. The trace and its report were
+# taken with evaluate's --jobs 2, since removed, which the trace overrode.
 PATHS_CONFIG = "sl_epochs = 60\nlearning_rate = 0.01\nhidden_dims = 16\nbatch_size = 32\nepochs = 4\n"
 PATHS_GOLDEN = {
     "ablate/ablations.csv":
@@ -173,8 +173,6 @@ PATHS_GOLDEN = {
         "dc851f2c1e888d76e3e38329cd0f5ad74146c9c3800c1e9f6c2750b8b4749459",
     "ips_log.csv":
         "d349a3dedf941a9dfb7ae4e5d06f2a7d5c3aff74bbabe9df90db47b7fea98094",
-    "report_jobs2.csv":
-        "08a304c27b019e6c0cbe2afa6115d0f91abd6bf15d3140261fc8e44ddc6208ef",
     "report_traced.csv":
         "08a304c27b019e6c0cbe2afa6115d0f91abd6bf15d3140261fc8e44ddc6208ef",
     "thresholds.csv":
@@ -197,9 +195,8 @@ def test_protocol_paths_golden_bytes(tmp_path):
     ablate_cfg = tmp_path / "ablate.cfg"
     ablate_cfg.write_text(PATHS_CONFIG)
     argv_sets += [
-        evaluate + policy + ["--jobs", 2, "--trace", tmp_path / "episodes.jsonl",
+        evaluate + policy + ["--trace", tmp_path / "episodes.jsonl",
                              "--out", tmp_path / "report_traced.csv"],
-        evaluate + policy + ["--jobs", 2, "--out", tmp_path / "report_jobs2.csv"],
         evaluate + ["--expert", "--out", tmp_path / "expert.csv"],
         ["ablate", "--world", world, "--bandit", data / "bandit.jsonl",
          "--logging-policy", data / "logging_policy.json", "--config", ablate_cfg,

@@ -1,8 +1,13 @@
+import os
+import signal
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from banditmatch import cli
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
 from banditmatch import trainer as tr
@@ -377,6 +382,126 @@ class TestGrids:
             tr.run_sl_sweep(corpus, schema, cfg, percentages=(20, 50),
                             methods=("banditmatch", "bogus"), n_dialogs=5, n_runs=1)
         assert trained == []
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestMapJobs:
+    """``map_jobs`` runs the rows of a grid and the points of a sweep over a
+    fork pool sized to the usable CPUs, with the results of one at a time."""
+
+    def test_rows_in_input_order_match_one_at_a_time(self, setup, schema, monkeypatch):
+        labeled, _, cfg, pi0, records = setup
+        rows = [("ips", replace(cfg, method="ips", epochs=2)),
+                ("banditmatch", replace(cfg, epochs=1)),
+                ("fixmatch", replace(cfg, method="fixmatch", epochs=1))]
+        alone = [
+            tr.evaluate(tr.train_on_log(pi0, records, row_cfg, labeled_split=labeled)[0],
+                        schema, 6, 1, 31, method=name)
+            for name, row_cfg in rows
+        ]
+        real = tr.evaluate
+        monkeypatch.setattr(tr, "evaluate", lambda *a, **k: (os.getpid(), real(*a, **k)))
+        _usable_cpus(monkeypatch, 3)
+        pooled = tr.run_rows(pi0, records, labeled, schema, rows, 6, 1, 31)
+        assert [report for _, report in pooled] == alone
+        assert os.getpid() not in {pid for pid, _ in pooled}
+
+    def test_worker_failure_raised_as_is(self, setup, schema, monkeypatch, tmp_path, capsys):
+        _, _, cfg, pi0, records = setup
+        rows = [(m, replace(cfg, method=m, epochs=1)) for m in ("banditmatch", "fixmatch", "ips")]
+        _usable_cpus(monkeypatch, 3)
+        with pytest.raises(tr.TrainerError) as excinfo:
+            tr.run_rows(pi0, records, None, schema, rows, 4, 1, 0)
+        assert type(excinfo.value) is tr.TrainerError
+        assert str(excinfo.value) == "the fixmatch baseline needs the labeled split"
+        assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"  # from a worker
+        # the command-line form: ablate over the same rows exits 5 with one line
+        schema.save(tmp_path / "world.json")
+        ds.write_bandit_jsonl(tmp_path / "bandit.jsonl", records)
+        pi0.save(tmp_path / "pi0.json")
+        monkeypatch.setattr(cli.trainer, "ablation_rows", lambda config: rows)
+        capsys.readouterr()
+        code = cli.main([str(a) for a in (
+            "ablate", "--world", tmp_path / "world.json", "--bandit", tmp_path / "bandit.jsonl",
+            "--logging-policy", tmp_path / "pi0.json", "--n-dialogs", 4, "--n-runs", 1,
+            "--out-dir", tmp_path / "ablate")])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == "error: the fixmatch baseline needs the labeled split\n"
+        assert not (tmp_path / "ablate").exists()
+
+    def test_first_failure_in_input_order(self, monkeypatch):
+        # item 2 fails at once and item 1 only later: item 1's error is raised
+        def fn(i):
+            if i == 1:
+                time.sleep(0.3)
+            if i in (1, 2):
+                raise ValueError(f"item {i}")
+            return i
+
+        _usable_cpus(monkeypatch, 4)
+        with pytest.raises(ValueError, match="^item 1$"):
+            tr.map_jobs(fn, range(4))
+
+    @pytest.mark.parametrize("items, affinity, cpu_count, workers", [
+        (5, 3, 8, 3), (2, 3, 8, 2), (6, None, 4, 4), (6, None, None, None),
+    ], ids=["capped", "below_cap", "cpu_count_fallback", "unknown_cores"])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, items, affinity, cpu_count, workers):
+        # a fake pool records the worker count and maps in process: no process starts
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                asked.append(max_workers)
+                self.fn, self.items = initargs[0]["fn"], initargs[0]["items"]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, indices):
+                return (self.fn(self.items[i]) for i in indices)
+
+        monkeypatch.setattr(tr, "ProcessPoolExecutor", FakePool)
+        if affinity is None:  # a platform without sched_getaffinity
+            monkeypatch.delattr(tr.os, "sched_getaffinity", raising=False)
+        else:
+            _usable_cpus(monkeypatch, affinity)
+        monkeypatch.setattr(tr.os, "cpu_count", lambda: cpu_count)
+        assert tr.map_jobs(lambda i: i * i, range(items)) == [i * i for i in range(items)]
+        assert asked == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("items, cpus, fork", [(4, 1, True), (1, 4, True), (4, 4, False)],
+                             ids=["one_cpu", "one_item", "no_fork"])
+    def test_inline_without_processes(self, monkeypatch, items, cpus, fork):
+        _usable_cpus(monkeypatch, cpus)
+        if not fork:
+            monkeypatch.setattr(tr.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(tr, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("a process pool was made"))
+        assert tr.map_jobs(lambda i: (i, os.getpid()), range(items)) == [
+            (i, os.getpid()) for i in range(items)]
+
+    def test_killed_worker_fails_the_map(self, monkeypatch):
+        def fn(i):
+            if i == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        _usable_cpus(monkeypatch, 2)
+        with pytest.raises(BrokenProcessPool):
+            tr.map_jobs(fn, range(3))
+
+    def test_no_map_inside_a_worker(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        inner = tr.map_jobs(lambda i: tr.map_jobs(lambda j: os.getpid(), range(3)), range(2))
+        # each worker ran its inner map itself, in one process
+        assert [len(set(pids)) for pids in inner] == [1, 1]
+        assert os.getpid() not in {pids[0] for pids in inner}
 
 
 class TestThresholdTrace:
