@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff core for small MLP policies.
+"""Minimal reverse-mode autodiff core for the policy network.
 
 Everything runs on float64 numpy arrays. The graph has three kinds of
 node: ``fused`` nodes with a caller-supplied backward (every forward pass
@@ -17,7 +17,7 @@ Gradient conventions:
     outside reference goes (no reference cycles, no wait for the cyclic
     collector).
 
-Fused nodes: the training hot path (``Mlp.forward`` and every loss in
+Fused nodes: the training hot path (``PolicyNet.forward`` and every loss in
 ``objectives``) builds one ``fused`` node per forward pass or loss term
 instead of one node per op. A fused node must reproduce the op-level graph
 bit for bit: its value uses the op-level forward's expressions in the same
@@ -32,7 +32,6 @@ fused node from them and require equal bits.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -241,101 +240,16 @@ class MlpSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
+        """The spec a checkpoint names. Every dim must be a JSON integer and
+        ``hidden_dims`` a list: a float, bool or string would be coerced."""
         if d["hidden_activation"] != HIDDEN_ACTIVATION:
             raise ConfigurationError(f"unknown hidden activation {d['hidden_activation']!r}")
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(int(h) for h in d["hidden_dims"]),
-            output_dim=int(d["output_dim"]),
-        )
-
-
-class Mlp:
-    """Fully connected net with a clamped-sigmoid multi-label head."""
-
-    def __init__(self, spec: MlpSpec, rng: np.random.Generator | None = None):
-        self.spec = spec
-        dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in)
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-
-    def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        named = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            named[f"w{i}"] = w
-            named[f"b{i}"] = b
-        return named
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
-    def _layers(self, states) -> tuple[list[np.ndarray], np.ndarray, bool]:
-        """Layer inputs (the states, then each hidden activation), the
-        unclamped output logits, and whether the states were a single row."""
-        x = _as_array(states)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ConfigurationError(
-                f"state dim {x.shape} incompatible with input_dim={self.spec.input_dim}"
-            )
-        inputs = [x]
-        h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if i < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
-                inputs.append(h)
-        return inputs, h, squeeze
-
-    def forward(self, states: np.ndarray) -> Tensor:
-        """Class probabilities, each strictly inside (0, 1), as one graph node.
-
-        Always 2-d (a single state gives one row). The backward replays the
-        op chain matmul, bias add, relu, clip, sigmoid layer by layer.
-        """
-        inputs, z, _ = self._layers(states)
-        s = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
-        weights, biases = self.weights, self.biases
-
-        def backward(g: np.ndarray) -> None:
-            inside = (z >= -LOGIT_CLAMP) & (z <= LOGIT_CLAMP)
-            dz = g * s * (1.0 - s) * inside
-            for i in range(len(weights) - 1, -1, -1):
-                h = inputs[i]
-                weights[i]._accumulate(h.T @ dz)
-                biases[i]._accumulate(dz)
-                if i:
-                    dz = (dz @ weights[i].data.T) * (h > 0.0)
-
-        return fused(s, self.parameters(), backward)
-
-    def probs(self, states: np.ndarray) -> np.ndarray:
-        """Forward pass without building the backward graph."""
-        _, z, squeeze = self._layers(states)
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
-        return p[0] if squeeze else p
-
-    def copy(self) -> "Mlp":
-        clone = Mlp(self.spec, rng=None)
-        for dst, src in zip(clone.parameters(), self.parameters()):
-            dst.data = src.data.copy()
-        return clone
+        if not isinstance(d["hidden_dims"], list):
+            raise ConfigurationError("hidden_dims must be a list")
+        dims = [d["input_dim"], *d["hidden_dims"], d["output_dim"]]
+        if not all(type(x) is int for x in dims):
+            raise ConfigurationError(f"layer dims must be integers, got {json.dumps(dims)}")
+        return cls(d["input_dim"], tuple(d["hidden_dims"]), d["output_dim"])
 
 
 # -- optimizers ---------------------------------------------------------------
@@ -418,48 +332,6 @@ class Adam:
             p.data -= b
 
 
-# -- gradient verification ----------------------------------------------------
-
-
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    fd_epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must be a deterministic closure over ``params`` returning a
-    scalar Tensor. Returns inf when the loss itself is non-finite, which
-    callers treat as a failed check.
-    """
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    loss = loss_fn()
-    if not np.isfinite(loss.data).all():
-        return float("inf")
-    loss.backward()
-    analytic = [p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + fd_epsilon
-            hi = loss_fn().item()
-            flat[i] = orig - fd_epsilon
-            lo = loss_fn().item()
-            flat[i] = orig
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                return float("inf")
-            fd = (hi - lo) / (2.0 * fd_epsilon)
-            denom = max(abs(a_flat[i]), abs(fd), 1e-8)
-            worst = max(worst, abs(a_flat[i] - fd) / denom)
-    return worst
-
-
 # -- checkpoints --------------------------------------------------------------
 
 
@@ -492,6 +364,18 @@ def save_checkpoint(path, spec: MlpSpec, named: dict[str, Tensor], extra: dict |
         fh.write(json.dumps(payload))
 
 
+def _tensor_values(name: str, entry: dict) -> np.ndarray:
+    """One tensor of a checkpoint. Its shape must be a list of JSON integers
+    and its values a flat list of JSON numbers: a string, bool or nested
+    entry would be coerced."""
+    shape, values = entry["shape"], entry["values"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"tensor {name} shape must be a list of non-negative integers")
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"tensor {name} values must be a flat list of numbers")
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
 def load_checkpoint(path) -> tuple[MlpSpec, dict[str, np.ndarray], dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -507,13 +391,10 @@ def load_checkpoint(path) -> tuple[MlpSpec, dict[str, np.ndarray], dict]:
         )
     try:
         spec = MlpSpec.from_dict(payload["spec"])
-        tensors = {
-            name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in payload["tensors"].items()
-        }
+        tensors = {name: _tensor_values(name, entry) for name, entry in payload["tensors"].items()}
     except KeyError as err:
         raise CheckpointError(f"{path}: missing field {err}") from err
-    except (TypeError, ValueError, AttributeError, ConfigurationError) as err:
+    except (TypeError, ValueError, OverflowError, AttributeError, ConfigurationError) as err:
         raise CheckpointError(f"{path}: malformed field value ({err})") from err
     if not all(np.isfinite(t).all() for t in tensors.values()):
         raise CheckpointError(f"{path}: tensor values must be finite")

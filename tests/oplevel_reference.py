@@ -7,13 +7,17 @@ estimates and the plain-expression Adam update. Tests require the package to
 match these bit for bit, so every expression here keeps its original operand
 order. ``mixup_pair`` is the one-pair form of the mix-up that
 ``objectives.mixup_batch`` applies to every row, for the mix-up property tests.
+``grad_check`` compares any graph's gradients with central differences.
 """
+
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
-from banditmatch import nncore
 from banditmatch.nncore import LOGIT_CLAMP, Tensor, add, fused
 from banditmatch.objectives import ObjectiveError
+from banditmatch.policy import PolicyNet
 
 # -- ops ---------------------------------------------------------------------------
 #
@@ -91,10 +95,52 @@ def mean(a: Tensor) -> Tensor:
     return tensor_sum(a) * (1.0 / a.data.size)
 
 
+# -- gradient check -----------------------------------------------------------------
+
+
+def grad_check(
+    loss_fn: Callable[[], Tensor],
+    params: Sequence[Tensor],
+    fd_epsilon: float = 1e-5,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``loss_fn`` must be a deterministic closure over ``params`` returning a
+    scalar Tensor. Returns inf when the loss itself is non-finite, which
+    callers treat as a failed check.
+    """
+    params = list(params)
+    for p in params:
+        p.zero_grad()
+    loss = loss_fn()
+    if not np.isfinite(loss.data).all():
+        return float("inf")
+    loss.backward()
+    analytic = [p.grad.copy() for p in params]
+
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        a_flat = a.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + fd_epsilon
+            hi = loss_fn().item()
+            flat[i] = orig - fd_epsilon
+            lo = loss_fn().item()
+            flat[i] = orig
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                return float("inf")
+            fd = (hi - lo) / (2.0 * fd_epsilon)
+            denom = max(abs(a_flat[i]), abs(fd), 1e-8)
+            worst = max(worst, abs(a_flat[i] - fd) / denom)
+    return worst
+
+
 # -- network -----------------------------------------------------------------------
 
 
-def mlp_logits(net: nncore.Mlp, states: np.ndarray) -> Tensor:
+def mlp_logits(net: PolicyNet, states: np.ndarray) -> Tensor:
     x = np.asarray(states, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -106,7 +152,7 @@ def mlp_logits(net: nncore.Mlp, states: np.ndarray) -> Tensor:
     return clip(h, -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
-def mlp_forward(net: nncore.Mlp, states: np.ndarray) -> Tensor:
+def mlp_forward(net: PolicyNet, states: np.ndarray) -> Tensor:
     return sigmoid(mlp_logits(net, states))
 
 

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from dialogworld_reference import enumerate_goals
-from oplevel_reference import mixup_pair
+from oplevel_reference import grad_check, mixup_pair
 from banditmatch import cli, datasets as ds, dialogworld as dw, fet, nncore
 from banditmatch import objectives as obj
 from banditmatch import trainer as tr
 from banditmatch.nncore import Tensor
-from banditmatch.policy import policy_spec_for
+from banditmatch.policy import PolicyNet, policy_spec_for
 from dataclasses import replace
 
 
@@ -40,7 +40,7 @@ def criterion(number: int, name: str):
 def test_criterion_01_gradient_suite():
     with criterion(1, "gradient suite < 1e-4 on every loss"):
         started = time.time()
-        net = nncore.Mlp(
+        net = PolicyNet(
             nncore.MlpSpec(input_dim=8, hidden_dims=(6,), output_dim=4),
             rng=np.random.default_rng(100),
         )
@@ -68,7 +68,7 @@ def test_criterion_01_gradient_suite():
             "banditnet": lambda: obj.loss_banditnet(net.forward(states), rho, delta, logged),
         }
         for name, fn in cases.items():
-            err = nncore.grad_check(fn, net.parameters(), fd_epsilon=1e-5)
+            err = grad_check(fn, net.parameters(), fd_epsilon=1e-5)
             assert err < 1e-4, f"{name}: max relative error {err}"
         assert time.time() - started < 60.0
 

@@ -462,6 +462,17 @@ class TestLoaderErrors:
             lambda c: c.update(extra={"role": "boss"}),
             lambda c: c.update(extra=5),
             lambda c: c["tensors"]["w0"]["values"].__setitem__(0, float("nan")),
+            # values and dims that would be coerced to numbers
+            lambda c: c["tensors"]["b0"]["values"].__setitem__(0, "0.5"),
+            lambda c: c["tensors"]["b0"]["values"].__setitem__(0, True),
+            lambda c: c["spec"].update(input_dim=c["spec"]["input_dim"] + 0.5),
+            lambda c: c["spec"].update(hidden_dims="4"),
+            lambda c: c["spec"].update(hidden_dims=[str(h) for h in c["spec"]["hidden_dims"]]),
+            lambda c: c["tensors"]["b0"].update(values=[c["tensors"]["b0"]["values"]]),
+            lambda c: c["tensors"]["b0"]["shape"].__setitem__(0, -1),
+            lambda c: c["tensors"]["b0"]["values"].__setitem__(0, 10**400),
+            # a layer far larger than the file's tensors
+            lambda c: c["spec"].update(hidden_dims=[10**12, *c["spec"]["hidden_dims"][1:]]),
         )
         for edit in edits:
             payload = json.loads((data / "logging_policy.json").read_text())

@@ -1,6 +1,6 @@
 """The fused graph nodes against the op-level chains they replay, bit for bit.
 
-Every case builds the same loss twice, once from ``Mlp.forward`` and the
+Every case builds the same loss twice, once from ``PolicyNet.forward`` and the
 ``objectives`` losses (one node per forward pass and per loss term) and once
 from the per-op reference in ``oplevel_reference``, and requires equal loss
 bits and equal gradient bits on every parameter (``np.array_equal``).
@@ -12,7 +12,8 @@ import pytest
 import oplevel_reference as ref
 from banditmatch import fet, nncore
 from banditmatch import objectives as obj
-from banditmatch.nncore import Mlp, MlpSpec
+from banditmatch.nncore import MlpSpec
+from banditmatch.policy import PolicyNet
 
 SEEDS = range(10)
 
@@ -32,7 +33,7 @@ class Case:
         rng = np.random.default_rng(1000 + seed)
         d, c, b = int(rng.integers(3, 9)), int(rng.integers(2, 7)), int(rng.integers(2, 9))
         hidden = tuple(int(h) for h in rng.integers(2, 8, size=seed % 3))
-        self.net = Mlp(MlpSpec(d, hidden, c), rng=rng)
+        self.net = PolicyNet(MlpSpec(d, hidden, c), rng=rng)
         if seed % 4 == 3:
             for w in self.net.weights:
                 w.data *= 8.0
@@ -151,8 +152,8 @@ def test_composite_graph_has_one_node_per_forward_and_loss():
 
 def test_adam_in_place_matches_plain_expressions():
     rng = np.random.default_rng(7)
-    a = Mlp(MlpSpec(5, (4,), 3), rng=rng)
-    b = a.copy()
+    a = PolicyNet(MlpSpec(5, (4,), 3), rng=rng)
+    b = a.clone_trainable()
     opt = nncore.Adam(a.parameters(), learning_rate=1e-2)
     ref_opt = ref.Adam(b.parameters(), learning_rate=1e-2)
     for _ in range(6):

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from oplevel_reference import mixup_pair
-from banditmatch import nncore, objectives as obj
-from banditmatch.nncore import Mlp, MlpSpec, Tensor
+from oplevel_reference import grad_check, mixup_pair
+from banditmatch import objectives as obj
+from banditmatch.nncore import MlpSpec, Tensor
+from banditmatch.policy import PolicyNet
 
 
 def toy_net(seed=0, d=8, c=4, hidden=(6,)):
-    return Mlp(MlpSpec(input_dim=d, hidden_dims=hidden, output_dim=c),
-               rng=np.random.default_rng(seed))
+    return PolicyNet(MlpSpec(input_dim=d, hidden_dims=hidden, output_dim=c),
+                     rng=np.random.default_rng(seed))
 
 
 def toy_batch(seed=1, b=5, d=8, c=4):
@@ -362,7 +363,7 @@ class TestGradientSuite:
             ),
         }
         for name, fn in cases.items():
-            err = nncore.grad_check(fn, net.parameters(), fd_epsilon=1e-5)
+            err = grad_check(fn, net.parameters(), fd_epsilon=1e-5)
             assert err < 1e-4, f"{name} gradient error {err}"
 
 

@@ -125,6 +125,17 @@ class TestFineTuning:
         for x, y in zip(a.parameters(), b.parameters()):
             assert np.array_equal(x.data, y.data)
 
+    def test_logging_policy_left_unchanged(self, setup):
+        # fine-tuning trains a copy of the logging policy's arrays, not the arrays
+        pi0 = setup[3]
+        before = params_of(pi0)
+        trained = {m: tr.train_on_log(pi0, setup[4], replace(setup[2], epochs=2, method=m))[0]
+                   for m in ("banditmatch", "ips")}
+        # this log has no positive record, so only banditmatch moves its copy
+        assert not all(np.array_equal(a, p.data)
+                       for a, p in zip(before, trained["banditmatch"].parameters()))
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, pi0.parameters()))
+
     def test_forward_passes_per_step(self, setup, monkeypatch):
         # weak and strong passes always; the unaugmented pass only when FET,
         # CBL or KL reads it; fixmatch's split pass in its place
@@ -313,7 +324,7 @@ class TestEvaluate:
         spec_full = policy_spec_for(schema, hidden_dims=(8,))
         policy = PolicyNet(spec_full, rng=None)
         bye_index = schema.actions.index(dw.AtomicAction(dw.GENERAL, dw.BYE))
-        policy.net.biases[-1].data[bye_index] = 10.0
+        policy.biases[-1].data[bye_index] = 10.0
         report = tr.evaluate(policy, schema, n_dialogs=30, n_runs=1, seed=18)
         assert report.metrics["success"][0] == 0.0
 
