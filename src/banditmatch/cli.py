@@ -42,7 +42,7 @@ import numpy as np
 from . import datasets, dialogworld, nncore, trainer
 from .datasets import DataError, DataVersionError
 from .dialogworld import WorldError, WorldSchema, WorldVersionError
-from .policy import PolicyError, PolicyNet
+from .policy import CheckpointVersionError, PolicyError, PolicyNet
 from .trainer import ExperimentReport, TrainConfig, TrainerError
 
 EXIT_OK = 0
@@ -183,7 +183,7 @@ class Files:
         self.inputs.append(path)
         try:
             return reader(path)
-        except (DataVersionError, WorldVersionError, nncore.CheckpointVersionError) as err:
+        except (DataVersionError, WorldVersionError, CheckpointVersionError) as err:
             raise CliError(str(err), EXIT_VERSION) from err
 
     def output(self, path: Path) -> Path:
@@ -605,7 +605,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return err.code
     except (WorldError, DataError, TrainerError, nncore.NncoreError, PolicyError) as err:
-        # NncoreError covers NonFiniteGradientError and ConfigurationError
+        # NncoreError covers NonFiniteGradientError; PolicyError a bad checkpoint or spec
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     write_manifest(manifest, args.command, vars(args), files.inputs, files.outputs, config,

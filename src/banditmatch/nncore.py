@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff core for the policy network.
+"""Minimal reverse-mode autodiff graph and optimizers for the policy network.
 
 Everything runs on float64 numpy arrays. The graph has three kinds of
 node: ``fused`` nodes with a caller-supplied backward (every forward pass
@@ -27,30 +27,22 @@ not associative, so contributions to a shared parent are never pre-summed.
 The op-level ops (``log``, ``sigmoid``, ``matmul`` and the rest) live in
 ``tests/oplevel_reference.py`` as the gradient oracle: tests rebuild each
 fused node from them and require equal bits.
+
+Optimizers: ``Adam`` updates in place and ``Sgd`` is plain gradient descent
+for hand-checkable tests; both refuse a missing or non-finite gradient.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 LOGIT_CLAMP = 15.0
-# sigmoid(-15) ~= 3.06e-7, so probabilities always lie in [1e-7, 1 - 1e-7].
-PROB_FLOOR = 1e-7
-
-CHECKPOINT_FORMAT = "banditmatch-checkpoint"
-CHECKPOINT_VERSION = "v1"
 
 
 class NncoreError(Exception):
     """Base error for the compute core."""
-
-
-class ConfigurationError(NncoreError):
-    """Shape or spec mismatch when building/running a network."""
 
 
 class UsageError(NncoreError):
@@ -208,50 +200,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-# -- networks ---------------------------------------------------------------
-
-
-# the only hidden activation, which checkpoints name
-HIDDEN_ACTIVATION = "relu"
-
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Architecture of a multi-label policy head: relu hidden layers and
-    per-class sigmoid outputs."""
-
-    input_dim: int
-    hidden_dims: tuple[int, ...] = (128, 128)
-    output_dim: int = 1
-
-    def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(int(d) <= 0 for d in dims):
-            raise ConfigurationError(f"all layer dims must be positive, got {dims}")
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "output_dim": self.output_dim,
-            "hidden_activation": HIDDEN_ACTIVATION,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpSpec":
-        """The spec a checkpoint names. Every dim must be a JSON integer and
-        ``hidden_dims`` a list: a float, bool or string would be coerced."""
-        if d["hidden_activation"] != HIDDEN_ACTIVATION:
-            raise ConfigurationError(f"unknown hidden activation {d['hidden_activation']!r}")
-        if not isinstance(d["hidden_dims"], list):
-            raise ConfigurationError("hidden_dims must be a list")
-        dims = [d["input_dim"], *d["hidden_dims"], d["output_dim"]]
-        if not all(type(x) is int for x in dims):
-            raise ConfigurationError(f"layer dims must be integers, got {json.dumps(dims)}")
-        return cls(d["input_dim"], tuple(d["hidden_dims"]), d["output_dim"])
-
-
 # -- optimizers ---------------------------------------------------------------
 
 
@@ -330,75 +278,3 @@ class Adam:
             b *= lr
             b /= a
             p.data -= b
-
-
-# -- checkpoints --------------------------------------------------------------
-
-
-class CheckpointError(NncoreError):
-    """Unreadable or malformed checkpoint file."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """A checkpoint names a version this reader does not support."""
-
-
-def save_checkpoint(path, spec: MlpSpec, named: dict[str, Tensor], extra: dict | None = None) -> None:
-    """Write a JSON checkpoint: spec plus named tensors in row-major order.
-
-    Floats are serialized via repr and round-trip bit-exactly.
-    """
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "spec": spec.to_dict(),
-        "tensors": {
-            name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-            for name, t in named.items()
-        },
-    }
-    if extra:
-        payload["extra"] = extra
-    # one dumps, not dump: dump streams through json's pure-Python encoder
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))
-
-
-def _tensor_values(name: str, entry: dict) -> np.ndarray:
-    """One tensor of a checkpoint. Its shape must be a list of JSON integers
-    and its values a flat list of JSON numbers: a string, bool or nested
-    entry would be coerced."""
-    shape, values = entry["shape"], entry["values"]
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise ValueError(f"tensor {name} shape must be a list of non-negative integers")
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        raise ValueError(f"tensor {name} values must be a flat list of numbers")
-    return np.array(values, dtype=np.float64).reshape(shape)
-
-
-def load_checkpoint(path) -> tuple[MlpSpec, dict[str, np.ndarray], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as err:
-            raise CheckpointError(f"{path}: malformed JSON ({err})") from err
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not a policy checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: checkpoint version {payload.get('version')!r} unsupported "
-            f"(expected {CHECKPOINT_VERSION!r})"
-        )
-    try:
-        spec = MlpSpec.from_dict(payload["spec"])
-        tensors = {name: _tensor_values(name, entry) for name, entry in payload["tensors"].items()}
-    except KeyError as err:
-        raise CheckpointError(f"{path}: missing field {err}") from err
-    except (TypeError, ValueError, OverflowError, AttributeError, ConfigurationError) as err:
-        raise CheckpointError(f"{path}: malformed field value ({err})") from err
-    if not all(np.isfinite(t).all() for t in tensors.values()):
-        raise CheckpointError(f"{path}: tensor values must be finite")
-    extra = payload.get("extra", {})
-    if not isinstance(extra, dict):
-        raise CheckpointError(f"{path}: extra must be an object")
-    return spec, tensors, extra

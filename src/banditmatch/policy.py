@@ -3,12 +3,15 @@
 A policy maps an encoded dialog state to per-class probabilities over the
 atomic-action vocabulary; the predicted action set is every class with
 probability strictly above 0.5. A frozen clone of a trained policy serves
-as the logging/reference policy and never receives gradient updates.
+as the logging/reference policy and never receives gradient updates. This
+module owns the network spec and the checkpoint format (FORMATS.md).
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +22,68 @@ from .dialogworld import WorldSchema
 ROLE_TRAINABLE = "trainable"
 ROLE_FROZEN = "frozen"
 
+CHECKPOINT_FORMAT = "banditmatch-checkpoint"
+CHECKPOINT_VERSION = "v1"
+# the only hidden activation, which checkpoints name
+HIDDEN_ACTIVATION = "relu"
+
 
 class PolicyError(Exception):
     pass
+
+
+class ConfigurationError(PolicyError):
+    """Shape or spec mismatch when building/running a network."""
+
+
+class CheckpointError(PolicyError):
+    """Unreadable or malformed checkpoint file."""
+
+
+class CheckpointVersionError(CheckpointError):
+    """A checkpoint names a version this reader does not support."""
+
+
+@dataclass(frozen=True)
+class MlpSpec:
+    """Architecture of a multi-label policy head: relu hidden layers and
+    per-class sigmoid outputs."""
+
+    input_dim: int
+    hidden_dims: tuple[int, ...] = (128, 128)
+    output_dim: int = 1
+
+    def __post_init__(self):
+        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
+        if any(int(d) <= 0 for d in dims):
+            raise ConfigurationError(f"all layer dims must be positive, got {dims}")
+        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+
+    def layers(self) -> list[tuple[int, int]]:
+        """``(fan_in, fan_out)`` of each layer, input layer first."""
+        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
+        return list(zip(dims[:-1], dims[1:]))
+
+    def to_dict(self) -> dict:
+        return {
+            "input_dim": self.input_dim,
+            "hidden_dims": list(self.hidden_dims),
+            "output_dim": self.output_dim,
+            "hidden_activation": HIDDEN_ACTIVATION,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "MlpSpec":
+        """The spec a checkpoint names. Every dim must be a JSON integer and
+        ``hidden_dims`` a list: a float, bool or string would be coerced."""
+        if d["hidden_activation"] != HIDDEN_ACTIVATION:
+            raise ConfigurationError(f"unknown hidden activation {d['hidden_activation']!r}")
+        if not isinstance(d["hidden_dims"], list):
+            raise ConfigurationError("hidden_dims must be a list")
+        dims = [d["input_dim"], *d["hidden_dims"], d["output_dim"]]
+        if not all(type(x) is int for x in dims):
+            raise ConfigurationError(f"layer dims must be integers, got {json.dumps(dims)}")
+        return cls(d["input_dim"], tuple(d["hidden_dims"]), d["output_dim"])
 
 
 def predicted_mask(probs: np.ndarray) -> np.ndarray:
@@ -32,16 +94,15 @@ def predicted_mask(probs: np.ndarray) -> np.ndarray:
 class PolicyNet:
     """Fully connected relu network with a clamped-sigmoid multi-label head."""
 
-    def __init__(self, spec: nncore.MlpSpec, rng: np.random.Generator | None = None,
+    def __init__(self, spec: MlpSpec, rng: np.random.Generator | None = None,
                  role: str = ROLE_TRAINABLE):
         if role not in (ROLE_TRAINABLE, ROLE_FROZEN):
             raise PolicyError(f"unknown role {role!r}")
         self.spec = spec
         self.role = role
-        dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
         self.weights: list[nncore.Tensor] = []
         self.biases: list[nncore.Tensor] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        for fan_in, fan_out in spec.layers():
             if rng is None:
                 w = np.zeros((fan_in, fan_out))
             else:
@@ -83,7 +144,7 @@ class PolicyNet:
         if squeeze:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise nncore.ConfigurationError(
+            raise ConfigurationError(
                 f"state dim {x.shape} incompatible with input_dim={self.spec.input_dim}"
             )
         inputs = [x]
@@ -138,28 +199,74 @@ class PolicyNet:
         return self._clone(ROLE_TRAINABLE)
 
     def save(self, path) -> None:
-        nncore.save_checkpoint(path, self.spec, self.named_parameters(), extra={"role": self.role})
+        """Write the JSON checkpoint: the spec, each tensor's shape and
+        row-major values, and the role. Floats go through repr, so they
+        reload bit for bit."""
+        payload = {
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
+            "spec": self.spec.to_dict(),
+            "tensors": {
+                name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
+                for name, t in self.named_parameters().items()
+            },
+            "extra": {"role": self.role},
+        }
+        # one dumps, not dump: dump streams through json's pure-Python encoder
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload))
 
     @classmethod
     def load(cls, path) -> "PolicyNet":
-        spec, tensors, extra = nncore.load_checkpoint(path)
-        # shapes are checked before the network is built, so a spec with huge
-        # dims fails here rather than in the allocation of its zero layers
-        dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
-        shapes = {}
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            shapes[f"w{i}"], shapes[f"b{i}"] = (fan_in, fan_out), (fan_out,)
-        if set(shapes) != set(tensors):
-            raise PolicyError(f"{path}: tensor names do not match the spec")
-        for name, shape in shapes.items():
-            if tensors[name].shape != shape:
-                raise PolicyError(f"{path}: tensor {name} has wrong shape")
+        """Read a checkpoint. Each tensor's name and shape come from the spec,
+        before any layer is allocated, so a spec with huge dims fails on its
+        first tensor. A ``shape`` must be a list of JSON integers equal to
+        the spec's, and ``values`` a flat list of finite JSON numbers: a
+        string, bool or nested entry would be coerced."""
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                payload = json.load(fh)
+            except ValueError as err:
+                raise CheckpointError(f"{path}: malformed JSON ({err})") from err
+        if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{path}: not a policy checkpoint")
+        if payload.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: checkpoint version {payload.get('version')!r} unsupported "
+                f"(expected {CHECKPOINT_VERSION!r})"
+            )
+        try:
+            spec = MlpSpec.from_dict(payload["spec"])
+            shapes = {}
+            for i, (fan_in, fan_out) in enumerate(spec.layers()):
+                shapes[f"w{i}"], shapes[f"b{i}"] = [fan_in, fan_out], [fan_out]
+            entries = payload["tensors"]
+            if not isinstance(entries, dict) or entries.keys() != shapes.keys():
+                raise CheckpointError(f"{path}: tensor names do not match the spec")
+            arrays = {}
+            for name, shape in shapes.items():
+                entry = entries[name]
+                if entry["shape"] != shape or not all(type(n) is int for n in entry["shape"]):
+                    raise CheckpointError(f"{path}: tensor {name} has wrong shape")
+                values = entry["values"]
+                if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+                    raise ValueError(f"tensor {name} values must be a flat list of numbers")
+                arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
+                if not np.isfinite(arrays[name]).all():
+                    raise CheckpointError(f"{path}: tensor values must be finite")
+        except KeyError as err:
+            raise CheckpointError(f"{path}: missing field {err}") from err
+        except (TypeError, ValueError, OverflowError, ConfigurationError) as err:
+            raise CheckpointError(f"{path}: malformed field value ({err})") from err
+        extra = payload.get("extra", {})
+        if not isinstance(extra, dict):
+            raise CheckpointError(f"{path}: extra must be an object")
         try:
             policy = cls(spec, rng=None, role=extra.get("role", ROLE_TRAINABLE))
         except PolicyError as err:
             raise PolicyError(f"{path}: {err}") from err
         for name, tensor in policy.named_parameters().items():
-            tensor.data = tensors[name]
+            tensor.data = arrays[name]
         return policy
 
 
@@ -195,8 +302,8 @@ class ActionSetPolicy:
         return list(turn)
 
 
-def policy_spec_for(schema: WorldSchema, hidden_dims: tuple[int, ...] = (128, 128)) -> nncore.MlpSpec:
-    return nncore.MlpSpec(
+def policy_spec_for(schema: WorldSchema, hidden_dims: tuple[int, ...] = (128, 128)) -> MlpSpec:
+    return MlpSpec(
         input_dim=schema.state_dim,
         hidden_dims=hidden_dims,
         output_dim=schema.num_actions,

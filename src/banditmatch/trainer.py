@@ -38,7 +38,7 @@ from .dialogworld import (
     sample_goal,
 )
 from .nncore import Tensor
-from .policy import ActionSetPolicy, PolicyNet, policy_spec_for
+from .policy import ActionSetPolicy, MlpSpec, PolicyNet, policy_spec_for
 from .seeding import derive_rng
 
 METHOD_BANDITMATCH = "banditmatch"
@@ -196,7 +196,7 @@ def _descend(policy: PolicyNet, rng: np.random.Generator, n: int, epochs: int,
 
 def train_supervised(
     examples: list[LabeledExample],
-    spec: nncore.MlpSpec,
+    spec: MlpSpec,
     config: TrainConfig,
     stream: str = "sl",
 ) -> PolicyNet:
@@ -223,7 +223,7 @@ def train_supervised(
 
 
 def train_logging_policy(
-    labeled: list[LabeledExample], spec: nncore.MlpSpec, config: TrainConfig
+    labeled: list[LabeledExample], spec: MlpSpec, config: TrainConfig
 ) -> PolicyNet:
     """Supervised training on the labeled split; returned frozen."""
     policy = train_supervised(labeled, spec, config, stream="logging")

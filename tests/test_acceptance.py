@@ -16,11 +16,11 @@ import pytest
 
 from dialogworld_reference import enumerate_goals
 from oplevel_reference import grad_check, mixup_pair
-from banditmatch import cli, datasets as ds, dialogworld as dw, fet, nncore
+from banditmatch import cli, datasets as ds, dialogworld as dw, fet
 from banditmatch import objectives as obj
 from banditmatch import trainer as tr
 from banditmatch.nncore import Tensor
-from banditmatch.policy import PolicyNet, policy_spec_for
+from banditmatch.policy import MlpSpec, PolicyNet, policy_spec_for
 from dataclasses import replace
 
 
@@ -41,7 +41,7 @@ def test_criterion_01_gradient_suite():
     with criterion(1, "gradient suite < 1e-4 on every loss"):
         started = time.time()
         net = PolicyNet(
-            nncore.MlpSpec(input_dim=8, hidden_dims=(6,), output_dim=4),
+            MlpSpec(input_dim=8, hidden_dims=(6,), output_dim=4),
             rng=np.random.default_rng(100),
         )
         rng = np.random.default_rng(101)

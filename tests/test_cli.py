@@ -473,6 +473,11 @@ class TestLoaderErrors:
             lambda c: c["tensors"]["b0"]["values"].__setitem__(0, 10**400),
             # a layer far larger than the file's tensors
             lambda c: c["spec"].update(hidden_dims=[10**12, *c["spec"]["hidden_dims"][1:]]),
+            # tensor names and shape fields that disagree with the spec
+            lambda c: c["tensors"].update(w9=c["tensors"]["w0"]),
+            lambda c: c["tensors"].pop("b1"),
+            lambda c: c["tensors"]["w0"]["shape"].reverse(),
+            lambda c: c["tensors"]["b0"]["shape"].__setitem__(0, True),
         )
         for edit in edits:
             payload = json.loads((data / "logging_policy.json").read_text())

@@ -12,8 +12,7 @@ import pytest
 import oplevel_reference as ref
 from banditmatch import fet, nncore
 from banditmatch import objectives as obj
-from banditmatch.nncore import MlpSpec
-from banditmatch.policy import PolicyNet
+from banditmatch.policy import MlpSpec, PolicyNet
 
 SEEDS = range(10)
 

@@ -7,8 +7,8 @@ import pytest
 
 import oplevel_reference as ref
 from banditmatch import nncore
-from banditmatch.nncore import MlpSpec, Tensor
-from banditmatch.policy import PolicyNet
+from banditmatch.nncore import Tensor
+from banditmatch.policy import CheckpointError, ConfigurationError, MlpSpec, PolicyNet
 
 
 def make_net(seed=0, input_dim=8, hidden=(6,), out=4):
@@ -48,7 +48,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         net = make_net()
-        with pytest.raises(nncore.ConfigurationError):
+        with pytest.raises(ConfigurationError):
             net.probs(np.ones(9))
 
 
@@ -167,52 +167,48 @@ class TestOptimizers:
 
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
-        net = make_net(seed=21)
+        net = make_net(seed=21).clone_frozen()
         path = tmp_path / "ckpt.json"
-        nncore.save_checkpoint(path, net.spec, net.named_parameters(), extra={"role": "frozen"})
-        spec, tensors, extra = nncore.load_checkpoint(path)
-        assert spec == net.spec
-        assert extra == {"role": "frozen"}
+        net.save(path)
+        loaded = PolicyNet.load(path)
+        assert loaded.spec == net.spec
+        assert loaded.role == "frozen"
+        tensors = loaded.named_parameters()
         for name, tensor in net.named_parameters().items():
-            assert np.array_equal(tensors[name], tensor.data)
+            assert np.array_equal(tensors[name].data, tensor.data)
         # load then save gives back the file's exact bytes
         again = tmp_path / "again.json"
-        nncore.save_checkpoint(again, spec, {n: nncore.Tensor(t) for n, t in tensors.items()},
-                               extra=extra)
+        loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
 
     def test_version_mismatch_rejected(self, tmp_path):
-        net = make_net()
         path = tmp_path / "ckpt.json"
-        nncore.save_checkpoint(path, net.spec, net.named_parameters())
-        import json
-
+        make_net().save(path)
         payload = json.loads(path.read_text())
         payload["version"] = "v999"
         path.write_text(json.dumps(payload))
-        with pytest.raises(nncore.CheckpointError):
-            nncore.load_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            PolicyNet.load(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{}")
-        with pytest.raises(nncore.CheckpointError):
-            nncore.load_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            PolicyNet.load(path)
 
 
 class TestSpecValidation:
     def test_nonpositive_dims_rejected(self):
-        with pytest.raises(nncore.ConfigurationError):
+        with pytest.raises(ConfigurationError):
             MlpSpec(input_dim=0, hidden_dims=(4,), output_dim=2)
 
     def test_unknown_activation_rejected(self, tmp_path):
-        net = make_net()
         path = tmp_path / "ckpt.json"
-        nncore.save_checkpoint(path, net.spec, net.named_parameters())
+        make_net().save(path)
         payload = json.loads(path.read_text())
         for activation in ("gelu", "tanh"):
             payload["spec"]["hidden_activation"] = activation
             path.write_text(json.dumps(payload))
-            with pytest.raises(nncore.CheckpointError,
+            with pytest.raises(CheckpointError,
                                match=f"unknown hidden activation '{activation}'"):
-                nncore.load_checkpoint(path)
+                PolicyNet.load(path)

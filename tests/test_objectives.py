@@ -6,8 +6,8 @@ import pytest
 
 from oplevel_reference import grad_check, mixup_pair
 from banditmatch import objectives as obj
-from banditmatch.nncore import MlpSpec, Tensor
-from banditmatch.policy import PolicyNet
+from banditmatch.nncore import Tensor
+from banditmatch.policy import MlpSpec, PolicyNet
 
 
 def toy_net(seed=0, d=8, c=4, hidden=(6,)):

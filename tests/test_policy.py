@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import oplevel_reference as ref
 from banditmatch import dialogworld as dw, nncore
 from banditmatch.policy import (
     ActionSetPolicy,
+    CheckpointError,
+    MlpSpec,
     PolicyError,
     PolicyNet,
     policy_spec_for,
@@ -101,21 +105,43 @@ class TestCheckpointRoundTrip:
         assert PolicyNet.load(path).role == "frozen"
 
     def test_version_mismatch_raises(self, schema, tmp_path):
-        import json
-
         policy = small_policy(schema)
         path = tmp_path / "ckpt.json"
         policy.save(path)
         payload = json.loads(path.read_text())
         payload["version"] = "v42"
         path.write_text(json.dumps(payload))
-        with pytest.raises(nncore.CheckpointError):
+        with pytest.raises(CheckpointError):
             PolicyNet.load(path)
+
+    def test_missing_extra_loads_trainable(self, schema, tmp_path):
+        path = tmp_path / "pi0.json"
+        small_policy(schema, seed=11).clone_frozen().save(path)
+        payload = json.loads(path.read_text())
+        del payload["extra"]
+        path.write_text(json.dumps(payload))
+        assert PolicyNet.load(path).role == "trainable"
+
+    def test_integer_value_loads_and_resaves_as_float(self, schema, tmp_path):
+        # a JSON integer is a JSON number, but re-saving writes the package's
+        # own float text: only a file the package wrote re-saves to its bytes
+        path = tmp_path / "ckpt.json"
+        small_policy(schema, seed=12).save(path)
+        payload = json.loads(path.read_text())
+        payload["tensors"]["b0"]["values"][0] = 0
+        path.write_text(json.dumps(payload))
+        loaded = PolicyNet.load(path)
+        assert loaded.biases[0].data[0] == 0.0
+        again = tmp_path / "again.json"
+        loaded.save(again)
+        value = json.loads(again.read_text())["tensors"]["b0"]["values"][0]
+        assert type(value) is float and value == 0.0
+        assert '"b0": {"shape": [8], "values": [0.0, ' in again.read_text()
 
 
 class TestActionSetAdapter:
     def test_dimension_checked(self, schema):
-        bad_spec = nncore.MlpSpec(input_dim=schema.state_dim, hidden_dims=(4,), output_dim=3)
+        bad_spec = MlpSpec(input_dim=schema.state_dim, hidden_dims=(4,), output_dim=3)
         with pytest.raises(PolicyError):
             ActionSetPolicy(PolicyNet(bad_spec), schema)
 
