@@ -55,14 +55,16 @@ DEFAULT_N_DIALOGS = 400
 DEFAULT_EVAL_DIALOGS = 500
 DEFAULT_EVAL_RUNS = 5
 
-REPORT_COLUMNS = (
-    "method",
-    "turn_mean", "turn_std",
-    "match_mean", "match_std",
-    "inform_recall_mean", "inform_recall_std",
-    "inform_f1_mean", "inform_f1_std",
-    "success_pct_mean", "success_pct_std",
-)
+# report metric -> column stem, in column order; each metric gives a mean and a std column
+REPORT_METRICS = {
+    "turns": "turn",
+    "match": "match",
+    "inform_recall": "inform_recall",
+    "inform_f1": "inform_f1",
+    "success": "success_pct",
+}
+REPORT_COLUMNS = ("method",) + tuple(
+    f"{stem}_{stat}" for stem in REPORT_METRICS.values() for stat in ("mean", "std"))
 
 
 class CliError(Exception):
@@ -215,6 +217,11 @@ def check_output(path: Path) -> None:
                        EXIT_INVALID)
 
 
+def sweep_path(out_dir: Path, name: str) -> Path:
+    """The sweep table of one method, or of the logging policy."""
+    return out_dir / f"sweep_{name}.csv"
+
+
 def output_paths(args) -> list[Path]:
     """The files a command writes, in write order, known from its flags alone;
     the --out-dir commands take their file names from here."""
@@ -226,7 +233,7 @@ def output_paths(args) -> list[Path]:
         return [out_dir / "ablations.csv", out_dir / "ablations.json"]
     if args.command == "sweep":
         # one file per method, then the logging policy's, as run_sl_sweep orders them
-        return [out_dir / f"sweep_{method}.csv" for method in (*args.methods, "logging")]
+        return [sweep_path(out_dir, name) for name in (*args.methods, "logging")]
     # the expert writes no trace
     flags = ("out", "json", "train_log", "threshold_trace")
     if args.command == "evaluate" and not args.expert:
@@ -284,15 +291,8 @@ def _check_policy_fits(path, policy: PolicyNet, schema: WorldSchema, source: str
 
 
 def report_row(report: ExperimentReport) -> list:
-    m = report.metrics
-    return [
-        report.method,
-        repr(m["turns"][0]), repr(m["turns"][1]),
-        repr(m["match"][0]), repr(m["match"][1]),
-        repr(m["inform_recall"][0]), repr(m["inform_recall"][1]),
-        repr(m["inform_f1"][0]), repr(m["inform_f1"][1]),
-        repr(m["success"][0]), repr(m["success"][1]),
-    ]
+    return [report.method] + [repr(value) for metric in REPORT_METRICS
+                              for value in report.metrics[metric]]
 
 
 def write_report_csv(path: Path, reports: list) -> None:
@@ -447,8 +447,9 @@ def cmd_sweep(args, files: Files) -> dict | None:
         corpus, schema, cfg, percentages=args.percentages, methods=args.methods,
         n_dialogs=args.n_dialogs, n_runs=args.n_runs,
     )
-    for path, rows in zip(output_paths(args), results.values()):
-        with open(files.output(path), "w", newline="", encoding="utf-8") as fh:
+    for name, rows in results.items():
+        with open(files.output(sweep_path(args.out_dir, name)), "w", newline="",
+                  encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("sl_percent",) + REPORT_COLUMNS)
             for p, report in rows:

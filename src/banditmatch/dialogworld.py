@@ -181,10 +181,15 @@ class WorldSchema:
     domains: list[DomainSchema]
 
     def __post_init__(self):
+        # sample_goal draws from the domains and may ask any of them for a slot
+        if not self.domains:
+            raise WorldError("world has no domains")
         names = [dom.name for dom in self.domains]
         if len(set(names)) != len(names):
             raise WorldError(f"duplicate domain names in {names}")
         for dom in self.domains:
+            if not dom.requestable:
+                raise WorldError(f"domain {dom.name!r} has no requestable slot")
             slots = dom.all_slots()
             if len(set(slots)) != len(slots):
                 raise WorldError(f"domain {dom.name!r} lists a slot twice: {slots}")
@@ -675,8 +680,8 @@ MAX_INITIATIVE = 3  # agenda items the user utters per turn
 
 @dataclass
 class UserState:
-    """The user's side of one dialog: its goal, the agenda of acts still to
-    utter, and the requests and bookings it has uttered but not yet seen met.
+    """The user's side of one dialog: its goal and the agenda of acts still
+    to utter.
 
     ``UserAct`` is frozen, so one object per act serves the whole dialog: the
     agenda refill re-queues the request and book acts built here
@@ -686,8 +691,6 @@ class UserState:
 
     goal: UserGoal
     agenda: list[UserAct] = field(init=False)
-    uttered_requests: set[tuple[str, str]] = field(default_factory=set)
-    uttered_book: set[str] = field(default_factory=set)
     request_acts: dict[tuple[str, str], UserAct] = field(init=False, repr=False, compare=False)
     book_acts: dict[str, UserAct] = field(init=False, repr=False, compare=False)
     answers: dict[tuple[str, str], UserAct] = field(
@@ -709,28 +712,19 @@ class UserState:
         self.agenda = agenda
 
 
-def _needs_met(ustate: UserState, ctx: DialogContext) -> bool:
+def _unmet_needs(ustate: UserState, ctx: DialogContext) -> list[UserAct]:
+    """The goal's request and book acts not yet met, in goal order. Every need
+    starts on the agenda and only informs are filtered out of it, so once the
+    agenda runs dry these are the needs the user uttered and has not seen met."""
     goal = ustate.goal
+    needs: list[UserAct] = []
     for name in goal.domains:
-        for slot in goal.requests[name]:
+        for slot in dict.fromkeys(goal.requests[name]):
             if (name, slot) not in ctx.answered:
-                return False
+                needs.append(ustate.request_acts[(name, slot)])
         if goal.booking[name] and not ctx.domains[name].booked:
-            return False
-    return True
-
-
-def _refill_agenda(ustate: UserState, ctx: DialogContext) -> None:
-    """Re-issue unmet needs (retry behavior when the agent stalls)."""
-    goal = ustate.goal
-    for name in goal.domains:
-        for slot in goal.requests[name]:
-            if (name, slot) not in ctx.answered and (name, slot) in ustate.uttered_requests:
-                ustate.agenda.append(ustate.request_acts[(name, slot)])
-                ustate.uttered_requests.discard((name, slot))
-        if goal.booking[name] and not ctx.domains[name].booked and name in ustate.uttered_book:
-            ustate.agenda.append(ustate.book_acts[name])
-            ustate.uttered_book.discard(name)
+            needs.append(ustate.book_acts[name])
+    return needs
 
 
 def user_step(
@@ -740,8 +734,9 @@ def user_step(
 
     ``agent_actions`` is the agent turn (action indices in application
     order); its requests are answered in that order. Returns the uttered
-    acts and a terminated flag. The user closes with bye once every
-    requested slot is answered and every required booking is done.
+    acts and a terminated flag. When the agenda runs dry, the user re-queues
+    its unmet needs, or closes with bye once every requested slot is
+    answered and every required booking is done.
     """
     acts: list[UserAct] = []
     goal = ustate.goal
@@ -761,22 +756,18 @@ def user_step(
         ustate.agenda = [
             a for a in ustate.agenda if not (a.act_type == INFORM and (a.domain, a.slot) in asked)
         ]
-    if _needs_met(ustate, ctx) and not ustate.agenda:
-        acts.append(UserAct(GENERAL, BYE))
-        return acts, True
     if not ustate.agenda:
-        _refill_agenda(ustate, ctx)
+        ustate.agenda = _unmet_needs(ustate, ctx)  # retry when the agent stalls
+        if not ustate.agenda:
+            acts.append(UserAct(GENERAL, BYE))
+            return acts, True
     budget = MAX_INITIATIVE
     while ustate.agenda and budget > 0:
         act = ustate.agenda.pop(0)
-        if act.act_type == REQUEST:
-            if (act.domain, act.slot) in ctx.answered:
-                continue  # answered proactively while queued
-            ustate.uttered_requests.add((act.domain, act.slot))
-        elif act.act_type == BOOK:
-            if ctx.domains[act.domain].booked:
-                continue
-            ustate.uttered_book.add(act.domain)
+        if act.act_type == REQUEST and (act.domain, act.slot) in ctx.answered:
+            continue  # answered proactively while queued
+        if act.act_type == BOOK and ctx.domains[act.domain].booked:
+            continue
         acts.append(act)
         budget -= 1
     return acts, False

@@ -594,14 +594,16 @@ def _map_worker(index: int):
 def map_jobs(fn, items) -> list:
     """``[fn(item) for item in items]`` over a fork pool of one worker per
     usable CPU and item. Results and the first failure come in input order;
-    a killed worker raises ``BrokenProcessPool``. Inline when fewer than two
-    workers would run, where fork is unavailable, and in another map's worker."""
+    a killed worker raises ``BrokenProcessPool``. The items already handed to
+    workers when an item fails (up to workers + 1) still run to the end
+    before the failure is raised; the rest are cancelled. Inline when fewer
+    than two workers would run, where fork is unavailable, and in another
+    map's worker."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(items), cpus or 1)
     if workers < 2 or _WORKER or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
-    # after the first failure, the items no worker has taken are cancelled
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _WORKER.update,
                              ({"fn": fn, "items": items},)) as pool:
         return list(pool.map(_map_worker, range(len(items))))

@@ -11,7 +11,10 @@ expert that builds its turn as an ``AtomicAction`` set, and the user's opening
 turn as its own agenda loop (``user_open``), which the package replaced with
 ``user_step`` on an empty agent turn. The user builds a new ``UserAct`` for
 every answer and every re-queued need (``_refill_agenda``), where the package
-reuses one per dialog, and the goal sampler draws its weighted counts with
+reuses one per dialog. Its ``UserState`` keeps the requests and bookings
+uttered but not yet seen met, and it checks the goal's needs every turn
+(``_needs_met``), where the package walks the goal for its unmet needs only
+when the agenda runs dry. The goal sampler draws its weighted counts with
 ``rng.choice(p=...)``, where the package searches a cached CDF. Tests require
 the package to produce equal states, match lists, openings, goals, generator
 states and episode metrics, and agent turns whose actions are these sets in
@@ -20,9 +23,11 @@ world for the exhaustive expert checks.
 """
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from banditmatch import dialogworld
 from banditmatch.dialogworld import (
     ACTIVE_DOMAIN_WEIGHTS,
     BOOK,
@@ -43,12 +48,10 @@ from banditmatch.dialogworld import (
     DialogContext,
     UserAct,
     UserGoal,
-    UserState,
     WorldError,
     WorldSchema,
     _check_satisfiable,
     _most_discriminative_slot,
-    _needs_met,
 )
 
 
@@ -186,6 +189,26 @@ def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
     bucket = min(ctx.turn, TURN_BUCKETS - 1)
     feats.extend(1.0 if bucket == b else 0.0 for b in range(TURN_BUCKETS))
     return np.array(feats, dtype=np.float64)
+
+
+@dataclass
+class UserState(dialogworld.UserState):
+    """The package's user state plus the requests and bookings uttered but
+    not yet seen met, which the reference refill re-queues."""
+
+    uttered_requests: set[tuple[str, str]] = field(default_factory=set)
+    uttered_book: set[str] = field(default_factory=set)
+
+
+def _needs_met(ustate: UserState, ctx: DialogContext) -> bool:
+    goal = ustate.goal
+    for name in goal.domains:
+        for slot in goal.requests[name]:
+            if (name, slot) not in ctx.answered:
+                return False
+        if goal.booking[name] and not ctx.domains[name].booked:
+            return False
+    return True
 
 
 def _refill_agenda(ustate: UserState, ctx: DialogContext) -> None:

@@ -508,6 +508,20 @@ class TestLoaderErrors:
                                  lambda w: w["domains"][0].pop("requestable"))
         self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_INVALID)
 
+    @pytest.mark.parametrize("edit", [
+        lambda w: w.update(domains=[]),
+        lambda w: w["domains"][0].update(requestable=[]),
+    ], ids=["domains", "requestable"])
+    def test_world_with_empty_list(self, tiny_world_data, tmp_path, capsys, edit):
+        # such a world has no goal to draw: every command that loads it stops there
+        bad = self._edited_world(tiny_world_data[0], tmp_path, edit)
+        self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_INVALID)
+        self._fails_with(capsys, ["evaluate", "--world", bad, "--expert", "--n-dialogs", 2,
+                                  "--n-runs", 1, "--out", tmp_path / "r.csv"],
+                         cli.EXIT_INVALID, f"{bad}: ")
+        self._fails_with(capsys, ["gen-world", "--schema-config", bad,
+                                  "--out", tmp_path / "w.json"], cli.EXIT_INVALID, f"{bad}: ")
+
     def test_jsonl_header_without_version(self, tiny_world_data, tmp_path, capsys):
         world, corpus, _ = tiny_world_data
         records = corpus.read_text().splitlines()[1:]

@@ -279,6 +279,45 @@ class TestUser:
         assert not t1 and not t2
         assert any(a.act_type == dw.REQUEST and a.slot == "phone" for a in acts1 + acts2)
 
+    def test_dry_agenda_reissues_unmet_needs_in_goal_order(self, schema):
+        # two requests (not in the world's slot order) and a booking; the agent
+        # stalls, answers one request, stalls again, books, then answers the other
+        goal = dw.UserGoal(
+            constraints={"hotel": {"area": "north"}},
+            requests={"hotel": ["postcode", "phone"]},
+            booking={"hotel": True},
+        )
+        postcode, phone = (dw.UserAct("hotel", dw.REQUEST, slot) for slot in ("postcode", "phone"))
+        book = dw.UserAct("hotel", dw.BOOK)
+        ctx, ustate, opening = dw.open_dialog(schema, goal)
+        assert opening == [dw.UserAct("hotel", dw.INFORM, "area", "north"), postcode, phone]
+
+        def step(*actions):
+            agent = turn(schema, *actions)
+            dw.apply_agent_actions(ctx, agent)
+            acts, terminated = dw.user_step(ustate, ctx, agent)
+            dw.apply_user_acts(ctx, acts)
+            return acts, terminated
+
+        assert step() == ([book], False)  # the last item of the first agenda
+        assert step() == ([postcode, phone, book], False)  # dry: every need again
+        assert step(dw.AtomicAction("hotel", dw.INFORM, "phone")) == ([postcode, book], False)
+        assert step() == ([postcode, book], False)
+        assert step(dw.AtomicAction("hotel", dw.BOOK)) == ([postcode], False)
+        assert step(dw.AtomicAction("hotel", dw.INFORM, "postcode")) == (
+            [dw.UserAct(dw.GENERAL, dw.BYE)], True)
+
+    def test_request_listed_twice_is_requeued_once(self, schema):
+        goal = dw.UserGoal(
+            constraints={"hotel": {}},
+            requests={"hotel": ["phone", "address", "phone"]},
+            booking={"hotel": False},
+        )
+        phone, address = (dw.UserAct("hotel", dw.REQUEST, slot) for slot in ("phone", "address"))
+        ctx, ustate, opening = dw.open_dialog(schema, goal)
+        assert opening == [phone, address, phone]  # the first agenda lists it twice
+        assert dw.user_step(ustate, ctx, []) == ([phone, address], False)
+
 
 class TestEpisodes:
     def test_expert_succeeds_on_sampled_goals(self, schema):
