@@ -29,7 +29,7 @@ domain's feature offsets and a slot -> position map per flag block, plus
 the position each possible last-turn user act sets) and per slot a
 value -> entity bitmask. The encoder writes only the features the context
 holds, and entity matching is an AND of bitmasks (``_entity_mask``), shared
-by the database lookup, goal checks and the Match metric.
+by the database lookup and the Match metric.
 The same tables hold the action index of every act the expert can emit. The
 tables are not rebuilt, so a schema must not be mutated after construction;
 build a new one instead.
@@ -181,24 +181,38 @@ class WorldSchema:
     domains: list[DomainSchema]
 
     def __post_init__(self):
-        # sample_goal draws from the domains and may ask any of them for a slot
-        if not self.domains:
-            raise WorldError("world has no domains")
+        # the one check of a world, before any value is hashed, sorted or indexed.
+        # sample_goal draws a domain, an entity and a requestable slot, so none
+        # of these lists may be empty; a goal copies an entity's values, so it
+        # needs no check once drawn
+        if not isinstance(self.domains, list) or not self.domains:
+            raise WorldError("domains must be a non-empty list")
+        for dom in self.domains:
+            where = f"domain {dom.name!r}"
+            informable, requestable, entities = dom.informable, dom.requestable, dom.entities
+            if not (isinstance(informable, dict)
+                    and all(isinstance(v, list) for v in informable.values())):
+                raise WorldError(f"{where}: informable must be an object of lists")
+            if not isinstance(requestable, list) or not requestable:
+                raise WorldError(f"{where}: requestable must be a non-empty list")
+            if not (isinstance(entities, list) and entities
+                    and all(isinstance(e, dict) for e in entities)):
+                raise WorldError(f"{where}: entities must be a non-empty list of objects")
+            slots = dom.all_slots()
+            values = [v for vs in informable.values() for v in vs]
+            values += [v for ent in entities for v in ent.values()]
+            bad = [x for x in (dom.name, *slots, *values) if not isinstance(x, str)]
+            if bad:
+                raise WorldError(f"{where}: names, slots and values must be strings: {bad[0]!r}")
+            if len(set(slots)) != len(slots):
+                raise WorldError(f"{where} lists a slot twice: {slots}")
+            for ent in entities:
+                missing = [s for s in slots if s not in ent]
+                if missing:
+                    raise WorldError(f"entity in {where} missing slots {missing}")
         names = [dom.name for dom in self.domains]
         if len(set(names)) != len(names):
             raise WorldError(f"duplicate domain names in {names}")
-        for dom in self.domains:
-            if not dom.requestable:
-                raise WorldError(f"domain {dom.name!r} has no requestable slot")
-            slots = dom.all_slots()
-            if len(set(slots)) != len(slots):
-                raise WorldError(f"domain {dom.name!r} lists a slot twice: {slots}")
-            for ent in dom.entities:
-                missing = [s for s in slots if s not in ent]
-                if missing:
-                    raise WorldError(
-                        f"entity in domain {dom.name!r} missing slots {missing}"
-                    )
         self._actions = self._build_vocab()
         self._index = {a: i for i, a in enumerate(self._actions)}
         self._build_tables()
@@ -305,6 +319,8 @@ class WorldSchema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WorldSchema":
+        """The schema of a parsed world file. It keeps the payload's lists and
+        objects as they are, for ``__post_init__`` to check: do not edit them."""
         if not isinstance(payload, dict) or "schema_version" not in payload:
             raise WorldError("not a world schema (no schema_version)")
         version = payload.get("schema_version")
@@ -313,19 +329,14 @@ class WorldSchema:
                 f"world schema version {version!r} unsupported (expected {SCHEMA_VERSION!r})"
             )
         try:
-            domains = [
-                DomainSchema(
-                    name=d["name"],
-                    informable={k: list(v) for k, v in d["informable"].items()},
-                    requestable=list(d["requestable"]),
-                    entities=[dict(e) for e in d["entities"]],
-                )
-                for d in payload["domains"]
-            ]
+            domains = payload["domains"]
+            if isinstance(domains, list):
+                domains = [DomainSchema(d["name"], d["informable"], d["requestable"],
+                                        d["entities"]) for d in domains]
         except KeyError as err:
             raise WorldError(f"missing field {err}") from err
-        except (TypeError, ValueError, AttributeError) as err:
-            raise WorldError(f"malformed field value ({err})") from err
+        except TypeError as err:
+            raise WorldError(f"a domain is not an object ({err})") from err
         return cls(domains)
 
     @classmethod
@@ -436,9 +447,6 @@ def _weighted_count(rng: np.random.Generator, weights, limit: int) -> int:
 
 def sample_goal(schema: WorldSchema, rng: np.random.Generator) -> UserGoal:
     """Draw a satisfiable goal: constraints are copied from a database entity."""
-    for dom in schema.domains:
-        if not dom.entities:
-            raise WorldError(f"domain {dom.name!r} has an empty database")
     n_dom = len(schema.domains)
     n_active = 1 + _weighted_count(rng, ACTIVE_DOMAIN_WEIGHTS, n_dom - 1)
     picked = rng.choice(n_dom, size=n_active, replace=False)
@@ -462,15 +470,7 @@ def sample_goal(schema: WorldSchema, rng: np.random.Generator) -> UserGoal:
         # every goal must want at least one piece of information
         dom = active[0]
         requests[dom.name] = [dom.requestable[int(rng.integers(len(dom.requestable)))]]
-    goal = UserGoal(constraints, requests, booking)
-    _check_satisfiable(schema, goal)
-    return goal
-
-
-def _check_satisfiable(schema: WorldSchema, goal: UserGoal) -> None:
-    for name, cons in goal.constraints.items():
-        if not _entity_mask(schema._tables_for(name), cons):
-            raise WorldError(f"goal constraints for {name!r} are unsatisfiable: {cons}")
+    return UserGoal(constraints, requests, booking)
 
 
 # -- dialog context (system view) ----------------------------------------------

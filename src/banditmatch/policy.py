@@ -103,12 +103,17 @@ class PolicyNet:
         self.weights: list[nncore.Tensor] = []
         self.biases: list[nncore.Tensor] = []
         for fan_in, fan_out in spec.layers():
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in)
+            try:
+                if rng is None:
+                    w = np.zeros((fan_in, fan_out))
+                else:
+                    w = rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in)
+                b = np.zeros(fan_out)
+            except (MemoryError, ValueError) as err:
+                # numpy raises ValueError for a shape past its maximum array size
+                raise PolicyError(f"cannot allocate a {fan_in} x {fan_out} layer ({err})") from err
             self.weights.append(nncore.Tensor(w, requires_grad=True))
-            self.biases.append(nncore.Tensor(np.zeros(fan_out), requires_grad=True))
+            self.biases.append(nncore.Tensor(b, requires_grad=True))
 
     @property
     def num_actions(self) -> int:

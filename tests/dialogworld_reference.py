@@ -15,7 +15,9 @@ reuses one per dialog. Its ``UserState`` keeps the requests and bookings
 uttered but not yet seen met, and it checks the goal's needs every turn
 (``_needs_met``), where the package walks the goal for its unmet needs only
 when the agenda runs dry. The goal sampler draws its weighted counts with
-``rng.choice(p=...)``, where the package searches a cached CDF. Tests require
+``rng.choice(p=...)``, where the package searches a cached CDF, and it
+checks the database and every goal it draws (``_check_satisfiable``), where
+the package relies on ``WorldSchema``'s load-time check. Tests require
 the package to produce equal states, match lists, openings, goals, generator
 states and episode metrics, and agent turns whose actions are these sets in
 sorted order. ``enumerate_goals`` lists every satisfiable goal of a small
@@ -50,7 +52,6 @@ from banditmatch.dialogworld import (
     UserGoal,
     WorldError,
     WorldSchema,
-    _check_satisfiable,
     _most_discriminative_slot,
 )
 
@@ -94,6 +95,12 @@ def sample_goal(schema: WorldSchema, rng: np.random.Generator) -> UserGoal:
     goal = UserGoal(constraints, requests, booking)
     _check_satisfiable(schema, goal)
     return goal
+
+
+def _check_satisfiable(schema: WorldSchema, goal: UserGoal) -> None:
+    for name, cons in goal.constraints.items():
+        if not entities_matching(schema.domain(name), cons):
+            raise WorldError(f"goal constraints for {name!r} are unsatisfiable: {cons}")
 
 
 def entities_matching(dom, cons: dict) -> list[int]:

@@ -508,19 +508,47 @@ class TestLoaderErrors:
                                  lambda w: w["domains"][0].pop("requestable"))
         self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_INVALID)
 
+    def _world_refused(self, capsys, bad, tmp_path):
+        # by every command that loads a world, before it writes anything
+        out = tmp_path / "out"
+        for argv in (["gen-world", "--schema-config", bad, "--out", out / "w.json"],
+                     ["gen-corpus", "--world", bad, "--n-dialogs", 2, "--out", out / "c.jsonl"],
+                     ["evaluate", "--world", bad, "--expert", "--n-dialogs", 2, "--n-runs", 1,
+                      "--out", out / "r.csv"]):
+            self._fails_with(capsys, argv, cli.EXIT_INVALID, f"{bad}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda w: w.update(domains=[]),
         lambda w: w["domains"][0].update(requestable=[]),
-    ], ids=["domains", "requestable"])
+        lambda w: w["domains"][0].update(entities=[]),
+    ], ids=["domains", "requestable", "entities"])
     def test_world_with_empty_list(self, tiny_world_data, tmp_path, capsys, edit):
         # such a world has no goal to draw: every command that loads it stops there
         bad = self._edited_world(tiny_world_data[0], tmp_path, edit)
-        self._gen_corpus_fails(capsys, bad, tmp_path, cli.EXIT_INVALID)
-        self._fails_with(capsys, ["evaluate", "--world", bad, "--expert", "--n-dialogs", 2,
-                                  "--n-runs", 1, "--out", tmp_path / "r.csv"],
-                         cli.EXIT_INVALID, f"{bad}: ")
-        self._fails_with(capsys, ["gen-world", "--schema-config", bad,
-                                  "--out", tmp_path / "w.json"], cli.EXIT_INVALID, f"{bad}: ")
+        self._world_refused(capsys, bad, tmp_path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda w: w["domains"][0]["entities"][0].update(area=["north"]),
+        lambda w: w["domains"][0]["entities"][0].update(area=None),
+        lambda w: w["domains"][0]["entities"][0].update(area=1.5),
+        lambda w: w["domains"][0]["entities"][0].update(area=float("nan")),
+        lambda w: w["domains"][0]["requestable"].__setitem__(0, ["phone"]),
+        lambda w: w["domains"][0]["informable"]["area"].__setitem__(0, 0),
+        lambda w: w["domains"][0].update(name=7),
+        lambda w: w["domains"][0].update(informable={"area": "north"}),
+        lambda w: w["domains"][0].update(requestable="phone"),
+        lambda w: w["domains"][0]["entities"].__setitem__(
+            0, [["area", "north"], ["phone", "p"], ["address", "a"]]),
+        lambda w: w.update(domains={"hotel": w["domains"][0]}),
+        lambda w: w["domains"].__setitem__(0, [w["domains"][0]]),
+    ], ids=["entity-list", "entity-null", "entity-float", "entity-nan", "requestable-list",
+            "informable-number", "name-number", "informable-string", "requestable-string",
+            "entity-pairs", "domains-object", "domain-list"])
+    def test_world_value_of_wrong_type(self, tiny_world_data, tmp_path, capsys, edit):
+        # refused, never coerced
+        bad = self._edited_world(tiny_world_data[0], tmp_path, edit)
+        self._world_refused(capsys, bad, tmp_path)
 
     def test_jsonl_header_without_version(self, tiny_world_data, tmp_path, capsys):
         world, corpus, _ = tiny_world_data
@@ -1034,6 +1062,49 @@ class TestConfigFile:
             "seed": 4, "learning_rate": 0.01, "hidden_dims": (16, 8),
             "no_kl": True, "method": "ips",
         }
+
+    @pytest.mark.parametrize("text, expected", [
+        ("# a comment line\n\n   \nepochs = 3  # a trailing comment\n", {"epochs": 3}),
+        *[(f"no_kl = {raw}\n", {"no_kl": True}) for raw in ("1", "true", "Yes", "ON")],
+        *[(f"no_kl = {raw}\n", {"no_kl": False}) for raw in ("0", "False", "no", "off")],
+        ("epochs = 1_000\n", {"epochs": 1000}),
+        ("learning_rate = 1e-3\n", {"learning_rate": 0.001}),
+        ("hidden_dims = 16, 8,\n", {"hidden_dims": (16, 8)}),
+        ("hidden_dims =\n", {"hidden_dims": ()}),
+        ("seed = 1\nseed = 2\n", {"seed": 2}),
+    ], ids=["comments", "true-1", "true", "true-yes", "true-on", "false-0", "false",
+            "false-no", "false-off", "int-underscore", "float-exponent", "dims-trailing-comma",
+            "dims-empty", "last-key-wins"])
+    def test_grammar_readings_accepted(self, tmp_path, text, expected):
+        # the readings FORMATS.md documents for the key = value grammar
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert cli.read_config_file(cfg) == expected
+        cli.build_train_config(cli.read_config_file(cfg), {})
+
+    def test_exponent_refused_for_integer_key(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 1e3\n")
+        with pytest.raises(cli.CliError, match=r"c.cfg:1: bad value for epochs: '1e3'"):
+            cli.read_config_file(cfg)
+
+    @pytest.mark.parametrize("command", ["split-and-log", "sweep"])
+    def test_unallocatable_hidden_dims_exit_code(self, tiny_world_data, tmp_path, capsys,
+                                                 command):
+        # 27 x 10**12 float64 weights are 196 TiB, past the address space, so
+        # the allocation fails at once
+        world, corpus, _ = tiny_world_data
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("hidden_dims = 1000000000000\n")
+        out = tmp_path / "out"
+        flags = ["--percentages", 50, "--n-dialogs", 1, "--n-runs", 1] if command == "sweep" else []
+        capsys.readouterr()
+        assert run([command, "--world", world, "--corpus", corpus, "--config", cfg, *flags,
+                    "--out-dir", out]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate a 27 x 1000000000000 layer (")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"

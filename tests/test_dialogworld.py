@@ -107,10 +107,10 @@ class TestGoals:
             assert dw.sample_goal(schema, rng).total_requests() >= 1
 
     def test_empty_database_rejected(self):
+        # refused when the schema is built, so goal sampling checks nothing
         dom = dw.DomainSchema("hotel", {"area": ["north"]}, ["phone"], [])
-        schema = dw.WorldSchema([dom])
-        with pytest.raises(dw.WorldError):
-            dw.sample_goal(schema, np.random.default_rng(0))
+        with pytest.raises(dw.WorldError, match="entities must be a non-empty list"):
+            dw.WorldSchema([dom])
 
 
 class TestEncoder:

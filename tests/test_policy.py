@@ -139,6 +139,17 @@ class TestCheckpointRoundTrip:
         assert '"b0": {"shape": [8], "values": [0.0, ' in again.read_text()
 
 
+class TestUnallocatableLayer:
+    # sizes past the address space fail at once; a smaller huge layer may be
+    # granted as virtual memory and then touched
+    @pytest.mark.parametrize("hidden", [10**12, 10**40], ids=["memory", "numpy-limit"])
+    @pytest.mark.parametrize("seed", [None, 0], ids=["zeros", "random"])
+    def test_is_a_policy_error_naming_the_shape(self, schema, hidden, seed):
+        rng = None if seed is None else np.random.default_rng(seed)
+        with pytest.raises(PolicyError, match=f"cannot allocate a {schema.state_dim} x {hidden} "):
+            PolicyNet(policy_spec_for(schema, hidden_dims=(hidden,)), rng=rng)
+
+
 class TestActionSetAdapter:
     def test_dimension_checked(self, schema):
         bad_spec = MlpSpec(input_dim=schema.state_dim, hidden_dims=(4,), output_dim=3)
