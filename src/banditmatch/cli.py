@@ -380,12 +380,16 @@ def cmd_train(args, files: Files) -> dict | None:
         _check_corpus_fits(args.labeled, labeled, logging_policy.spec.input_dim,
                            logging_policy.spec.output_dim, source,
                            names=("input_dim", "output_dim"))
-    policy, history = trainer.train_on_log(logging_policy, records, cfg, labeled_split=labeled)
+    # only a threshold trace keeps each step's thresholds, by step, until training ends
+    thresholds = {}
+    policy, history = trainer.train_on_log(
+        logging_policy, records, cfg, labeled_split=labeled,
+        on_thresholds=thresholds.__setitem__ if args.threshold_trace else None)
     policy.save(files.output(args.out))
     if args.train_log:
         trainer.write_training_log(files.output(args.train_log), history)
     if args.threshold_trace:
-        trainer.write_threshold_trace(files.output(args.threshold_trace), history)
+        trainer.write_threshold_trace(files.output(args.threshold_trace), history, thresholds)
     print(f"trained {cfg.method} for {len(history)} steps -> {args.out}")
     return dataclasses.asdict(cfg)
 

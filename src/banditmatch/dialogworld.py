@@ -210,6 +210,10 @@ class WorldSchema:
                 missing = [s for s in slots if s not in ent]
                 if missing:
                     raise WorldError(f"entity in {where} missing slots {missing}")
+                for slot, listed in informable.items():
+                    if ent[slot] not in listed:
+                        raise WorldError(f"{where}: entity value {ent[slot]!r} of slot {slot!r} "
+                                         f"is not in its informable list {listed}")
         names = [dom.name for dom in self.domains]
         if len(set(names)) != len(names):
             raise WorldError(f"duplicate domain names in {names}")

@@ -108,7 +108,8 @@ def _members_by_size(sets: np.ndarray):
     ``np.sum`` over that row's members alone (``np.add.reduceat`` does not).
     """
     sizes = np.count_nonzero(sets, axis=1)
-    for k in np.unique(sizes).tolist():
+    # the sizes present, ascending (np.unique would import numpy.ma)
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == k)
         yield k, rows, np.nonzero(sets[rows])[1].reshape(rows.size, k)
 

@@ -24,7 +24,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -114,11 +114,9 @@ class StepLog:
     n_unconfident: int
     mc_pos: float
     mc_neg: float
-    thresholds: fet.ThresholdSet | None = None  # the step's FET thresholds, when FET ran
 
 
-TRAINING_LOG_COLUMNS = ("step", "loss_labeled", "loss_pseudo", "loss_bandit", "loss_kl",
-                        "total", "n_confident", "n_unconfident", "mc_pos", "mc_neg")
+TRAINING_LOG_COLUMNS = tuple(f.name for f in fields(StepLog))
 
 
 def write_training_log(path, rows: list[StepLog]) -> None:
@@ -129,15 +127,20 @@ def write_training_log(path, rows: list[StepLog]) -> None:
             writer.writerow([repr(getattr(r, c)) for c in TRAINING_LOG_COLUMNS])
 
 
-def write_threshold_trace(path, rows: list[StepLog]) -> None:
-    """Per-step per-class FET thresholds; header only when no step ran FET."""
+def write_threshold_trace(path, rows: list[StepLog],
+                          thresholds: dict[int, fet.ThresholdSet]) -> None:
+    """Per-step per-class FET thresholds: ``thresholds[step]`` is the set
+    ``train_on_log``'s ``on_thresholds`` hook received at that step, and
+    ``rows`` its step log, which gives each step's correctness. Header only
+    when no step ran FET."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "class", "accept", "reject", "mc_pos", "mc_neg"])
         for r in rows:
-            if r.thresholds is None:
+            t = thresholds.get(r.step)
+            if t is None:
                 continue
-            for c, (accept, reject) in enumerate(zip(r.thresholds.accept, r.thresholds.reject)):
+            for c, (accept, reject) in enumerate(zip(t.accept, t.reject)):
                 writer.writerow([r.step, c, repr(float(accept)), repr(float(reject)),
                                  repr(r.mc_pos), repr(r.mc_neg)])
 
@@ -238,6 +241,7 @@ def train_on_log(
     records: list[BanditRecord],
     config: TrainConfig,
     labeled_split: list[LabeledExample] | None = None,
+    on_thresholds=None,
 ) -> tuple[PolicyNet, list[StepLog]]:
     """Fine-tune a copy of the logging policy on the logged feedback.
 
@@ -247,7 +251,11 @@ def train_on_log(
     that method's only labeled data; logged feedback enters solely through
     the unlabeled pseudo-label pathway). Every other method takes its
     labeled term from the logged positives. Returns the trained policy and
-    the per-step log.
+    the per-step log, which holds plain numbers only.
+
+    When given, ``on_thresholds(step, thresholds)`` receives the
+    ``fet.ThresholdSet`` each FET step used, once per step; methods without
+    FET thresholds (fixmatch, ips, banditnet and ``no_fet``) never call it.
     """
     if not records:
         raise TrainerError("empty bandit log")
@@ -268,7 +276,8 @@ def train_on_log(
     if config.method in (METHOD_IPS, METHOD_BANDITNET):
         step = _crm_step(policy, logging_policy, train, config)
     else:
-        step = _composite_step(policy, logging_policy, train, rng, config, labeled_split)
+        step = _composite_step(policy, logging_policy, train, rng, config, labeled_split,
+                               on_thresholds)
 
     history: list[StepLog] = []
 
@@ -306,7 +315,7 @@ def _reference_probs(logging_policy: PolicyNet, states: np.ndarray) -> np.ndarra
     return probs
 
 
-def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
+def _composite_step(policy, logging_policy, train, rng, config, labeled_split, on_thresholds):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
     mix-up passes, and the sum of the four terms. The supervised term is the
     mixed-up expert split for fixmatch and the logged positives otherwise."""
@@ -344,6 +353,8 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
                 batch.logged_mask[~pos_rows],
                 batch.rho[~pos_rows],
             )
+            if on_thresholds is not None:
+                on_thresholds(number, thresholds)
             conf = fet.confidence_mask(weak_probs, batch.delta, thresholds)
             stats = tracker.correctness()
         else:
@@ -389,7 +400,6 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split):
             n_unconfident=int(umask.sum()),
             mc_pos=stats.mc_pos,
             mc_neg=stats.mc_neg,
-            thresholds=thresholds if use_fet else None,
         )
 
     return step

@@ -1,9 +1,11 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dialogworld_reference as ref
+from banditmatch import cli
 from banditmatch import dialogworld as dw
 
 
@@ -57,6 +59,26 @@ class TestSchema:
         path.write_text(json.dumps(payload))
         with pytest.raises(dw.WorldError):
             dw.WorldSchema.load(path)
+
+    def test_entity_value_outside_informable_list_refused(self, tmp_path, capsys):
+        payload = dw.tiny_schema().to_dict()  # a fresh world: to_dict shares its lists
+        payload["domains"][0]["entities"][0]["area"] = "west"
+        with pytest.raises(dw.WorldError, match="entity value 'west' of slot 'area'"):
+            dw.WorldSchema.from_dict(payload)
+        world = tmp_path / "west.json"
+        world.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        # every command that loads the world stops with one line, before it writes anything
+        for argv in (["gen-world", "--schema-config", world, "--out", out / "w.json"],
+                     ["gen-corpus", "--world", world, "--n-dialogs", 2, "--out", out / "c.jsonl"],
+                     ["evaluate", "--world", world, "--expert", "--n-dialogs", 2, "--n-runs", 1,
+                      "--out", out / "r.csv"]):
+            capsys.readouterr()
+            assert cli.main([str(a) for a in argv]) == cli.EXIT_INVALID
+            assert capsys.readouterr().err == (
+                f"error: {world}: domain 'hotel': entity value 'west' of slot 'area' "
+                "is not in its informable list ['north', 'south']\n")
+        assert not out.exists()
 
     def test_missing_entity_slot_rejected(self):
         dom = dw.DomainSchema(

@@ -1,5 +1,7 @@
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -14,6 +16,7 @@ from banditmatch import trainer as tr
 from banditmatch.policy import PolicyNet, policy_spec_for
 from banditmatch.seeding import derive_rng
 from dataclasses import replace
+from pathlib import Path
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +171,10 @@ class TestFineTuning:
         base = replace(setup[2], epochs=1)
         rows = dict(tr.ablation_rows(base))
         cfg = rows.get(row) or replace(base, method=row)
-        runs = [tr.train_on_log(setup[3], setup[4], cfg, labeled_split=split)
-                for split in (setup[0], None)]
+        traces = ({}, {})
+        runs = [tr.train_on_log(setup[3], setup[4], cfg, labeled_split=split,
+                                on_thresholds=trace.__setitem__)
+                for split, trace in zip((setup[0], None), traces)]
         (with_split, log_a), (without, log_b) = runs
         for x, y in zip(with_split.parameters(), without.parameters()):
             assert np.array_equal(x.data, y.data)
@@ -177,10 +182,11 @@ class TestFineTuning:
         for a, b in zip(log_a, log_b):
             assert [getattr(a, c) for c in tr.TRAINING_LOG_COLUMNS] == \
                 [getattr(b, c) for c in tr.TRAINING_LOG_COLUMNS]
-            assert (a.thresholds is None) == (b.thresholds is None)
-            if a.thresholds is not None:
-                assert np.array_equal(a.thresholds.accept, b.thresholds.accept)
-                assert np.array_equal(a.thresholds.reject, b.thresholds.reject)
+        trace_a, trace_b = traces
+        assert trace_a.keys() == trace_b.keys()
+        for step, a in trace_a.items():
+            assert np.array_equal(a.accept, trace_b[step].accept)
+            assert np.array_equal(a.reject, trace_b[step].reject)
 
     def test_fixmatch_trains_on_split_action_sets(self, setup):
         cfg = replace(setup[2], epochs=1, method="fixmatch")
@@ -519,11 +525,84 @@ class TestThresholdTrace:
     def test_trace_file_written_per_step_and_class(self, setup, schema, tmp_path):
         path = tmp_path / "thresholds.csv"
         cfg = replace(setup[2], epochs=1)
-        _, history = tr.train_on_log(setup[3], setup[4], cfg)
-        tr.write_threshold_trace(path, history)
+        thresholds = {}
+        _, history = tr.train_on_log(setup[3], setup[4], cfg,
+                                     on_thresholds=thresholds.__setitem__)
+        tr.write_threshold_trace(path, history, thresholds)
         import csv
 
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(history) * schema.num_actions
         assert 0.5 <= float(rows[0]["accept"]) <= 1.0
+
+    @pytest.mark.parametrize("row, fires", [
+        ("banditmatch", True), ("banditmatch-no_cbl", True), ("banditmatch-no_fet", False),
+        ("fixmatch", False), ("ips", False), ("banditnet", False),
+    ])
+    def test_hook_gets_each_fet_step_thresholds(self, setup, monkeypatch, row, fires):
+        base = replace(setup[2], epochs=1)
+        cfg = dict(tr.ablation_rows(base)).get(row) or replace(base, method=row)
+        returned = []
+        update = tr.fet.FetTracker.update
+
+        def recording_update(*args, **kwargs):
+            returned.append(update(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(tr.fet.FetTracker, "update", recording_update)
+        calls = []
+        _, history = tr.train_on_log(setup[3], setup[4], cfg, labeled_split=setup[0],
+                                     on_thresholds=lambda *args: calls.append(args))
+        assert history
+        if not fires:
+            assert calls == [] and returned == []
+            return
+        # once per step, in step order, with the very set the tracker returned
+        assert [step for step, _ in calls] == [r.step for r in history]
+        assert len(returned) == len(calls)
+        assert all(t is r for (_, t), r in zip(calls, returned))
+
+
+class TestPlainStepLog:
+    @pytest.mark.parametrize("row", ["banditmatch", "banditmatch-no_cbl", "banditmatch-no_fet",
+                                     "fixmatch", "ips", "banditnet"])
+    def test_history_rows_hold_plain_numbers(self, setup, row):
+        base = replace(setup[2], epochs=1)
+        cfg = dict(tr.ablation_rows(base)).get(row) or replace(base, method=row)
+        _, history = tr.train_on_log(setup[3], setup[4], cfg, labeled_split=setup[0])
+        assert history
+        for r in history:
+            assert tuple(vars(r)) == tr.TRAINING_LOG_COLUMNS
+            # Python numbers only: no np.ndarray, numpy scalar or threshold set
+            assert {type(v) for v in vars(r).values()} <= {int, float}, r
+
+    def test_fine_tuning_never_imports_numpy_ma(self, tmp_path):
+        # a fresh interpreter, since this one may have loaded numpy.ma already
+        script = """
+import sys
+from banditmatch import cli, datasets, dialogworld, trainer
+out = sys.argv[1]
+schema = dialogworld.tiny_schema()
+corpus = datasets.generate_corpus(schema, 20, seed=1)
+cfg = trainer.TrainConfig(seed=1, sl_epochs=2, epochs=2, hidden_dims=(8,))
+_, logging_policy, records = trainer.log_point(corpus, schema, 0.5, cfg)
+_, history = trainer.train_on_log(logging_policy, records, cfg)
+assert history, "no training step"
+assert "numpy.ma" not in sys.modules, "fine-tuning imported numpy.ma"
+datasets.write_bandit_jsonl(out + "/bandit.jsonl", records)
+logging_policy.save(out + "/logging_policy.json")
+with open(out + "/train.cfg", "w") as fh:
+    fh.write("epochs = 2\\n")
+code = cli.main(["train", "--method", "banditmatch", "--bandit", out + "/bandit.jsonl",
+                 "--logging-policy", out + "/logging_policy.json", "--config", out + "/train.cfg",
+                 "--out", out + "/bm.json", "--threshold-trace", out + "/thresholds.csv"])
+assert code == 0, code
+assert "numpy.ma" not in sys.modules, "train imported numpy.ma"
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(tr.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, f"child exited {out.returncode}; stderr:\n{out.stderr}"
+        # the trace has rows, so FET ran in the command too
+        assert len((tmp_path / "thresholds.csv").read_text().splitlines()) > 1
