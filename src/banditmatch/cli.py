@@ -12,9 +12,10 @@ Exit codes: 0 success, 2 bad command line (argparse), 3 an input path
 that is not a file, 4 schema/checkpoint version mismatch, 5 invalid
 configuration or value (including an input file that breaks FORMATS.md or
 does not fit the world or checkpoint it is used with, an output path that
-is a directory or whose directory cannot be made, and a numeric failure in
-training), 1 unexpected failure. Output paths are checked before the command
-reads or trains anything.
+is a directory or whose directory cannot be made, and a numeric failure: a
+non-finite gradient, an overflow, an invalid value or a division by zero),
+1 unexpected failure. Output paths are checked before the command reads or
+trains anything.
 """
 
 from __future__ import annotations
@@ -264,17 +265,17 @@ def _check_corpus_fits(path, corpus, state_dim: int, num_actions: int, source: s
                        f"not below {names[1]} {num_actions} of {source}", EXIT_INVALID)
 
 
-def _check_log_fits(path, records, policy: PolicyNet, source: str) -> None:
+def _check_log_fits(path, log, policy: PolicyNet, source: str) -> None:
     """State and rho lengths of a bandit log against the logging policy (the
-    reader has made them equal-length and the actions match rho)."""
-    if not records:
+    reader has made the actions match rho)."""
+    if not len(log):
         return
     spec = policy.spec
-    if records[0].state.size != spec.input_dim:
-        raise _mismatch(path, "state length", records[0].state.size, "input_dim",
+    if log.states.shape[1] != spec.input_dim:
+        raise _mismatch(path, "state length", log.states.shape[1], "input_dim",
                         spec.input_dim, source)
-    if records[0].propensities.size != spec.output_dim:
-        raise _mismatch(path, "rho length", records[0].propensities.size, "output_dim",
+    if log.rho.shape[1] != spec.output_dim:
+        raise _mismatch(path, "rho length", log.rho.shape[1], "output_dim",
                         spec.output_dim, source)
 
 
@@ -356,25 +357,24 @@ def cmd_split_and_log(args, files: Files) -> dict | None:
     _check_corpus_fits(args.corpus, corpus, schema.state_dim, schema.num_actions,
                        f"world {args.world}")
     cfg = _train_config(args)
-    labeled, logging_policy, records = trainer.log_point(corpus, schema, args.labeled_fraction, cfg)
+    labeled, logging_policy, log = trainer.log_point(corpus, schema, args.labeled_fraction, cfg)
     labeled_path, bandit_path, policy_path = output_paths(args)
     datasets.write_labeled_jsonl(files.output(labeled_path), labeled)
-    datasets.write_bandit_jsonl(files.output(bandit_path), records)
+    datasets.write_bandit_jsonl(files.output(bandit_path), log)
     logging_policy.save(files.output(policy_path))
-    positive = sum(r.feedback for r in records)
     print(
-        f"split: {len(labeled)} labeled / {len(records)} bandit "
-        f"(positive feedback rate {positive / max(len(records), 1):.3f})"
+        f"split: {len(labeled)} labeled / {len(log)} bandit "
+        f"(positive feedback rate {log.delta.sum() / max(len(log), 1):.3f})"
     )
     return dataclasses.asdict(cfg)
 
 
 def cmd_train(args, files: Files) -> dict | None:
     cfg = _train_config(args, method=args.method)
-    records = files.load(datasets.read_bandit_jsonl, args.bandit)
+    log = files.load(datasets.read_bandit_jsonl, args.bandit)
     logging_policy = files.load(PolicyNet.load, args.logging_policy)
     source = f"logging policy {args.logging_policy}"
-    _check_log_fits(args.bandit, records, logging_policy, source)
+    _check_log_fits(args.bandit, log, logging_policy, source)
     labeled = files.load(datasets.read_labeled_jsonl, args.labeled) if args.labeled else None
     if labeled is not None:
         _check_corpus_fits(args.labeled, labeled, logging_policy.spec.input_dim,
@@ -383,7 +383,7 @@ def cmd_train(args, files: Files) -> dict | None:
     # only a threshold trace keeps each step's thresholds, by step, until training ends
     thresholds = {}
     policy, history = trainer.train_on_log(
-        logging_policy, records, cfg, labeled_split=labeled,
+        logging_policy, log, cfg, labeled_split=labeled,
         on_thresholds=thresholds.__setitem__ if args.threshold_trace else None)
     policy.save(files.output(args.out))
     if args.train_log:
@@ -425,14 +425,14 @@ def cmd_evaluate(args, files: Files) -> dict | None:
 
 def cmd_ablate(args, files: Files) -> dict | None:
     schema = files.load(WorldSchema.load, args.world)
-    records = files.load(datasets.read_bandit_jsonl, args.bandit)
+    log = files.load(datasets.read_bandit_jsonl, args.bandit)
     logging_policy = files.load(PolicyNet.load, args.logging_policy)
     _check_policy_fits(f"logging policy {args.logging_policy}", logging_policy, schema,
                        f"world {args.world}")
-    _check_log_fits(args.bandit, records, logging_policy,
+    _check_log_fits(args.bandit, log, logging_policy,
                     f"logging policy {args.logging_policy}")
     cfg = _train_config(args)
-    reports = trainer.run_rows(logging_policy, records, None, schema, trainer.ablation_rows(cfg),
+    reports = trainer.run_rows(logging_policy, log, None, schema, trainer.ablation_rows(cfg),
                                args.n_dialogs, args.n_runs, cfg.seed)
     table_path, json_path = output_paths(args)
     write_report_csv(files.output(table_path), reports)
@@ -605,12 +605,16 @@ def main(argv=None) -> int:
             check_output(path)
             if written.setdefault(path.resolve(), path) is not path:
                 raise CliError(f"{path}: two outputs name this file", EXIT_INVALID)
-        config = args.func(args, files)
+        # an overflow, an invalid value or a division by zero stops the command
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            config = args.func(args, files)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (WorldError, DataError, TrainerError, nncore.NncoreError, PolicyError) as err:
-        # NncoreError covers NonFiniteGradientError; PolicyError a bad checkpoint or spec
+    except (WorldError, DataError, TrainerError, nncore.NncoreError, PolicyError,
+            FloatingPointError) as err:
+        # NncoreError covers NonFiniteGradientError; PolicyError a bad checkpoint or
+        # spec; FloatingPointError says "overflow encountered in matmul" and the like
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     write_manifest(manifest, args.command, vars(args), files.inputs, files.outputs, config,

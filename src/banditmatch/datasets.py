@@ -6,6 +6,9 @@ the rest is replayed through a frozen logging policy, recording its
 thresholded action set, the full per-class probability vector, and binary
 user feedback (1 iff the predicted set equals the expert set exactly).
 
+This module owns the bandit log in memory and on disk: a ``BanditLog``
+holds one array per field, from logging through the files to training.
+
 Persistence is JSON-lines with a one-object header line carrying the
 schema version; floats round-trip at full precision. The binary state
 vectors are written and read as fixed-width ``0.0``/``1.0`` text, a block
@@ -21,6 +24,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import fet
 from .dialogworld import WorldSchema, run_expert_episode, sample_goal
 from .policy import predicted_mask
 from .seeding import derive_rng
@@ -43,16 +47,35 @@ class LabeledExample:
     state: np.ndarray  # uint8 0/1 entries
     actions: np.ndarray  # sorted atomic-action indices, non-empty
 
-    def action_set(self) -> set[int]:
-        return set(int(a) for a in self.actions)
-
 
 @dataclass
-class BanditRecord:
+class BanditRecord:  # one row of a BanditLog
     state: np.ndarray  # uint8 0/1 entries
     logged_actions: np.ndarray  # sorted indices of the logged set (empty only if feedback is 0)
     propensities: np.ndarray  # full length-C probability vector at logging time
     feedback: int  # 0 or 1
+
+
+@dataclass
+class BanditLog:
+    """The bandit log, one array per field with a row per record: the
+    (x, y, delta, p) table. ``log[i]``, and so iteration, gives a row as a
+    ``BanditRecord`` whose arrays are views into the log."""
+
+    states: np.ndarray  # (n, D) uint8 0/1 entries
+    logged_mask: np.ndarray  # (n, C) bool, the logged sets
+    rho: np.ndarray  # (n, C) float64 propensities at logging time
+    delta: np.ndarray  # (n,) int64 feedback, 0 or 1
+
+    def take(self, idx: np.ndarray) -> "BanditLog":
+        return BanditLog(self.states[idx], self.logged_mask[idx], self.rho[idx], self.delta[idx])
+
+    def __len__(self) -> int:
+        return len(self.delta)
+
+    def __getitem__(self, i: int) -> BanditRecord:
+        return BanditRecord(self.states[i], np.flatnonzero(self.logged_mask[i]), self.rho[i],
+                            int(self.delta[i]))
 
 
 @dataclass
@@ -100,26 +123,21 @@ def split_corpus(
     return labeled, pool
 
 
-def simulate_feedback(predicted: set[int], truth: set[int]) -> int:
-    """Binary feedback: 1 iff the prediction matches the ground truth exactly."""
-    return 1 if predicted == truth else 0
+def simulate_feedback(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Binary feedback per row of two boolean set masks: 1 iff they are equal."""
+    return (predicted == truth).all(axis=-1).astype(np.int64)
 
 
-def log_bandit_data(logging_policy, pool: list[LabeledExample]) -> list[BanditRecord]:
-    """Replay the pool through the frozen logging policy, one record each."""
-    records = []
-    for ex in pool:
-        rho = logging_policy.probs(ex.state)
-        logged = np.flatnonzero(predicted_mask(rho))
-        records.append(
-            BanditRecord(
-                state=ex.state,
-                logged_actions=logged,
-                propensities=rho,
-                feedback=simulate_feedback(set(logged.tolist()), ex.action_set()),
-            )
-        )
-    return records
+def log_bandit_data(logging_policy, pool: list[LabeledExample]) -> BanditLog:
+    """Replay the pool through the frozen logging policy: a log row per
+    example, with the policy's probabilities, its predicted set and the
+    feedback on that set. Each row gets the bits of ``logging_policy.probs``
+    on its own state, from one call per block of states."""
+    states = _binary_states([ex.state for ex in pool])
+    rho = logging_policy.probs_in_blocks(states, rowwise=True)
+    logged = predicted_mask(rho)
+    truth = fet.sets_to_mask([ex.actions for ex in pool], rho.shape[1])
+    return BanditLog(states, logged, rho, simulate_feedback(logged, truth))
 
 
 # -- persistence ----------------------------------------------------------------
@@ -137,11 +155,11 @@ def write_labeled_jsonl(path, corpus: list[LabeledExample]) -> None:
             fh.write(f'{{"state": {state}, "actions": {json.dumps(ex.actions.tolist())}}}\n')
 
 
-def write_bandit_jsonl(path, records: list[BanditRecord]) -> None:
-    states = _state_texts(_binary_states([rec.state for rec in records]))
+def write_bandit_jsonl(path, log: BanditLog) -> None:
+    states = _state_texts(_binary_states(log.states))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_header(KIND_BANDIT)) + "\n")
-        for rec, state in zip(records, states):
+        for rec, state in zip(log, states):
             fh.write(
                 f'{{"state": {state}, "actions": {json.dumps(rec.logged_actions.tolist())}, '
                 f'"rho": {json.dumps(rec.propensities.tolist())}, "delta": {int(rec.feedback)}}}\n'
@@ -156,11 +174,11 @@ _STATE_OPEN = b'{"state": ['
 _STATE_CLOSE = b"], "
 
 
-def _binary_states(states: list[np.ndarray]) -> np.ndarray:
-    """The states (uint8 or float) as one (n, width) uint8 array of 0s and
-    1s; DataError on unequal widths or an entry other than 0 or 1 (``-0.0``
-    counts as 0)."""
-    width = states[0].size if states else 0
+def _binary_states(states) -> np.ndarray:
+    """The states (uint8 or float; a list of rows or an (n, width) array) as
+    one (n, width) uint8 array of 0s and 1s; DataError on unequal widths or
+    an entry other than 0 or 1 (``-0.0`` counts as 0)."""
+    width = states[0].size if len(states) else 0
     bits = np.empty((len(states), width), dtype=np.uint8)
     for start in range(0, len(states), _BLOCK):
         block = states[start : start + _BLOCK]
@@ -372,10 +390,8 @@ def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int
     def fail(i: int, message: str):
         raise DataError(f"{path}:{linenos[i]}: {message}")
 
-    first = corpus[0]
     for i, ex in enumerate(corpus):
-        if ex.state.ndim != 1 or ex.state.shape != first.state.shape:
-            fail(i, f"state has {ex.state.size} entries, line {linenos[0]} has {first.state.size}")
+        _check_width(fail, i, linenos[0], "state", ex.state, corpus[0].state)
     _check_binary_states(fail, corpus)
     sizes = np.array([ex.actions.size for ex in corpus])
     bad = np.flatnonzero(sizes == 0)
@@ -390,6 +406,11 @@ def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int
     bad = rows[1:][(rows[1:] == rows[:-1]) & (actions[1:] <= actions[:-1])]
     if bad.size:
         fail(bad[0], f"actions {corpus[bad[0]].actions.tolist()} are not sorted and unique")
+
+
+def _check_width(fail, i: int, first_line: int, name: str, row: np.ndarray, first: np.ndarray):
+    if row.ndim != 1 or row.shape != first.shape:
+        fail(i, f"{name} has {row.size} entries, line {first_line} has {first.size}")
 
 
 def _check_binary_states(fail, records: list) -> None:
@@ -408,29 +429,27 @@ def _check_binary_states(fail, records: list) -> None:
         records[i].state = bits
 
 
-def read_bandit_jsonl(path) -> list[BanditRecord]:
+def read_bandit_jsonl(path) -> BanditLog:
     """Read a bandit log and enforce the FORMATS.md record contract."""
     records, linenos = _build_records(path, _read_lines(path, KIND_BANDIT), _bandit_record)
-    if records:
-        _check_bandit_records(path, records, linenos)
-    return records
+    return _bandit_log(path, records, linenos)
 
 
-def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int]) -> None:
-    """One pass over the stacked log: equal state and rho lengths, state
-    entries 0 or 1 (every state leaves uint8), rho strictly inside (0, 1),
-    actions == {c : rho[c] > 0.5}, and no empty set with feedback 1."""
+def _bandit_log(path, records: list[BanditRecord], linenos: list[int]) -> BanditLog:
+    """The records as one log, checked in one pass over its arrays: equal
+    state and rho lengths, state entries 0 or 1 (every state leaves uint8),
+    rho strictly inside (0, 1), actions == {c : rho[c] > 0.5}, and no empty
+    set with feedback 1."""
 
     def fail(i: int, message: str):
         raise DataError(f"{path}:{linenos[i]}: {message}")
 
-    first = records[0]
+    if not records:
+        return BanditLog(*(np.zeros((0, 0), t) for t in (np.uint8, bool, float)),
+                         np.zeros(0, np.int64))
     for i, r in enumerate(records):
-        if r.state.ndim != 1 or r.state.shape != first.state.shape:
-            fail(i, f"state has {r.state.size} entries, line {linenos[0]} has {first.state.size}")
-        if r.propensities.ndim != 1 or r.propensities.shape != first.propensities.shape:
-            fail(i, f"rho has {r.propensities.size} entries, "
-                    f"line {linenos[0]} has {first.propensities.size}")
+        _check_width(fail, i, linenos[0], "state", r.state, records[0].state)
+        _check_width(fail, i, linenos[0], "rho", r.propensities, records[0].propensities)
     _check_binary_states(fail, records)
     rho = np.stack([r.propensities for r in records])
     bad = np.flatnonzero(~((rho > 0.0) & (rho < 1.0)).all(axis=1))
@@ -452,6 +471,8 @@ def _check_bandit_records(path, records: list[BanditRecord], linenos: list[int])
         fail(i, f"actions {records[i].logged_actions.tolist()} differ from "
                 f"{{c : rho[c] > 0.5}} = {np.flatnonzero(predicted[i]).tolist()}")
     # feedback 1 means the logged set is the expert's, and no expert set is empty
-    bad = np.flatnonzero((sizes == 0) & np.array([r.feedback == 1 for r in records]))
+    delta = np.array([r.feedback for r in records], dtype=np.int64)
+    bad = np.flatnonzero((sizes == 0) & (delta == 1))
     if bad.size:
         fail(bad[0], "a positive record must log a non-empty action set")
+    return BanditLog(np.stack([r.state for r in records]), predicted, rho, delta)

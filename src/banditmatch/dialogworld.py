@@ -301,14 +301,15 @@ class WorldSchema:
     # -- persistence ---------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The world file's payload, in fresh lists and dicts the schema does not hold."""
         return {
             "schema_version": SCHEMA_VERSION,
             "domains": [
                 {
                     "name": d.name,
-                    "informable": d.informable,
-                    "requestable": d.requestable,
-                    "entities": d.entities,
+                    "informable": {slot: list(values) for slot, values in d.informable.items()},
+                    "requestable": list(d.requestable),
+                    "entities": [dict(e) for e in d.entities],
                 }
                 for d in self.domains
             ],

@@ -26,6 +26,8 @@ CHECKPOINT_FORMAT = "banditmatch-checkpoint"
 CHECKPOINT_VERSION = "v1"
 # the only hidden activation, which checkpoints name
 HIDDEN_ACTIVATION = "relu"
+# rows per ``probs`` call of ``PolicyNet.probs_in_blocks``
+PROBS_BLOCK = 256
 
 
 class PolicyError(Exception):
@@ -143,12 +145,13 @@ class PolicyNet:
 
     def _layers(self, states) -> tuple[list[np.ndarray], np.ndarray, bool]:
         """Layer inputs (the states, then each hidden activation), the
-        unclamped output logits, and whether the states were a single row."""
+        unclamped output logits, and whether the states (one row, an (n, D)
+        batch or an (n, 1, D) stack) were a single row."""
         x = np.asarray(states, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
+        if x.shape[1:] not in ((self.spec.input_dim,), (1, self.spec.input_dim)):
             raise ConfigurationError(
                 f"state dim {x.shape} incompatible with input_dim={self.spec.input_dim}"
             )
@@ -184,10 +187,28 @@ class PolicyNet:
         return nncore.fused(s, self.parameters(), backward)
 
     def probs(self, states: np.ndarray) -> np.ndarray:
-        """Per-class probabilities, clamped inside (0, 1); no gradient graph."""
+        """Per-class probabilities, clamped inside (0, 1); no gradient graph.
+        An (n, 1, D) stack gives (n, 1, C), each row by its own product
+        (gemv), so each row has the bits of ``probs`` on that row alone."""
         _, z, squeeze = self._layers(states)
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
         return p[0] if squeeze else p
+
+    def probs_in_blocks(self, states: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        """``probs`` of each row of the (n, D) ``states`` as one (n, C) array,
+        one call per ``PROBS_BLOCK`` rows, so no float64 copy of all the states
+        is held. ``rowwise`` stacks each block, giving each row the bits of
+        ``probs(row)``; otherwise each row has the bits of one ``probs(states)``
+        call, so a 1-row tail, which would be a gemv, joins the block before it."""
+        n = len(states)
+        starts = list(range(0, n, PROBS_BLOCK))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        probs = np.empty((n, self.num_actions))
+        for start, stop in zip(starts, starts[1:] + [n]):
+            block = states[start:stop, None] if rowwise else states[start:stop]
+            probs[start:stop] = self.probs(block).reshape(stop - start, -1)
+        return probs
 
     def _clone(self, role: str) -> "PolicyNet":
         clone = PolicyNet(self.spec, rng=None, role=role)

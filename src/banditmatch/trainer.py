@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import datasets, fet, nncore, objectives
-from .datasets import BanditRecord, LabeledExample, SplitConfig
+from .datasets import BanditLog, LabeledExample, SplitConfig
 from .dialogworld import (
     WorldSchema,
     compute_aggregate,
@@ -145,37 +143,6 @@ def write_threshold_trace(path, rows: list[StepLog],
                                  repr(r.mc_pos), repr(r.mc_neg)])
 
 
-# -- array views over the log ----------------------------------------------------
-
-
-@dataclass
-class LogArrays:
-    """The log's fields stacked by row: ``states`` keeps the records' uint8
-    entries (a training step converts its batch to float64 once),
-    ``logged_mask`` is boolean, ``rho`` float64 and ``delta`` int64."""
-
-    states: np.ndarray
-    logged_mask: np.ndarray
-    rho: np.ndarray
-    delta: np.ndarray
-
-    @classmethod
-    def from_records(cls, records: list[BanditRecord], num_classes: int) -> "LogArrays":
-        states = np.stack([r.state for r in records])
-        logged = fet.sets_to_mask([r.logged_actions for r in records], num_classes)
-        rho = np.stack([r.propensities for r in records])
-        delta = np.array([r.feedback for r in records], dtype=np.int64)
-        return cls(states, logged, rho, delta)
-
-    def take(self, idx: np.ndarray) -> "LogArrays":
-        return LogArrays(
-            self.states[idx], self.logged_mask[idx], self.rho[idx], self.delta[idx]
-        )
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
 # -- supervised training -----------------------------------------------------------
 
 # the supervised targets' label smoothing: 1 - eps / 2 in the set, eps / 2 outside
@@ -238,7 +205,7 @@ def train_logging_policy(
 
 def train_on_log(
     logging_policy: PolicyNet,
-    records: list[BanditRecord],
+    log: BanditLog,
     config: TrainConfig,
     labeled_split: list[LabeledExample] | None = None,
     on_thresholds=None,
@@ -257,20 +224,20 @@ def train_on_log(
     ``fet.ThresholdSet`` each FET step used, once per step; methods without
     FET thresholds (fixmatch, ips, banditnet and ``no_fet``) never call it.
     """
-    if not records:
+    if not len(log):
         raise TrainerError("empty bandit log")
     if config.method == METHOD_FIXMATCH and not labeled_split:
         raise TrainerError("the fixmatch baseline needs the labeled split")
     # feedback 1 means the logged set is the expert's, and no expert set is empty
-    for i, record in enumerate(records):
-        if record.feedback == 1 and not record.logged_actions.size:
-            raise TrainerError(f"record {i}: a positive record must log a non-empty action set")
+    bad = np.flatnonzero((log.delta == 1) & ~log.logged_mask.any(axis=1))
+    if bad.size:
+        raise TrainerError(f"record {bad[0]}: a positive record must log a non-empty action set")
     rng = derive_rng(config.seed, "train")
-    # a shuffle's first tenth is set aside unread and never stacked: the batch
+    # a shuffle's first tenth is set aside unread and never copied: the batch
     # draws, and so every trained byte, follow this draw and cut (training on
     # those rows is an open ROADMAP item)
-    kept = rng.permutation(len(records))[len(records) // 10:]
-    train = LogArrays.from_records([records[i] for i in kept], logging_policy.num_actions)
+    kept = rng.permutation(len(log))[len(log) // 10:]
+    train = log.take(kept)
     policy = logging_policy.clone_trainable()
     # step(number, idx, batch) -> (total loss, StepLog) with idx into train
     if config.method in (METHOD_IPS, METHOD_BANDITNET):
@@ -294,26 +261,6 @@ def train_on_log(
 ALPHA_WEAK = 0.2
 ALPHA_STRONG = 2.0
 
-# rows per block of the frozen reference's pass over the training rows
-_REF_BLOCK = 256
-
-
-def _reference_probs(logging_policy: PolicyNet, states: np.ndarray) -> np.ndarray:
-    """``logging_policy.probs(states)``, built ``_REF_BLOCK`` rows at a time
-    into one (n, C) array, so no float64 copy of all the states is held. No
-    block is a single row, as a 1-row tail joins the block before it: numpy
-    multiplies one row through gemv, which can differ from the same row of a
-    batch in the last bit, while blocks of 2 or more rows give the bits of
-    one call over all the rows."""
-    n = len(states)
-    starts = list(range(0, n, _REF_BLOCK))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    probs = np.empty((n, logging_policy.num_actions))
-    for start, stop in zip(starts, starts[1:] + [n]):
-        probs[start:stop] = logging_policy.probs(states[start:stop])
-    return probs
-
 
 def _composite_step(policy, logging_policy, train, rng, config, labeled_split, on_thresholds):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
@@ -330,9 +277,9 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split, o
         split_states = np.stack([ex.state for ex in labeled_split])
         split_targets = fet.sets_to_mask([ex.actions for ex in labeled_split], num_classes)
     tracker = fet.FetTracker(num_classes, apply_scale=not config.no_mc_scale)
-    ref_train = _reference_probs(logging_policy, train.states) if use_kl else None
+    ref_train = logging_policy.probs_in_blocks(train.states) if use_kl else None
 
-    def step(number: int, idx: np.ndarray, batch: LogArrays):
+    def step(number: int, idx: np.ndarray, batch: BanditLog):
         states = batch.states.astype(np.float64)  # the batch's one float64 copy
         weak_states, _ = objectives.mixup_batch(states, ALPHA_WEAK, aug_rng)
         strong_states, _ = objectives.mixup_batch(states, ALPHA_STRONG, aug_rng)
@@ -407,9 +354,9 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split, o
 
 def _crm_step(policy, logging_policy, train, config):
     """The ips / banditnet step, with the optional KL control term."""
-    ref_train = _reference_probs(logging_policy, train.states) if config.add_kl else None
+    ref_train = logging_policy.probs_in_blocks(train.states) if config.add_kl else None
 
-    def step(number: int, idx: np.ndarray, batch: LogArrays):
+    def step(number: int, idx: np.ndarray, batch: BanditLog):
         probs_t = policy.forward(batch.states)
         crm_loss = objectives.loss_ips if config.method == METHOD_IPS else objectives.loss_banditnet
         loss = crm_loss(probs_t, batch.rho, batch.delta, batch.logged_mask)
@@ -533,7 +480,7 @@ def _check_point(n: int, fraction: float) -> None:
 
 
 def log_point(corpus: list[LabeledExample], schema: WorldSchema, fraction: float,
-              config: TrainConfig) -> tuple[list[LabeledExample], PolicyNet, list[BanditRecord]]:
+              config: TrainConfig) -> tuple[list[LabeledExample], PolicyNet, BanditLog]:
     """One grid point: split the corpus with ``config.seed``, train the
     logging policy on the labeled split, and log feedback on the rest.
     Returns the labeled split, the frozen logging policy and the log."""
@@ -545,7 +492,7 @@ def log_point(corpus: list[LabeledExample], schema: WorldSchema, fraction: float
     return labeled, logging_policy, datasets.log_bandit_data(logging_policy, pool)
 
 
-def run_rows(logging_policy: PolicyNet, records: list[BanditRecord],
+def run_rows(logging_policy: PolicyNet, log: BanditLog,
              labeled: list[LabeledExample] | None, schema: WorldSchema,
              rows: list[tuple[str, TrainConfig]], n_dialogs: int, n_runs: int,
              eval_seed: int) -> list[ExperimentReport]:
@@ -553,7 +500,7 @@ def run_rows(logging_policy: PolicyNet, records: list[BanditRecord],
     the one evaluation seed, so row differences are paired. Rows run over ``map_jobs``."""
     def run_row(row):
         name, cfg = row
-        trained, _ = train_on_log(logging_policy, records, cfg, labeled_split=labeled)
+        trained, _ = train_on_log(logging_policy, log, cfg, labeled_split=labeled)
         return evaluate(trained, schema, n_dialogs, n_runs, eval_seed, method=name)
 
     return map_jobs(run_row, rows)
@@ -574,13 +521,13 @@ def run_sl_sweep(corpus: list[LabeledExample], schema: WorldSchema, config: Trai
 
     def run_point(p):
         point_seed = int(derive_rng(config.seed, "sweep", p).integers(2**31))
-        labeled, logging_policy, records = log_point(
+        labeled, logging_policy, log = log_point(
             corpus, schema, p / 100.0, replace(config, seed=point_seed)
         )
         point_rows = [(name, replace(cfg, seed=point_seed)) for name, cfg in rows]
         logging_report = evaluate(logging_policy, schema, n_dialogs, n_runs, point_seed,
                                   method="logging")
-        return [logging_report] + run_rows(logging_policy, records, labeled, schema, point_rows,
+        return [logging_report] + run_rows(logging_policy, log, labeled, schema, point_rows,
                                            n_dialogs, n_runs, point_seed)
 
     results: dict[str, list] = {m: [] for m in (*methods, "logging")}
@@ -612,8 +559,13 @@ def map_jobs(fn, items) -> list:
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(items), cpus or 1)
-    if workers < 2 or _WORKER or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _WORKER.update,
-                             ({"fn": fn, "items": items},)) as pool:
-        return list(pool.map(_map_worker, range(len(items))))
+    if workers >= 2 and not _WORKER:
+        # the pool's modules load here, so a run that never forks never loads them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     _WORKER.update, ({"fn": fn, "items": items},)) as pool:
+                return list(pool.map(_map_worker, range(len(items))))
+    return [fn(item) for item in items]

@@ -75,9 +75,7 @@ def read_labeled_jsonl(path) -> list:
     return corpus
 
 
-def read_bandit_jsonl(path) -> list:
+def read_bandit_jsonl(path) -> ds.BanditLog:
     records, linenos = ds._build_records(path, _read_lines(path, ds.KIND_BANDIT),
                                          ds._bandit_record)
-    if records:
-        ds._check_bandit_records(path, records, linenos)
-    return records
+    return ds._bandit_log(path, records, linenos)

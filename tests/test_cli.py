@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -415,6 +416,53 @@ class TestCrossFileWidths:
             "--logging-policy", data / "logging_policy.json", "--config", cfg,
             "--out", tmp_path / "p.json"],
             "error: non-finite gradient in w0 at step 3")
+
+
+class TestNumericBlowUp:
+    """A learning rate of 1e308 on the tiny world: each run ends in exit 5
+    with one line that names the overflow, and no numpy warning."""
+
+    @staticmethod
+    def _one_line_exit_5(capsys, argv):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert err == "error: overflow encountered in matmul\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @staticmethod
+    def _config(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text("epochs = 1\nhidden_dims = 4\n" + text)
+        return path
+
+    def test_logging_policy_training(self, tiny_world_data, tmp_path, capsys):
+        world, corpus, _ = tiny_world_data
+        cfg = self._config(tmp_path, "blow_up.cfg", "sl_epochs = 2\nlearning_rate = 1e308\n")
+        self._one_line_exit_5(capsys, [
+            "split-and-log", "--world", world, "--corpus", corpus, "--seed", 1,
+            "--config", cfg, "--out-dir", tmp_path / "data"])
+        assert not (tmp_path / "data").exists()
+
+    def test_fine_tuned_checkpoint_evaluated(self, tiny_world_data, tmp_path, capsys):
+        # training stops after one step with weights near 1e298, all finite;
+        # evaluating them overflows
+        world, corpus, _ = tiny_world_data
+        data = tmp_path / "data"
+        assert run(["split-and-log", "--world", world, "--corpus", corpus, "--seed", 1,
+                    "--config", self._config(tmp_path, "sl.cfg", "sl_epochs = 2\n"),
+                    "--out-dir", data]) == 0
+        assert run(["train", "--method", "banditnet", "--bandit", data / "bandit.jsonl",
+                    "--logging-policy", data / "logging_policy.json", "--seed", 1,
+                    "--config", self._config(tmp_path, "blow_up.cfg", "learning_rate = 1e308\n"),
+                    "--out", tmp_path / "bn.json"]) == 0
+        self._one_line_exit_5(capsys, [
+            "evaluate", "--world", world, "--checkpoint", tmp_path / "bn.json",
+            "--n-dialogs", 20, "--n-runs", 1, "--out", tmp_path / "report.csv"])
+        assert not (tmp_path / "report.csv").exists()
 
 
 class TestLoaderErrors:

@@ -3,7 +3,7 @@ import pytest
 
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
-from banditmatch.policy import PolicyNet, policy_spec_for, predicted_mask
+from banditmatch.policy import PROBS_BLOCK, PolicyNet, policy_spec_for, predicted_mask
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,19 @@ def zero_policy(schema):
 
 def random_policy(schema, seed=3):
     return PolicyNet(policy_spec_for(schema, hidden_dims=(8,)), rng=np.random.default_rng(seed))
+
+
+def spy_probs(monkeypatch) -> list[int]:
+    """The rows of each ``PolicyNet.probs`` call from now on."""
+    calls = []
+    real = PolicyNet.probs
+
+    def probs(self, states):
+        calls.append(len(states))
+        return real(self, states)
+
+    monkeypatch.setattr(PolicyNet, "probs", probs)
+    return calls
 
 
 class TestCorpus:
@@ -104,24 +117,29 @@ class TestPredictSet:
         assert record.propensities.shape == (schema.num_actions,)
 
 
+def set_mask(members, num_classes=5):
+    mask = np.zeros(num_classes, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
 class TestFeedback:
     def test_exact_match(self):
-        assert ds.simulate_feedback({1, 3}, {1, 3}) == 1
+        assert ds.simulate_feedback(set_mask({1, 3}), set_mask({1, 3})) == 1
 
     def test_superset_is_not_a_match(self):
-        assert ds.simulate_feedback({1, 2, 3}, {1, 3}) == 0
+        assert ds.simulate_feedback(set_mask({1, 2, 3}), set_mask({1, 3})) == 0
 
     def test_empty_sets_match(self):
-        assert ds.simulate_feedback(set(), set()) == 1
+        assert ds.simulate_feedback(set_mask(()), set_mask(())) == 1
 
     def test_agrees_with_brute_force_on_random_pairs(self):
         rng = np.random.default_rng(123)
-        for _ in range(10_000):
-            c = int(rng.integers(1, 8))
-            a = set(np.flatnonzero(rng.random(c) < 0.4).tolist())
-            b = set(np.flatnonzero(rng.random(c) < 0.4).tolist())
-            brute = 1 if sorted(a) == sorted(b) else 0
-            assert ds.simulate_feedback(a, b) == brute
+        a, b = rng.random((2, 10_000, 7)) < 0.4
+        brute = [1 if sorted(np.flatnonzero(x)) == sorted(np.flatnonzero(y)) else 0
+                 for x, y in zip(a, b)]
+        got = ds.simulate_feedback(a, b)
+        assert got.dtype == np.int64 and got.tolist() == brute
 
 
 class TestLogging:
@@ -149,8 +167,51 @@ class TestLogging:
         policy = random_policy(schema).clone_frozen()
         records = ds.log_bandit_data(policy, corpus)
         for rec, ex in zip(records, corpus):
-            logged = set(rec.logged_actions.tolist())
-            assert rec.feedback == ds.simulate_feedback(logged, ex.action_set())
+            assert rec.feedback == int(set(rec.logged_actions.tolist()) == set(ex.actions.tolist()))
+
+    def test_rows_are_the_per_state_records(self, schema, corpus):
+        # each row, by index and by iteration, is the record one probs call
+        # on its state gives, with the same dtypes
+        policy = random_policy(schema).clone_frozen()
+        log = ds.log_bandit_data(policy, corpus)
+        expected = []
+        for ex in corpus:
+            rho = policy.probs(ex.state)
+            logged = np.flatnonzero(predicted_mask(rho))
+            feedback = 1 if set(logged.tolist()) == set(ex.actions.tolist()) else 0
+            expected.append(ds.BanditRecord(ex.state, logged, rho, feedback))
+        assert len(log) == len(expected)
+        for got in (list(log), [log[i] for i in range(len(log))]):
+            for a, b in zip(got, expected, strict=True):
+                for name in ("state", "logged_actions", "propensities"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), name
+                assert type(a.feedback) is int and a.feedback == b.feedback
+
+    @pytest.mark.parametrize("extra", [1 - PROBS_BLOCK, -1, 0, 1],
+                             ids=["1", "B-1", "B", "B+1"])
+    def test_one_probs_call_per_block(self, schema, monkeypatch, extra):
+        n = PROBS_BLOCK + extra
+        rng = np.random.default_rng(n)
+        pool = [ds.LabeledExample((rng.random(schema.state_dim) < 0.2).astype(np.uint8),
+                                  np.array([0], dtype=np.int64)) for _ in range(n)]
+        policy = random_policy(schema).clone_frozen()
+        calls = spy_probs(monkeypatch)
+        log = ds.log_bandit_data(policy, pool)
+        # a 1-row tail joins the block before it
+        assert calls == [n]
+        assert log.rho.shape == (n, schema.num_actions)
+        assert all(np.array_equal(row, policy.probs(ex.state)) for row, ex in zip(log.rho, pool))
+
+    def test_default_world_pool_in_blocks(self, schema, monkeypatch):
+        corpus = ds.generate_corpus(schema, 120, seed=4)
+        policy = random_policy(schema).clone_frozen()
+        calls = spy_probs(monkeypatch)
+        log = ds.log_bandit_data(policy, corpus)
+        n = len(corpus)
+        assert n > 2 * PROBS_BLOCK + 1 and n % PROBS_BLOCK > 1
+        assert calls == [PROBS_BLOCK] * (n // PROBS_BLOCK) + [n % PROBS_BLOCK]
+        assert all(np.array_equal(row, policy.probs(ex.state)) for row, ex in zip(log.rho, corpus))
 
 
 class TestPersistence:
@@ -165,15 +226,13 @@ class TestPersistence:
 
     def test_bandit_round_trip_full_precision(self, schema, corpus, tmp_path):
         policy = random_policy(schema).clone_frozen()
-        records = ds.log_bandit_data(policy, corpus[:10])
+        log = ds.log_bandit_data(policy, corpus)
         path = tmp_path / "bandit.jsonl"
-        ds.write_bandit_jsonl(path, records)
+        ds.write_bandit_jsonl(path, log)
         loaded = ds.read_bandit_jsonl(path)
-        for a, b in zip(records, loaded):
-            assert np.array_equal(a.state, b.state)
-            assert np.array_equal(a.logged_actions, b.logged_actions)
-            assert np.array_equal(a.propensities, b.propensities)  # bitwise
-            assert a.feedback == b.feedback
+        for name in ("states", "logged_mask", "rho", "delta"):  # rho bitwise
+            a, b = getattr(log, name), getattr(loaded, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_malformed_line_reports_line_number(self, corpus, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -61,7 +61,7 @@ class TestSchema:
             dw.WorldSchema.load(path)
 
     def test_entity_value_outside_informable_list_refused(self, tmp_path, capsys):
-        payload = dw.tiny_schema().to_dict()  # a fresh world: to_dict shares its lists
+        payload = dw.tiny_schema().to_dict()
         payload["domains"][0]["entities"][0]["area"] = "west"
         with pytest.raises(dw.WorldError, match="entity value 'west' of slot 'area'"):
             dw.WorldSchema.from_dict(payload)
@@ -79,6 +79,26 @@ class TestSchema:
                 f"error: {world}: domain 'hotel': entity value 'west' of slot 'area' "
                 "is not in its informable list ['north', 'south']\n")
         assert not out.exists()
+
+    def test_to_dict_payload_is_a_copy(self, tmp_path):
+        # edits at every level of the payload leave the schema and its file as they were
+        schema = dw.tiny_schema()
+        before = json.dumps(schema.to_dict())
+        schema.save(tmp_path / "before.json")
+        payload = schema.to_dict()
+        domain = payload["domains"][0]
+        domain["informable"]["area"].append("west")
+        domain["informable"]["stars"] = ["5"]
+        domain["requestable"].append("postcode")
+        domain["entities"][0]["area"] = "west"
+        domain["entities"].append({"area": "west"})
+        domain["name"] = "taxi"
+        payload["domains"].append(domain)
+        assert json.dumps(schema.to_dict()) == before
+        schema.save(tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        # the world still reads north and south in its entities and its masks
+        assert [e["area"] for e in schema.domains[0].entities] == ["north", "south"]
 
     def test_missing_entity_slot_rejected(self):
         dom = dw.DomainSchema(

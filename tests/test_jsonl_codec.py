@@ -24,16 +24,23 @@ KINDS = {
 }
 
 
+def bandit_log(states, rho, delta) -> ds.BanditLog:
+    """The log of these rows, each logging its predicted set."""
+    rho = np.array(rho, dtype=np.float64)
+    return ds.BanditLog(np.array(states), rho > 0.5, rho, np.array(delta, dtype=np.int64))
+
+
 @st.composite
 def record_lists(draw, kind):
-    """Records of one state width (1-200); bandit ``rho`` is random, with all
-    entries below or above 0.5 for some records, so logged sets run from
-    empty to full (an empty one with feedback 0, as the readers require);
-    corpus actions are any short index lists."""
+    """Records of one state width (1-200), as a corpus list or a bandit log;
+    bandit ``rho`` is random, with all entries below or above 0.5 for some
+    records, so logged sets run from empty to full (an empty one with
+    feedback 0, as the readers require); corpus actions are any short index
+    lists."""
     width = draw(st.integers(1, 200))
     num_classes = draw(st.integers(1, 12))
     n = draw(st.integers(0, 6))
-    records = []
+    records, states, rhos, deltas = [], [], [], []
     for _ in range(n):
         state = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=width,
                                        max_size=width)))
@@ -46,10 +53,18 @@ def record_lists(draw, kind):
         rho = np.array(draw(st.lists(
             st.floats(low, high, exclude_min=True, exclude_max=True),
             min_size=num_classes, max_size=num_classes)))
-        records.append(ds.BanditRecord(
-            state=state, logged_actions=np.flatnonzero(rho > 0.5), propensities=rho,
-            feedback=draw(st.integers(0, int((rho > 0.5).any())))))
-    return records
+        states.append(state)
+        rhos.append(rho)
+        deltas.append(draw(st.integers(0, int((rho > 0.5).any()))))
+    if kind == "labeled":
+        return records
+    return bandit_log(np.reshape(states, (n, width)), np.reshape(rhos, (n, num_classes)), deltas)
+
+
+def with_uint8_states(records):
+    if isinstance(records, ds.BanditLog):
+        return replace(records, states=records.states.astype(np.uint8))
+    return [replace(r, state=r.state.astype(np.uint8)) for r in records]
 
 
 def outcome(read, path):
@@ -91,7 +106,7 @@ def test_writer_bytes_and_reader_records_match_reference(kind, tmp_path_factory)
         ref_write(old, records)
         assert new.read_bytes() == old.read_bytes()
         # the same bytes from the uint8 states the encoder and readers give
-        write(bits, [replace(r, state=r.state.astype(np.uint8)) for r in records])
+        write(bits, with_uint8_states(records))
         assert bits.read_bytes() == new.read_bytes()
         assert read_as_bytes(read, new) == outcome(ref_read, new)
         # the same records in other spellings take the whole-line parse
@@ -117,9 +132,7 @@ def _fuzz_file(kind, path):
     if kind == "labeled":
         write(path, [ds.LabeledExample(state=state, actions=np.array([0, 2]))] * 2)
     else:
-        rho = np.array([0.75, 0.125, 0.5625])
-        write(path, [ds.BanditRecord(state=state, logged_actions=np.array([0, 2]),
-                                     propensities=rho, feedback=1)] * 2)
+        write(path, bandit_log([state] * 2, [[0.75, 0.125, 0.5625]] * 2, [1, 1]))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -158,9 +171,7 @@ def test_blocks_mix_canonical_and_other_lines(kind, tmp_path):
         records = [ds.LabeledExample(state=s, actions=np.array([1, 3])) for s in states]
     else:
         rho = rng.uniform(0.01, 0.99, size=(n, 5))
-        records = [ds.BanditRecord(state=s, logged_actions=np.flatnonzero(r > 0.5),
-                                   propensities=r, feedback=int(i % 2 and (r > 0.5).any()))
-                   for i, (s, r) in enumerate(zip(states, rho))]
+        records = bandit_log(states, rho, (np.arange(n) % 2) * (rho > 0.5).any(axis=1))
     path = tmp_path / "mixed.jsonl"
     write(path, records)
     lines = path.read_text().splitlines()
@@ -247,8 +258,7 @@ def test_writers_refuse_non_binary_states(kind, entry, tmp_path):
     if kind == "labeled":
         records = [ds.LabeledExample(state=state, actions=np.array([0]))]
     else:
-        records = [ds.BanditRecord(state=state, logged_actions=np.array([], np.int64),
-                                   propensities=np.array([0.25]), feedback=0)]
+        records = bandit_log([state], [[0.25]], [0])
     with pytest.raises(ds.DataError, match="state entries must be 0 or 1"):
         write(tmp_path / "x.jsonl", records)
     assert not (tmp_path / "x.jsonl").exists()  # refused before the file is opened

@@ -1,3 +1,5 @@
+import concurrent.futures
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -13,7 +15,7 @@ from banditmatch import cli
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
 from banditmatch import trainer as tr
-from banditmatch.policy import PolicyNet, policy_spec_for
+from banditmatch.policy import PROBS_BLOCK, PolicyNet, policy_spec_for
 from banditmatch.seeding import derive_rng
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +43,15 @@ def setup(schema, spec, corpus):
     pi0 = tr.train_logging_policy(labeled, spec, cfg)
     records = ds.log_bandit_data(pi0, pool)
     return labeled, pool, cfg, pi0, records
+
+
+def random_log(rng, n, d, c):
+    """A log of ``n`` random rows: 0/1 states, sets of about a fifth of the
+    ``c`` classes, and feedback 0 wherever a set is empty."""
+    logged = rng.random((n, c)) < 0.2
+    delta = rng.integers(0, 2, n) * logged.any(axis=1)
+    return ds.BanditLog((rng.random((n, d)) < 0.2).astype(np.uint8), logged,
+                        rng.uniform(0.05, 0.95, (n, c)), delta.astype(np.int64))
 
 
 def params_of(policy):
@@ -218,43 +229,43 @@ class TestFineTuning:
 
     def test_empty_log_rejected(self, setup):
         with pytest.raises(tr.TrainerError):
-            tr.train_on_log(setup[3], [], setup[2])
+            tr.train_on_log(setup[3], ds.log_bandit_data(setup[3], []), setup[2])
 
     def test_positive_record_with_empty_set_rejected(self, setup):
-        # records built in memory skip the reader's rule: a logging policy
+        # a log built in memory skips the reader's rule: a logging policy
         # that predicts the empty set everywhere, with every feedback 1, would
         # take an empty set into the FET attribution
         pi0 = setup[3].clone_trainable()
         pi0.parameters()[-1].data[:] = -20.0
         pi0 = pi0.clone_frozen()
-        empty = np.array([], dtype=np.int64)
-        records = [replace(r, logged_actions=empty, feedback=1) for r in setup[4]]
+        log = setup[4]
         cfg = replace(setup[2], epochs=1)
         message = "a positive record must log a non-empty action set"
+        no_sets = replace(log, logged_mask=np.zeros_like(log.logged_mask),
+                          delta=np.ones_like(log.delta))
         with pytest.raises(tr.TrainerError, match=f"record 0: {message}"):
-            tr.train_on_log(pi0, records, cfg)
+            tr.train_on_log(pi0, no_sets, cfg)
         # one such record in the unread tenth is named too
-        unread = derive_rng(cfg.seed, "train").permutation(len(setup[4]))[: len(setup[4]) // 10]
-        records = list(setup[4])
-        records[unread[0]] = replace(records[unread[0]], logged_actions=empty, feedback=1)
+        unread = derive_rng(cfg.seed, "train").permutation(len(log))[: len(log) // 10]
+        bad = replace(log, logged_mask=log.logged_mask.copy(), delta=log.delta.copy())
+        bad.logged_mask[unread[0]] = False
+        bad.delta[unread[0]] = 1
         with pytest.raises(tr.TrainerError, match=f"record {unread[0]}: {message}"):
-            tr.train_on_log(setup[3], records, cfg)
+            tr.train_on_log(setup[3], bad, cfg)
 
     def test_stacks_only_the_training_rows(self, schema, spec):
-        # the unread tenth of the log is never stacked, and no second copy of
+        # the unread tenth of the log is never copied, and no second copy of
         # the training rows is kept: a zero-epoch run peaks at about one
-        # copy of their states, propensities and logged-set mask
+        # copy of their uint8 states, propensities and logged-set mask
         rng = np.random.default_rng(17)
         d, c, n = schema.state_dim, schema.num_actions, 3000
-        records = [ds.BanditRecord(rng.random(d), np.flatnonzero(rng.random(c) < 0.2),
-                                   rng.uniform(0.05, 0.95, c), int(rng.integers(2)))
-                   for _ in range(n)]
+        log = random_log(rng, n, d, c)
         pi0 = PolicyNet(spec, rng=rng).clone_frozen()
         cfg = tr.TrainConfig(method="ips", epochs=0, hidden_dims=spec.hidden_dims)
-        row_bytes = (n - n // 10) * (d * 8 + c * 8 + c)
+        row_bytes = (n - n // 10) * (d + c * 8 + c)
         tracemalloc.start()
         try:
-            tr.train_on_log(pi0, records, cfg)
+            tr.train_on_log(pi0, log, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -267,16 +278,13 @@ class TestFineTuning:
         # not a float64 copy of every state and every hidden activation
         rng = np.random.default_rng(19)
         d, c, n = schema.state_dim, schema.num_actions, 3000
-        records = [ds.BanditRecord((rng.random(d) < 0.2).astype(np.uint8),
-                                   np.flatnonzero(rng.random(c) < 0.2),
-                                   rng.uniform(0.05, 0.95, c), int(rng.integers(2)))
-                   for _ in range(n)]
+        log = random_log(rng, n, d, c)
         pi0 = PolicyNet(spec, rng=rng).clone_frozen()
         cfg = tr.TrainConfig(epochs=0, hidden_dims=spec.hidden_dims)
         row_bytes = (n - n // 10) * (d + c * 8 + c + c * 8)
         tracemalloc.start()
         try:
-            tr.train_on_log(pi0, records, cfg)
+            tr.train_on_log(pi0, log, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -288,11 +296,11 @@ class TestFineTuning:
     def test_block_reference_equals_one_call(self, schema, spec, blocks, extra):
         # a single-row product goes through gemv and differs from the batched
         # row in the last bit, so a 1-row tail block would show here
-        n = blocks * tr._REF_BLOCK + extra
+        n = blocks * PROBS_BLOCK + extra
         rng = np.random.default_rng(n)
         states = (rng.random((n, schema.state_dim)) < 0.2).astype(np.uint8)
         policy = PolicyNet(spec, rng=rng).clone_frozen()
-        got = tr._reference_probs(policy, states)
+        got = policy.probs_in_blocks(states)
         assert got.shape == (n, schema.num_actions)
         assert np.array_equal(got, policy.probs(states))
 
@@ -483,7 +491,7 @@ class TestMapJobs:
             def map(self, worker, indices):
                 return (self.fn(self.items[i]) for i in indices)
 
-        monkeypatch.setattr(tr, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         if affinity is None:  # a platform without sched_getaffinity
             monkeypatch.delattr(tr.os, "sched_getaffinity", raising=False)
         else:
@@ -497,8 +505,8 @@ class TestMapJobs:
     def test_inline_without_processes(self, monkeypatch, items, cpus, fork):
         _usable_cpus(monkeypatch, cpus)
         if not fork:
-            monkeypatch.setattr(tr.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(tr, "ProcessPoolExecutor",
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *a, **k: pytest.fail("a process pool was made"))
         assert tr.map_jobs(lambda i: (i, os.getpid()), range(items)) == [
             (i, os.getpid()) for i in range(items)]
@@ -519,6 +527,25 @@ class TestMapJobs:
         # each worker ran its inner map itself, in one process
         assert [len(set(pids)) for pids in inner] == [1, 1]
         assert os.getpid() not in {pids[0] for pids in inner}
+
+    def test_pool_modules_load_only_for_a_pool(self, tmp_path):
+        # a fresh interpreter, since this one has loaded them already
+        script = """
+import sys
+from banditmatch import cli, dialogworld
+out = sys.argv[1]
+dialogworld.tiny_schema().save(out + "/world.json")
+code = cli.main(["evaluate", "--world", out + "/world.json", "--expert", "--n-dialogs", "3",
+                 "--n-runs", "1", "--out", out + "/expert.csv"])
+assert code == 0, code
+loaded = [m for m in ("multiprocessing", "concurrent.futures", "logging", "socket",
+                      "selectors", "queue") if m in sys.modules]
+assert not loaded, f"loaded {loaded}"
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(tr.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, f"child exited {out.returncode}; stderr:\n{out.stderr}"
 
 
 class TestThresholdTrace:
