@@ -253,12 +253,14 @@ def _mismatch(path, what: str, got: int, limit_name: str, limit: int, source: st
 def _check_corpus_fits(path, corpus, state_dim: int, num_actions: int, source: str,
                        names=("state_dim", "num_actions")) -> None:
     """State length and action indices of a labeled corpus (the reader has
-    made its states equal-length and its actions sorted and non-negative)."""
+    made its actions non-empty, sorted and non-negative, so each row's last
+    index is its largest)."""
     if not corpus:
         return
-    if corpus[0].state.size != state_dim:
-        raise _mismatch(path, "state length", corpus[0].state.size, names[0], state_dim, source)
-    top = np.array([ex.actions[-1] for ex in corpus])
+    if corpus.states.shape[1] != state_dim:
+        raise _mismatch(path, "state length", corpus.states.shape[1], names[0], state_dim,
+                        source)
+    top = corpus.indices[corpus.offsets[1:] - 1]
     bad = np.flatnonzero(top >= num_actions)
     if bad.size:
         raise CliError(f"{path}: record {bad[0] + 1} has action index {top[bad[0]]}, "

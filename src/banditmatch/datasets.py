@@ -6,25 +6,30 @@ the rest is replayed through a frozen logging policy, recording its
 thresholded action set, the full per-class probability vector, and binary
 user feedback (1 iff the predicted set equals the expert set exactly).
 
-This module owns the bandit log in memory and on disk: a ``BanditLog``
-holds one array per field, from logging through the files to training.
+This module owns the labeled corpus and the bandit log, in memory and on
+disk. A ``Corpus`` holds the states and action sets in arrays, and a
+``BanditLog`` one array per field, from rollout or logging through the
+files to training. Indexing either gives one row as a record of views; no
+record object is kept per row.
 
 Persistence is JSON-lines with a one-object header line carrying the
 schema version; floats round-trip at full precision. The binary state
-vectors are written and read as fixed-width ``0.0``/``1.0`` text, a block
-of records per numpy pass (FORMATS.md gives the line layout), and held in
-memory as ``uint8``, one byte per entry.
+vectors are written and read as fixed-width ``0.0``/``1.0`` text (FORMATS.md
+gives the line layout) and held in memory as ``uint8``, one byte per entry.
+Writers format, and readers parse and check, ``_BLOCK`` lines at a time; a
+reader puts each block's rows straight into the arrays it returns, sized
+from the file's newline count.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from . import fet
 from .dialogworld import WorldSchema, run_expert_episode, sample_goal
 from .policy import predicted_mask
 from .seeding import derive_rng
@@ -43,9 +48,45 @@ class DataVersionError(DataError):
 
 
 @dataclass
-class LabeledExample:
+class LabeledExample:  # one row of a Corpus
     state: np.ndarray  # uint8 0/1 entries
     actions: np.ndarray  # sorted atomic-action indices, non-empty
+
+
+@dataclass
+class Corpus:
+    """A labeled corpus in arrays. Row ``i`` is the state ``states[i]`` with
+    the sorted action indices ``indices[offsets[i]:offsets[i + 1]]`` (CSR
+    form: a corpus read from a file does not know the action count).
+    ``corpus[i]``, and so iteration, gives a row as a ``LabeledExample``
+    whose arrays are views into the corpus."""
+
+    states: np.ndarray  # (n, D) uint8 0/1 entries
+    offsets: np.ndarray  # (n + 1,) int64, from 0 to len(indices)
+    indices: np.ndarray  # int64 action indices, row after row
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i: int) -> LabeledExample:
+        i = range(len(self))[i]  # an IndexError past the end ends iteration
+        return LabeledExample(self.states[i], self.indices[self.offsets[i] : self.offsets[i + 1]])
+
+    def take(self, idx) -> "Corpus":
+        """The rows ``idx`` (non-negative), in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        starts, sizes = self.offsets[idx], np.diff(self.offsets)[idx]
+        offsets = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        # where each taken index sits in self.indices
+        at = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
+        return Corpus(self.states[idx], offsets, self.indices[at])
+
+    def action_mask(self, num_classes: int) -> np.ndarray:
+        """The action sets as (n, num_classes) boolean rows."""
+        mask = np.zeros((len(self), num_classes), dtype=bool)
+        mask[np.repeat(np.arange(len(self)), np.diff(self.offsets)), self.indices] = True
+        return mask
 
 
 @dataclass
@@ -67,7 +108,7 @@ class BanditLog:
     rho: np.ndarray  # (n, C) float64 propensities at logging time
     delta: np.ndarray  # (n,) int64 feedback, 0 or 1
 
-    def take(self, idx: np.ndarray) -> "BanditLog":
+    def take(self, idx) -> "BanditLog":
         return BanditLog(self.states[idx], self.logged_mask[idx], self.rho[idx], self.delta[idx])
 
     def __len__(self) -> int:
@@ -90,20 +131,24 @@ class SplitConfig:
             )
 
 
-def generate_corpus(schema: WorldSchema, n_dialogs: int, seed: int) -> list[LabeledExample]:
-    """One LabeledExample per expert turn over n_dialogs rollouts."""
+def generate_corpus(schema: WorldSchema, n_dialogs: int, seed: int) -> Corpus:
+    """A row per expert turn over ``n_dialogs`` rollouts, filled dialog by
+    dialog: each turn's uint8 state and sorted action indices are appended to
+    growing buffers, which the returned arrays then view."""
     if n_dialogs <= 0:
         raise DataError(f"n_dialogs must be positive, got {n_dialogs}")
     rng = derive_rng(seed, "corpus")
-    corpus: list[LabeledExample] = []
+    states, offsets, indices = bytearray(), array("q", [0]), array("q")
     for _ in range(n_dialogs):
         goal = sample_goal(schema, rng)
         pairs: list = []
         run_expert_episode(schema, goal, collect=pairs)
         for state, actions in pairs:
-            idx = np.array(sorted(actions), dtype=np.int64)
-            corpus.append(LabeledExample(state=state, actions=idx))
-    return corpus
+            states.extend(state)
+            indices.extend(sorted(actions))
+            offsets.append(len(indices))
+    return Corpus(np.frombuffer(states, dtype=np.uint8).reshape(-1, schema.state_dim),
+                  np.frombuffer(offsets, dtype=np.int64), np.frombuffer(indices, dtype=np.int64))
 
 
 def labeled_size(n: int, fraction: float) -> int:
@@ -111,16 +156,11 @@ def labeled_size(n: int, fraction: float) -> int:
     return int(np.floor(fraction * n + 0.5))
 
 
-def split_corpus(
-    corpus: list[LabeledExample], cfg: SplitConfig
-) -> tuple[list[LabeledExample], list[LabeledExample]]:
+def split_corpus(corpus: Corpus, cfg: SplitConfig) -> tuple[Corpus, Corpus]:
     """Partition into (labeled split, bandit pool) of ``labeled_size`` and the rest."""
-    n = len(corpus)
-    n_labeled = labeled_size(n, cfg.labeled_fraction)
-    order = derive_rng(cfg.seed, "split").permutation(n)
-    labeled = [corpus[i] for i in order[:n_labeled]]
-    pool = [corpus[i] for i in order[n_labeled:]]
-    return labeled, pool
+    n_labeled = labeled_size(len(corpus), cfg.labeled_fraction)
+    order = derive_rng(cfg.seed, "split").permutation(len(corpus))
+    return corpus.take(order[:n_labeled]), corpus.take(order[n_labeled:])
 
 
 def simulate_feedback(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -128,89 +168,122 @@ def simulate_feedback(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return (predicted == truth).all(axis=-1).astype(np.int64)
 
 
-def log_bandit_data(logging_policy, pool: list[LabeledExample]) -> BanditLog:
+def log_bandit_data(logging_policy, pool: Corpus) -> BanditLog:
     """Replay the pool through the frozen logging policy: a log row per
     example, with the policy's probabilities, its predicted set and the
     feedback on that set. Each row gets the bits of ``logging_policy.probs``
-    on its own state, from one call per block of states."""
-    states = _binary_states([ex.state for ex in pool])
-    rho = logging_policy.probs_in_blocks(states, rowwise=True)
+    on its own state, from one call per block of states. The log shares the
+    pool's state array."""
+    rho = logging_policy.probs_in_blocks(pool.states, rowwise=True)
     logged = predicted_mask(rho)
-    truth = fet.sets_to_mask([ex.actions for ex in pool], rho.shape[1])
-    return BanditLog(states, logged, rho, simulate_feedback(logged, truth))
+    return BanditLog(pool.states, logged, rho,
+                     simulate_feedback(logged, pool.action_mask(rho.shape[1])))
 
 
 # -- persistence ----------------------------------------------------------------
+
+# Writers format, and readers parse and check, _BLOCK lines at a time, so no
+# whole-file text and no object per record is ever held.
+_BLOCK = 256
+_STATE_OPEN = b'{"state": ['
+_STATE_CLOSE = b"], "
 
 
 def _header(kind: str) -> dict:
     return {"schema_version": JSONL_VERSION, "record": kind}
 
 
-def write_labeled_jsonl(path, corpus: list[LabeledExample]) -> None:
-    states = _state_texts(_binary_states([ex.state for ex in corpus]))
+def write_labeled_jsonl(path, corpus: Corpus) -> None:
+    _check_states(corpus.states)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_header(KIND_LABELED)) + "\n")
-        for ex, state in zip(corpus, states):
-            fh.write(f'{{"state": {state}, "actions": {json.dumps(ex.actions.tolist())}}}\n')
+        for start, states in _state_texts(corpus.states):
+            bounds = corpus.offsets[start : start + len(states) + 1]
+            actions = corpus.indices[bounds[0] : bounds[-1]].tolist()
+            bounds = (bounds - bounds[0]).tolist()
+            fh.write("".join(
+                f'{{"state": {state}, "actions": {json.dumps(actions[a:b])}}}\n'
+                for state, a, b in zip(states, bounds, bounds[1:])))
 
 
 def write_bandit_jsonl(path, log: BanditLog) -> None:
-    states = _state_texts(_binary_states(log.states))
+    _check_log(log)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_header(KIND_BANDIT)) + "\n")
-        for rec, state in zip(log, states):
-            fh.write(
-                f'{{"state": {state}, "actions": {json.dumps(rec.logged_actions.tolist())}, '
-                f'"rho": {json.dumps(rec.propensities.tolist())}, "delta": {int(rec.feedback)}}}\n'
-            )
+        for start, states in _state_texts(log.states):
+            rows = slice(start, start + len(states))
+            fh.write("".join(
+                f'{{"state": {state}, "actions": {json.dumps(np.flatnonzero(logged).tolist())}, '
+                f'"rho": {json.dumps(rho)}, "delta": {delta}}}\n'
+                for state, logged, rho, delta in zip(states, log.logged_mask[rows],
+                                                     log.rho[rows].tolist(),
+                                                     log.delta[rows].astype(np.int64).tolist())))
 
 
-# States are binary, so a writer emits each as fixed-width text ("0.0"/"1.0"
-# entries) and a reader decodes such text as bytes; both work _BLOCK records
-# at a time, so no whole-file copy is ever held.
-_BLOCK = 1024
-_STATE_OPEN = b'{"state": ['
-_STATE_CLOSE = b"], "
+def _refused(i: int, message: str) -> DataError:
+    """A writer's refusal of its row ``i``, counted from 1 as records are."""
+    return DataError(f"record {i + 1}: {message}")
 
 
-def _binary_states(states) -> np.ndarray:
-    """The states (uint8 or float; a list of rows or an (n, width) array) as
-    one (n, width) uint8 array of 0s and 1s; DataError on unequal widths or
-    an entry other than 0 or 1 (``-0.0`` counts as 0)."""
-    width = states[0].size if len(states) else 0
-    bits = np.empty((len(states), width), dtype=np.uint8)
+def _check_states(states: np.ndarray) -> None:
+    """Refuse a state entry other than 0 or 1 (``-0.0`` counts as 0), a block
+    of rows at a time, before the writer opens its file."""
     for start in range(0, len(states), _BLOCK):
         block = states[start : start + _BLOCK]
-        if any(np.shape(s) != (width,) for s in block):
-            raise DataError(f"states must be flat lists of {width} entries")
-        block = np.stack(block)
-        if not ((block == 0) | (block == 1)).all():
-            raise DataError("state entries must be 0 or 1")
-        bits[start : start + len(block)] = block == 1
-    return bits
+        bad = np.flatnonzero(~((block == 0) | (block == 1)).all(axis=1))
+        if bad.size:
+            raise _refused(start + bad[0], "state entries must be 0 or 1")
 
 
-def _state_texts(bits: np.ndarray):
-    """Yield each row's text as ``json.dumps`` writes it as a list of floats:
-    a copy of the all-``0.0`` template row with the digit bytes set."""
-    template = np.frombuffer(("[" + ", ".join(["0.0"] * bits.shape[1]) + "]").encode("ascii"),
+def _check_log(log: BanditLog) -> None:
+    """Refuse, with the reader's reason, a log the reader would refuse: fields
+    of unequal lengths or widths, a state entry other than 0 or 1, a
+    ``delta`` other than 0 or 1, ``rho`` not strictly inside (0, 1), a logged
+    set other than ``rho > 0.5``, or a positive record with an empty set."""
+    n = len(log.delta)
+    if (log.delta.shape != (n,) or log.logged_mask.shape != log.rho.shape
+            or len(log.states) != n or len(log.rho) != n):
+        raise DataError(f"log fields of unequal shapes: states {log.states.shape}, logged_mask "
+                        f"{log.logged_mask.shape}, rho {log.rho.shape}, delta {log.delta.shape}")
+    bad = np.flatnonzero((log.delta != 0) & (log.delta != 1))
+    if bad.size:
+        raise _refused(bad[0], f"delta must be 0 or 1, got {log.delta[bad[0]]}")
+    _check_states(log.states)
+    bad = np.flatnonzero(~((log.rho > 0.0) & (log.rho < 1.0)).all(axis=1))
+    if bad.size:
+        raise _refused(bad[0], "rho must lie strictly inside (0, 1)")
+    bad = np.flatnonzero((log.logged_mask != predicted_mask(log.rho)).any(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise _refused(i, f"actions {np.flatnonzero(log.logged_mask[i]).tolist()} differ from "
+                          f"{{c : rho[c] > 0.5}} = {np.flatnonzero(log.rho[i] > 0.5).tolist()}")
+    bad = np.flatnonzero((log.delta == 1) & ~log.logged_mask.any(axis=1))
+    if bad.size:
+        raise _refused(bad[0], "a positive record must log a non-empty action set")
+
+
+def _state_texts(states: np.ndarray):
+    """Yield ``(start, texts)`` per block of ``_BLOCK`` rows of the checked 0/1
+    ``states``: each row's text as ``json.dumps`` writes it as a list of
+    floats, a copy of the all-``0.0`` template row with the digit bytes set."""
+    template = np.frombuffer(("[" + ", ".join(["0.0"] * states.shape[1]) + "]").encode("ascii"),
                              dtype=np.uint8)
-    digits = 1 + 5 * np.arange(bits.shape[1])
+    digits = 1 + 5 * np.arange(states.shape[1])
     size = template.size
-    for start in range(0, len(bits), _BLOCK):
-        block = bits[start : start + _BLOCK]
+    for start in range(0, len(states), _BLOCK):
+        block = states[start : start + _BLOCK]
         rows = np.tile(template, (len(block), 1))
-        rows[:, digits] += block
+        rows[:, digits] += block == 1
         text = rows.tobytes().decode("ascii")
-        yield from (text[i : i + size] for i in range(0, len(text), size))
+        yield start, [text[i : i + size] for i in range(0, len(text), size)]
 
 
-def _canonical_states(block: list[bytes]) -> list:
+def _canonical_states(block: list[bytes]) -> tuple[list, int]:
     """For each line that opens with ``{"state": [`` and canonical
-    ``0.0``/``1.0`` entries, ``(uint8 state, rest of the line after "], ")``;
-    None for every other line. The lines of one width, the first found in
-    the block, are checked in one pass over their bytes."""
+    ``0.0``/``1.0`` entries, its uint8 state; None for every other line. Also
+    where the rest of those lines starts, after the state's "], ". The lines
+    of one width, the first found in the block, are checked in one pass over
+    their bytes."""
     found = [None] * len(block)
     n_open = len(_STATE_OPEN)
     closes = [raw.find(_STATE_CLOSE, n_open) if raw.startswith(_STATE_OPEN) else -1
@@ -218,20 +291,22 @@ def _canonical_states(block: list[bytes]) -> list:
     # n entries take 5n - 2 bytes ("0.0" each, ", " between)
     close = next((c for c in closes if c > n_open and (c - n_open) % 5 == 3), None)
     if close is None:
-        return found
+        return found, 0
     picked = [i for i, c in enumerate(closes) if c == close]
     width = (close - n_open + 2) // 5
-    text = b", ".join(block[i][n_open:close] for i in picked) + b", "
+    # the picked state texts, each followed by ", ", joined from views into
+    # one buffer that is worked in place
+    texts = [memoryview(block[i])[n_open:close] for i in picked] + [b""]
+    diff = np.frombuffer(bytearray(b", ").join(texts), dtype=np.uint8)
+    diff = diff.reshape(len(picked), 5 * width)
     # XOR with "0.0, 0.0, ...": a canonical entry leaves its digit (0 or 1) and zeros
-    diff = np.frombuffer(text, dtype=np.uint8).reshape(len(picked), 5 * width)
-    diff = diff ^ np.frombuffer(b"0.0, " * width, dtype=np.uint8)
-    ok = (diff <= np.frombuffer(b"\x01\x00\x00\x00\x00" * width, dtype=np.uint8)).all(axis=1)
-    rows = np.flatnonzero(ok)
-    # the digits of the canonical rows, copied out so no state keeps diff alive
-    for k, state in zip(rows, diff[rows, ::5]):
-        i = picked[k]
-        found[i] = (state, block[i][close + len(_STATE_CLOSE) :])
-    return found
+    np.bitwise_xor(diff, np.frombuffer(b"0.0, " * width, dtype=np.uint8), out=diff)
+    digits = diff[:, ::5].copy()
+    diff[:, ::5] >>= 1
+    rows = np.flatnonzero(~diff.any(axis=1))
+    for k in rows:
+        found[picked[k]] = digits[k]
+    return found, close + len(_STATE_CLOSE)
 
 
 def _with_state(state: np.ndarray, rest: bytes) -> dict | None:
@@ -246,45 +321,6 @@ def _with_state(state: np.ndarray, rest: bytes) -> dict | None:
         return None
     obj["state"] = state
     return obj
-
-
-def _read_lines(path, kind: str):
-    """Yield ``(line number, object)`` for each record line after the header.
-    Line 1 is the header whatever it holds, so an empty file or a blank
-    first line is refused; later blank lines are skipped. A line that opens
-    with canonical state text has only its rest parsed as JSON; every other
-    line, and any line that path refuses, is decoded and parsed whole, which
-    gives the same object or reports its error."""
-    lineno = 0
-    with open(path, "rb") as fh:
-        while block := list(islice(fh, _BLOCK)):
-            for raw, canonical in zip(block, _canonical_states(block)):
-                lineno += 1
-                if canonical and lineno > 1:
-                    obj = _with_state(*canonical)
-                    if obj is not None:
-                        yield lineno, obj
-                        continue
-                # bytes, decoded line by line, so a non-UTF-8 byte is reported on its line
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError as err:
-                    raise DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
-                if not line:
-                    if lineno == 1:
-                        _check_header(path, kind, None)
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError as err:  # JSONDecodeError, or an integer of too many digits
-                    raise DataError(f"{path}:{lineno}: malformed JSON line "
-                                    f"({getattr(err, 'msg', err)})") from err
-                if lineno == 1:
-                    _check_header(path, kind, obj)
-                    continue
-                yield lineno, obj
-    if lineno == 0:
-        _check_header(path, kind, None)
 
 
 def _check_header(path, kind: str, obj) -> None:
@@ -320,7 +356,7 @@ def _numbers_field(value, name: str) -> np.ndarray:
 
 def _state_field(value) -> np.ndarray:
     """A canonical line's state arrives uint8; a state parsed with its whole
-    line is read as float64 and made uint8 by the record checks."""
+    line is read as float64 and made uint8 by the block checks."""
     return value if isinstance(value, np.ndarray) else _numbers_field(value, "state")
 
 
@@ -343,136 +379,211 @@ def _delta_field(value) -> int:
     return value
 
 
-def _labeled_example(obj) -> LabeledExample:
-    return LabeledExample(state=_state_field(obj["state"]),
-                          actions=_indices_field(obj["actions"]))
+def _labeled_fields(obj) -> tuple:
+    return _state_field(obj["state"]), _indices_field(obj["actions"])
 
 
-def _bandit_record(obj) -> BanditRecord:
-    return BanditRecord(
-        state=_state_field(obj["state"]),
-        logged_actions=_indices_field(obj["actions"]),
-        propensities=_numbers_field(obj["rho"], "rho"),
-        feedback=_delta_field(obj["delta"]),
-    )
+def _bandit_fields(obj) -> tuple:
+    return (_state_field(obj["state"]), _indices_field(obj["actions"]),
+            _numbers_field(obj["rho"], "rho"), _delta_field(obj["delta"]))
 
 
-def _build_records(path, lines, build) -> tuple[list, list[int]]:
-    """``build(obj)`` for each ``(line number, object)`` of ``lines``, and the
-    line numbers; the first field that fails stops with a ``path:line:`` error."""
-    records, linenos = [], []
-    for lineno, obj in lines:
-        try:
-            records.append(build(obj))
-        except KeyError as err:
-            raise DataError(f"{path}:{lineno}: missing field {err}") from err
-        except _FieldError as err:
-            raise DataError(f"{path}:{lineno}: {err}") from err
-        except (TypeError, ValueError, OverflowError) as err:
-            raise DataError(f"{path}:{lineno}: malformed field value ({err})") from err
+def _record_blocks(path, kind: str, fields):
+    """Per block of ``_BLOCK`` lines that holds a record, ``(line numbers,
+    columns)``: ``columns`` holds one list per field of ``fields(obj)`` over
+    the block's record lines. The lines are released before the rows are
+    yielded, and the rows before the next block is read."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        while block := list(islice(fh, _BLOCK)):
+            linenos, rows = _parse_block(path, kind, fields, block, lineno)
+            lineno += len(block)
+            del block
+            if rows:
+                yield linenos, list(zip(*rows))
+            del rows
+    if lineno == 0:
+        _check_header(path, kind, None)
+
+
+def _parse_block(path, kind: str, fields, block: list[bytes], lineno: int) -> tuple:
+    """The line numbers and ``fields(obj)`` of the record lines in ``block``,
+    whose first line is line ``lineno + 1``. Line 1 is the header whatever it
+    holds, so an empty file or a blank first line is refused; later blank
+    lines are skipped. A line that opens with canonical state text has only
+    its rest parsed as JSON; every other line, and any line that path
+    refuses, is decoded and parsed whole, which gives the same object or
+    reports its error. The first line or field that fails stops with its
+    line, before the block's rows are checked together."""
+    states, rest = _canonical_states(block)
+    linenos, rows = [], []
+    for raw, state in zip(block, states):
+        lineno += 1
+        obj = None if state is None or lineno == 1 else _with_state(state, raw[rest:])
+        if obj is None:
+            # bytes, decoded line by line, so a non-UTF-8 byte is reported on its line
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
+            if not line:
+                if lineno == 1:
+                    _check_header(path, kind, None)
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as err:  # JSONDecodeError, or an integer of too many digits
+                raise DataError(f"{path}:{lineno}: malformed JSON line "
+                                f"({getattr(err, 'msg', err)})") from err
+            if lineno == 1:
+                _check_header(path, kind, obj)
+                continue
+        rows.append(_row(path, lineno, fields, obj))
         linenos.append(lineno)
-    return records, linenos
+    return linenos, rows
 
 
-def read_labeled_jsonl(path) -> list[LabeledExample]:
-    """Read a labeled corpus and enforce the FORMATS.md record contract."""
-    corpus, linenos = _build_records(path, _read_lines(path, KIND_LABELED), _labeled_example)
-    if corpus:
-        _check_labeled_records(path, corpus, linenos)
-    return corpus
+def _row(path, lineno: int, fields, obj) -> tuple:
+    """``fields(obj)``; a field the record contract refuses stops with its line."""
+    try:
+        return fields(obj)
+    except KeyError as err:
+        raise DataError(f"{path}:{lineno}: missing field {err}") from err
+    except _FieldError as err:
+        raise DataError(f"{path}:{lineno}: {err}") from err
+    except (TypeError, ValueError, OverflowError) as err:
+        raise DataError(f"{path}:{lineno}: malformed field value ({err})") from err
 
 
-def _check_labeled_records(path, corpus: list[LabeledExample], linenos: list[int]) -> None:
-    """One pass over the stacked corpus: equal state lengths, state entries
-    0 or 1 (every state leaves uint8), and actions non-empty, sorted, unique
-    and non-negative."""
-
+def _fail_at(path, linenos: list[int]):
+    """``fail(i, message)``: raise ``path:line: message`` for row ``i`` of a block."""
     def fail(i: int, message: str):
         raise DataError(f"{path}:{linenos[i]}: {message}")
+    return fail
 
-    for i, ex in enumerate(corpus):
-        _check_width(fail, i, linenos[0], "state", ex.state, corpus[0].state)
-    _check_binary_states(fail, corpus)
-    sizes = np.array([ex.actions.size for ex in corpus])
-    bad = np.flatnonzero(sizes == 0)
+
+def _count_lines(path) -> int:
+    """The file's newline count: at least its number of records."""
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
+
+
+def _check_widths(fail, first_line: int, fields) -> None:
+    """Each row of each ``(name, rows, width)`` field has the width of the
+    file's first record (on ``first_line``), checked line by line."""
+    for i, row in enumerate(zip(*(rows for _, rows, _ in fields))):
+        for (name, _, width), value in zip(fields, row):
+            if value.shape != (width,):
+                fail(i, f"{name} has {value.size} entries, line {first_line} has {width}")
+
+
+def _put_states(fail, states, out: np.ndarray) -> None:
+    """Fail on the first state with an entry other than 0 or 1, then write
+    the block's states into ``out`` as uint8. Canonical lines arrive uint8
+    and 0/1 already, so only the states parsed with their whole line are
+    checked."""
+    parsed = [i for i, s in enumerate(states) if s.dtype != np.uint8]
+    if parsed:
+        stacked = np.stack([states[i] for i in parsed])
+        bad = np.flatnonzero(~((stacked == 0.0) | (stacked == 1.0)).all(axis=1))
+        if bad.size:
+            fail(parsed[bad[0]], "state entries must be 0 or 1")
+    np.stack(states, out=out, casting="unsafe")
+
+
+def read_labeled_jsonl(path) -> Corpus:
+    """Read a labeled corpus and enforce the FORMATS.md record contract, a
+    block of lines at a time."""
+    states, sizes, indices, n = None, [], [], 0
+    for linenos, columns in _record_blocks(path, KIND_LABELED, _labeled_fields):
+        if states is None:
+            first_line = linenos[0]
+            states = np.empty((_count_lines(path), columns[0][0].size), dtype=np.uint8)
+        size, actions = _labeled_block(_fail_at(path, linenos), first_line,
+                                       states[n : n + len(linenos)], *columns)
+        sizes.append(size)
+        indices.append(actions)
+        n += len(linenos)
+        del columns  # released before the next block is parsed
+    if states is None:
+        return Corpus(np.zeros((0, 0), np.uint8), np.zeros(1, np.int64), np.zeros(0, np.int64))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=offsets[1:])
+    return Corpus(states[:n], offsets, np.concatenate(indices))
+
+
+def _labeled_block(fail, first_line: int, out: np.ndarray, states, actions) -> tuple:
+    """Check one block's rows, put their states into ``out`` and return
+    their action counts and indices: equal state lengths, state entries 0 or
+    1, and actions non-empty, non-negative, sorted and unique."""
+    _check_widths(fail, first_line, [("state", states, out.shape[1])])
+    _put_states(fail, states, out)
+    size = np.array([a.size for a in actions])
+    bad = np.flatnonzero(size == 0)
     if bad.size:
         fail(bad[0], "actions must not be empty")
-    actions = np.concatenate([ex.actions for ex in corpus])
-    rows = np.repeat(np.arange(len(corpus)), sizes)
-    bad = rows[actions < 0]
+    indices = np.concatenate(actions)
+    rows = np.repeat(np.arange(len(size)), size)
+    bad = rows[indices < 0]
     if bad.size:
-        fail(bad[0], f"actions {corpus[bad[0]].actions.tolist()} include a negative index")
+        fail(bad[0], f"actions {actions[bad[0]].tolist()} include a negative index")
     # within a record each index must exceed the one before it
-    bad = rows[1:][(rows[1:] == rows[:-1]) & (actions[1:] <= actions[:-1])]
+    bad = rows[1:][(rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])]
     if bad.size:
-        fail(bad[0], f"actions {corpus[bad[0]].actions.tolist()} are not sorted and unique")
-
-
-def _check_width(fail, i: int, first_line: int, name: str, row: np.ndarray, first: np.ndarray):
-    if row.ndim != 1 or row.shape != first.shape:
-        fail(i, f"{name} has {row.size} entries, line {first_line} has {first.size}")
-
-
-def _check_binary_states(fail, records: list) -> None:
-    """Equal-length states: fail on the first record with an entry other
-    than 0 or 1, then make every state uint8. Canonical lines arrive uint8
-    and 0/1 already, so only the states parsed with their whole line are
-    stacked, checked and converted."""
-    parsed = [i for i, r in enumerate(records) if r.state.dtype != np.uint8]
-    if not parsed:
-        return
-    stacked = np.stack([records[i].state for i in parsed])
-    bad = np.flatnonzero(~((stacked == 0.0) | (stacked == 1.0)).all(axis=1))
-    if bad.size:
-        fail(parsed[bad[0]], "state entries must be 0 or 1")
-    for i, bits in zip(parsed, stacked.astype(np.uint8)):
-        records[i].state = bits
+        fail(bad[0], f"actions {actions[bad[0]].tolist()} are not sorted and unique")
+    return size, indices
 
 
 def read_bandit_jsonl(path) -> BanditLog:
-    """Read a bandit log and enforce the FORMATS.md record contract."""
-    records, linenos = _build_records(path, _read_lines(path, KIND_BANDIT), _bandit_record)
-    return _bandit_log(path, records, linenos)
-
-
-def _bandit_log(path, records: list[BanditRecord], linenos: list[int]) -> BanditLog:
-    """The records as one log, checked in one pass over its arrays: equal
-    state and rho lengths, state entries 0 or 1 (every state leaves uint8),
-    rho strictly inside (0, 1), actions == {c : rho[c] > 0.5}, and no empty
-    set with feedback 1."""
-
-    def fail(i: int, message: str):
-        raise DataError(f"{path}:{linenos[i]}: {message}")
-
-    if not records:
+    """Read a bandit log and enforce the FORMATS.md record contract, a block
+    of lines at a time."""
+    log, n = None, 0
+    for linenos, columns in _record_blocks(path, KIND_BANDIT, _bandit_fields):
+        if log is None:
+            first_line, rows = linenos[0], _count_lines(path)
+            width, num_classes = columns[0][0].size, columns[2][0].size
+            log = BanditLog(np.empty((rows, width), dtype=np.uint8),
+                            np.empty((rows, num_classes), dtype=bool),
+                            np.empty((rows, num_classes)), np.empty(rows, dtype=np.int64))
+        _bandit_block(_fail_at(path, linenos), first_line,
+                      log.take(slice(n, n + len(linenos))), *columns)
+        n += len(linenos)
+        del columns  # released before the next block is parsed
+    if log is None:
         return BanditLog(*(np.zeros((0, 0), t) for t in (np.uint8, bool, float)),
                          np.zeros(0, np.int64))
-    for i, r in enumerate(records):
-        _check_width(fail, i, linenos[0], "state", r.state, records[0].state)
-        _check_width(fail, i, linenos[0], "rho", r.propensities, records[0].propensities)
-    _check_binary_states(fail, records)
-    rho = np.stack([r.propensities for r in records])
+    return log.take(slice(0, n))
+
+
+def _bandit_block(fail, first_line: int, out: BanditLog, states, actions, rhos, deltas) -> None:
+    """Check one block's rows and put them into ``out``, the log's rows for
+    the block: equal state and rho lengths, state entries 0 or 1, rho
+    strictly inside (0, 1), actions == {c : rho[c] > 0.5}, and no empty set
+    with feedback 1."""
+    num_classes = out.rho.shape[1]
+    _check_widths(fail, first_line, [("state", states, out.states.shape[1]),
+                                     ("rho", rhos, num_classes)])
+    _put_states(fail, states, out.states)
+    rho = np.stack(rhos, out=out.rho)
     bad = np.flatnonzero(~((rho > 0.0) & (rho < 1.0)).all(axis=1))
     if bad.size:
         fail(bad[0], "rho must lie strictly inside (0, 1)")
-    n, num_classes = rho.shape
-    sizes = np.array([r.logged_actions.size for r in records])
-    actions = np.concatenate([r.logged_actions for r in records])
-    rows = np.repeat(np.arange(n), sizes)
-    in_range = (actions >= 0) & (actions < num_classes)
-    logged = np.zeros((n, num_classes), dtype=bool)
-    logged[rows[in_range], actions[in_range]] = True
-    predicted = predicted_mask(rho)
-    mismatch = (logged != predicted).any(axis=1)
+    out.logged_mask[:] = predicted_mask(rho)
+    size = np.array([a.size for a in actions])
+    indices = np.concatenate(actions)
+    rows = np.repeat(np.arange(len(size)), size)
+    in_range = (indices >= 0) & (indices < num_classes)
+    logged = np.zeros_like(out.logged_mask)
+    logged[rows[in_range], indices[in_range]] = True
+    mismatch = (logged != out.logged_mask).any(axis=1)
     mismatch[rows[~in_range]] = True
     bad = np.flatnonzero(mismatch)
     if bad.size:
         i = bad[0]
-        fail(i, f"actions {records[i].logged_actions.tolist()} differ from "
-                f"{{c : rho[c] > 0.5}} = {np.flatnonzero(predicted[i]).tolist()}")
+        fail(i, f"actions {actions[i].tolist()} differ from "
+                f"{{c : rho[c] > 0.5}} = {np.flatnonzero(out.logged_mask[i]).tolist()}")
     # feedback 1 means the logged set is the expert's, and no expert set is empty
-    delta = np.array([r.feedback for r in records], dtype=np.int64)
-    bad = np.flatnonzero((sizes == 0) & (delta == 1))
+    out.delta[:] = deltas
+    bad = np.flatnonzero((size == 0) & (out.delta == 1))
     if bad.size:
         fail(bad[0], "a positive record must log a non-empty action set")
-    return BanditLog(np.stack([r.state for r in records]), predicted, rho, delta)

@@ -46,15 +46,6 @@ class CorrectnessStats:
     available: bool  # False when either side had no supporting records
 
 
-def sets_to_mask(sets, num_classes: int) -> np.ndarray:
-    """Rows of boolean class membership from index collections."""
-    mask = np.zeros((len(sets), num_classes), dtype=bool)
-    for i, members in enumerate(sets):
-        for a in members:
-            mask[i, int(a)] = True
-    return mask
-
-
 def exact_match_rows(probs: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """Rows where the predicted set equals the set."""
     return np.all(predicted_mask(probs) == sets, axis=1)

@@ -194,19 +194,24 @@ class PolicyNet:
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
         return p[0] if squeeze else p
 
-    def probs_in_blocks(self, states: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    def probs_in_blocks(self, states: np.ndarray, rowwise: bool = False,
+                        rows: np.ndarray | None = None) -> np.ndarray:
         """``probs`` of each row of the (n, D) ``states`` as one (n, C) array,
         one call per ``PROBS_BLOCK`` rows, so no float64 copy of all the states
-        is held. ``rowwise`` stacks each block, giving each row the bits of
+        is held. ``rows``, when given, are the row indices to walk, in order:
+        each block gathers its own rows, so no copy of them is held either.
+        ``rowwise`` stacks each block, giving each row the bits of
         ``probs(row)``; otherwise each row has the bits of one ``probs(states)``
         call, so a 1-row tail, which would be a gemv, joins the block before it."""
-        n = len(states)
+        n = len(states) if rows is None else len(rows)
         starts = list(range(0, n, PROBS_BLOCK))
         if len(starts) > 1 and n - starts[-1] == 1:
             starts.pop()
         probs = np.empty((n, self.num_actions))
         for start, stop in zip(starts, starts[1:] + [n]):
-            block = states[start:stop, None] if rowwise else states[start:stop]
+            block = states[start:stop] if rows is None else states[rows[start:stop]]
+            if rowwise:
+                block = block[:, None]
             probs[start:stop] = self.probs(block).reshape(stop - start, -1)
         return probs
 

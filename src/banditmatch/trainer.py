@@ -14,7 +14,8 @@ batch's correct positives and negatives, builds the confidence and
 bandit-eligibility masks, and descends the sum of the four loss
 terms. Every method trains its full budget and returns the final model.
 A tenth of the log (rounded down) is set aside before training and never
-read.
+read. The kept rows are never copied: each batch gathers its own rows from
+the log.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import datasets, fet, nncore, objectives
-from .datasets import BanditLog, LabeledExample, SplitConfig
+from .datasets import BanditLog, Corpus, SplitConfig
 from .dialogworld import (
     WorldSchema,
     compute_aggregate,
@@ -165,7 +166,7 @@ def _descend(policy: PolicyNet, rng: np.random.Generator, n: int, epochs: int,
 
 
 def train_supervised(
-    examples: list[LabeledExample],
+    examples: Corpus,
     spec: MlpSpec,
     config: TrainConfig,
     stream: str = "sl",
@@ -181,10 +182,9 @@ def train_supervised(
         raise TrainerError("supervised training needs at least one example")
     rng = derive_rng(config.seed, stream)
     policy = PolicyNet(spec, rng=rng)
-    states = np.stack([ex.state for ex in examples])
+    states = examples.states
     eps = SL_LABEL_SMOOTHING
-    targets = fet.sets_to_mask([ex.actions for ex in examples], spec.output_dim)
-    targets = targets.astype(np.float64) * (1.0 - eps) + eps / 2.0
+    targets = examples.action_mask(spec.output_dim).astype(np.float64) * (1.0 - eps) + eps / 2.0
     delta = np.ones(len(examples), dtype=np.int64)
     _descend(policy, rng, len(examples), config.sl_epochs, config,
              lambda idx: objectives.loss_labeled(policy.forward(states[idx]), targets[idx],
@@ -192,9 +192,7 @@ def train_supervised(
     return policy
 
 
-def train_logging_policy(
-    labeled: list[LabeledExample], spec: MlpSpec, config: TrainConfig
-) -> PolicyNet:
+def train_logging_policy(labeled: Corpus, spec: MlpSpec, config: TrainConfig) -> PolicyNet:
     """Supervised training on the labeled split; returned frozen."""
     policy = train_supervised(labeled, spec, config, stream="logging")
     return policy.clone_frozen()
@@ -207,7 +205,7 @@ def train_on_log(
     logging_policy: PolicyNet,
     log: BanditLog,
     config: TrainConfig,
-    labeled_split: list[LabeledExample] | None = None,
+    labeled_split: Corpus | None = None,
     on_thresholds=None,
 ) -> tuple[PolicyNet, list[StepLog]]:
     """Fine-tune a copy of the logging policy on the logged feedback.
@@ -219,6 +217,11 @@ def train_on_log(
     the unlabeled pseudo-label pathway). Every other method takes its
     labeled term from the logged positives. Returns the trained policy and
     the per-step log, which holds plain numbers only.
+
+    The rows trained on are held as ``kept``, their indices into ``log``:
+    each batch is ``log.take`` of its own kept rows, and the KL reference
+    walks the kept rows in ``PROBS_BLOCK`` blocks, so no copy of the kept
+    rows is made.
 
     When given, ``on_thresholds(step, thresholds)`` receives the
     ``fet.ThresholdSet`` each FET step used, once per step; methods without
@@ -233,27 +236,26 @@ def train_on_log(
     if bad.size:
         raise TrainerError(f"record {bad[0]}: a positive record must log a non-empty action set")
     rng = derive_rng(config.seed, "train")
-    # a shuffle's first tenth is set aside unread and never copied: the batch
-    # draws, and so every trained byte, follow this draw and cut (training on
-    # those rows is an open ROADMAP item)
+    # a shuffle's first tenth is set aside unread: the batch draws, and so
+    # every trained byte, follow this draw and cut (training on those rows is
+    # an open ROADMAP item)
     kept = rng.permutation(len(log))[len(log) // 10:]
-    train = log.take(kept)
     policy = logging_policy.clone_trainable()
-    # step(number, idx, batch) -> (total loss, StepLog) with idx into train
+    # step(number, idx, batch) -> (total loss, StepLog) with idx into kept
     if config.method in (METHOD_IPS, METHOD_BANDITNET):
-        step = _crm_step(policy, logging_policy, train, config)
+        step = _crm_step(policy, logging_policy, log, kept, config)
     else:
-        step = _composite_step(policy, logging_policy, train, rng, config, labeled_split,
+        step = _composite_step(policy, logging_policy, log, kept, rng, config, labeled_split,
                                on_thresholds)
 
     history: list[StepLog] = []
 
     def logged_step(idx):
-        total, row = step(len(history) + 1, idx, train.take(idx))
+        total, row = step(len(history) + 1, idx, log.take(kept[idx]))
         history.append(row)
         return total
 
-    _descend(policy, rng, len(train), config.epochs, config, logged_step)
+    _descend(policy, rng, len(kept), config.epochs, config, logged_step)
     return policy, history
 
 
@@ -262,7 +264,8 @@ ALPHA_WEAK = 0.2
 ALPHA_STRONG = 2.0
 
 
-def _composite_step(policy, logging_policy, train, rng, config, labeled_split, on_thresholds):
+def _composite_step(policy, logging_policy, log, kept, rng, config, labeled_split,
+                    on_thresholds):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
     mix-up passes, and the sum of the four terms. The supervised term is the
     mixed-up expert split for fixmatch and the logged positives otherwise."""
@@ -274,10 +277,10 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split, o
     num_classes = logging_policy.num_actions
     aug_rng = derive_rng(config.seed, "augment")
     if use_split:
-        split_states = np.stack([ex.state for ex in labeled_split])
-        split_targets = fet.sets_to_mask([ex.actions for ex in labeled_split], num_classes)
+        split_states = labeled_split.states
+        split_targets = labeled_split.action_mask(num_classes)
     tracker = fet.FetTracker(num_classes, apply_scale=not config.no_mc_scale)
-    ref_train = logging_policy.probs_in_blocks(train.states) if use_kl else None
+    ref_train = logging_policy.probs_in_blocks(log.states, rows=kept) if use_kl else None
 
     def step(number: int, idx: np.ndarray, batch: BanditLog):
         states = batch.states.astype(np.float64)  # the batch's one float64 copy
@@ -352,9 +355,9 @@ def _composite_step(policy, logging_policy, train, rng, config, labeled_split, o
     return step
 
 
-def _crm_step(policy, logging_policy, train, config):
+def _crm_step(policy, logging_policy, log, kept, config):
     """The ips / banditnet step, with the optional KL control term."""
-    ref_train = logging_policy.probs_in_blocks(train.states) if config.add_kl else None
+    ref_train = logging_policy.probs_in_blocks(log.states, rows=kept) if config.add_kl else None
 
     def step(number: int, idx: np.ndarray, batch: BanditLog):
         probs_t = policy.forward(batch.states)
@@ -479,8 +482,8 @@ def _check_point(n: int, fraction: float) -> None:
             )
 
 
-def log_point(corpus: list[LabeledExample], schema: WorldSchema, fraction: float,
-              config: TrainConfig) -> tuple[list[LabeledExample], PolicyNet, BanditLog]:
+def log_point(corpus: Corpus, schema: WorldSchema, fraction: float,
+              config: TrainConfig) -> tuple[Corpus, PolicyNet, BanditLog]:
     """One grid point: split the corpus with ``config.seed``, train the
     logging policy on the labeled split, and log feedback on the rest.
     Returns the labeled split, the frozen logging policy and the log."""
@@ -493,7 +496,7 @@ def log_point(corpus: list[LabeledExample], schema: WorldSchema, fraction: float
 
 
 def run_rows(logging_policy: PolicyNet, log: BanditLog,
-             labeled: list[LabeledExample] | None, schema: WorldSchema,
+             labeled: Corpus | None, schema: WorldSchema,
              rows: list[tuple[str, TrainConfig]], n_dialogs: int, n_runs: int,
              eval_seed: int) -> list[ExperimentReport]:
     """Train every ``(name, config)`` row on the one log and evaluate it on
@@ -506,7 +509,7 @@ def run_rows(logging_policy: PolicyNet, log: BanditLog,
     return map_jobs(run_row, rows)
 
 
-def run_sl_sweep(corpus: list[LabeledExample], schema: WorldSchema, config: TrainConfig,
+def run_sl_sweep(corpus: Corpus, schema: WorldSchema, config: TrainConfig,
                  percentages=DEFAULT_SWEEP_PERCENTAGES, methods=FINETUNE_METHODS,
                  n_dialogs: int = 500, n_runs: int = 5,
                  ) -> dict[str, list[tuple[int, ExperimentReport]]]:

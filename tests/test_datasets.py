@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import jsonl_reference as ref
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
 from banditmatch.policy import PROBS_BLOCK, PolicyNet, policy_spec_for, predicted_mask
@@ -60,25 +61,95 @@ class TestCorpus:
             assert ex.actions.min() >= 0 and ex.actions.max() < schema.num_actions
 
 
+def row_keys(corpus) -> list:
+    """Each row's state and action bytes, in corpus order."""
+    return [(ex.state.tobytes(), ex.actions.tobytes()) for ex in corpus]
+
+
+def list_corpus(schema, n_dialogs, seed) -> list:
+    """The corpus as a list of examples, rolled out as generate_corpus does."""
+    rng = ds.derive_rng(seed, "corpus")
+    examples = []
+    for _ in range(n_dialogs):
+        pairs = []
+        dw.run_expert_episode(schema, dw.sample_goal(schema, rng), collect=pairs)
+        examples += [ds.LabeledExample(state, np.array(sorted(actions), dtype=np.int64))
+                     for state, actions in pairs]
+    return examples
+
+
+class TestCorpusArrays:
+    """The array corpus against the list of examples it replaces."""
+
+    def assert_rows(self, corpus, examples):
+        assert len(corpus) == len(examples)
+        for got in (list(corpus), [corpus[i] for i in range(len(corpus))]):
+            for a, b in zip(got, examples, strict=True):
+                for name in ("state", "actions"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    def test_generated_rows_and_arrays(self, schema, corpus):
+        examples = list_corpus(schema, 40, seed=11)
+        self.assert_rows(corpus, examples)
+        assert corpus.states.dtype == np.uint8 and corpus.states.flags.c_contiguous
+        assert corpus.offsets.dtype == corpus.indices.dtype == np.int64
+        assert corpus.offsets[0] == 0 and corpus.offsets[-1] == len(corpus.indices)
+        assert corpus[-1].actions.tolist() == examples[-1].actions.tolist()
+        with pytest.raises(IndexError):
+            corpus[len(corpus)]
+
+    def test_take_equals_list_indexing(self, schema, corpus):
+        examples = list_corpus(schema, 40, seed=11)
+        order = ds.derive_rng(5, "split").permutation(len(corpus))
+        for idx in (order, order[:7], order[:0], np.array([3, 3, 0])):
+            self.assert_rows(corpus.take(idx), [examples[i] for i in idx])
+        # the split is the list split's two index lists
+        labeled, pool = ds.split_corpus(corpus, ds.SplitConfig(0.3, seed=2))
+        order = ds.derive_rng(2, "split").permutation(len(corpus))
+        cut = ds.labeled_size(len(corpus), 0.3)
+        self.assert_rows(labeled, [examples[i] for i in order[:cut]])
+        self.assert_rows(pool, [examples[i] for i in order[cut:]])
+
+    def test_action_mask_equals_per_element_fill(self, schema, corpus):
+        examples = list_corpus(schema, 40, seed=11)
+        expected = np.zeros((len(examples), schema.num_actions), dtype=bool)
+        for i, ex in enumerate(examples):
+            for a in ex.actions:
+                expected[i, a] = True
+        got = corpus.action_mask(schema.num_actions)
+        assert got.dtype == bool and np.array_equal(got, expected)
+        assert corpus.take([]).action_mask(4).shape == (0, 4)
+
+    def test_action_mask_of_small_sets(self):
+        # rows {0, 2}, {} and {1}: an empty row, which no file holds, has no entry
+        corpus = ds.Corpus(np.zeros((3, 1), np.uint8), np.array([0, 2, 2, 3]),
+                           np.array([0, 2, 1]))
+        assert corpus.action_mask(3).tolist() == [
+            [True, False, True],
+            [False, False, False],
+            [False, True, False],
+        ]
+
+
 class TestSplit:
     def test_partition_property(self, corpus):
         labeled, pool = ds.split_corpus(corpus, ds.SplitConfig(0.3, seed=2))
         assert len(labeled) + len(pool) == len(corpus)
-        seen = {id(ex) for ex in labeled} | {id(ex) for ex in pool}
-        assert len(seen) == len(corpus)
+        assert sorted(row_keys(labeled) + row_keys(pool)) == sorted(row_keys(corpus))
 
     def test_round_half_up_sizing(self, corpus):
-        labeled, _ = ds.split_corpus(corpus[:1000], ds.SplitConfig(0.1, seed=0))
-        assert len(labeled) == round(0.1 * len(corpus[:1000]))
+        labeled, _ = ds.split_corpus(corpus, ds.SplitConfig(0.1, seed=0))
+        assert len(labeled) == round(0.1 * len(corpus))
 
     def test_full_fraction_empties_pool(self, corpus):
         labeled, pool = ds.split_corpus(corpus, ds.SplitConfig(1.0, seed=0))
-        assert pool == [] and len(labeled) == len(corpus)
+        assert len(pool) == 0 and len(labeled) == len(corpus)
 
     def test_same_seed_same_split(self, corpus):
         a = ds.split_corpus(corpus, ds.SplitConfig(0.25, seed=9))
         b = ds.split_corpus(corpus, ds.SplitConfig(0.25, seed=9))
-        assert [id(x) for x in a[0]] == [id(x) for x in b[0]]
+        assert row_keys(a[0]) == row_keys(b[0]) and row_keys(a[1]) == row_keys(b[1])
 
     def test_fraction_bounds(self):
         with pytest.raises(ds.DataError):
@@ -93,7 +164,7 @@ class TestPredictSet:
     @staticmethod
     def log_one(policy, state):
         example = ds.LabeledExample(state=state, actions=np.array([0], dtype=np.int64))
-        (record,) = ds.log_bandit_data(policy, [example])
+        (record,) = ds.log_bandit_data(policy, ref.corpus_of([example]))
         return record
 
     def test_strictly_above_half(self, schema):
@@ -193,8 +264,9 @@ class TestLogging:
     def test_one_probs_call_per_block(self, schema, monkeypatch, extra):
         n = PROBS_BLOCK + extra
         rng = np.random.default_rng(n)
-        pool = [ds.LabeledExample((rng.random(schema.state_dim) < 0.2).astype(np.uint8),
-                                  np.array([0], dtype=np.int64)) for _ in range(n)]
+        pool = ref.corpus_of([ds.LabeledExample(
+            (rng.random(schema.state_dim) < 0.2).astype(np.uint8),
+            np.array([0], dtype=np.int64)) for _ in range(n)])
         policy = random_policy(schema).clone_frozen()
         calls = spy_probs(monkeypatch)
         log = ds.log_bandit_data(policy, pool)
@@ -236,7 +308,7 @@ class TestPersistence:
 
     def test_malformed_line_reports_line_number(self, corpus, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        ds.write_labeled_jsonl(path, corpus[:3])
+        ds.write_labeled_jsonl(path, corpus.take(range(3)))
         lines = path.read_text().splitlines()
         lines[2] = "{broken"
         path.write_text("\n".join(lines) + "\n")
@@ -245,7 +317,7 @@ class TestPersistence:
 
     def test_version_mismatch_rejected(self, corpus, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        ds.write_labeled_jsonl(path, corpus[:1])
+        ds.write_labeled_jsonl(path, corpus.take([0]))
         lines = path.read_text().splitlines()
         lines[0] = '{"schema_version": "v999", "record": "labeled"}'
         path.write_text("\n".join(lines) + "\n")
@@ -254,7 +326,7 @@ class TestPersistence:
 
     def test_wrong_kind_rejected(self, schema, corpus, tmp_path):
         path = tmp_path / "x.jsonl"
-        ds.write_labeled_jsonl(path, corpus[:1])
+        ds.write_labeled_jsonl(path, corpus.take([0]))
         with pytest.raises(ds.DataError, match="bandit"):
             ds.read_bandit_jsonl(path)
 

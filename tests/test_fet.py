@@ -15,7 +15,6 @@ from banditmatch.fet import (
     model_correctness_pos,
     negative_thresholds,
     positive_thresholds,
-    sets_to_mask,
 )
 
 
@@ -365,11 +364,3 @@ class TestTracker:
         tracker.update(empty, np.zeros((0, 1), bool), empty,
                        np.array([[0.4]]), sets, np.array([[0.5]]))
         assert np.array_equal(tracker.accept_ema, before)
-
-    def test_sets_to_mask(self):
-        mask = sets_to_mask([{0, 2}, set(), [1]], 3)
-        assert mask.tolist() == [
-            [True, False, True],
-            [False, False, False],
-            [False, True, False],
-        ]

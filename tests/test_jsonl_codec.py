@@ -3,6 +3,7 @@ reference in ``jsonl_reference``: writers give the same bytes, readers the
 same records or the same ``path:line: reason`` on any input."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ def bandit_log(states, rho, delta) -> ds.BanditLog:
 
 @st.composite
 def record_lists(draw, kind):
-    """Records of one state width (1-200), as a corpus list or a bandit log;
+    """Records of one state width (1-200), as a corpus or a bandit log;
     bandit ``rho`` is random, with all entries below or above 0.5 for some
     records, so logged sets run from empty to full (an empty one with
     feedback 0, as the readers require); corpus actions are any short index
@@ -57,14 +58,12 @@ def record_lists(draw, kind):
         rhos.append(rho)
         deltas.append(draw(st.integers(0, int((rho > 0.5).any()))))
     if kind == "labeled":
-        return records
+        return ref.corpus_of(records)
     return bandit_log(np.reshape(states, (n, width)), np.reshape(rhos, (n, num_classes)), deltas)
 
 
 def with_uint8_states(records):
-    if isinstance(records, ds.BanditLog):
-        return replace(records, states=records.states.astype(np.uint8))
-    return [replace(r, state=r.state.astype(np.uint8)) for r in records]
+    return replace(records, states=records.states.astype(np.uint8))
 
 
 def outcome(read, path):
@@ -130,7 +129,7 @@ def _fuzz_file(kind, path):
     write = KINDS[kind][0]
     state = np.array([0.0, 1.0, 1.0, 0.0])
     if kind == "labeled":
-        write(path, [ds.LabeledExample(state=state, actions=np.array([0, 2]))] * 2)
+        write(path, ref.corpus_of([ds.LabeledExample(state=state, actions=np.array([0, 2]))] * 2))
     else:
         write(path, bandit_log([state] * 2, [[0.75, 0.125, 0.5625]] * 2, [1, 1]))
 
@@ -168,7 +167,8 @@ def test_blocks_mix_canonical_and_other_lines(kind, tmp_path):
     n = 2 * ds._BLOCK + 50
     states = (rng.random((n, 9)) < 0.3).astype(np.float64)
     if kind == "labeled":
-        records = [ds.LabeledExample(state=s, actions=np.array([1, 3])) for s in states]
+        records = ref.corpus_of([ds.LabeledExample(state=s, actions=np.array([1, 3]))
+                                 for s in states])
     else:
         rho = rng.uniform(0.01, 0.99, size=(n, 5))
         records = bandit_log(states, rho, (np.arange(n) % 2) * (rho > 0.5).any(axis=1))
@@ -256,7 +256,7 @@ def test_writers_refuse_non_binary_states(kind, entry, tmp_path):
     write = KINDS[kind][0]
     state = np.array([0.0, entry, 1.0])
     if kind == "labeled":
-        records = [ds.LabeledExample(state=state, actions=np.array([0]))]
+        records = ds.Corpus(state[None], np.array([0, 1]), np.array([0]))
     else:
         records = bandit_log([state], [[0.25]], [0])
     with pytest.raises(ds.DataError, match="state entries must be 0 or 1"):
@@ -265,16 +265,178 @@ def test_writers_refuse_non_binary_states(kind, entry, tmp_path):
 
 
 def test_writer_refuses_unequal_widths(tmp_path):
-    corpus = [ds.LabeledExample(state=np.zeros(3), actions=np.array([0])),
-              ds.LabeledExample(state=np.zeros(4), actions=np.array([0]))]
-    with pytest.raises(ds.DataError, match="states must be flat lists of 3 entries"):
-        ds.write_labeled_jsonl(tmp_path / "x.jsonl", corpus)
+    # a log's fields are arrays, so only two fields can disagree: here the
+    # logged sets are one class narrower than rho
+    log = bandit_log([[0.0, 1.0, 1.0]], [[0.75, 0.25]], [1])
+    with pytest.raises(ds.DataError, match=r"log fields of unequal shapes: .* logged_mask "
+                                           r"\(1, 1\), rho \(1, 2\)"):
+        ds.write_bandit_jsonl(tmp_path / "x.jsonl",
+                              replace(log, logged_mask=log.logged_mask[:, :1]))
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_negative_zero_written_as_zero(tmp_path):
     path = tmp_path / "x.jsonl"
-    ds.write_labeled_jsonl(path, [ds.LabeledExample(state=np.array([-0.0, 1.0]),
-                                                    actions=np.array([0]))])
+    ds.write_labeled_jsonl(path, ref.corpus_of([ds.LabeledExample(state=np.array([-0.0, 1.0]),
+                                                                  actions=np.array([0]))]))
     assert path.read_text().splitlines()[1] == '{"state": [0.0, 1.0], "actions": [0]}'
     (ex,) = ds.read_labeled_jsonl(path)
     assert not np.signbit(ex.state).any()
+
+
+# -- blocks: the readers fill arrays a block of lines at a time ---------------------
+
+B = ds._BLOCK
+
+
+def arrays_of(got) -> list:
+    """Every array a reader returns, as (dtype, shape, bytes); the
+    reference's list of examples counts as the corpus it lists."""
+    if isinstance(got, list):
+        got = ref.corpus_of(got)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in vars(got).values()]
+
+
+def block_records(kind, n: int):
+    """``n`` writer records of 9 state entries (and 5 classes), all distinct."""
+    rng = np.random.default_rng(n)
+    states = (rng.random((n, 9)) < 0.4).astype(np.uint8)
+    if kind == "labeled":
+        return ref.corpus_of([ds.LabeledExample(s, np.union1d(np.flatnonzero(rng.random(5) < 0.5),
+                                                              [k % 5]))
+                              for k, s in enumerate(states)])
+    rho = rng.uniform(0.01, 0.99, size=(n, 5))
+    return bandit_log(states, rho, rng.integers(0, 2, n) * (rho > 0.5).any(axis=1))
+
+
+def edited_lines(lines: list[str], edit: str) -> list[str]:
+    """The lines with a blank line, or a compact line, on each side of the
+    first block edge: between file lines B and B + 1, and between the Bth and
+    (B + 1)th record."""
+    lines = list(lines)
+    if edit == "compact":
+        for i in (B, B + 1):  # records B and B + 1 (line 1 is the header)
+            if i < len(lines):
+                lines[i] = json.dumps(json.loads(lines[i]), separators=(",", ":"))
+    elif edit == "blank":
+        for i in (B + 2, B + 1, B - 1):  # from the end, so each index still holds
+            if i < len(lines):
+                lines.insert(i, "")
+    return lines
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1],
+                         ids=["1", "B-1", "B", "B+1", "2B+1"])
+@pytest.mark.parametrize("edit", ["none", "blank", "compact"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no_newline"])
+def test_block_edges_read_as_reference(kind, n, edit, final_newline, tmp_path):
+    write, read, _, ref_read = KINDS[kind]
+    path = tmp_path / "edges.jsonl"
+    write(path, block_records(kind, n))
+    lines = edited_lines(path.read_text().splitlines(), edit)
+    end = "\n" if final_newline else ""
+    path.write_text("\n".join(lines) + end)
+    assert arrays_of(read(path)) == arrays_of(ref_read(path))
+    assert read_as_bytes(read, path) == outcome(ref_read, path)
+    # one broken line, in the first block, on either side of its edge, or last
+    record_lines = [i for i, line in enumerate(lines) if i and line]
+    for at in sorted({record_lines[0], *record_lines[B - 1 : B + 1], record_lines[-1]}):
+        for broken in (lines[at][:-1], lines[at].replace("0.0", "0.5", 1)):
+            path.write_text("\n".join(lines[:at] + [broken] + lines[at + 1:]) + end)
+            got = outcome(read, path)
+            assert got == outcome(ref_read, path)
+            assert got[1].startswith(f"{path}:{at + 1}: ")
+
+
+def test_labeled_block_faults_and_order(tmp_path):
+    # a file of one block reports the first fault as a whole-file check does:
+    # a field of the wrong type on a later line before a value fault earlier
+    path = tmp_path / "faults.jsonl"
+    ds.write_labeled_jsonl(path, block_records("labeled", B))
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace('"actions": [', '"actions": [-1, ', 1)
+    lines[9] = lines[9].replace('"actions": [', '"actions": ["x", ', 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert outcome(ds.read_labeled_jsonl, path) == outcome(ref.read_labeled_jsonl, path)
+    assert ':10: actions entry "x" is not an integer' in outcome(ds.read_labeled_jsonl, path)[1]
+    # with the field fault moved into the next block, the first block's
+    # fault comes first; a whole-file check still reports the field fault
+    lines = lines + lines[1:3]
+    lines[B + 1] = lines[9]
+    lines[9] = lines[10]
+    path.write_text("\n".join(lines) + "\n")
+    assert ":4: actions [-1, " in outcome(ds.read_labeled_jsonl, path)[1]
+    assert f":{B + 2}: actions entry " in outcome(ref.read_labeled_jsonl, path)[1]
+
+
+def test_reading_a_log_holds_its_arrays_and_one_block(tmp_path):
+    # the reader fills arrays sized from the newline count: beyond them it
+    # holds one block of lines and its parsed rows, never a record per line
+    # or a second copy of the rows (default-world widths, 12 blocks and more)
+    rng = np.random.default_rng(29)
+    n, d, c = 12 * B + 17, 167, 61
+    rho = rng.uniform(0.01, 0.99, size=(n, c))
+    path = tmp_path / "big.jsonl"
+    ds.write_bandit_jsonl(path, bandit_log((rng.random((n, d)) < 0.2).astype(np.uint8), rho,
+                                           rng.integers(0, 2, n) * (rho > 0.5).any(axis=1)))
+    tracemalloc.start()
+    try:
+        log = ds.read_bandit_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in vars(log).values())
+    block = B * path.stat().st_size / n
+    assert len(log) == n and arrays == n * (d + c + 8 * c + 8)
+    assert peak <= 1.5 * arrays + block, (peak / arrays, block / arrays)
+
+
+# -- writers refuse what the readers refuse ----------------------------------------
+
+def _faulty_log(fault: str) -> tuple[ds.BanditLog, str]:
+    """A three-record log whose second record breaks one rule, and the reason."""
+    log = bandit_log([[0, 1, 1]] * 3, [[0.75, 0.25]] * 3, [1, 0, 1])
+    if fault == "rho_nan":
+        log.rho[1, 1] = np.nan
+    elif fault == "rho_zero":
+        log.rho[1, 1] = 0.0
+    elif fault == "rho_one":
+        log.rho[1, 1] = 1.0
+        log.logged_mask[1, 1] = True
+    elif fault == "logged_set":
+        log.logged_mask[1, 1] = True
+        return log, "actions [0, 1] differ from {c : rho[c] > 0.5} = [0]"
+    elif fault == "delta":
+        log.delta[1] = 2
+        return log, "delta must be 0 or 1, got 2"
+    elif fault == "empty_positive":
+        log.rho[1] = 0.25
+        log.logged_mask[1] = False
+        log.delta[1] = 1
+        return log, "a positive record must log a non-empty action set"
+    elif fault == "state":
+        log = replace(log, states=np.array([[0, 1, 1], [0, 2, 1], [0, 1, 1]], np.uint8))
+        return log, "state entries must be 0 or 1"
+    return log, "rho must lie strictly inside (0, 1)"
+
+
+@pytest.mark.parametrize("fault", ["rho_nan", "rho_zero", "rho_one", "logged_set", "delta",
+                                   "empty_positive", "state"])
+def test_log_writer_refuses_what_the_reader_refuses(fault, tmp_path):
+    log, reason = _faulty_log(fault)
+    path = tmp_path / "x.jsonl"
+    with pytest.raises(ds.DataError) as err:
+        ds.write_bandit_jsonl(path, log)
+    assert str(err.value) == f"record 2: {reason}"
+    assert not path.exists()  # refused before the file is opened
+    # the plain writer writes it, and the reader refuses it for the same reason
+    ref.write_bandit_jsonl(path, log)
+    assert outcome(ds.read_bandit_jsonl, path) == ("DataError", f"{path}:3: {reason}")
+
+
+def test_log_writer_refuses_fields_of_unequal_lengths(tmp_path):
+    log, _ = _faulty_log("none")
+    with pytest.raises(ds.DataError, match=r"log fields of unequal shapes: .* delta \(2,\)"):
+        ds.write_bandit_jsonl(tmp_path / "x.jsonl", replace(log, delta=log.delta[:2]))
+    assert not (tmp_path / "x.jsonl").exists()

@@ -11,6 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+import jsonl_reference as ref
 from banditmatch import cli
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
@@ -94,7 +95,7 @@ class TestLoggingPolicy:
         states = np.stack([ex.state for ex in corpus])
         from banditmatch import fet
 
-        targets = fet.sets_to_mask([ex.actions for ex in corpus], spec_full.output_dim)
+        targets = corpus.action_mask(spec_full.output_dim)
         assert fet.exact_match_rows(policy.probs(states), targets).mean() > 0.95
 
     def test_returned_frozen(self, setup):
@@ -203,8 +204,9 @@ class TestFineTuning:
         cfg = replace(setup[2], epochs=1, method="fixmatch")
         labeled = setup[0]
         # the same states, each with the next example's action set
-        shifted = [ds.LabeledExample(ex.state, labeled[(i + 1) % len(labeled)].actions)
-                   for i, ex in enumerate(labeled)]
+        shifted = ref.corpus_of([ds.LabeledExample(ex.state,
+                                                   labeled[(i + 1) % len(labeled)].actions)
+                                 for i, ex in enumerate(labeled)])
         assert any(not np.array_equal(a.actions, b.actions) for a, b in zip(labeled, shifted))
         a, _ = tr.train_on_log(setup[3], setup[4], cfg, labeled_split=labeled)
         b, _ = tr.train_on_log(setup[3], setup[4], cfg, labeled_split=shifted)
@@ -229,7 +231,7 @@ class TestFineTuning:
 
     def test_empty_log_rejected(self, setup):
         with pytest.raises(tr.TrainerError):
-            tr.train_on_log(setup[3], ds.log_bandit_data(setup[3], []), setup[2])
+            tr.train_on_log(setup[3], ds.log_bandit_data(setup[3], setup[1].take([])), setup[2])
 
     def test_positive_record_with_empty_set_rejected(self, setup):
         # a log built in memory skips the reader's rule: a logging policy
@@ -254,9 +256,9 @@ class TestFineTuning:
             tr.train_on_log(setup[3], bad, cfg)
 
     def test_stacks_only_the_training_rows(self, schema, spec):
-        # the unread tenth of the log is never copied, and no second copy of
-        # the training rows is kept: a zero-epoch run peaks at about one
-        # copy of their uint8 states, propensities and logged-set mask
+        # the unread tenth of the log is never copied, and no copy of the
+        # training rows is kept: a zero-epoch run peaks well under one copy
+        # of their uint8 states, propensities and logged-set mask
         rng = np.random.default_rng(17)
         d, c, n = schema.state_dim, schema.num_actions, 3000
         log = random_log(rng, n, d, c)
@@ -271,11 +273,31 @@ class TestFineTuning:
             tracemalloc.stop()
         assert peak <= 1.75 * row_bytes, peak / row_bytes
 
+    def test_batches_gather_from_the_log(self, schema, spec):
+        # the kept rows are never copied: each batch takes its own rows from
+        # the log, so a zero-epoch run allocates the policy copy, the
+        # optimizer and the kept row indices, under a quarter of one copy
+        rng = np.random.default_rng(23)
+        d, c, n = schema.state_dim, schema.num_actions, 3000
+        log = random_log(rng, n, d, c)
+        pi0 = PolicyNet(spec, rng=rng).clone_frozen()
+        cfg = tr.TrainConfig(method="ips", epochs=0, hidden_dims=spec.hidden_dims)
+        row_bytes = (n - n // 10) * (d + c * 8 + c)
+        tracemalloc.start()
+        try:
+            tr.train_on_log(pi0, log, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * row_bytes, peak / row_bytes
+
     def test_kl_reference_built_in_blocks(self, schema, spec):
-        # a zero-epoch banditmatch run holds the training rows' uint8 states,
-        # propensities and logged-set mask and the frozen reference's
-        # probabilities; the reference pass adds one block's float64 layers,
-        # not a float64 copy of every state and every hidden activation
+        # a zero-epoch banditmatch run holds the frozen reference's
+        # probabilities, under the bound of one copy of the training rows'
+        # uint8 states, propensities and logged-set mask plus those
+        # probabilities; the reference pass adds one block's gathered rows
+        # and float64 layers, not a float64 copy of every state and every
+        # hidden activation
         rng = np.random.default_rng(19)
         d, c, n = schema.state_dim, schema.num_actions, 3000
         log = random_log(rng, n, d, c)
@@ -303,6 +325,10 @@ class TestFineTuning:
         got = policy.probs_in_blocks(states)
         assert got.shape == (n, schema.num_actions)
         assert np.array_equal(got, policy.probs(states))
+        # picked rows, gathered block by block, have the bits of their own copy's blocks
+        order = rng.permutation(n)[: max(1, n - 3)]
+        assert np.array_equal(policy.probs_in_blocks(states, rows=order),
+                              policy.probs_in_blocks(states[order]))
 
     def test_crm_kind_with_kl_variant(self, setup, schema):
         cfg = replace(setup[2], epochs=1, method="ips", add_kl=True)
