@@ -13,9 +13,9 @@ that is not a file, 4 schema/checkpoint version mismatch, 5 invalid
 configuration or value (including an input file that breaks FORMATS.md or
 does not fit the world or checkpoint it is used with, an output path that
 is a directory or whose directory cannot be made, and a numeric failure: a
-non-finite gradient, an overflow, an invalid value or a division by zero),
-1 unexpected failure. Output paths are checked before the command reads or
-trains anything.
+non-finite gradient, an overflow, an invalid value or a division by zero,
+or training that left every logit outside the clamp), 1 unexpected failure.
+Output paths are checked before the command reads or trains anything.
 """
 
 from __future__ import annotations
@@ -252,9 +252,9 @@ def _mismatch(path, what: str, got: int, limit_name: str, limit: int, source: st
 
 def _check_corpus_fits(path, corpus, state_dim: int, num_actions: int, source: str,
                        names=("state_dim", "num_actions")) -> None:
-    """State length and action indices of a labeled corpus (the reader has
-    made its actions non-empty, sorted and non-negative, so each row's last
-    index is its largest)."""
+    """State length and action indices of a labeled corpus (its constructor
+    has made its actions non-empty, sorted and non-negative, so each row's
+    last index is its largest)."""
     if not corpus:
         return
     if corpus.states.shape[1] != state_dim:
@@ -268,8 +268,8 @@ def _check_corpus_fits(path, corpus, state_dim: int, num_actions: int, source: s
 
 
 def _check_log_fits(path, log, policy: PolicyNet, source: str) -> None:
-    """State and rho lengths of a bandit log against the logging policy (the
-    reader has made the actions match rho)."""
+    """State and rho lengths of a bandit log against the logging policy (its
+    constructor has made the logged sets match rho)."""
     if not len(log):
         return
     spec = policy.spec

@@ -9,8 +9,10 @@ user feedback (1 iff the predicted set equals the expert set exactly).
 This module owns the labeled corpus and the bandit log, in memory and on
 disk. A ``Corpus`` holds the states and action sets in arrays, and a
 ``BanditLog`` one array per field, from rollout or logging through the
-files to training. Indexing either gives one row as a record of views; no
-record object is kept per row.
+files to training. Indexing either gives one row as a record of views. Each
+format's contract (FORMATS.md) is one row check, run when a corpus or log is
+built, by its constructor or by a reader per block of lines; rows taken
+from one (``take``, a split, a batch) are not checked again.
 
 Persistence is JSON-lines with a one-object header line carrying the
 schema version; floats round-trip at full precision. The binary state
@@ -59,11 +61,21 @@ class Corpus:
     the sorted action indices ``indices[offsets[i]:offsets[i + 1]]`` (CSR
     form: a corpus read from a file does not know the action count).
     ``corpus[i]``, and so iteration, gives a row as a ``LabeledExample``
-    whose arrays are views into the corpus."""
+    whose arrays are views into the corpus. Building one checks every row."""
 
     states: np.ndarray  # (n, D) uint8 0/1 entries
     offsets: np.ndarray  # (n + 1,) int64, from 0 to len(indices)
     indices: np.ndarray  # int64 action indices, row after row
+
+    def __post_init__(self):
+        offsets, indices, n = self.offsets, self.indices, len(self.states)
+        if (self.states.ndim != 2 or offsets.shape != (n + 1,) or indices.ndim != 1
+                or {offsets.dtype.kind, indices.dtype.kind} - set("iu")
+                or offsets[0] != 0 or offsets[-1] != len(indices)):
+            raise DataError(f"corpus offsets must be {n + 1} integers from 0 to the count of "
+                            f"integer indices, got {offsets.shape} {offsets.dtype}, "
+                            f"{indices.shape} {indices.dtype}")
+        _check_rows(self, _corpus_fault)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -73,14 +85,18 @@ class Corpus:
         return LabeledExample(self.states[i], self.indices[self.offsets[i] : self.offsets[i + 1]])
 
     def take(self, idx) -> "Corpus":
-        """The rows ``idx`` (non-negative), in that order."""
+        """The rows ``idx``, in that order: non-negative indices, or a slice
+        ``start:stop`` (``start < len``) whose rows are views."""
+        if isinstance(idx, slice):
+            at = self.offsets[idx.start : idx.stop + 1]
+            return _built(Corpus, self.states[idx], at - at[0], self.indices[at[0] : at[-1]])
         idx = np.asarray(idx, dtype=np.int64)
         starts, sizes = self.offsets[idx], np.diff(self.offsets)[idx]
         offsets = np.zeros(len(idx) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         # where each taken index sits in self.indices
         at = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
-        return Corpus(self.states[idx], offsets, self.indices[at])
+        return _built(Corpus, self.states[idx], offsets, self.indices[at])
 
     def action_mask(self, num_classes: int) -> np.ndarray:
         """The action sets as (n, num_classes) boolean rows."""
@@ -101,15 +117,25 @@ class BanditRecord:  # one row of a BanditLog
 class BanditLog:
     """The bandit log, one array per field with a row per record: the
     (x, y, delta, p) table. ``log[i]``, and so iteration, gives a row as a
-    ``BanditRecord`` whose arrays are views into the log."""
+    ``BanditRecord`` whose arrays are views into the log. Building one
+    checks every row."""
 
     states: np.ndarray  # (n, D) uint8 0/1 entries
     logged_mask: np.ndarray  # (n, C) bool, the logged sets
     rho: np.ndarray  # (n, C) float64 propensities at logging time
     delta: np.ndarray  # (n,) int64 feedback, 0 or 1
 
+    def __post_init__(self):
+        n = len(self.delta)
+        if (self.delta.shape != (n,) or self.logged_mask.shape != self.rho.shape
+                or self.rho.ndim != 2 or len(self.rho) != n
+                or self.states.ndim != 2 or len(self.states) != n):
+            raise DataError("log fields of unequal shapes: " + ", ".join(
+                f"{name} {field.shape}" for name, field in vars(self).items()))
+        _check_rows(self, _log_fault)
+
     def take(self, idx) -> "BanditLog":
-        return BanditLog(self.states[idx], self.logged_mask[idx], self.rho[idx], self.delta[idx])
+        return _built(BanditLog, *(field[idx] for field in vars(self).values()))
 
     def __len__(self) -> int:
         return len(self.delta)
@@ -119,6 +145,82 @@ class BanditLog:
                             int(self.delta[i]))
 
 
+# -- the row checks: each format's contract, run when a corpus or log is built
+
+
+def _built(cls, *values):
+    """A ``Corpus`` or ``BanditLog`` of rows already checked, not checked again."""
+    obj = object.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
+def _check_rows(rows, fault) -> None:
+    """Run the row check ``fault`` over a corpus or log a ``_BLOCK`` of rows at
+    a time (no temporary of all the rows); refuse the first bad row as ``record i``, from 1."""
+    for start in range(0, len(rows), _BLOCK):
+        found = fault(rows.take(slice(start, start + _BLOCK)))
+        if found:
+            raise DataError(f"record {start + found[0] + 1}: {found[1]}")
+
+
+def _non_binary_rows(states: np.ndarray) -> np.ndarray:
+    """The rows with a state entry other than 0 or 1 (``-0.0`` counts as 0)."""
+    return np.flatnonzero(~((states == 0) | (states == 1)).all(axis=1))
+
+
+def _corpus_fault(corpus: Corpus) -> tuple[int, str] | None:
+    """The first row of ``corpus`` that breaks a rule, and why, or None. Rule by
+    rule in a reader's order (FORMATS.md), then row by row: 0/1 states, and
+    actions non-empty (offsets never decrease), non-negative, sorted, unique."""
+    bad = _non_binary_rows(corpus.states)
+    if bad.size:
+        return bad[0], "state entries must be 0 or 1"
+    sizes = np.diff(corpus.offsets)
+    bad = np.flatnonzero(sizes <= 0)
+    if bad.size:
+        return bad[0], "actions must not be empty"
+    indices = corpus.indices
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    bad = rows[indices < 0]
+    if bad.size:
+        return bad[0], f"actions {corpus[bad[0]].actions.tolist()} include a negative index"
+    # within a row each index must exceed the one before it
+    bad = rows[1:][(rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])]
+    if bad.size:
+        return bad[0], f"actions {corpus[bad[0]].actions.tolist()} are not sorted and unique"
+    return None
+
+
+def _log_fault(log: BanditLog, differ=None) -> tuple[int, str] | None:
+    """The first row of ``log`` that breaks a rule, and why, or None. Rule by rule
+    in a reader's order (FORMATS.md), then row by row: ``delta`` 0 or 1, 0/1 states,
+    ``rho`` inside (0, 1), logged sets ``{c : rho[c] > 0.5}``, no positive row with
+    an empty set. A reader passes ``differ``: the rows whose lists differ, and the lists."""
+    delta, rho = log.delta, log.rho
+    bad = np.flatnonzero((delta != 0) & (delta != 1))
+    if bad.size:
+        return bad[0], f"delta must be 0 or 1, got {delta[bad[0]]}"
+    bad = _non_binary_rows(log.states)
+    if bad.size:
+        return bad[0], "state entries must be 0 or 1"
+    bad = np.flatnonzero(~((rho > 0.0) & (rho < 1.0)).all(axis=1))
+    if bad.size:
+        return bad[0], "rho must lie strictly inside (0, 1)"
+    bad, lists = differ or (
+        np.flatnonzero((log.logged_mask != predicted_mask(rho)).any(axis=1)), None)
+    if bad.size:
+        i = bad[0]
+        listed = np.flatnonzero(log.logged_mask[i]) if lists is None else lists[i]
+        return i, (f"actions {listed.tolist()} differ from "
+                   f"{{c : rho[c] > 0.5}} = {np.flatnonzero(rho[i] > 0.5).tolist()}")
+    # feedback 1 means the logged set is the expert's, and no expert set is empty
+    bad = np.flatnonzero((delta == 1) & ~log.logged_mask.any(axis=1))
+    if bad.size:
+        return bad[0], "a positive record must log a non-empty action set"
+    return None
+
+
 @dataclass
 class SplitConfig:
     labeled_fraction: float
@@ -126,9 +228,7 @@ class SplitConfig:
 
     def __post_init__(self):
         if not 0.0 < self.labeled_fraction <= 1.0:
-            raise DataError(
-                f"labeled_fraction must be in (0, 1], got {self.labeled_fraction}"
-            )
+            raise DataError(f"labeled_fraction must be in (0, 1], got {self.labeled_fraction}")
 
 
 def generate_corpus(schema: WorldSchema, n_dialogs: int, seed: int) -> Corpus:
@@ -194,7 +294,6 @@ def _header(kind: str) -> dict:
 
 
 def write_labeled_jsonl(path, corpus: Corpus) -> None:
-    _check_states(corpus.states)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_header(KIND_LABELED)) + "\n")
         for start, states in _state_texts(corpus.states):
@@ -207,7 +306,6 @@ def write_labeled_jsonl(path, corpus: Corpus) -> None:
 
 
 def write_bandit_jsonl(path, log: BanditLog) -> None:
-    _check_log(log)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_header(KIND_BANDIT)) + "\n")
         for start, states in _state_texts(log.states):
@@ -218,48 +316,6 @@ def write_bandit_jsonl(path, log: BanditLog) -> None:
                 for state, logged, rho, delta in zip(states, log.logged_mask[rows],
                                                      log.rho[rows].tolist(),
                                                      log.delta[rows].astype(np.int64).tolist())))
-
-
-def _refused(i: int, message: str) -> DataError:
-    """A writer's refusal of its row ``i``, counted from 1 as records are."""
-    return DataError(f"record {i + 1}: {message}")
-
-
-def _check_states(states: np.ndarray) -> None:
-    """Refuse a state entry other than 0 or 1 (``-0.0`` counts as 0), a block
-    of rows at a time, before the writer opens its file."""
-    for start in range(0, len(states), _BLOCK):
-        block = states[start : start + _BLOCK]
-        bad = np.flatnonzero(~((block == 0) | (block == 1)).all(axis=1))
-        if bad.size:
-            raise _refused(start + bad[0], "state entries must be 0 or 1")
-
-
-def _check_log(log: BanditLog) -> None:
-    """Refuse, with the reader's reason, a log the reader would refuse: fields
-    of unequal lengths or widths, a state entry other than 0 or 1, a
-    ``delta`` other than 0 or 1, ``rho`` not strictly inside (0, 1), a logged
-    set other than ``rho > 0.5``, or a positive record with an empty set."""
-    n = len(log.delta)
-    if (log.delta.shape != (n,) or log.logged_mask.shape != log.rho.shape
-            or len(log.states) != n or len(log.rho) != n):
-        raise DataError(f"log fields of unequal shapes: states {log.states.shape}, logged_mask "
-                        f"{log.logged_mask.shape}, rho {log.rho.shape}, delta {log.delta.shape}")
-    bad = np.flatnonzero((log.delta != 0) & (log.delta != 1))
-    if bad.size:
-        raise _refused(bad[0], f"delta must be 0 or 1, got {log.delta[bad[0]]}")
-    _check_states(log.states)
-    bad = np.flatnonzero(~((log.rho > 0.0) & (log.rho < 1.0)).all(axis=1))
-    if bad.size:
-        raise _refused(bad[0], "rho must lie strictly inside (0, 1)")
-    bad = np.flatnonzero((log.logged_mask != predicted_mask(log.rho)).any(axis=1))
-    if bad.size:
-        i = bad[0]
-        raise _refused(i, f"actions {np.flatnonzero(log.logged_mask[i]).tolist()} differ from "
-                          f"{{c : rho[c] > 0.5}} = {np.flatnonzero(log.rho[i] > 0.5).tolist()}")
-    bad = np.flatnonzero((log.delta == 1) & ~log.logged_mask.any(axis=1))
-    if bad.size:
-        raise _refused(bad[0], "a positive record must log a non-empty action set")
 
 
 def _state_texts(states: np.ndarray):
@@ -328,48 +384,37 @@ def _check_header(path, kind: str, obj) -> None:
         raise DataError(f"{path}:1: not a {kind!r} file (no schema_version header)")
     version = obj["schema_version"]
     if version != JSONL_VERSION:
-        raise DataVersionError(
-            f"{path}:1: schema version {version!r} unsupported "
-            f"(expected {JSONL_VERSION!r})"
-        )
+        raise DataVersionError(f"{path}:1: schema version {version!r} unsupported "
+                               f"(expected {JSONL_VERSION!r})")
     if obj.get("record") != kind:
-        raise DataError(
-            f"{path}:1: expected a {kind!r} file, found {obj.get('record')!r}"
-        )
+        raise DataError(f"{path}:1: expected a {kind!r} file, found {obj.get('record')!r}")
 
 
 class _FieldError(Exception):
     """A field value the record contract refuses; the reader names its line."""
 
 
-def _numbers_field(value, name: str) -> np.ndarray:
-    """``state`` or ``rho`` as float64. Only a JSON list of JSON numbers is
-    one: a string or bool entry would be coerced."""
+_NUMBERS, _INTEGERS = frozenset({int, float}), frozenset({int})
+
+
+def _list_field(value, name: str, types: frozenset) -> np.ndarray:
+    """The JSON list ``name`` of numbers (float64) or integers (int64), as
+    ``types`` says: any other entry, which numpy would coerce, is refused."""
+    noun, single, dtype = (("numbers", "a number", np.float64) if float in types
+                           else ("indices", "an integer", np.int64))
     if not isinstance(value, list):
-        raise _FieldError(f"{name} must be a flat list of numbers")
-    if not set(map(type, value)) <= {int, float}:
-        bad = next(a for a in value if type(a) not in (int, float))
-        raise _FieldError(f"{name} must be a flat list of numbers" if isinstance(bad, list)
-                          else f"{name} entry {json.dumps(bad)} is not a number")
-    return np.array(value, dtype=np.float64)
+        raise _FieldError(f"{name} must be a flat list of {noun}")
+    if not set(map(type, value)) <= types:
+        bad = next(a for a in value if type(a) not in types)
+        raise _FieldError(f"{name} must be a flat list of {noun}" if isinstance(bad, list)
+                          else f"{name} entry {json.dumps(bad)} is not {single}")
+    return np.array(value, dtype=dtype)
 
 
 def _state_field(value) -> np.ndarray:
     """A canonical line's state arrives uint8; a state parsed with its whole
-    line is read as float64 and made uint8 by the block checks."""
-    return value if isinstance(value, np.ndarray) else _numbers_field(value, "state")
-
-
-def _indices_field(value) -> np.ndarray:
-    """``actions`` as int64 indices. Only a JSON list of JSON integers is
-    one: a float, bool or string entry would be truncated or coerced."""
-    if not isinstance(value, list):
-        raise _FieldError("actions must be a flat list of indices")
-    for a in value:
-        if type(a) is not int:
-            raise _FieldError("actions must be a flat list of indices" if isinstance(a, list)
-                              else f"actions entry {json.dumps(a)} is not an integer")
-    return np.array(value, dtype=np.int64)
+    line is read as float64 and made uint8 by ``_put_states``."""
+    return value if isinstance(value, np.ndarray) else _list_field(value, "state", _NUMBERS)
 
 
 def _delta_field(value) -> int:
@@ -380,12 +425,12 @@ def _delta_field(value) -> int:
 
 
 def _labeled_fields(obj) -> tuple:
-    return _state_field(obj["state"]), _indices_field(obj["actions"])
+    return _state_field(obj["state"]), _list_field(obj["actions"], "actions", _INTEGERS)
 
 
 def _bandit_fields(obj) -> tuple:
-    return (_state_field(obj["state"]), _indices_field(obj["actions"]),
-            _numbers_field(obj["rho"], "rho"), _delta_field(obj["delta"]))
+    return (_state_field(obj["state"]), _list_field(obj["actions"], "actions", _INTEGERS),
+            _list_field(obj["rho"], "rho", _NUMBERS), _delta_field(obj["delta"]))
 
 
 def _record_blocks(path, kind: str, fields):
@@ -456,9 +501,10 @@ def _row(path, lineno: int, fields, obj) -> tuple:
 
 
 def _fail_at(path, linenos: list[int]):
-    """``fail(i, message)``: raise ``path:line: message`` for row ``i`` of a block."""
-    def fail(i: int, message: str):
-        raise DataError(f"{path}:{linenos[i]}: {message}")
+    """``fail(found)``: raise ``path:line: reason`` for ``found = (i, reason)``, if any."""
+    def fail(found):
+        if found:
+            raise DataError(f"{path}:{linenos[found[0]]}: {found[1]}")
     return fail
 
 
@@ -474,116 +520,69 @@ def _check_widths(fail, first_line: int, fields) -> None:
     for i, row in enumerate(zip(*(rows for _, rows, _ in fields))):
         for (name, _, width), value in zip(fields, row):
             if value.shape != (width,):
-                fail(i, f"{name} has {value.size} entries, line {first_line} has {width}")
+                fail((i, f"{name} has {value.size} entries, line {first_line} has {width}"))
 
 
-def _put_states(fail, states, out: np.ndarray) -> None:
-    """Fail on the first state with an entry other than 0 or 1, then write
-    the block's states into ``out`` as uint8. Canonical lines arrive uint8
-    and 0/1 already, so only the states parsed with their whole line are
-    checked."""
-    parsed = [i for i, s in enumerate(states) if s.dtype != np.uint8]
-    if parsed:
-        stacked = np.stack([states[i] for i in parsed])
-        bad = np.flatnonzero(~((stacked == 0.0) | (stacked == 1.0)).all(axis=1))
-        if bad.size:
-            fail(parsed[bad[0]], "state entries must be 0 or 1")
-    np.stack(states, out=out, casting="unsafe")
+def _put_states(states, out: np.ndarray) -> None:
+    """Write the block's states into ``out`` as uint8: in a state parsed with its
+    whole line, an entry other than 0 or 1 becomes 2, which the row check refuses."""
+    np.stack([s if s.dtype == np.uint8 else np.where((s == 0) | (s == 1), s, 2) for s in states],
+             out=out, casting="unsafe")
 
 
 def read_labeled_jsonl(path) -> Corpus:
-    """Read a labeled corpus and enforce the FORMATS.md record contract, a
-    block of lines at a time."""
-    states, sizes, indices, n = None, [], [], 0
-    for linenos, columns in _record_blocks(path, KIND_LABELED, _labeled_fields):
+    """Read a labeled corpus, a block of lines at a time: the file's width
+    rule, then the corpus row check."""
+    states, offsets, indices, n = None, [np.zeros(1, np.int64)], [], 0
+    for linenos, (texts, actions) in _record_blocks(path, KIND_LABELED, _labeled_fields):
+        fail = _fail_at(path, linenos)
         if states is None:
-            first_line = linenos[0]
-            states = np.empty((_count_lines(path), columns[0][0].size), dtype=np.uint8)
-        size, actions = _labeled_block(_fail_at(path, linenos), first_line,
-                                       states[n : n + len(linenos)], *columns)
-        sizes.append(size)
-        indices.append(actions)
+            first_line, states = linenos[0], np.empty((_count_lines(path), texts[0].size), np.uint8)
+        out = states[n : n + len(linenos)]
+        _check_widths(fail, first_line, [("state", texts, out.shape[1])])
+        _put_states(texts, out)
+        ends = np.zeros(len(actions) + 1, dtype=np.int64)
+        np.cumsum([a.size for a in actions], out=ends[1:])
+        block = _built(Corpus, out, ends, np.concatenate(actions))
+        fail(_corpus_fault(block))
+        offsets.append(ends[1:] + offsets[-1][-1])
+        indices.append(block.indices)
         n += len(linenos)
-        del columns  # released before the next block is parsed
+        del texts, actions, block  # released before the next block is parsed
     if states is None:
         return Corpus(np.zeros((0, 0), np.uint8), np.zeros(1, np.int64), np.zeros(0, np.int64))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(sizes), out=offsets[1:])
-    return Corpus(states[:n], offsets, np.concatenate(indices))
-
-
-def _labeled_block(fail, first_line: int, out: np.ndarray, states, actions) -> tuple:
-    """Check one block's rows, put their states into ``out`` and return
-    their action counts and indices: equal state lengths, state entries 0 or
-    1, and actions non-empty, non-negative, sorted and unique."""
-    _check_widths(fail, first_line, [("state", states, out.shape[1])])
-    _put_states(fail, states, out)
-    size = np.array([a.size for a in actions])
-    bad = np.flatnonzero(size == 0)
-    if bad.size:
-        fail(bad[0], "actions must not be empty")
-    indices = np.concatenate(actions)
-    rows = np.repeat(np.arange(len(size)), size)
-    bad = rows[indices < 0]
-    if bad.size:
-        fail(bad[0], f"actions {actions[bad[0]].tolist()} include a negative index")
-    # within a record each index must exceed the one before it
-    bad = rows[1:][(rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])]
-    if bad.size:
-        fail(bad[0], f"actions {actions[bad[0]].tolist()} are not sorted and unique")
-    return size, indices
+    return _built(Corpus, states[:n], np.concatenate(offsets), np.concatenate(indices))
 
 
 def read_bandit_jsonl(path) -> BanditLog:
-    """Read a bandit log and enforce the FORMATS.md record contract, a block
-    of lines at a time."""
+    """Read a bandit log, a block of lines at a time: the file's width rule, then the
+    log row check, with each line's ``actions`` (out-of-range ones too) as its sets."""
     log, n = None, 0
-    for linenos, columns in _record_blocks(path, KIND_BANDIT, _bandit_fields):
+    for linenos, (texts, actions, rhos, deltas) in _record_blocks(path, KIND_BANDIT,
+                                                                  _bandit_fields):
+        fail = _fail_at(path, linenos)
         if log is None:
-            first_line, rows = linenos[0], _count_lines(path)
-            width, num_classes = columns[0][0].size, columns[2][0].size
-            log = BanditLog(np.empty((rows, width), dtype=np.uint8),
-                            np.empty((rows, num_classes), dtype=bool),
-                            np.empty((rows, num_classes)), np.empty(rows, dtype=np.int64))
-        _bandit_block(_fail_at(path, linenos), first_line,
-                      log.take(slice(n, n + len(linenos))), *columns)
+            first_line, lines = linenos[0], _count_lines(path)
+            log = _built(BanditLog, np.empty((lines, texts[0].size), dtype=np.uint8),
+                         np.empty((lines, rhos[0].size), dtype=bool),
+                         np.empty((lines, rhos[0].size)), np.empty(lines, dtype=np.int64))
+        out = log.take(slice(n, n + len(linenos)))
+        _check_widths(fail, first_line, [("state", texts, out.states.shape[1]),
+                                         ("rho", rhos, out.rho.shape[1])])
+        _put_states(texts, out.states)
+        out.logged_mask[:] = predicted_mask(np.stack(rhos, out=out.rho))
+        out.delta[:] = deltas
+        rows = np.repeat(np.arange(len(actions)), [a.size for a in actions])
+        indices = np.concatenate(actions)
+        in_range = (indices >= 0) & (indices < out.rho.shape[1])
+        listed = np.zeros_like(out.logged_mask)
+        listed[rows[in_range], indices[in_range]] = True
+        differ = (listed != out.logged_mask).any(axis=1)
+        differ[rows[~in_range]] = True
+        fail(_log_fault(out, differ=(np.flatnonzero(differ), actions)))
         n += len(linenos)
-        del columns  # released before the next block is parsed
+        del texts, actions, rhos, deltas  # released before the next block is parsed
     if log is None:
         return BanditLog(*(np.zeros((0, 0), t) for t in (np.uint8, bool, float)),
                          np.zeros(0, np.int64))
     return log.take(slice(0, n))
-
-
-def _bandit_block(fail, first_line: int, out: BanditLog, states, actions, rhos, deltas) -> None:
-    """Check one block's rows and put them into ``out``, the log's rows for
-    the block: equal state and rho lengths, state entries 0 or 1, rho
-    strictly inside (0, 1), actions == {c : rho[c] > 0.5}, and no empty set
-    with feedback 1."""
-    num_classes = out.rho.shape[1]
-    _check_widths(fail, first_line, [("state", states, out.states.shape[1]),
-                                     ("rho", rhos, num_classes)])
-    _put_states(fail, states, out.states)
-    rho = np.stack(rhos, out=out.rho)
-    bad = np.flatnonzero(~((rho > 0.0) & (rho < 1.0)).all(axis=1))
-    if bad.size:
-        fail(bad[0], "rho must lie strictly inside (0, 1)")
-    out.logged_mask[:] = predicted_mask(rho)
-    size = np.array([a.size for a in actions])
-    indices = np.concatenate(actions)
-    rows = np.repeat(np.arange(len(size)), size)
-    in_range = (indices >= 0) & (indices < num_classes)
-    logged = np.zeros_like(out.logged_mask)
-    logged[rows[in_range], indices[in_range]] = True
-    mismatch = (logged != out.logged_mask).any(axis=1)
-    mismatch[rows[~in_range]] = True
-    bad = np.flatnonzero(mismatch)
-    if bad.size:
-        i = bad[0]
-        fail(i, f"actions {actions[i].tolist()} differ from "
-                f"{{c : rho[c] > 0.5}} = {np.flatnonzero(out.logged_mask[i]).tolist()}")
-    # feedback 1 means the logged set is the expert's, and no expert set is empty
-    out.delta[:] = deltas
-    bad = np.flatnonzero((size == 0) & (out.delta == 1))
-    if bad.size:
-        fail(bad[0], "a positive record must log a non-empty action set")

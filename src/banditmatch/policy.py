@@ -215,6 +215,23 @@ class PolicyNet:
             probs[start:stop] = self.probs(block).reshape(stop - start, -1)
         return probs
 
+    def all_logits_clamped(self, states: np.ndarray, rows: np.ndarray | None = None) -> bool:
+        """Whether every logit on the ``rows`` of ``states`` (all of them by
+        default) lies outside ``±LOGIT_CLAMP``, where the clamped sigmoid
+        passes no gradient (``forward``), so training can never move the
+        policy again. The blocks grow from one row to ``PROBS_BLOCK``: a
+        policy that can still learn is told apart on its first rows."""
+        n = len(states) if rows is None else len(rows)
+        start, stop = 0, 1
+        while start < n:
+            block = states[start:stop] if rows is None else states[rows[start:stop]]
+            # a logit that overflows is outside too
+            with np.errstate(over="ignore", invalid="ignore"):
+                if (np.abs(self._layers(block)[1]) <= LOGIT_CLAMP).any():
+                    return False
+            start, stop = stop, stop + min(2 * (stop - start), PROBS_BLOCK)
+        return True
+
     def _clone(self, role: str) -> "PolicyNet":
         clone = PolicyNet(self.spec, rng=None, role=role)
         for dst, src in zip(clone.parameters(), self.parameters()):

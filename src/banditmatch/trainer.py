@@ -36,7 +36,7 @@ from .dialogworld import (
     run_expert_episode,
     sample_goal,
 )
-from .nncore import Tensor
+from .nncore import LOGIT_CLAMP, Tensor
 from .policy import ActionSetPolicy, MlpSpec, PolicyNet, policy_spec_for
 from .seeding import derive_rng
 
@@ -176,7 +176,8 @@ def train_supervised(
     Targets are label-smoothed so the fitted probabilities stay
     calibrated instead of saturating on a small corpus; decision
     thresholds are unaffected but the recorded propensities keep usable
-    headroom for the downstream importance ratios and thresholds.
+    headroom for the downstream importance ratios and thresholds. A run
+    that diverges (``_check_can_learn``) raises ``TrainerError``.
     """
     if not examples:
         raise TrainerError("supervised training needs at least one example")
@@ -189,7 +190,18 @@ def train_supervised(
     _descend(policy, rng, len(examples), config.sl_epochs, config,
              lambda idx: objectives.loss_labeled(policy.forward(states[idx]), targets[idx],
                                                  delta[idx]))
+    _check_can_learn(policy, states)
     return policy
+
+
+def _check_can_learn(policy: PolicyNet, states: np.ndarray, rows=None) -> None:
+    """Refuse a trained policy whose every logit on the training rows lies
+    outside the clamp: no gradient reaches it there, so it can never learn
+    again, and every probability it gives is a clamp value."""
+    if policy.all_logits_clamped(states, rows):
+        n = len(states) if rows is None else len(rows)
+        raise TrainerError(f"training diverged: every logit is outside ±{LOGIT_CLAMP:g} on the "
+                           f"{n} training rows")
 
 
 def train_logging_policy(labeled: Corpus, spec: MlpSpec, config: TrainConfig) -> PolicyNet:
@@ -226,15 +238,12 @@ def train_on_log(
     When given, ``on_thresholds(step, thresholds)`` receives the
     ``fet.ThresholdSet`` each FET step used, once per step; methods without
     FET thresholds (fixmatch, ips, banditnet and ``no_fet``) never call it.
+    A run that diverges (``_check_can_learn``) raises ``TrainerError``.
     """
     if not len(log):
         raise TrainerError("empty bandit log")
     if config.method == METHOD_FIXMATCH and not labeled_split:
         raise TrainerError("the fixmatch baseline needs the labeled split")
-    # feedback 1 means the logged set is the expert's, and no expert set is empty
-    bad = np.flatnonzero((log.delta == 1) & ~log.logged_mask.any(axis=1))
-    if bad.size:
-        raise TrainerError(f"record {bad[0]}: a positive record must log a non-empty action set")
     rng = derive_rng(config.seed, "train")
     # a shuffle's first tenth is set aside unread: the batch draws, and so
     # every trained byte, follow this draw and cut (training on those rows is
@@ -256,6 +265,7 @@ def train_on_log(
         return total
 
     _descend(policy, rng, len(kept), config.epochs, config, logged_step)
+    _check_can_learn(policy, log.states, kept)
     return policy, history
 
 

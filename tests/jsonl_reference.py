@@ -1,10 +1,11 @@
-"""The JSONL writers and readers as plain ``json.dumps`` / ``json.loads``
+"""The JSONL writer and readers as plain ``json.dumps`` / ``json.loads``
 per line, holding one record object per line: the reference the block
 codec in ``datasets`` must match byte for byte (writers) and array for
-array or error for error (readers). The readers parse every line whole,
-build every record first and check them together, as one block of any
-size; they share only the package's field rules, so the line decoding,
-the blocks and the record checks are all compared."""
+array or error for error (readers). The writer takes raw rows, so it also
+writes the invalid files no corpus or log can hold. The readers parse
+every line whole, build every record first and check them together, as
+one block of any size; they share only the package's field rules, so the
+line decoding, the blocks and the record checks are all compared."""
 
 from __future__ import annotations
 
@@ -25,25 +26,20 @@ def corpus_of(examples) -> ds.Corpus:
     )
 
 
-def write_labeled_jsonl(path, corpus) -> None:
+def write_rows(path, kind: str, rows) -> None:
+    """Write raw ``(state, actions)`` rows, or ``(state, actions, rho,
+    delta)`` rows, after a ``kind`` header, whatever they hold: states and
+    ``rho`` as float lists, actions as integer lists, ``delta`` as an
+    integer."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(ds._header(ds.KIND_LABELED)) + "\n")
-        for ex in corpus:
-            fh.write(json.dumps({"state": np.asarray(ex.state, dtype=float).tolist(),
-                                 "actions": ex.actions.tolist()}) + "\n")
-
-
-def write_bandit_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(ds._header(ds.KIND_BANDIT)) + "\n")
-        for rec in records:
-            row = {
-                "state": np.asarray(rec.state, dtype=float).tolist(),
-                "actions": rec.logged_actions.tolist(),
-                "rho": rec.propensities.tolist(),
-                "delta": int(rec.feedback),
-            }
-            fh.write(json.dumps(row) + "\n")
+        fh.write(json.dumps(ds._header(kind)) + "\n")
+        for row in rows:
+            state, actions, *rest = row
+            record = {"state": np.asarray(state, dtype=float).tolist(),
+                      "actions": np.asarray(actions, dtype=np.int64).tolist()}
+            if rest:
+                record.update(rho=np.asarray(rest[0], dtype=float).tolist(), delta=int(rest[1]))
+            fh.write(json.dumps(record) + "\n")
 
 
 def _read_lines(path, kind: str):

@@ -420,17 +420,20 @@ class TestCrossFileWidths:
 
 class TestNumericBlowUp:
     """A learning rate of 1e308 on the tiny world: each run ends in exit 5
-    with one line that names the overflow, and no numpy warning."""
+    with one line that names the overflow or the divergence, and no numpy
+    warning."""
+
+    OVERFLOW = "error: overflow encountered in matmul\n"
 
     @staticmethod
-    def _one_line_exit_5(capsys, argv):
+    def _one_line_exit_5(capsys, argv, message=OVERFLOW):
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run(argv)
         err = capsys.readouterr().err
         assert code == cli.EXIT_INVALID
-        assert err == "error: overflow encountered in matmul\n"
+        assert err == message
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @staticmethod
@@ -438,6 +441,14 @@ class TestNumericBlowUp:
         path = tmp_path / name
         path.write_text("epochs = 1\nhidden_dims = 4\n" + text)
         return path
+
+    def _split_and_log(self, tiny_world_data, tmp_path):
+        world, corpus, _ = tiny_world_data
+        data = tmp_path / "data"
+        assert run(["split-and-log", "--world", world, "--corpus", corpus, "--seed", 1,
+                    "--config", self._config(tmp_path, "sl.cfg", "sl_epochs = 2\n"),
+                    "--out-dir", data]) == 0
+        return data
 
     def test_logging_policy_training(self, tiny_world_data, tmp_path, capsys):
         world, corpus, _ = tiny_world_data
@@ -447,18 +458,30 @@ class TestNumericBlowUp:
             "--config", cfg, "--out-dir", tmp_path / "data"])
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("method", ["banditmatch", "banditnet"])
+    def test_fine_tune_that_cannot_learn(self, tiny_world_data, tmp_path, capsys, method):
+        # one step takes the weights near 1e298, all finite, and every logit
+        # on the 44 training rows (48 logged less the unread tenth) outside
+        # the clamp: no checkpoint, training log or manifest is written
+        data = self._split_and_log(tiny_world_data, tmp_path)
+        out = tmp_path / "out"
+        self._one_line_exit_5(capsys, [
+            "train", "--method", method, "--bandit", data / "bandit.jsonl",
+            "--logging-policy", data / "logging_policy.json", "--seed", 1,
+            "--config", self._config(tmp_path, "blow_up.cfg", "learning_rate = 1e308\n"),
+            "--train-log", out / "log.csv", "--out", out / "p.json"],
+            "error: training diverged: every logit is outside ±15 on the 44 training rows\n")
+        assert not out.exists() or not list(out.iterdir())
+
     def test_fine_tuned_checkpoint_evaluated(self, tiny_world_data, tmp_path, capsys):
-        # training stops after one step with weights near 1e298, all finite;
-        # evaluating them overflows
-        world, corpus, _ = tiny_world_data
-        data = tmp_path / "data"
-        assert run(["split-and-log", "--world", world, "--corpus", corpus, "--seed", 1,
-                    "--config", self._config(tmp_path, "sl.cfg", "sl_epochs = 2\n"),
-                    "--out-dir", data]) == 0
-        assert run(["train", "--method", "banditnet", "--bandit", data / "bandit.jsonl",
-                    "--logging-policy", data / "logging_policy.json", "--seed", 1,
-                    "--config", self._config(tmp_path, "blow_up.cfg", "learning_rate = 1e308\n"),
-                    "--out", tmp_path / "bn.json"]) == 0
+        # weights near 1e298, all finite, as a fine-tune at 1e308 reached
+        # before training refused such a policy: evaluating them overflows
+        world = tiny_world_data[0]
+        data = self._split_and_log(tiny_world_data, tmp_path)
+        policy = PolicyNet.load(data / "logging_policy.json").clone_trainable()
+        for p in policy.parameters():
+            p.data *= 1e298
+        policy.save(tmp_path / "bn.json")
         self._one_line_exit_5(capsys, [
             "evaluate", "--world", world, "--checkpoint", tmp_path / "bn.json",
             "--n-dialogs", 20, "--n-runs", 1, "--out", tmp_path / "report.csv"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,13 +124,13 @@ class TestCorpusArrays:
         assert corpus.take([]).action_mask(4).shape == (0, 4)
 
     def test_action_mask_of_small_sets(self):
-        # rows {0, 2}, {} and {1}: an empty row, which no file holds, has no entry
-        corpus = ds.Corpus(np.zeros((3, 1), np.uint8), np.array([0, 2, 2, 3]),
-                           np.array([0, 2, 1]))
+        # rows {0, 2}, {1} and {0, 1, 2}
+        corpus = ds.Corpus(np.zeros((3, 1), np.uint8), np.array([0, 2, 3, 6]),
+                           np.array([0, 2, 1, 0, 1, 2]))
         assert corpus.action_mask(3).tolist() == [
             [True, False, True],
-            [False, False, False],
             [False, True, False],
+            [True, True, True],
         ]
 
 
@@ -284,6 +286,69 @@ class TestLogging:
         assert n > 2 * PROBS_BLOCK + 1 and n % PROBS_BLOCK > 1
         assert calls == [PROBS_BLOCK] * (n // PROBS_BLOCK) + [n % PROBS_BLOCK]
         assert all(np.array_equal(row, policy.probs(ex.state)) for row, ex in zip(log.rho, corpus))
+
+
+class TestContract:
+    """A corpus or log is checked when it is built, and a bad row is named
+    by its number counted from 1."""
+
+    def test_positive_record_with_empty_set_rejected(self, schema, corpus):
+        # a logging policy that predicts the empty set everywhere logs only
+        # negative records: feedback 1 means the logged set is the expert's,
+        # and no expert set is empty
+        policy = random_policy(schema).clone_trainable()
+        policy.biases[-1].data[:] = -20.0
+        log = ds.log_bandit_data(policy.clone_frozen(), corpus)
+        assert not log.logged_mask.any() and not log.delta.any()
+        message = "a positive record must log a non-empty action set"
+        with pytest.raises(ds.DataError, match=f"^record 1: {message}$"):
+            replace(log, delta=np.ones_like(log.delta))
+        delta = log.delta.copy()
+        delta[5] = 1
+        with pytest.raises(ds.DataError, match=f"^record 6: {message}$"):
+            replace(log, delta=delta)
+
+    def test_rows_numbered_across_blocks(self, schema):
+        corpus = ds.generate_corpus(schema, 120, seed=4)
+        assert len(corpus) > 2 * ds._BLOCK
+        indices = corpus.indices.copy()
+        row = 2 * ds._BLOCK + 3
+        indices[corpus.offsets[row]] = -1
+        with pytest.raises(ds.DataError, match=f"^record {row + 1}: actions \\[-1"):
+            replace(corpus, indices=indices)
+
+    @pytest.mark.parametrize("offsets, indices", [
+        ([0, 1], [0]),  # one boundary short
+        ([1, 1, 2], [0, 1]),  # not from 0
+        ([0, 1, 3], [0, 1]),  # not to the index count
+        ([0.0, 1.0, 2.0], [0, 1]),  # not integers
+        ([0, 1, 2], [0.0, 1.0]),  # indices not integers
+    ])
+    def test_offsets_that_do_not_fit_refused(self, offsets, indices):
+        with pytest.raises(ds.DataError, match="corpus offsets must be 3 integers from 0"):
+            ds.Corpus(np.zeros((2, 1), np.uint8), np.array(offsets), np.array(indices))
+
+    def test_decreasing_offsets_refused(self):
+        # row 2 runs from index 2 back to 1: it has no actions
+        with pytest.raises(ds.DataError, match="^record 2: actions must not be empty$"):
+            ds.Corpus(np.zeros((3, 1), np.uint8), np.array([0, 2, 1, 2]), np.array([0, 1]))
+
+    def test_built_checks_every_block_once(self, schema, tmp_path, row_checks):
+        # the constructor and the reader check a block of rows at a time;
+        # take and the split build from checked rows and check nothing
+        big = ds.generate_corpus(schema, 120, seed=4)
+        blocks = -(-len(big) // ds._BLOCK)
+        ds.write_labeled_jsonl(tmp_path / "c.jsonl", big)
+        assert row_checks == ["_corpus_fault"] * blocks  # generated, then written unchecked
+        row_checks.clear()
+        replace(big)
+        assert row_checks == ["_corpus_fault"] * blocks
+        row_checks.clear()
+        ds.split_corpus(big, ds.SplitConfig(0.5, seed=1))
+        big.take(np.arange(len(big)))
+        assert row_checks == []
+        ds.read_labeled_jsonl(tmp_path / "c.jsonl")  # the header shares the first block
+        assert row_checks == ["_corpus_fault"] * -(-(len(big) + 1) // ds._BLOCK)
 
 
 class TestPersistence:

@@ -3,6 +3,7 @@ reference in ``jsonl_reference``: writers give the same bytes, readers the
 same records or the same ``path:line: reason`` on any input."""
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -18,10 +19,8 @@ CODEC_SETTINGS = settings(max_examples=60, deadline=None, database=None,
                           suppress_health_check=[HealthCheck.too_slow])
 
 KINDS = {
-    "labeled": (ds.write_labeled_jsonl, ds.read_labeled_jsonl,
-                ref.write_labeled_jsonl, ref.read_labeled_jsonl),
-    "bandit": (ds.write_bandit_jsonl, ds.read_bandit_jsonl,
-               ref.write_bandit_jsonl, ref.read_bandit_jsonl),
+    "labeled": (ds.write_labeled_jsonl, ds.read_labeled_jsonl, ref.read_labeled_jsonl),
+    "bandit": (ds.write_bandit_jsonl, ds.read_bandit_jsonl, ref.read_bandit_jsonl),
 }
 
 
@@ -33,33 +32,40 @@ def bandit_log(states, rho, delta) -> ds.BanditLog:
 
 @st.composite
 def record_lists(draw, kind):
-    """Records of one state width (1-200), as a corpus or a bandit log;
-    bandit ``rho`` is random, with all entries below or above 0.5 for some
-    records, so logged sets run from empty to full (an empty one with
-    feedback 0, as the readers require); corpus actions are any short index
-    lists."""
+    """Raw rows of one state width (1-200): ``(state, actions)`` for a
+    corpus, ``(state, actions, rho, delta)`` for a bandit log. Bandit
+    ``rho`` is random, with all entries below or above 0.5 for some rows, so
+    logged sets run from empty to full (an empty one with feedback 0, as the
+    contract requires); corpus actions are any short index lists, so some
+    corpora cannot be built and only the plain writer writes them."""
     width = draw(st.integers(1, 200))
     num_classes = draw(st.integers(1, 12))
-    n = draw(st.integers(0, 6))
-    records, states, rhos, deltas = [], [], [], []
-    for _ in range(n):
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
         state = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=width,
                                        max_size=width)))
         if kind == "labeled":
             actions = draw(st.lists(st.integers(-1, 70), min_size=0, max_size=4))
-            records.append(ds.LabeledExample(state=state, actions=np.array(actions, np.int64)))
+            rows.append((state, np.array(actions, np.int64)))
             continue
         side = draw(st.sampled_from(["low", "high", "mixed"]))
         low, high = {"low": (0.0, 0.5), "high": (0.5, 1.0), "mixed": (0.0, 1.0)}[side]
         rho = np.array(draw(st.lists(
             st.floats(low, high, exclude_min=True, exclude_max=True),
             min_size=num_classes, max_size=num_classes)))
-        states.append(state)
-        rhos.append(rho)
-        deltas.append(draw(st.integers(0, int((rho > 0.5).any()))))
+        rows.append((state, np.flatnonzero(rho > 0.5), rho,
+                     draw(st.integers(0, int((rho > 0.5).any())))))
+    return rows
+
+
+def built(kind, rows):
+    """The corpus or log of raw ``rows``; the constructor refuses invalid ones."""
     if kind == "labeled":
-        return ref.corpus_of(records)
-    return bandit_log(np.reshape(states, (n, width)), np.reshape(rhos, (n, num_classes)), deltas)
+        return ref.corpus_of([ds.LabeledExample(state, actions) for state, actions in rows])
+    if not rows:
+        return bandit_log(np.zeros((0, 1)), np.zeros((0, 1)), [])
+    states, _, rhos, deltas = zip(*rows)
+    return bandit_log(np.stack(states), np.stack(rhos), deltas)
 
 
 def with_uint8_states(records):
@@ -94,20 +100,25 @@ def rewrite_lines(path, transform) -> None:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_writer_bytes_and_reader_records_match_reference(kind, tmp_path_factory):
-    write, read, ref_write, ref_read = KINDS[kind]
+    write, read, ref_read = KINDS[kind]
     root = tmp_path_factory.mktemp(f"codec_{kind}")
 
     @CODEC_SETTINGS
-    @given(records=record_lists(kind))
-    def check(records):
+    @given(rows=record_lists(kind))
+    def check(rows):
         new, old, bits = root / "new.jsonl", root / "old.jsonl", root / "bits.jsonl"
-        write(new, records)
-        ref_write(old, records)
-        assert new.read_bytes() == old.read_bytes()
-        # the same bytes from the uint8 states the encoder and readers give
-        write(bits, with_uint8_states(records))
-        assert bits.read_bytes() == new.read_bytes()
-        assert read_as_bytes(read, new) == outcome(ref_read, new)
+        ref.write_rows(old, kind, rows)
+        try:
+            records = built(kind, rows)
+        except ds.DataError:
+            records = None  # only the plain writer writes rows no corpus can hold
+        if records is not None:
+            write(new, records)
+            assert new.read_bytes() == old.read_bytes()
+            # the same bytes from the uint8 states the encoder and readers give
+            write(bits, with_uint8_states(records))
+            assert bits.read_bytes() == new.read_bytes()
+        assert read_as_bytes(read, old) == outcome(ref_read, old)
         # the same records in other spellings take the whole-line parse
         for transform in (
             lambda obj: json.dumps(obj, separators=(",", ":")),
@@ -136,7 +147,7 @@ def _fuzz_file(kind, path):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_single_byte_edits_read_the_same(kind, tmp_path):
-    _, read, _, ref_read = KINDS[kind]
+    _, read, ref_read = KINDS[kind]
     path = tmp_path / "fuzz.jsonl"
     _fuzz_file(kind, path)
     original = path.read_bytes()
@@ -162,7 +173,7 @@ def test_single_byte_edits_read_the_same(kind, tmp_path):
 def test_blocks_mix_canonical_and_other_lines(kind, tmp_path):
     """More lines than one block, with every tenth line compact: the reader
     takes both paths inside one block and across block boundaries."""
-    write, read, _, ref_read = KINDS[kind]
+    write, read, ref_read = KINDS[kind]
     rng = np.random.default_rng(0)
     n = 2 * ds._BLOCK + 50
     states = (rng.random((n, 9)) < 0.3).astype(np.float64)
@@ -228,7 +239,7 @@ def test_header_line_never_read_as_a_record(tmp_path):
 def test_missing_header_refused(kind, before, tmp_path):
     # line 1 is the header whatever it holds: a file that is empty, or that
     # puts a blank line before a valid header and records, is refused there
-    write, read, _, ref_read = KINDS[kind]
+    write, read, ref_read = KINDS[kind]
     path = tmp_path / "no_header.jsonl"
     _fuzz_file(kind, path)
     path.write_bytes(before + path.read_bytes() if before else b"")
@@ -239,7 +250,7 @@ def test_missing_header_refused(kind, before, tmp_path):
 @pytest.mark.parametrize("kind", KINDS)
 def test_rest_with_its_own_state_key(kind, tmp_path):
     # duplicate keys: the last one wins, as json.loads reads the whole line
-    write, read, _, ref_read = KINDS[kind]
+    write, read, ref_read = KINDS[kind]
     path = tmp_path / "dup.jsonl"
     _fuzz_file(kind, path)
     lines = path.read_text().splitlines()
@@ -253,26 +264,26 @@ def test_rest_with_its_own_state_key(kind, tmp_path):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("entry", [0.5, float("nan"), 2.0])
 def test_writers_refuse_non_binary_states(kind, entry, tmp_path):
-    write = KINDS[kind][0]
+    # no writer meets such a state: the constructor refuses it, naming the
+    # record, and the reader refuses the plain writer's file for that reason
+    read = KINDS[kind][1]
     state = np.array([0.0, entry, 1.0])
-    if kind == "labeled":
-        records = ds.Corpus(state[None], np.array([0, 1]), np.array([0]))
-    else:
-        records = bandit_log([state], [[0.25]], [0])
-    with pytest.raises(ds.DataError, match="state entries must be 0 or 1"):
-        write(tmp_path / "x.jsonl", records)
-    assert not (tmp_path / "x.jsonl").exists()  # refused before the file is opened
+    rows = [(state, np.array([0]))] if kind == "labeled" else [(state, [], [0.25], 0)]
+    with pytest.raises(ds.DataError) as err:
+        built(kind, rows)
+    assert str(err.value) == "record 1: state entries must be 0 or 1"
+    path = tmp_path / "x.jsonl"
+    ref.write_rows(path, kind, rows)
+    assert outcome(read, path) == ("DataError", f"{path}:2: state entries must be 0 or 1")
 
 
-def test_writer_refuses_unequal_widths(tmp_path):
+def test_writer_refuses_unequal_widths():
     # a log's fields are arrays, so only two fields can disagree: here the
-    # logged sets are one class narrower than rho
+    # logged sets are one class narrower than rho, and no such log is built
     log = bandit_log([[0.0, 1.0, 1.0]], [[0.75, 0.25]], [1])
     with pytest.raises(ds.DataError, match=r"log fields of unequal shapes: .* logged_mask "
                                            r"\(1, 1\), rho \(1, 2\)"):
-        ds.write_bandit_jsonl(tmp_path / "x.jsonl",
-                              replace(log, logged_mask=log.logged_mask[:, :1]))
-    assert not (tmp_path / "x.jsonl").exists()
+        replace(log, logged_mask=log.logged_mask[:, :1])
 
 
 def test_negative_zero_written_as_zero(tmp_path):
@@ -331,7 +342,7 @@ def edited_lines(lines: list[str], edit: str) -> list[str]:
 @pytest.mark.parametrize("edit", ["none", "blank", "compact"])
 @pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no_newline"])
 def test_block_edges_read_as_reference(kind, n, edit, final_newline, tmp_path):
-    write, read, _, ref_read = KINDS[kind]
+    write, read, ref_read = KINDS[kind]
     path = tmp_path / "edges.jsonl"
     write(path, block_records(kind, n))
     lines = edited_lines(path.read_text().splitlines(), edit)
@@ -392,51 +403,142 @@ def test_reading_a_log_holds_its_arrays_and_one_block(tmp_path):
     assert peak <= 1.5 * arrays + block, (peak / arrays, block / arrays)
 
 
-# -- writers refuse what the readers refuse ----------------------------------------
+# -- no writer meets what the readers refuse: the constructor refuses it --------
 
-def _faulty_log(fault: str) -> tuple[ds.BanditLog, str]:
-    """A three-record log whose second record breaks one rule, and the reason."""
-    log = bandit_log([[0, 1, 1]] * 3, [[0.75, 0.25]] * 3, [1, 0, 1])
+def _faulty_log(fault: str) -> tuple[tuple, str]:
+    """The fields of a three-record log whose second record breaks one rule,
+    and the reason."""
+    states = np.array([[0, 1, 1]] * 3, np.uint8)
+    rho = np.array([[0.75, 0.25]] * 3)
+    logged, delta = rho > 0.5, np.array([1, 0, 1])
+    reason = "rho must lie strictly inside (0, 1)"
     if fault == "rho_nan":
-        log.rho[1, 1] = np.nan
+        rho[1, 1] = np.nan
     elif fault == "rho_zero":
-        log.rho[1, 1] = 0.0
+        rho[1, 1] = 0.0
     elif fault == "rho_one":
-        log.rho[1, 1] = 1.0
-        log.logged_mask[1, 1] = True
+        rho[1, 1] = 1.0
+        logged[1, 1] = True
     elif fault == "logged_set":
-        log.logged_mask[1, 1] = True
-        return log, "actions [0, 1] differ from {c : rho[c] > 0.5} = [0]"
+        logged[1, 1] = True
+        reason = "actions [0, 1] differ from {c : rho[c] > 0.5} = [0]"
     elif fault == "delta":
-        log.delta[1] = 2
-        return log, "delta must be 0 or 1, got 2"
+        delta[1] = 2
+        reason = "delta must be 0 or 1, got 2"
     elif fault == "empty_positive":
-        log.rho[1] = 0.25
-        log.logged_mask[1] = False
-        log.delta[1] = 1
-        return log, "a positive record must log a non-empty action set"
+        rho[1] = 0.25
+        logged[1] = False
+        delta[1] = 1
+        reason = "a positive record must log a non-empty action set"
     elif fault == "state":
-        log = replace(log, states=np.array([[0, 1, 1], [0, 2, 1], [0, 1, 1]], np.uint8))
-        return log, "state entries must be 0 or 1"
-    return log, "rho must lie strictly inside (0, 1)"
+        states[1, 1] = 2
+        reason = "state entries must be 0 or 1"
+    return (states, logged, rho, delta), reason
 
 
 @pytest.mark.parametrize("fault", ["rho_nan", "rho_zero", "rho_one", "logged_set", "delta",
                                    "empty_positive", "state"])
 def test_log_writer_refuses_what_the_reader_refuses(fault, tmp_path):
-    log, reason = _faulty_log(fault)
-    path = tmp_path / "x.jsonl"
+    fields, reason = _faulty_log(fault)
     with pytest.raises(ds.DataError) as err:
-        ds.write_bandit_jsonl(path, log)
+        ds.BanditLog(*fields)
     assert str(err.value) == f"record 2: {reason}"
-    assert not path.exists()  # refused before the file is opened
-    # the plain writer writes it, and the reader refuses it for the same reason
-    ref.write_bandit_jsonl(path, log)
+    # the plain writer writes the rows, and the reader refuses them for the same reason
+    path = tmp_path / "x.jsonl"
+    states, logged, rho, delta = fields
+    ref.write_rows(path, "bandit", zip(states, map(np.flatnonzero, logged), rho, delta))
     assert outcome(ds.read_bandit_jsonl, path) == ("DataError", f"{path}:3: {reason}")
 
 
-def test_log_writer_refuses_fields_of_unequal_lengths(tmp_path):
-    log, _ = _faulty_log("none")
+def test_log_writer_refuses_fields_of_unequal_lengths():
+    states, logged, rho, delta = _faulty_log("none")[0]
     with pytest.raises(ds.DataError, match=r"log fields of unequal shapes: .* delta \(2,\)"):
-        ds.write_bandit_jsonl(tmp_path / "x.jsonl", replace(log, delta=log.delta[:2]))
-    assert not (tmp_path / "x.jsonl").exists()
+        ds.BanditLog(states, logged, rho, delta[:2])
+
+
+# -- one contract: what a constructor accepts, a reader accepts -----------------
+
+CORPUS_STATES = [2, 255]
+LOG_RHO = [0.0, 1.0, float("nan"), -0.5, 1.5, 0.5, 0.25, 0.75]
+
+
+@st.composite
+def contract_arrays(draw, kind):
+    """The arrays of a valid corpus or log of 1-5 rows, with 0-3 entries
+    then set to arbitrary values: a state entry, a row's action list, a
+    ``rho`` entry, a logged-set bit, or a ``delta`` (-1, 2, or 1 on a row
+    that may log an empty set)."""
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    states = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=width,
+                                             max_size=width), min_size=n, max_size=n)),
+                      dtype=np.uint8)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1))
+    if kind == "labeled":
+        lists = draw(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True)
+                              .map(sorted), min_size=n, max_size=n))
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                states[draw(cell)] = draw(st.sampled_from(CORPUS_STATES))
+            else:
+                lists[draw(st.integers(0, n - 1))] = draw(st.lists(st.integers(-3, 9), max_size=4))
+        sizes = [len(a) for a in lists]
+        return (states, np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+                np.array([a for row in lists for a in row], dtype=np.int64))
+    classes = draw(st.integers(1, 5))
+    # each row's rho below 0.5, above it or either, so sets run from empty to full
+    sides = st.sampled_from([(0.01, 0.49), (0.51, 0.99), (0.01, 0.99)])
+    rho = np.array([draw(st.lists(st.floats(*draw(sides)), min_size=classes, max_size=classes))
+                    for _ in range(n)])
+    logged = rho > 0.5
+    delta = np.array([draw(st.integers(0, int(row.any()))) for row in logged], dtype=np.int64)
+    cls = st.tuples(st.integers(0, n - 1), st.integers(0, classes - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        field = draw(st.sampled_from(["state", "rho", "logged", "delta", "positive"]))
+        if field == "state":
+            states[draw(cell)] = draw(st.sampled_from(CORPUS_STATES))
+        elif field == "rho":
+            rho[draw(cls)] = draw(st.sampled_from(LOG_RHO))
+        elif field == "logged":
+            at = draw(cls)
+            logged[at] = not logged[at]
+        else:
+            delta[draw(st.integers(0, n - 1))] = 1 if field == "positive" else draw(
+                st.sampled_from([-1, 2]))
+    return states, logged, rho, delta
+
+
+def raw_rows(kind, arrays):
+    """The rows of a corpus's or log's arrays, for the plain writer."""
+    if kind == "labeled":
+        states, offsets, indices = arrays
+        return [(s, indices[a:b]) for s, a, b in zip(states, offsets, offsets[1:])]
+    states, logged, rho, delta = arrays
+    return list(zip(states, map(np.flatnonzero, logged), rho, delta))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_constructor_accepts_what_the_reader_accepts(kind, tmp_path_factory):
+    # the constructor accepts exactly the arrays whose rows, written by the
+    # plain writer, the reader accepts, and refuses the others for the same
+    # reason on the same row (record i is line i + 1); what it accepts reads
+    # back equal in dtype, shape and bits
+    write, read, _ = KINDS[kind]
+    build = ds.Corpus if kind == "labeled" else ds.BanditLog
+    root = tmp_path_factory.mktemp(f"contract_{kind}")
+
+    @settings(CODEC_SETTINGS, max_examples=200)
+    @given(arrays=contract_arrays(kind))
+    def check(arrays):
+        path = root / "rows.jsonl"
+        ref.write_rows(path, kind, raw_rows(kind, arrays))
+        try:
+            built = build(*arrays)
+        except ds.DataError as err:
+            record, reason = re.fullmatch(r"record (\d+): (.*)", str(err)).groups()
+            assert outcome(read, path) == ("DataError", f"{path}:{int(record) + 1}: {reason}")
+            return
+        assert isinstance(outcome(read, path), list)
+        write(path, built)
+        assert arrays_of(read(path)) == arrays_of(built)
+
+    check()

@@ -48,6 +48,36 @@ class TestProbs:
         assert np.allclose(batch, singles, rtol=1e-12, atol=1e-15)
 
 
+class TestClampedLogits:
+    """``all_logits_clamped``: every logit outside ±LOGIT_CLAMP, found by
+    a walk over every row."""
+
+    @staticmethod
+    def linear_policy():
+        # logit 20 on the state (0, 0), outside the clamp; 10 on (1, 0), inside
+        policy = PolicyNet(MlpSpec(input_dim=2, hidden_dims=(), output_dim=1), rng=None)
+        policy.weights[0].data[:] = [[-10.0], [0.0]]
+        policy.biases[0].data[:] = 20.0
+        return policy
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_one_row_inside_is_found_anywhere(self, n):
+        policy = self.linear_policy()
+        states = np.zeros((n + 1, 2), dtype=np.uint8)
+        assert policy.all_logits_clamped(states[:n])
+        states[n, 0] = 1  # the last row's logit lies inside
+        assert not policy.all_logits_clamped(states)
+        order = np.arange(n + 1)[::-1]
+        assert not policy.all_logits_clamped(states, rows=order)
+        assert policy.all_logits_clamped(states, rows=order[1:])
+
+    def test_overflowing_logit_is_outside(self):
+        policy = self.linear_policy()
+        policy.weights[0].data[:] = 1e308
+        with np.errstate(over="raise", invalid="raise"):
+            assert policy.all_logits_clamped(np.ones((3, 2), dtype=np.uint8))
+
+
 class TestFrozenClone:
     def test_probs_unchanged_after_source_training(self, schema):
         policy = small_policy(schema, seed=3)

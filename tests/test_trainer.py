@@ -17,7 +17,6 @@ from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
 from banditmatch import trainer as tr
 from banditmatch.policy import PROBS_BLOCK, PolicyNet, policy_spec_for
-from banditmatch.seeding import derive_rng
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,11 +47,13 @@ def setup(schema, spec, corpus):
 
 def random_log(rng, n, d, c):
     """A log of ``n`` random rows: 0/1 states, sets of about a fifth of the
-    ``c`` classes, and feedback 0 wherever a set is empty."""
+    ``c`` classes (``rho`` above 0.5 on them, below elsewhere), and feedback
+    0 wherever a set is empty."""
     logged = rng.random((n, c)) < 0.2
+    rho = np.where(logged, rng.uniform(0.55, 0.95, (n, c)), rng.uniform(0.05, 0.45, (n, c)))
     delta = rng.integers(0, 2, n) * logged.any(axis=1)
-    return ds.BanditLog((rng.random((n, d)) < 0.2).astype(np.uint8), logged,
-                        rng.uniform(0.05, 0.95, (n, c)), delta.astype(np.int64))
+    return ds.BanditLog((rng.random((n, d)) < 0.2).astype(np.uint8), logged, rho,
+                        delta.astype(np.int64))
 
 
 def params_of(policy):
@@ -233,27 +234,16 @@ class TestFineTuning:
         with pytest.raises(tr.TrainerError):
             tr.train_on_log(setup[3], ds.log_bandit_data(setup[3], setup[1].take([])), setup[2])
 
-    def test_positive_record_with_empty_set_rejected(self, setup):
-        # a log built in memory skips the reader's rule: a logging policy
-        # that predicts the empty set everywhere, with every feedback 1, would
-        # take an empty set into the FET attribution
-        pi0 = setup[3].clone_trainable()
-        pi0.parameters()[-1].data[:] = -20.0
-        pi0 = pi0.clone_frozen()
-        log = setup[4]
-        cfg = replace(setup[2], epochs=1)
-        message = "a positive record must log a non-empty action set"
-        no_sets = replace(log, logged_mask=np.zeros_like(log.logged_mask),
-                          delta=np.ones_like(log.delta))
-        with pytest.raises(tr.TrainerError, match=f"record 0: {message}"):
-            tr.train_on_log(pi0, no_sets, cfg)
-        # one such record in the unread tenth is named too
-        unread = derive_rng(cfg.seed, "train").permutation(len(log))[: len(log) // 10]
-        bad = replace(log, logged_mask=log.logged_mask.copy(), delta=log.delta.copy())
-        bad.logged_mask[unread[0]] = False
-        bad.delta[unread[0]] = 1
-        with pytest.raises(tr.TrainerError, match=f"record {unread[0]}: {message}"):
-            tr.train_on_log(setup[3], bad, cfg)
+    def test_training_never_checks_rows_again(self, setup, row_checks):
+        # the log and the split were checked when built: neither the batch
+        # gathers nor the split's rows run a row check again
+        labeled, _, cfg, pi0, log = setup
+        for method in ("banditmatch", "fixmatch", "ips"):
+            tr.train_on_log(pi0, log, replace(cfg, epochs=1, method=method), labeled_split=labeled)
+        assert row_checks == []
+        # building a log from outside always runs it
+        replace(log)
+        assert row_checks == ["_log_fault"] * -(-len(log) // ds._BLOCK)
 
     def test_stacks_only_the_training_rows(self, schema, spec):
         # the unread tenth of the log is never copied, and no copy of the
@@ -352,6 +342,36 @@ class TestFineTuning:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(history)
         assert float(rows[0]["total"]) == history[0].total
+
+
+class TestDivergence:
+    """A trained policy whose every logit on the training rows lies outside
+    the clamp can never learn again, and training refuses it."""
+
+    @staticmethod
+    def clamped(policy, bias=20.0):
+        # a zero last layer and a bias past the clamp: every logit is `bias`
+        policy = policy.clone_trainable()
+        policy.weights[-1].data[:] = 0.0
+        policy.biases[-1].data[:] = bias
+        return policy.clone_frozen()
+
+    @pytest.mark.parametrize("method", ["banditmatch", "fixmatch", "ips", "banditnet"])
+    def test_every_logit_clamped_refused(self, setup, method):
+        labeled, _, cfg, pi0, log = setup
+        kept = len(log) - len(log) // 10
+        message = f"training diverged: every logit is outside ±15 on the {kept} training rows"
+        with pytest.raises(tr.TrainerError, match=message):
+            tr.train_on_log(self.clamped(pi0), log, replace(cfg, epochs=1, method=method),
+                            labeled_split=labeled)
+        # a logit at the clamp itself lies inside: such a policy may still learn
+        tr.train_on_log(self.clamped(pi0, bias=-15.0), log, replace(cfg, epochs=0))
+
+    def test_supervised_training_refused(self, setup, spec, monkeypatch):
+        labeled, _, cfg, _, _ = setup
+        monkeypatch.setattr(PolicyNet, "all_logits_clamped", lambda self, states, rows=None: True)
+        with pytest.raises(tr.TrainerError, match=f"outside ±15 on the {len(labeled)} training"):
+            tr.train_logging_policy(labeled, spec, replace(cfg, sl_epochs=1))
 
 
 class TestEvaluate:
