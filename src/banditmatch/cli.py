@@ -233,7 +233,7 @@ def output_paths(args) -> list[Path]:
     if args.command == "ablate":
         return [out_dir / "ablations.csv", out_dir / "ablations.json"]
     if args.command == "sweep":
-        # one file per method, then the logging policy's, as run_sl_sweep orders them
+        # one file per method, then the logging policy's, as a sweep point's rows run
         return [sweep_path(out_dir, name) for name in (*args.methods, "logging")]
     # the expert writes no trace
     flags = ("out", "json", "train_log", "threshold_trace")
@@ -434,8 +434,8 @@ def cmd_ablate(args, files: Files) -> dict | None:
     _check_log_fits(args.bandit, log, logging_policy,
                     f"logging policy {args.logging_policy}")
     cfg = _train_config(args)
-    reports = trainer.run_rows(logging_policy, log, None, schema, trainer.ablation_rows(cfg),
-                               args.n_dialogs, args.n_runs, cfg.seed)
+    point = (None, logging_policy, log, cfg.seed, trainer.ablation_rows(cfg))
+    [reports] = trainer.run_grid([point], schema, args.n_dialogs, args.n_runs)
     table_path, json_path = output_paths(args)
     write_report_csv(files.output(table_path), reports)
     write_report_json(files.output(json_path), reports)

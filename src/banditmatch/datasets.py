@@ -157,11 +157,13 @@ def _built(cls, *values):
 
 def _check_rows(rows, fault) -> None:
     """Run the row check ``fault`` over a corpus or log a ``_BLOCK`` of rows at
-    a time (no temporary of all the rows); refuse the first bad row as ``record i``, from 1."""
+    a time (no temporary of all the rows); refuse the first bad row as ``record i``, from 1.
+    Rows that pass keep their 0/1 states as uint8, the one in-memory form."""
     for start in range(0, len(rows), _BLOCK):
         found = fault(rows.take(slice(start, start + _BLOCK)))
         if found:
             raise DataError(f"record {start + found[0] + 1}: {found[1]}")
+    rows.states = rows.states.astype(np.uint8, copy=False)
 
 
 def _non_binary_rows(states: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ Covers: supervised training of the logging policy, fine-tuning on logged
 feedback (the full composite objective, its ablations, and the baseline
 objectives), interactive evaluation against the dialog world, and the
 paired comparison protocol: a grid point (split, logging policy, log) and
-a row loop that trains every row on that one log and evaluates all rows on
-one shared seed. The ablation table, the labeled-percentage sweep and the
-acceptance comparison are built from these two, whose rows run over ``map_jobs``.
+one grid runner that trains each point's rows on its log and evaluates them
+on one shared seed, every (point, row) in one ``map_jobs``. The ablation
+table, the labeled-percentage sweep and the acceptance comparison use both.
 
 Fine-tuning warm-starts from the logging policy. Each step draws a
 uniform batch from the log, refreshes the adaptive thresholds from the
@@ -472,7 +472,7 @@ def evaluate_expert(
 
 
 def ablation_rows(config: TrainConfig) -> list[tuple[str, TrainConfig]]:
-    """The full method and its five ablations as ``run_rows`` rows."""
+    """The full method and its five ablations as rows of a ``run_grid`` point."""
     base = replace(config, method=METHOD_BANDITMATCH)
     return [
         (METHOD_BANDITMATCH if ablation == "full" else f"{METHOD_BANDITMATCH}-{ablation}",
@@ -505,49 +505,44 @@ def log_point(corpus: Corpus, schema: WorldSchema, fraction: float,
     return labeled, logging_policy, datasets.log_bandit_data(logging_policy, pool)
 
 
-def run_rows(logging_policy: PolicyNet, log: BanditLog,
-             labeled: Corpus | None, schema: WorldSchema,
-             rows: list[tuple[str, TrainConfig]], n_dialogs: int, n_runs: int,
-             eval_seed: int) -> list[ExperimentReport]:
-    """Train every ``(name, config)`` row on the one log and evaluate it on
-    the one evaluation seed, so row differences are paired. Rows run over ``map_jobs``."""
-    def run_row(row):
-        name, cfg = row
-        trained, _ = train_on_log(logging_policy, log, cfg, labeled_split=labeled)
-        return evaluate(trained, schema, n_dialogs, n_runs, eval_seed, method=name)
+def run_grid(points, schema: WorldSchema, n_dialogs: int,
+             n_runs: int) -> list[list[ExperimentReport]]:
+    """Train every row of every point on that point's log and evaluate it on
+    the point's evaluation seed, so the rows of a point are paired. A point
+    is ``(labeled, logging_policy, log, eval_seed, rows)`` and a row is
+    ``(name, config)``; a row whose config is None evaluates the logging
+    policy untrained. Every (point, row) runs in one ``map_jobs``, point
+    after point; returns each point's reports in row order."""
+    def run_job(job):
+        (labeled, logging_policy, log, eval_seed, _), (name, cfg) = job
+        policy = logging_policy if cfg is None else train_on_log(
+            logging_policy, log, cfg, labeled_split=labeled)[0]
+        return evaluate(policy, schema, n_dialogs, n_runs, eval_seed, method=name)
 
-    return map_jobs(run_row, rows)
+    reports = iter(map_jobs(run_job, [(point, row) for point in points for row in point[-1]]))
+    return [[next(reports) for _ in rows] for *_, rows in points]
 
 
 def run_sl_sweep(corpus: Corpus, schema: WorldSchema, config: TrainConfig,
                  percentages=DEFAULT_SWEEP_PERCENTAGES, methods=FINETUNE_METHODS,
                  n_dialogs: int = 500, n_runs: int = 5,
                  ) -> dict[str, list[tuple[int, ExperimentReport]]]:
-    """Per percentage point, a grid point seeded from the point, then every
-    method trained and evaluated on its log. The rows are built and every
-    point's split checked first, so an unknown method or a point with an
-    empty side fails before any training. The points run through
-    ``map_jobs``; a point in a worker runs its rows one at a time."""
+    """Per percentage point, a grid point seeded from the point: every method
+    trained on its log, then its logging policy, each evaluated. The rows are
+    built and every point's split checked first, so an unknown method or a
+    point with an empty side fails before any training. Every point is logged
+    in one ``map_jobs``, then one ``run_grid`` runs every row."""
     rows = [(method, replace(config, method=method)) for method in methods]
     for p in percentages:
         _check_point(len(corpus), p / 100.0)
-
-    def run_point(p):
-        point_seed = int(derive_rng(config.seed, "sweep", p).integers(2**31))
-        labeled, logging_policy, log = log_point(
-            corpus, schema, p / 100.0, replace(config, seed=point_seed)
-        )
-        point_rows = [(name, replace(cfg, seed=point_seed)) for name, cfg in rows]
-        logging_report = evaluate(logging_policy, schema, n_dialogs, n_runs, point_seed,
-                                  method="logging")
-        return [logging_report] + run_rows(logging_policy, log, labeled, schema, point_rows,
-                                           n_dialogs, n_runs, point_seed)
-
-    results: dict[str, list] = {m: [] for m in (*methods, "logging")}
-    for p, reports in zip(percentages, map_jobs(run_point, percentages)):
-        for report in reports:
-            results[report.method].append((p, report))
-    return results
+    seeds = [int(derive_rng(config.seed, "sweep", p).integers(2**31)) for p in percentages]
+    logged = map_jobs(lambda ps: log_point(corpus, schema, ps[0] / 100.0,
+                                           replace(config, seed=ps[1])), zip(percentages, seeds))
+    points = [(*point, seed, [(n, replace(c, seed=seed)) for n, c in rows] + [("logging", None)])
+              for point, seed in zip(logged, seeds)]
+    grid = run_grid(points, schema, n_dialogs, n_runs)
+    return {name: [(p, reports[i]) for p, reports in zip(percentages, grid)]
+            for i, name in enumerate((*methods, "logging"))}
 
 
 # -- one process pool ------------------------------------------------------------------
@@ -566,9 +561,11 @@ def map_jobs(fn, items) -> list:
     usable CPU and item. Results and the first failure come in input order;
     a killed worker raises ``BrokenProcessPool``. The items already handed to
     workers when an item fails (up to workers + 1) still run to the end
-    before the failure is raised; the rest are cancelled. Inline when fewer
-    than two workers would run, where fork is unavailable, and in another
-    map's worker."""
+    before the failure is raised; the rest are cancelled. That run-on stays:
+    ``ProcessPoolExecutor`` cancels only items no worker has taken, and
+    stopping a running worker needs the pool's private process table.
+    Inline when fewer than two workers would run, where fork is unavailable,
+    and in another map's worker."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(items), cpus or 1)

@@ -4,7 +4,8 @@ The interactive-comparison criteria share a session fixture that runs the
 full 5-seed protocol (logging policy, composite method, baselines, and the
 two ablation rows) on the default world at a 10% labeled split with 500
 evaluation dialogs per seed, through the package's own grid point
-(``trainer.log_point``) and row loop (``trainer.run_rows``).
+(``trainer.log_point``, every seed's in one ``trainer.map_jobs``) and grid
+runner (``trainer.run_grid``, every seed's rows in one pool call).
 """
 
 import contextlib
@@ -259,24 +260,22 @@ def comparison():
     started = time.time()
     schema = dw.default_schema()
     corpus = ds.generate_corpus(schema, 400, seed=123)
+    configs = [tr.TrainConfig(seed=seed) for seed in COMPARISON_SEEDS]
+    logged = tr.map_jobs(lambda cfg: tr.log_point(corpus, schema, 0.10, cfg), configs)
+    points = [
+        (*point, 9000 + cfg.seed, [
+            ("logging", None),
+            ("banditmatch", cfg),
+            ("fixmatch", replace(cfg, method="fixmatch")),
+            ("ips", replace(cfg, method="ips")),
+            ("banditnet", replace(cfg, method="banditnet")),
+            ("no_cbl", replace(cfg, no_cbl=True)),
+            ("no_fet", replace(cfg, no_fet=True)),
+        ])
+        for point, cfg in zip(logged, configs)
+    ]
     rows: dict[str, list] = {}
-    for seed in COMPARISON_SEEDS:
-        cfg = tr.TrainConfig(seed=seed)
-        labeled, logging_policy, records = tr.log_point(corpus, schema, 0.10, cfg)
-        reports = [tr.evaluate(logging_policy, schema, EVAL_DIALOGS, 1, seed=9000 + seed,
-                               method="logging")]
-        reports += tr.run_rows(
-            logging_policy, records, labeled, schema,
-            [
-                ("banditmatch", cfg),
-                ("fixmatch", replace(cfg, method="fixmatch")),
-                ("ips", replace(cfg, method="ips")),
-                ("banditnet", replace(cfg, method="banditnet")),
-                ("no_cbl", replace(cfg, no_cbl=True)),
-                ("no_fet", replace(cfg, no_fet=True)),
-            ],
-            EVAL_DIALOGS, 1, 9000 + seed,
-        )
+    for reports in tr.run_grid(points, schema, EVAL_DIALOGS, 1):
         for report in reports:
             rows.setdefault(report.method, []).append(report.metrics)
     means = {

@@ -19,7 +19,8 @@ pseudo-label and KL weights were dropped.
 every fine-tuning method (fixmatch and banditnet among them), the threshold
 trace, ``evaluate --trace`` / ``--expert`` and the ablation table, whose rows
 run over the usable CPUs. ``test_sweep_golden_bytes`` pins the
-labeled-percentage sweep, whose points run the same way.
+labeled-percentage sweep, whose points are built the same way, and then
+every (point, row) runs in one grid.
 
 The digests were taken before the fused-node training step existed (the
 world and corpus digests before the array-native dialog turn), with

@@ -68,10 +68,6 @@ def built(kind, rows):
     return bandit_log(np.stack(states), np.stack(rhos), deltas)
 
 
-def with_uint8_states(records):
-    return replace(records, states=records.states.astype(np.uint8))
-
-
 def outcome(read, path):
     """Every field of every record, with dtype and shape, or the error raised."""
     try:
@@ -106,18 +102,17 @@ def test_writer_bytes_and_reader_records_match_reference(kind, tmp_path_factory)
     @CODEC_SETTINGS
     @given(rows=record_lists(kind))
     def check(rows):
-        new, old, bits = root / "new.jsonl", root / "old.jsonl", root / "bits.jsonl"
+        new, old = root / "new.jsonl", root / "old.jsonl"
         ref.write_rows(old, kind, rows)
         try:
             records = built(kind, rows)
         except ds.DataError:
             records = None  # only the plain writer writes rows no corpus can hold
         if records is not None:
+            # float 0/1 states are held as uint8, as the encoder and readers give them
+            assert records.states.dtype == np.uint8
             write(new, records)
             assert new.read_bytes() == old.read_bytes()
-            # the same bytes from the uint8 states the encoder and readers give
-            write(bits, with_uint8_states(records))
-            assert bits.read_bytes() == new.read_bytes()
         assert read_as_bytes(read, old) == outcome(ref_read, old)
         # the same records in other spellings take the whole-line parse
         for transform in (
@@ -295,6 +290,25 @@ def test_negative_zero_written_as_zero(tmp_path):
     assert not np.signbit(ex.state).any()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_float_states_held_as_uint8(kind, tmp_path):
+    # a corpus or log built from float64 0/1 states keeps them as uint8, and
+    # writes the bytes of one built from the same states as uint8
+    write = KINDS[kind][0]
+    states = np.array([[0.0, 1.0, -0.0], [1.0, 1.0, 0.0]])
+
+    def build(s):
+        if kind == "labeled":
+            return ds.Corpus(s, np.array([0, 1, 3]), np.array([2, 0, 1]))
+        return bandit_log(s, [[0.75, 0.25], [0.25, 0.125]], [1, 0])
+
+    floats, bits = build(states), build(states.astype(np.uint8))
+    assert floats.states.dtype == np.uint8
+    write(tmp_path / "floats.jsonl", floats)
+    write(tmp_path / "bits.jsonl", bits)
+    assert (tmp_path / "floats.jsonl").read_bytes() == (tmp_path / "bits.jsonl").read_bytes()
+
+
 # -- blocks: the readers fill arrays a block of lines at a time ---------------------
 
 B = ds._BLOCK
@@ -379,6 +393,16 @@ def test_labeled_block_faults_and_order(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     assert ":4: actions [-1, " in outcome(ds.read_labeled_jsonl, path)[1]
     assert f":{B + 2}: actions entry " in outcome(ref.read_labeled_jsonl, path)[1]
+
+
+def test_log_delta_refused_with_the_field_types(tmp_path):
+    # delta is checked as its line is parsed, so a bad delta on line 3 comes
+    # before a state entry fault on line 2 of the same block
+    path = tmp_path / "x.jsonl"
+    ref.write_rows(path, "bandit", [([0.5, 1.0], [0], [0.75], 1), ([0.0, 1.0], [0], [0.75], 2)])
+    assert outcome(ds.read_bandit_jsonl, path) == (
+        "DataError", f"{path}:3: delta must be 0 or 1, got 2")
+    assert outcome(ref.read_bandit_jsonl, path) == outcome(ds.read_bandit_jsonl, path)
 
 
 def test_reading_a_log_holds_its_arrays_and_one_block(tmp_path):

@@ -406,10 +406,8 @@ class TestEvaluate:
 class TestGrids:
     def test_ablation_grid_rows_and_shared_seeds(self, setup, schema):
         cfg = replace(setup[2], epochs=1)
-        reports = tr.run_rows(
-            setup[3], setup[4], None, schema, tr.ablation_rows(cfg),
-            n_dialogs=10, n_runs=1, eval_seed=77,
-        )
+        [reports] = tr.run_grid([(None, setup[3], setup[4], 77, tr.ablation_rows(cfg))], schema,
+                                n_dialogs=10, n_runs=1)
         assert len(reports) == 6
         assert reports[0].method == "banditmatch"
         assert {r.method for r in reports[1:]} == {
@@ -454,38 +452,66 @@ class TestGrids:
                             methods=("banditmatch", "bogus"), n_dialogs=5, n_runs=1)
         assert trained == []
 
+    def test_sweep_stops_after_a_failed_point(self, schema, corpus, monkeypatch, tmp_path):
+        # the second point's logging policy fails: no row of either point trains
+        real, real_train = tr.train_logging_policy, tr.train_on_log
+
+        def failing(labeled, spec, config):
+            if len(labeled) == ds.labeled_size(len(corpus), 0.5):
+                raise tr.TrainerError("the second point failed")
+            return real(labeled, spec, config)
+
+        def marking(*args, **kwargs):
+            (tmp_path / f"trained_{os.getpid()}").touch()  # seen from a worker too
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "train_logging_policy", failing)
+        monkeypatch.setattr(tr, "train_on_log", marking)
+        _usable_cpus(monkeypatch, 2)
+        cfg = tr.TrainConfig(seed=4, sl_epochs=10, epochs=1, hidden_dims=(16,))
+        with pytest.raises(tr.TrainerError, match="^the second point failed$"):
+            tr.run_sl_sweep(corpus, schema, cfg, percentages=(20, 50),
+                            methods=("banditmatch",), n_dialogs=5, n_runs=1)
+        assert list(tmp_path.iterdir()) == []
+
 
 def _usable_cpus(monkeypatch, n):
     monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestMapJobs:
-    """``map_jobs`` runs the rows of a grid and the points of a sweep over a
-    fork pool sized to the usable CPUs, with the results of one at a time."""
+    """``map_jobs`` runs the points of a grid, then its (point, row) pairs,
+    over a fork pool sized to the usable CPUs, with the results of one at a
+    time."""
 
-    def test_rows_in_input_order_match_one_at_a_time(self, setup, schema, monkeypatch):
+    def test_grid_in_input_order_matches_one_at_a_time(self, setup, schema, monkeypatch):
         labeled, _, cfg, pi0, records = setup
-        rows = [("ips", replace(cfg, method="ips", epochs=2)),
+        rows = [("logging", None),
+                ("ips", replace(cfg, method="ips", epochs=2)),
                 ("banditmatch", replace(cfg, epochs=1)),
                 ("fixmatch", replace(cfg, method="fixmatch", epochs=1))]
+        points = [(labeled, pi0, records, 31, rows),
+                  (labeled, pi0, records.take(np.arange(len(records) // 2)), 32, rows)]
         alone = [
-            tr.evaluate(tr.train_on_log(pi0, records, row_cfg, labeled_split=labeled)[0],
-                        schema, 6, 1, 31, method=name)
-            for name, row_cfg in rows
+            tr.evaluate(pi0 if row_cfg is None else
+                        tr.train_on_log(pi0, log, row_cfg, labeled_split=split)[0],
+                        schema, 6, 1, eval_seed, method=name)
+            for split, _, log, eval_seed, point_rows in points for name, row_cfg in point_rows
         ]
         real = tr.evaluate
         monkeypatch.setattr(tr, "evaluate", lambda *a, **k: (os.getpid(), real(*a, **k)))
         _usable_cpus(monkeypatch, 3)
-        pooled = tr.run_rows(pi0, records, labeled, schema, rows, 6, 1, 31)
-        assert [report for _, report in pooled] == alone
-        assert os.getpid() not in {pid for pid, _ in pooled}
+        pooled = tr.run_grid(points, schema, 6, 1)
+        assert [len(reports) for reports in pooled] == [4, 4]
+        assert [report for reports in pooled for _, report in reports] == alone
+        assert os.getpid() not in {pid for reports in pooled for pid, _ in reports}
 
     def test_worker_failure_raised_as_is(self, setup, schema, monkeypatch, tmp_path, capsys):
         _, _, cfg, pi0, records = setup
         rows = [(m, replace(cfg, method=m, epochs=1)) for m in ("banditmatch", "fixmatch", "ips")]
         _usable_cpus(monkeypatch, 3)
         with pytest.raises(tr.TrainerError) as excinfo:
-            tr.run_rows(pi0, records, None, schema, rows, 4, 1, 0)
+            tr.run_grid([(None, pi0, records, 0, rows)], schema, 4, 1)
         assert type(excinfo.value) is tr.TrainerError
         assert str(excinfo.value) == "the fixmatch baseline needs the labeled split"
         assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"  # from a worker
