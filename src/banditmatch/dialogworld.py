@@ -28,8 +28,8 @@ one ``_DomainTables`` per domain behind a name map: the state layout (the
 domain's feature offsets and a slot -> position map per flag block, plus
 the position each possible last-turn user act sets) and per slot a
 value -> entity bitmask. The encoder writes only the features the context
-holds, and entity matching is an AND of bitmasks (``_entity_mask``), shared
-by the database lookup and the Match metric.
+holds, and entity matching is an AND of bitmasks (``_constraint_mask``),
+shared by the database lookup and the Match metric.
 The same tables hold the action index of every act the expert can emit. The
 tables are not rebuilt, so a schema must not be mutated after construction;
 build a new one instead.
@@ -147,20 +147,14 @@ class _DomainTables:
         self.nooffer_action = index[AtomicAction(dom.name, NOOFFER)]
 
 
-def _entity_mask(tables: _DomainTables, constraints: dict) -> int:
-    """Bitmask of the entities whose slot values equal every constraint."""
-    mask = tables.all_entities
-    for slot, value in constraints.items():
-        mask &= tables.value_masks.get(slot, {}).get(value, 0)
-    return mask
-
-
-def _expressed_mask(tables: _DomainTables, dctx: DomainContext) -> int:
-    """Bitmask of the entities consistent with the constraints expressed so
-    far (dontcare and non-constraint slots ignored)."""
+def _constraint_mask(tables: _DomainTables, constraints: dict[str, str]) -> int:
+    """Bitmask of the entities that agree with the slot -> value map
+    ``constraints`` on every informable slot it names; dontcare and other
+    slots constrain nothing. A goal's constraints copy an entity's values,
+    which are never dontcare, so every one of them counts."""
     informable = tables.informable_masks
     mask = tables.all_entities
-    for slot, value in dctx.expressed.items():
+    for slot, value in constraints.items():
         if value != DONTCARE and slot in informable:
             mask &= informable[slot].get(value, 0)
     return mask
@@ -206,6 +200,11 @@ class WorldSchema:
                 raise WorldError(f"{where}: names, slots and values must be strings: {bad[0]!r}")
             if len(set(slots)) != len(slots):
                 raise WorldError(f"{where} lists a slot twice: {slots}")
+            # the user informs dontcare to lift a constraint, so no slot may hold it
+            for slot, listed in informable.items():
+                if DONTCARE in listed:
+                    raise WorldError(f"{where}: informable slot {slot!r} lists the reserved "
+                                     f"value {DONTCARE!r}")
             for ent in entities:
                 missing = [s for s in slots if s not in ent]
                 if missing:
@@ -510,7 +509,7 @@ class DialogContext:
 def db_matches(schema: WorldSchema, ctx: DialogContext, domain: str) -> list[int]:
     """Entity indices consistent with the constraints expressed so far."""
     tables = schema._tables_for(domain)
-    return _mask_indices(_expressed_mask(tables, ctx.domains[domain]))
+    return _mask_indices(_constraint_mask(tables, ctx.domains[domain].expressed))
 
 
 def apply_user_acts(ctx: DialogContext, acts: list[UserAct]) -> None:
@@ -592,7 +591,7 @@ def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
                 if s in pos:
                     state[pos[s]] = 1
         if dctx.active:
-            n = _expressed_mask(tables, dctx).bit_count()
+            n = _constraint_mask(tables, dctx.expressed).bit_count()
             state[tables.match + (0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3)] = 1
             state[tables.flags + 2] = 1
         if dctx.booking_requested:
@@ -799,7 +798,7 @@ def _compute_match(ctx: DialogContext, goal: UserGoal) -> int:
         dctx = ctx.domains[name]
         if dctx.selected_entity is None or not dctx.booked:
             return 0
-        agreeing = _entity_mask(schema._tables_for(name), goal.constraints[name])
+        agreeing = _constraint_mask(schema._tables_for(name), goal.constraints[name])
         if not agreeing >> dctx.selected_entity & 1:
             return 0
     return 1

@@ -9,9 +9,6 @@ general broadcasting beyond bias rows and scalars.
 Gradient conventions:
   * ``Tensor.backward()`` accumulates into ``grad``; callers zero grads
     between steps (repeated backward without zeroing adds up).
-  * Probabilities are the sigmoid of logits clamped to
-    ``[-LOGIT_CLAMP, +LOGIT_CLAMP]``, which bounds every class probability
-    away from 0 and 1 so all downstream logs stay finite.
   * A node's ``_backward(g)`` receives the node's own gradient and holds
     no reference to the node, so a graph is freed as soon as its last
     outside reference goes (no reference cycles, no wait for the cyclic
@@ -30,6 +27,9 @@ fused node from them and require equal bits.
 
 Optimizers: ``Adam`` updates in place and ``Sgd`` is plain gradient descent
 for hand-checkable tests; both refuse a missing or non-finite gradient.
+
+``LOGIT_CLAMP`` is the logit clamp of ``policy.PolicyNet``'s probability
+head, which documents it.
 """
 
 from __future__ import annotations
@@ -229,7 +229,9 @@ class Sgd:
 
 
 class Adam:
-    """Adaptive-moment optimizer."""
+    """Adaptive-moment optimizer. Besides the two moments of each parameter it
+    keeps one scratch pair, two buffers the size of its largest parameter,
+    which every parameter's update uses through a view of its own shape."""
 
     def __init__(
         self,
@@ -247,7 +249,10 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
+        size = max((p.data.size for p in self.params), default=0)
+        pair = (np.empty(size), np.empty(size))
+        self._scratch = [tuple(buf[: p.data.size].reshape(p.shape) for buf in pair)
+                         for p in self.params]
 
     def step(self) -> None:
         """One update, in place. Per parameter it computes, with the same

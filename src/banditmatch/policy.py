@@ -94,7 +94,11 @@ def predicted_mask(probs: np.ndarray) -> np.ndarray:
 
 
 class PolicyNet:
-    """Fully connected relu network with a clamped-sigmoid multi-label head."""
+    """Fully connected relu network with a clamped-sigmoid multi-label head.
+
+    Probabilities are the sigmoid of logits clamped to
+    ``[-LOGIT_CLAMP, +LOGIT_CLAMP]``, which bounds every class probability
+    away from 0 and 1 so all downstream logs stay finite."""
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator | None = None,
                  role: str = ROLE_TRAINABLE):

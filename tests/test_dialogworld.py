@@ -80,6 +80,23 @@ class TestSchema:
                 "is not in its informable list ['north', 'south']\n")
         assert not out.exists()
 
+    def test_informable_dontcare_refused(self, tmp_path, capsys):
+        # the user informs dontcare to lift a constraint, so no world may list it
+        # as a value: every command that loads the world stops with one line
+        payload = dw.tiny_schema().to_dict()
+        payload["domains"][0]["informable"]["area"].append(dw.DONTCARE)
+        with pytest.raises(dw.WorldError, match="lists the reserved value 'dontcare'"):
+            dw.WorldSchema.from_dict(payload)
+        world = tmp_path / "dontcare.json"
+        world.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert cli.main(["gen-world", "--schema-config", str(world),
+                         "--out", str(out / "w.json")]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: {world}: domain 'hotel': informable slot 'area' lists the reserved "
+            "value 'dontcare'\n")
+        assert not out.exists()
+
     def test_to_dict_payload_is_a_copy(self, tmp_path):
         # edits at every level of the payload leave the schema and its file as they were
         schema = dw.tiny_schema()

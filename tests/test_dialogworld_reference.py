@@ -215,7 +215,7 @@ def test_entity_matching_agrees_with_scan():
             k = int(rng.integers(0, len(dom.informable) + 1))
             slots = rng.choice(list(dom.informable), size=k, replace=False)
             cons = {str(s): str(rng.choice(dom.informable[s] + ["absent"])) for s in slots}
-            got = dw._mask_indices(dw._entity_mask(tables, cons))
+            got = dw._mask_indices(dw._constraint_mask(tables, cons))
             assert got == ref.entities_matching(dom, cons)
 
 

@@ -141,6 +141,16 @@ class TestOptimizers:
         nncore.Sgd([w], learning_rate=0.5).step()
         assert np.array_equal(w.data, np.array([1.0, -2.0]))
 
+    def test_adam_scratch_is_one_pair_of_the_largest_size(self):
+        params = make_net(seed=11, hidden=(6, 5)).parameters()
+        opt = nncore.Adam(params)
+        bases = [{id(view.base) for view in views} for views in zip(*opt._scratch)]
+        assert [len(ids) for ids in bases] == [1, 1] and bases[0] != bases[1]
+        largest = max(p.data.size for p in params)
+        for p, views in zip(params, opt._scratch):
+            for view in views:
+                assert view.shape == p.shape and view.base.shape == (largest,)
+
     def test_nonfinite_gradient_aborts(self):
         w = Tensor(1.0, requires_grad=True)
         w.grad = np.asarray(np.nan)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -15,6 +16,7 @@ import jsonl_reference as ref
 from banditmatch import cli
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
+from banditmatch import nncore
 from banditmatch import trainer as tr
 from banditmatch.policy import PROBS_BLOCK, PolicyNet, policy_spec_for
 from dataclasses import replace
@@ -342,6 +344,41 @@ class TestFineTuning:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(history)
         assert float(rows[0]["total"]) == history[0].total
+
+
+class TestGraphLifetime:
+    def test_each_step_graph_freed_before_the_next_is_built(self, setup, spec, monkeypatch):
+        # every forward node is tagged with the Adam steps taken before it was
+        # built; when a later step runs its first forward pass, it must be gone
+        steps, built = [0], []
+        forward, adam_step = PolicyNet.forward, nncore.Adam.step
+
+        def counting_step(opt):
+            adam_step(opt)
+            steps[0] += 1
+
+        def tracked_forward(policy, states):
+            alive = sorted({tag + 1 for tag, node in built
+                            if tag < steps[0] and node() is not None})
+            assert not alive, f"step {steps[0] + 1} builds while graphs of steps {alive} live"
+            node = forward(policy, states)
+            built.append((steps[0], weakref.ref(node)))
+            return node
+
+        monkeypatch.setattr(nncore.Adam, "step", counting_step)
+        monkeypatch.setattr(PolicyNet, "forward", tracked_forward)
+        cfg = replace(setup[2], epochs=1, sl_epochs=1)
+        runs = {
+            "sl": lambda: tr.train_logging_policy(setup[0], spec, cfg),
+            "banditmatch": lambda: tr.train_on_log(setup[3], setup[4], cfg),
+            "ips": lambda: tr.train_on_log(setup[3], setup[4], replace(cfg, method="ips")),
+        }
+        for name, run in runs.items():
+            steps[0] = 0
+            built.clear()
+            run()
+            assert steps[0] > 1, name
+            assert all(node() is None for _, node in built), name
 
 
 class TestDivergence:
