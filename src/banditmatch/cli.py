@@ -32,12 +32,6 @@ import sys
 import time
 from pathlib import Path
 
-# One BLAS thread unless the caller sets these: the matrix products here are
-# small, and a second thread mostly contends with other processes for a core.
-# Set before numpy first loads, which is when OpenBLAS reads them.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import numpy as np
 
 from . import datasets, dialogworld, nncore, trainer

@@ -116,19 +116,18 @@ class BanditRecord:  # one row of a BanditLog
 @dataclass
 class BanditLog:
     """The bandit log, one array per field with a row per record: the
-    (x, y, delta, p) table. ``log[i]``, and so iteration, gives a row as a
-    ``BanditRecord`` whose arrays are views into the log. Building one
-    checks every row."""
+    (x, p, delta) table. A row's logged set is the logging policy's
+    predicted set, ``predicted_mask(rho)``, so it is derived, not stored.
+    ``log[i]``, and so iteration, gives a row as a ``BanditRecord`` whose
+    arrays are views into the log. Building one checks every row."""
 
     states: np.ndarray  # (n, D) uint8 0/1 entries
-    logged_mask: np.ndarray  # (n, C) bool, the logged sets
     rho: np.ndarray  # (n, C) float64 propensities at logging time
     delta: np.ndarray  # (n,) int64 feedback, 0 or 1
 
     def __post_init__(self):
         n = len(self.delta)
-        if (self.delta.shape != (n,) or self.logged_mask.shape != self.rho.shape
-                or self.rho.ndim != 2 or len(self.rho) != n
+        if (self.delta.shape != (n,) or self.rho.ndim != 2 or len(self.rho) != n
                 or self.states.ndim != 2 or len(self.states) != n):
             raise DataError("log fields of unequal shapes: " + ", ".join(
                 f"{name} {field.shape}" for name, field in vars(self).items()))
@@ -141,8 +140,8 @@ class BanditLog:
         return len(self.delta)
 
     def __getitem__(self, i: int) -> BanditRecord:
-        return BanditRecord(self.states[i], np.flatnonzero(self.logged_mask[i]), self.rho[i],
-                            int(self.delta[i]))
+        return BanditRecord(self.states[i], np.flatnonzero(predicted_mask(self.rho[i])),
+                            self.rho[i], int(self.delta[i]))
 
 
 # -- the row checks: each format's contract, run when a corpus or log is built
@@ -194,11 +193,12 @@ def _corpus_fault(corpus: Corpus) -> tuple[int, str] | None:
     return None
 
 
-def _log_fault(log: BanditLog, differ=None) -> tuple[int, str] | None:
+def _log_fault(log: BanditLog, lists=None) -> tuple[int, str] | None:
     """The first row of ``log`` that breaks a rule, and why, or None. Rule by rule
     in a reader's order (FORMATS.md), then row by row: ``delta`` 0 or 1, 0/1 states,
-    ``rho`` inside (0, 1), logged sets ``{c : rho[c] > 0.5}``, no positive row with
-    an empty set. A reader passes ``differ``: the rows whose lists differ, and the lists."""
+    ``rho`` inside (0, 1), no positive row with an empty logged set. A reader also
+    passes ``lists``, each line's ``actions``, for the file's rule that each lists
+    the row's logged set ``predicted_mask(rho)``; an out-of-range index never does."""
     delta, rho = log.delta, log.rho
     bad = np.flatnonzero((delta != 0) & (delta != 1))
     if bad.size:
@@ -209,15 +209,22 @@ def _log_fault(log: BanditLog, differ=None) -> tuple[int, str] | None:
     bad = np.flatnonzero(~((rho > 0.0) & (rho < 1.0)).all(axis=1))
     if bad.size:
         return bad[0], "rho must lie strictly inside (0, 1)"
-    bad, lists = differ or (
-        np.flatnonzero((log.logged_mask != predicted_mask(rho)).any(axis=1)), None)
-    if bad.size:
-        i = bad[0]
-        listed = np.flatnonzero(log.logged_mask[i]) if lists is None else lists[i]
-        return i, (f"actions {listed.tolist()} differ from "
-                   f"{{c : rho[c] > 0.5}} = {np.flatnonzero(rho[i] > 0.5).tolist()}")
+    logged = predicted_mask(rho)
+    if lists is not None:
+        rows = np.repeat(np.arange(len(lists)), [a.size for a in lists])
+        indices = np.concatenate(lists)
+        in_range = (indices >= 0) & (indices < rho.shape[1])
+        listed = np.zeros_like(logged)
+        listed[rows[in_range], indices[in_range]] = True
+        differ = (listed != logged).any(axis=1)
+        differ[rows[~in_range]] = True
+        bad = np.flatnonzero(differ)
+        if bad.size:
+            i = bad[0]
+            return i, (f"actions {lists[i].tolist()} differ from "
+                       f"{{c : rho[c] > 0.5}} = {np.flatnonzero(logged[i]).tolist()}")
     # feedback 1 means the logged set is the expert's, and no expert set is empty
-    bad = np.flatnonzero((delta == 1) & ~log.logged_mask.any(axis=1))
+    bad = np.flatnonzero((delta == 1) & ~logged.any(axis=1))
     if bad.size:
         return bad[0], "a positive record must log a non-empty action set"
     return None
@@ -277,9 +284,8 @@ def log_bandit_data(logging_policy, pool: Corpus) -> BanditLog:
     on its own state, from one call per block of states. The log shares the
     pool's state array."""
     rho = logging_policy.probs_in_blocks(pool.states, rowwise=True)
-    logged = predicted_mask(rho)
-    return BanditLog(pool.states, logged, rho,
-                     simulate_feedback(logged, pool.action_mask(rho.shape[1])))
+    return BanditLog(pool.states, rho,
+                     simulate_feedback(predicted_mask(rho), pool.action_mask(rho.shape[1])))
 
 
 # -- persistence ----------------------------------------------------------------
@@ -312,11 +318,11 @@ def write_bandit_jsonl(path, log: BanditLog) -> None:
         fh.write(json.dumps(_header(KIND_BANDIT)) + "\n")
         for start, states in _state_texts(log.states):
             rows = slice(start, start + len(states))
+            rhos = log.rho[rows]
             fh.write("".join(
                 f'{{"state": {state}, "actions": {json.dumps(np.flatnonzero(logged).tolist())}, '
                 f'"rho": {json.dumps(rho)}, "delta": {delta}}}\n'
-                for state, logged, rho, delta in zip(states, log.logged_mask[rows],
-                                                     log.rho[rows].tolist(),
+                for state, logged, rho, delta in zip(states, predicted_mask(rhos), rhos.tolist(),
                                                      log.delta[rows].astype(np.int64).tolist())))
 
 
@@ -558,7 +564,7 @@ def read_labeled_jsonl(path) -> Corpus:
 
 def read_bandit_jsonl(path) -> BanditLog:
     """Read a bandit log, a block of lines at a time: the file's width rule, then the
-    log row check, with each line's ``actions`` (out-of-range ones too) as its sets."""
+    log row check with the file's set rule on each line's ``actions``."""
     log, n = None, 0
     for linenos, (texts, actions, rhos, deltas) in _record_blocks(path, KIND_BANDIT,
                                                                   _bandit_fields):
@@ -566,25 +572,16 @@ def read_bandit_jsonl(path) -> BanditLog:
         if log is None:
             first_line, lines = linenos[0], _count_lines(path)
             log = _built(BanditLog, np.empty((lines, texts[0].size), dtype=np.uint8),
-                         np.empty((lines, rhos[0].size), dtype=bool),
                          np.empty((lines, rhos[0].size)), np.empty(lines, dtype=np.int64))
         out = log.take(slice(n, n + len(linenos)))
         _check_widths(fail, first_line, [("state", texts, out.states.shape[1]),
                                          ("rho", rhos, out.rho.shape[1])])
         _put_states(texts, out.states)
-        out.logged_mask[:] = predicted_mask(np.stack(rhos, out=out.rho))
+        np.stack(rhos, out=out.rho)
         out.delta[:] = deltas
-        rows = np.repeat(np.arange(len(actions)), [a.size for a in actions])
-        indices = np.concatenate(actions)
-        in_range = (indices >= 0) & (indices < out.rho.shape[1])
-        listed = np.zeros_like(out.logged_mask)
-        listed[rows[in_range], indices[in_range]] = True
-        differ = (listed != out.logged_mask).any(axis=1)
-        differ[rows[~in_range]] = True
-        fail(_log_fault(out, differ=(np.flatnonzero(differ), actions)))
+        fail(_log_fault(out, lists=actions))
         n += len(linenos)
         del texts, actions, rhos, deltas  # released before the next block is parsed
     if log is None:
-        return BanditLog(*(np.zeros((0, 0), t) for t in (np.uint8, bool, float)),
-                         np.zeros(0, np.int64))
+        return BanditLog(np.zeros((0, 0), np.uint8), np.zeros((0, 0)), np.zeros(0, np.int64))
     return log.take(slice(0, n))

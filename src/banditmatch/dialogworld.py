@@ -898,16 +898,16 @@ def run_expert_episode(schema: WorldSchema, goal: UserGoal, collect=None) -> Epi
 METRIC_FIELDS = ("turns", "match", "inform_recall", "inform_f1", "success")
 
 
-def compute_aggregate(episodes: list[EpisodeMetrics]) -> dict[str, tuple[float, float]]:
-    """Mean and population standard deviation per metric; Success in percent."""
+def compute_aggregate(episodes: list[EpisodeMetrics]) -> dict[str, float]:
+    """The mean of each metric; Success in percent."""
     if not episodes:
         raise WorldError("compute_aggregate needs at least one episode")
-    out: dict[str, tuple[float, float]] = {}
+    out: dict[str, float] = {}
     for name in METRIC_FIELDS:
         values = np.array([getattr(e, name) for e in episodes], dtype=np.float64)
         if name == "success":
             values = values * 100.0
-        out[name] = (float(values.mean()), float(values.std()))
+        out[name] = float(values.mean())
     return out
 
 

@@ -233,19 +233,12 @@ class Adam:
     keeps one scratch pair, two buffers the size of its largest parameter,
     which every parameter's update uses through a view of its own shape."""
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    # the moments' decay rates and the denominator's floor
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[Tensor], learning_rate: float = 1e-3):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -37,7 +37,7 @@ from .dialogworld import (
     sample_goal,
 )
 from .nncore import LOGIT_CLAMP, Tensor
-from .policy import ActionSetPolicy, MlpSpec, PolicyNet, policy_spec_for
+from .policy import ActionSetPolicy, MlpSpec, PolicyNet, policy_spec_for, predicted_mask
 from .seeding import derive_rng
 
 METHOD_BANDITMATCH = "banditmatch"
@@ -171,13 +171,9 @@ def _descend(policy: PolicyNet, rng: np.random.Generator, n: int, epochs: int,
             del loss
 
 
-def train_supervised(
-    examples: Corpus,
-    spec: MlpSpec,
-    config: TrainConfig,
-    stream: str = "sl",
-) -> PolicyNet:
-    """Per-class BCE on expert-labeled examples (no augmentation).
+def train_supervised(examples: Corpus, spec: MlpSpec, config: TrainConfig) -> PolicyNet:
+    """Per-class BCE on expert-labeled examples (no augmentation), drawing the
+    initial weights and the batch order from the ``logging`` stream.
 
     Targets are label-smoothed so the fitted probabilities stay
     calibrated instead of saturating on a small corpus; decision
@@ -187,7 +183,7 @@ def train_supervised(
     """
     if not examples:
         raise TrainerError("supervised training needs at least one example")
-    rng = derive_rng(config.seed, stream)
+    rng = derive_rng(config.seed, "logging")
     policy = PolicyNet(spec, rng=rng)
     states = examples.states
     eps = SL_LABEL_SMOOTHING
@@ -212,7 +208,7 @@ def _check_can_learn(policy: PolicyNet, states: np.ndarray, rows=None) -> None:
 
 def train_logging_policy(labeled: Corpus, spec: MlpSpec, config: TrainConfig) -> PolicyNet:
     """Supervised training on the labeled split; returned frozen."""
-    policy = train_supervised(labeled, spec, config, stream="logging")
+    policy = train_supervised(labeled, spec, config)
     return policy.clone_frozen()
 
 
@@ -309,14 +305,15 @@ def _composite_step(policy, logging_policy, log, kept, rng, config, labeled_spli
         weak_probs = weak_t.data
 
         pos_rows = batch.delta == 1
+        logged = predicted_mask(batch.rho)
         if use_fet:
             plain_probs = plain_t.data
             thresholds = tracker.update(
                 plain_probs[pos_rows],
-                batch.logged_mask[pos_rows],
+                logged[pos_rows],
                 batch.rho[pos_rows],
                 plain_probs[~pos_rows],
-                batch.logged_mask[~pos_rows],
+                logged[~pos_rows],
                 batch.rho[~pos_rows],
             )
             if on_thresholds is not None:
@@ -337,7 +334,7 @@ def _composite_step(policy, logging_policy, log, kept, rng, config, labeled_spli
                 np.ones(len(lab_idx), dtype=np.int64),
             )
         else:
-            l_l = objectives.loss_labeled(weak_t, batch.logged_mask, batch.delta)
+            l_l = objectives.loss_labeled(weak_t, logged, batch.delta)
         # the strong pass feeds only the pseudo-label term, which is 0 with no class confident
         if conf.any():
             strong_t = policy.forward(strong_states)
@@ -345,7 +342,7 @@ def _composite_step(policy, logging_policy, log, kept, rng, config, labeled_spli
         else:
             l_p = Tensor(0.0)
         if use_cbl:
-            umask = objectives.unconfident_plus_mask(batch.delta, conf, batch.logged_mask)
+            umask = objectives.unconfident_plus_mask(batch.delta, conf, logged)
             l_b = objectives.loss_bandit(plain_t, batch.rho, batch.delta, umask)
         else:
             umask = np.zeros_like(conf, dtype=np.float64)
@@ -377,8 +374,9 @@ def _crm_step(policy, logging_policy, log, kept, config):
 
     def step(number: int, idx: np.ndarray, batch: BanditLog):
         probs_t = policy.forward(batch.states)
+        logged = predicted_mask(batch.rho)
         crm_loss = objectives.loss_ips if config.method == METHOD_IPS else objectives.loss_banditnet
-        loss = crm_loss(probs_t, batch.rho, batch.delta, batch.logged_mask)
+        loss = crm_loss(probs_t, batch.rho, batch.delta, logged)
         l_k = Tensor(0.0)
         if config.add_kl:
             l_k = objectives.loss_kl_control(probs_t, ref_train[idx])
@@ -391,7 +389,7 @@ def _crm_step(policy, logging_policy, log, kept, config):
             loss_kl=l_k.item(),
             total=loss.item(),
             n_confident=0,
-            n_unconfident=int(batch.logged_mask.sum()),
+            n_unconfident=int(logged.sum()),
             mc_pos=0.0,
             mc_neg=0.0,
         )
@@ -422,7 +420,7 @@ def _evaluate_runs(play, schema, n_dialogs, n_runs, seed, method) -> ExperimentR
     for run in range(n_runs):
         rng = derive_rng(seed, "eval", run)
         goals = [sample_goal(schema, rng) for _ in range(n_dialogs)]
-        for name, (mean_value, _) in compute_aggregate(play(run, goals)).items():
+        for name, mean_value in compute_aggregate(play(run, goals)).items():
             run_means.setdefault(name, []).append(mean_value)
     metrics = {
         name: (float(np.mean(vals)), float(np.std(vals)))

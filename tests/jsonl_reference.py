@@ -145,8 +145,7 @@ def read_bandit_jsonl(path) -> ds.BanditLog:
         raise ds.DataError(f"{path}:{linenos[i]}: {message}")
 
     if not records:
-        return ds.BanditLog(*(np.zeros((0, 0), t) for t in (np.uint8, bool, float)),
-                            np.zeros(0, np.int64))
+        return ds.BanditLog(np.zeros((0, 0), np.uint8), np.zeros((0, 0)), np.zeros(0, np.int64))
     for i, r in enumerate(records):
         _check_width(fail, i, linenos[0], "state", r.state, records[0].state)
         _check_width(fail, i, linenos[0], "rho", r.propensities, records[0].propensities)
@@ -174,4 +173,4 @@ def read_bandit_jsonl(path) -> ds.BanditLog:
     bad = np.flatnonzero((sizes == 0) & (delta == 1))
     if bad.size:
         fail(bad[0], "a positive record must log a non-empty action set")
-    return ds.BanditLog(np.stack([r.state for r in records]), predicted, rho, delta)
+    return ds.BanditLog(np.stack([r.state for r in records]), rho, delta)

@@ -1294,9 +1294,12 @@ class TestReadme:
 
 
 class TestBlasThreads:
+    @pytest.mark.parametrize("module", ["banditmatch.cli", "banditmatch.trainer",
+                                        "banditmatch.datasets"])
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
-    def test_import_pins_blas_unless_set(self, preset, expected):
-        # a fresh interpreter, since this one has loaded numpy already
+    def test_import_pins_blas_unless_set(self, preset, expected, module):
+        # importing any module pins BLAS before numpy loads; a fresh
+        # interpreter, since this one has loaded numpy already
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         if preset is not None:
@@ -1304,7 +1307,7 @@ class TestBlasThreads:
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         out = subprocess.run(
             [sys.executable, "-c",
-             "import os, banditmatch.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+             f"import os, {module}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
             env=env, capture_output=True, text=True, timeout=60,
         )
         child = f"child exited {out.returncode}; stderr:\n{out.stderr}"

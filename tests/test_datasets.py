@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -299,7 +300,7 @@ class TestContract:
         policy = random_policy(schema).clone_trainable()
         policy.biases[-1].data[:] = -20.0
         log = ds.log_bandit_data(policy.clone_frozen(), corpus)
-        assert not log.logged_mask.any() and not log.delta.any()
+        assert not predicted_mask(log.rho).any() and not log.delta.any()
         message = "a positive record must log a non-empty action set"
         with pytest.raises(ds.DataError, match=f"^record 1: {message}$"):
             replace(log, delta=np.ones_like(log.delta))
@@ -367,9 +368,22 @@ class TestPersistence:
         path = tmp_path / "bandit.jsonl"
         ds.write_bandit_jsonl(path, log)
         loaded = ds.read_bandit_jsonl(path)
-        for name in ("states", "logged_mask", "rho", "delta"):  # rho bitwise
+        for name in ("states", "rho", "delta"):  # rho bitwise
             a, b = getattr(log, name), getattr(loaded, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_log_holds_three_fields_and_writes_the_predicted_sets(self, schema, corpus,
+                                                                  tmp_path):
+        # a log holds states, rho and delta, however it was made; its logged
+        # sets exist only as predicted_mask(rho), which the writer lists
+        log = ds.log_bandit_data(random_policy(schema).clone_frozen(), corpus)
+        path = tmp_path / "bandit.jsonl"
+        ds.write_bandit_jsonl(path, log)
+        for made in (log, ds.read_bandit_jsonl(path), log.take([3, 1])):
+            assert list(vars(made)) == ["states", "rho", "delta"]
+        _, *lines = path.read_text().splitlines()
+        listed = [json.loads(line)["actions"] for line in lines]
+        assert listed == [np.flatnonzero(row).tolist() for row in predicted_mask(log.rho)]
 
     def test_malformed_line_reports_line_number(self, corpus, tmp_path):
         path = tmp_path / "corpus.jsonl"

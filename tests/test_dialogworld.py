@@ -461,20 +461,14 @@ class TestExpertOracleExhaustive:
 
 
 class TestAggregate:
-    def test_single_episode_zero_std(self):
-        m = dw.EpisodeMetrics(5, 1, 1.0, 1.0, 1.0, 1)
-        agg = dw.compute_aggregate([m])
-        for mean_value, std_value in agg.values():
-            assert std_value == 0.0
-
-    def test_success_mean_and_population_std(self):
+    def test_means_with_success_in_percent(self):
         episodes = [
             dw.EpisodeMetrics(5, 1, 1.0, 1.0, 1.0, 1),
             dw.EpisodeMetrics(7, 0, 0.5, 0.5, 0.5, 0),
         ]
         agg = dw.compute_aggregate(episodes)
-        assert agg["success"] == (50.0, 50.0)
-        assert agg["turns"] == (6.0, 1.0)
+        assert agg["success"] == 50.0
+        assert agg["turns"] == 6.0
 
     def test_empty_rejected(self):
         with pytest.raises(dw.WorldError):

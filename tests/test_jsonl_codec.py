@@ -26,8 +26,8 @@ KINDS = {
 
 def bandit_log(states, rho, delta) -> ds.BanditLog:
     """The log of these rows, each logging its predicted set."""
-    rho = np.array(rho, dtype=np.float64)
-    return ds.BanditLog(np.array(states), rho > 0.5, rho, np.array(delta, dtype=np.int64))
+    return ds.BanditLog(np.array(states), np.array(rho, dtype=np.float64),
+                        np.array(delta, dtype=np.int64))
 
 
 @st.composite
@@ -273,12 +273,12 @@ def test_writers_refuse_non_binary_states(kind, entry, tmp_path):
 
 
 def test_writer_refuses_unequal_widths():
-    # a log's fields are arrays, so only two fields can disagree: here the
-    # logged sets are one class narrower than rho, and no such log is built
+    # a log's fields are arrays, so every record's rho has one width: a rho
+    # that is not a row of one width per record is refused, and no such log is built
     log = bandit_log([[0.0, 1.0, 1.0]], [[0.75, 0.25]], [1])
-    with pytest.raises(ds.DataError, match=r"log fields of unequal shapes: .* logged_mask "
-                                           r"\(1, 1\), rho \(1, 2\)"):
-        replace(log, logged_mask=log.logged_mask[:, :1])
+    with pytest.raises(ds.DataError, match=r"log fields of unequal shapes: states \(1, 3\), "
+                                           r"rho \(2,\), delta \(1,\)"):
+        replace(log, rho=log.rho[0])
 
 
 def test_negative_zero_written_as_zero(tmp_path):
@@ -423,7 +423,7 @@ def test_reading_a_log_holds_its_arrays_and_one_block(tmp_path):
         tracemalloc.stop()
     arrays = sum(a.nbytes for a in vars(log).values())
     block = B * path.stat().st_size / n
-    assert len(log) == n and arrays == n * (d + c + 8 * c + 8)
+    assert len(log) == n and arrays == n * (d + 8 * c + 8)
     assert peak <= 1.5 * arrays + block, (peak / arrays, block / arrays)
 
 
@@ -434,7 +434,7 @@ def _faulty_log(fault: str) -> tuple[tuple, str]:
     and the reason."""
     states = np.array([[0, 1, 1]] * 3, np.uint8)
     rho = np.array([[0.75, 0.25]] * 3)
-    logged, delta = rho > 0.5, np.array([1, 0, 1])
+    delta = np.array([1, 0, 1])
     reason = "rho must lie strictly inside (0, 1)"
     if fault == "rho_nan":
         rho[1, 1] = np.nan
@@ -442,26 +442,21 @@ def _faulty_log(fault: str) -> tuple[tuple, str]:
         rho[1, 1] = 0.0
     elif fault == "rho_one":
         rho[1, 1] = 1.0
-        logged[1, 1] = True
-    elif fault == "logged_set":
-        logged[1, 1] = True
-        reason = "actions [0, 1] differ from {c : rho[c] > 0.5} = [0]"
     elif fault == "delta":
         delta[1] = 2
         reason = "delta must be 0 or 1, got 2"
     elif fault == "empty_positive":
         rho[1] = 0.25
-        logged[1] = False
         delta[1] = 1
         reason = "a positive record must log a non-empty action set"
     elif fault == "state":
         states[1, 1] = 2
         reason = "state entries must be 0 or 1"
-    return (states, logged, rho, delta), reason
+    return (states, rho, delta), reason
 
 
-@pytest.mark.parametrize("fault", ["rho_nan", "rho_zero", "rho_one", "logged_set", "delta",
-                                   "empty_positive", "state"])
+@pytest.mark.parametrize("fault", ["rho_nan", "rho_zero", "rho_one", "delta", "empty_positive",
+                                   "state"])
 def test_log_writer_refuses_what_the_reader_refuses(fault, tmp_path):
     fields, reason = _faulty_log(fault)
     with pytest.raises(ds.DataError) as err:
@@ -469,15 +464,27 @@ def test_log_writer_refuses_what_the_reader_refuses(fault, tmp_path):
     assert str(err.value) == f"record 2: {reason}"
     # the plain writer writes the rows, and the reader refuses them for the same reason
     path = tmp_path / "x.jsonl"
-    states, logged, rho, delta = fields
-    ref.write_rows(path, "bandit", zip(states, map(np.flatnonzero, logged), rho, delta))
+    ref.write_rows(path, "bandit", raw_rows("bandit", fields))
     assert outcome(ds.read_bandit_jsonl, path) == ("DataError", f"{path}:3: {reason}")
 
 
+@pytest.mark.parametrize("listed", [[0, 1], [], [0, 7]], ids=["superset", "empty", "out_of_range"])
+def test_reader_refuses_actions_other_than_the_predicted_set(listed, tmp_path):
+    # a log holds no logged set, only rho, so a line whose actions are not
+    # {c : rho[c] > 0.5} (an out-of-range index included) is a fault of the file alone
+    rows = raw_rows("bandit", _faulty_log("none")[0])
+    rows[1] = (rows[1][0], listed, *rows[1][2:])
+    path = tmp_path / "x.jsonl"
+    ref.write_rows(path, "bandit", rows)
+    assert outcome(ds.read_bandit_jsonl, path) == (
+        "DataError", f"{path}:3: actions {listed} differ from {{c : rho[c] > 0.5}} = [0]")
+    assert outcome(ref.read_bandit_jsonl, path) == outcome(ds.read_bandit_jsonl, path)
+
+
 def test_log_writer_refuses_fields_of_unequal_lengths():
-    states, logged, rho, delta = _faulty_log("none")[0]
+    states, rho, delta = _faulty_log("none")[0]
     with pytest.raises(ds.DataError, match=r"log fields of unequal shapes: .* delta \(2,\)"):
-        ds.BanditLog(states, logged, rho, delta[:2])
+        ds.BanditLog(states, rho, delta[:2])
 
 
 # -- one contract: what a constructor accepts, a reader accepts -----------------
@@ -490,8 +497,8 @@ LOG_RHO = [0.0, 1.0, float("nan"), -0.5, 1.5, 0.5, 0.25, 0.75]
 def contract_arrays(draw, kind):
     """The arrays of a valid corpus or log of 1-5 rows, with 0-3 entries
     then set to arbitrary values: a state entry, a row's action list, a
-    ``rho`` entry, a logged-set bit, or a ``delta`` (-1, 2, or 1 on a row
-    that may log an empty set)."""
+    ``rho`` entry, or a ``delta`` (-1, 2, or 1 on a row that may log an
+    empty set)."""
     n, width = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     states = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=width,
                                              max_size=width), min_size=n, max_size=n)),
@@ -513,31 +520,29 @@ def contract_arrays(draw, kind):
     sides = st.sampled_from([(0.01, 0.49), (0.51, 0.99), (0.01, 0.99)])
     rho = np.array([draw(st.lists(st.floats(*draw(sides)), min_size=classes, max_size=classes))
                     for _ in range(n)])
-    logged = rho > 0.5
-    delta = np.array([draw(st.integers(0, int(row.any()))) for row in logged], dtype=np.int64)
+    delta = np.array([draw(st.integers(0, int((row > 0.5).any()))) for row in rho],
+                     dtype=np.int64)
     cls = st.tuples(st.integers(0, n - 1), st.integers(0, classes - 1))
     for _ in range(draw(st.integers(0, 3))):
-        field = draw(st.sampled_from(["state", "rho", "logged", "delta", "positive"]))
+        field = draw(st.sampled_from(["state", "rho", "delta", "positive"]))
         if field == "state":
             states[draw(cell)] = draw(st.sampled_from(CORPUS_STATES))
         elif field == "rho":
             rho[draw(cls)] = draw(st.sampled_from(LOG_RHO))
-        elif field == "logged":
-            at = draw(cls)
-            logged[at] = not logged[at]
         else:
             delta[draw(st.integers(0, n - 1))] = 1 if field == "positive" else draw(
                 st.sampled_from([-1, 2]))
-    return states, logged, rho, delta
+    return states, rho, delta
 
 
 def raw_rows(kind, arrays):
-    """The rows of a corpus's or log's arrays, for the plain writer."""
+    """The rows of a corpus's or log's arrays, for the plain writer; a log's
+    rows list the sets ``{c : rho[c] > 0.5}``."""
     if kind == "labeled":
         states, offsets, indices = arrays
         return [(s, indices[a:b]) for s, a, b in zip(states, offsets, offsets[1:])]
-    states, logged, rho, delta = arrays
-    return list(zip(states, map(np.flatnonzero, logged), rho, delta))
+    states, rho, delta = arrays
+    return list(zip(states, map(np.flatnonzero, rho > 0.5), rho, delta))
 
 
 @pytest.mark.parametrize("kind", KINDS)

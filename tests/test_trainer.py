@@ -54,8 +54,7 @@ def random_log(rng, n, d, c):
     logged = rng.random((n, c)) < 0.2
     rho = np.where(logged, rng.uniform(0.55, 0.95, (n, c)), rng.uniform(0.05, 0.45, (n, c)))
     delta = rng.integers(0, 2, n) * logged.any(axis=1)
-    return ds.BanditLog((rng.random((n, d)) < 0.2).astype(np.uint8), logged, rho,
-                        delta.astype(np.int64))
+    return ds.BanditLog((rng.random((n, d)) < 0.2).astype(np.uint8), rho, delta.astype(np.int64))
 
 
 def params_of(policy):
