@@ -30,9 +30,13 @@ the position each possible last-turn user act sets) and per slot a
 value -> entity bitmask. The encoder writes only the features the context
 holds, and entity matching is an AND of bitmasks (``_constraint_mask``),
 shared by the database lookup and the Match metric.
-The same tables hold the action index of every act the expert can emit. The
-tables are not rebuilt, so a schema must not be mutated after construction;
-build a new one instead.
+The same tables hold the action index of every act the expert can emit.
+Per action index the schema also lists what a turn does with it: the
+``(domain, slot)`` a request asks the user for (``_asks``, read by the user
+turn) and the effect table, the ``(kind, domain, slot)`` of each inform, offer
+and book, None for an action that changes nothing (``_effects``, read by the
+agent-turn update). The tables are not rebuilt, so a schema must not be
+mutated after construction; build a new one instead.
 """
 
 from __future__ import annotations
@@ -233,6 +237,10 @@ class WorldSchema:
         # the (domain, slot) each action index asks the user for; None when
         # the action is not a request
         self._asks = [(a.domain, a.slot) if a.act_type == REQUEST else None for a in actions]
+        # the (kind, domain, slot) each action index applies to the context;
+        # None for the actions that change nothing (request, nooffer, bye)
+        self._effects = [(a.act_type, a.domain, a.slot) if a.act_type in (INFORM, OFFER, BOOK)
+                         else None for a in actions]
         self._bye_action = self._index[AtomicAction(GENERAL, BYE)]
         # (domain, act type, slot) of a last-turn user act -> feature position;
         # book acts are keyed with slot None
@@ -513,18 +521,20 @@ def db_matches(schema: WorldSchema, ctx: DialogContext, domain: str) -> list[int
 
 
 def apply_user_acts(ctx: DialogContext, acts: list[UserAct]) -> None:
+    domains = ctx.domains
     for act in acts:
-        if act.act_type == BYE:
+        kind = act.act_type
+        if kind == BYE:
             ctx.user_said_bye = True
             continue
-        dctx = ctx.domains[act.domain]
+        dctx = domains[act.domain]
         dctx.active = True
-        if act.act_type == INFORM:
+        if kind == INFORM:
             dctx.expressed[act.slot] = act.value
-        elif act.act_type == REQUEST:
+        elif kind == REQUEST:
             if act.slot not in dctx.pending_requests:
                 dctx.pending_requests.append(act.slot)
-        elif act.act_type == BOOK:
+        elif kind == BOOK:
             dctx.booking_requested = True
     ctx.last_user_acts = list(acts)
 
@@ -539,29 +549,26 @@ def apply_agent_actions(ctx: DialogContext, actions: list[int]) -> None:
     no state change.
     """
     schema = ctx.schema
-    vocab = schema.actions
-    for i in actions:
-        action = vocab[i]
-        act_type = action.act_type
-        if act_type == INFORM:
-            dctx = ctx.domains[action.domain]
-            ctx.total_informs += 1
-            if action.slot in dctx.pending_requests:
+    domains = ctx.domains
+    informs = 0
+    for kind, domain, slot in filter(None, map(schema._effects.__getitem__, actions)):
+        dctx = domains[domain]
+        if kind == INFORM:
+            informs += 1
+            if slot in dctx.pending_requests:
                 ctx.useful_informs += 1
-                dctx.pending_requests.remove(action.slot)
-                ctx.answered.add((action.domain, action.slot))
-            dctx.informed.add(action.slot)
-        elif act_type == OFFER or act_type == BOOK:
-            dctx = ctx.domains[action.domain]
-            # a completed booking is binding; later offers/books cannot
-            # amend the committed entity
-            if dctx.booked:
-                continue
-            matches = db_matches(schema, ctx, action.domain)
+                dctx.pending_requests.remove(slot)
+                ctx.answered.add((domain, slot))
+            dctx.informed.add(slot)
+        # a completed booking is binding; later offers/books cannot amend
+        # the committed entity
+        elif not dctx.booked:
+            matches = db_matches(schema, ctx, domain)
             if matches:
                 dctx.selected_entity = matches[0]
-            if act_type == BOOK:
+            if kind == BOOK:
                 dctx.booked = True
+    ctx.total_informs += informs
 
 
 # -- state encoding -------------------------------------------------------------
@@ -578,35 +585,38 @@ def encode_state(schema: WorldSchema, ctx: DialogContext) -> np.ndarray:
     turn-count bucket one-hot (0..4, 5+).
 
     Only the features the context holds are walked, and each is written at
-    its precomputed position. Entries are ``uint8``, one byte each; the
-    network input converts a batch to float64.
+    its precomputed position into a zeroed ``bytearray``, which is returned
+    as a ``uint8`` array over the same bytes (``np.frombuffer``): one byte
+    per entry, each a plain byte store rather than a numpy item assignment.
+    The network input converts a batch to float64.
     """
-    state = np.zeros(schema.state_dim, dtype=np.uint8)
+    buf = bytearray(schema.state_dim)
+    domains = ctx.domains
     for tables in schema._tables:
-        dctx = ctx.domains[tables.dom.name]
+        dctx = domains[tables.dom.name]
         for pos, present in ((tables.expressed, dctx.expressed),
                              (tables.pending, dctx.pending_requests),
                              (tables.informed, dctx.informed)):
             for s in present:
                 if s in pos:
-                    state[pos[s]] = 1
+                    buf[pos[s]] = 1
         if dctx.active:
             n = _constraint_mask(tables, dctx.expressed).bit_count()
-            state[tables.match + (0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3)] = 1
-            state[tables.flags + 2] = 1
+            buf[tables.match + (0 if n == 0 else 1 if n == 1 else 2 if n <= 3 else 3)] = 1
+            buf[tables.flags + 2] = 1
         if dctx.booking_requested:
-            state[tables.flags] = 1
+            buf[tables.flags] = 1
         if dctx.booked:
-            state[tables.flags + 1] = 1
-    last_act_pos = schema._last_act_pos
+            buf[tables.flags + 1] = 1
+    get = schema._last_act_pos.get
     for a in ctx.last_user_acts:
-        i = last_act_pos.get((a.domain, a.act_type, None if a.act_type == BOOK else a.slot))
+        i = get((a.domain, a.act_type, None if a.act_type == BOOK else a.slot))
         if i is not None:
-            state[i] = 1
+            buf[i] = 1
     if ctx.user_said_bye:
-        state[schema._bye_pos] = 1
-    state[schema._turn_pos + min(ctx.turn, TURN_BUCKETS - 1)] = 1
-    return state
+        buf[schema._bye_pos] = 1
+    buf[schema._turn_pos + min(ctx.turn, TURN_BUCKETS - 1)] = 1
+    return np.frombuffer(buf, np.uint8)
 
 
 # -- expert policy ---------------------------------------------------------------
@@ -688,47 +698,42 @@ class UserState:
     to utter.
 
     ``UserAct`` is frozen, so one object per act serves the whole dialog: the
-    agenda refill re-queues the request and book acts built here
-    (``request_acts`` / ``book_acts``), and ``answers`` keeps the inform that
-    answers each ``(domain, slot)`` the agent asks for, built on first ask.
+    agenda refill re-queues the request and book acts built here, listed
+    once each in goal order in ``needs`` with the key that tells when the
+    need is met (the ``(domain, slot)`` of a request, the domain of a
+    booking), and ``answers`` keeps the inform that answers each
+    ``(domain, slot)`` the agent asks for, built on first ask.
     """
 
     goal: UserGoal
     agenda: list[UserAct] = field(init=False)
-    request_acts: dict[tuple[str, str], UserAct] = field(init=False, repr=False, compare=False)
-    book_acts: dict[str, UserAct] = field(init=False, repr=False, compare=False)
+    needs: list[tuple[tuple[str, str] | str, UserAct]] = field(
+        init=False, repr=False, compare=False)
     answers: dict[tuple[str, str], UserAct] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        goal = self.goal
         agenda: list[UserAct] = []
-        self.request_acts = {}
-        self.book_acts = {}
-        for name in self.goal.domains:
-            for slot in sorted(self.goal.constraints[name]):
-                agenda.append(UserAct(name, INFORM, slot, self.goal.constraints[name][slot]))
-            for slot in self.goal.requests[name]:
-                act = self.request_acts[(name, slot)] = UserAct(name, REQUEST, slot)
-                agenda.append(act)
-            if self.goal.booking[name]:
-                act = self.book_acts[name] = UserAct(name, BOOK)
-                agenda.append(act)
+        needs: dict[tuple[str, str] | str, UserAct] = {}
+        for name in goal.domains:
+            for slot in sorted(goal.constraints[name]):
+                agenda.append(UserAct(name, INFORM, slot, goal.constraints[name][slot]))
+            for slot in goal.requests[name]:
+                agenda.append(needs.setdefault((name, slot), UserAct(name, REQUEST, slot)))
+            if goal.booking[name]:
+                agenda.append(needs.setdefault(name, UserAct(name, BOOK)))
         self.agenda = agenda
+        self.needs = list(needs.items())
 
 
 def _unmet_needs(ustate: UserState, ctx: DialogContext) -> list[UserAct]:
     """The goal's request and book acts not yet met, in goal order. Every need
     starts on the agenda and only informs are filtered out of it, so once the
     agenda runs dry these are the needs the user uttered and has not seen met."""
-    goal = ustate.goal
-    needs: list[UserAct] = []
-    for name in goal.domains:
-        for slot in dict.fromkeys(goal.requests[name]):
-            if (name, slot) not in ctx.answered:
-                needs.append(ustate.request_acts[(name, slot)])
-        if goal.booking[name] and not ctx.domains[name].booked:
-            needs.append(ustate.book_acts[name])
-    return needs
+    answered, domains = ctx.answered, ctx.domains
+    return [act for key, act in ustate.needs
+            if (not domains[key].booked if act.act_type == BOOK else key not in answered)]
 
 
 def user_step(
@@ -744,8 +749,7 @@ def user_step(
     """
     acts: list[UserAct] = []
     goal = ustate.goal
-    asks = ctx.schema._asks
-    requests = [asks[i] for i in agent_actions if asks[i] is not None]
+    requests = list(filter(None, map(ctx.schema._asks.__getitem__, agent_actions)))
     answers = ustate.answers
     for ask in requests:
         answer = answers.get(ask)

@@ -88,6 +88,19 @@ class MlpSpec:
         return cls(d["input_dim"], tuple(d["hidden_dims"]), d["output_dim"])
 
 
+def _clamped_sigmoid(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))``, with the same
+    bits, computed in place in ``z`` and returned. The clamp is a maximum and
+    a minimum, which is what ``np.clip`` computes, without its Python-level
+    argument handling."""
+    np.maximum(z, -LOGIT_CLAMP, out=z)
+    np.minimum(z, LOGIT_CLAMP, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
 def predicted_mask(probs: np.ndarray) -> np.ndarray:
     """The predicted action set {c : p_c > 0.5} as a boolean mask."""
     return probs > 0.5
@@ -147,41 +160,53 @@ class PolicyNet:
         for p in self.parameters():
             p.zero_grad()
 
-    def _layers(self, states) -> tuple[list[np.ndarray], np.ndarray, bool]:
-        """Layer inputs (the states, then each hidden activation), the
-        unclamped output logits, and whether the states (one row, an (n, D)
-        batch or an (n, 1, D) stack) were a single row."""
+    def _layers(self, states) -> tuple[list[np.ndarray], np.ndarray]:
+        """Layer inputs (the states, then each hidden activation) and the
+        unclamped output logits of one state ``(D,)``, an ``(n, D)`` batch or
+        an ``(n, 1, D)`` stack, all by one path. A single state stays 1-d: its
+        products are gemv calls, and so is each row of a stack, so a state
+        has the bits of its row of a stack. Bias adds and relus run in place."""
         x = np.asarray(states, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1:] not in ((self.spec.input_dim,), (1, self.spec.input_dim)):
+        if x.shape[-1:] != (self.spec.input_dim,) or x.shape[1:-1] not in ((), (1,)):
             raise ConfigurationError(
                 f"state dim {x.shape} incompatible with input_dim={self.spec.input_dim}"
             )
         inputs = [x]
         h = x
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if i < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
+            h = h @ w.data
+            h += b.data
+            if i < last:
+                np.maximum(h, 0.0, out=h)
                 inputs.append(h)
-        return inputs, h, squeeze
+        return inputs, h
 
     def forward(self, states: np.ndarray) -> nncore.Tensor:
         """Class probabilities, each strictly inside (0, 1), as one graph node.
 
-        Always 2-d (a single state gives one row). The backward replays the
-        op chain matmul, bias add, relu, clip, sigmoid layer by layer.
+        Always 2-d: ``_layers`` keeps a single state 1-d, and its result is
+        lifted to one row. The backward replays the op chain matmul, bias
+        add, relu, clip, sigmoid layer by layer, and stops at the first layer
+        whose gradient is zero everywhere: what it would add to each
+        parameter gradient below is ±0, which leaves a gradient that starts
+        at +0 (``zero_grad``, or a gradient not yet made) bitwise unchanged.
         """
-        inputs, z, _ = self._layers(states)
-        s = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
+        inputs, z = self._layers(states)
+        if z.ndim == 1:
+            inputs, z = [h[None, :] for h in inputs], z[None, :]
+        s = _clamped_sigmoid(z.copy())
         weights, biases = self.weights, self.biases
 
         def backward(g: np.ndarray) -> None:
             inside = (z >= -LOGIT_CLAMP) & (z <= LOGIT_CLAMP)
             dz = g * s * (1.0 - s) * inside
             for i in range(len(weights) - 1, -1, -1):
+                if not dz.any():
+                    for p in (*weights[: i + 1], *biases[: i + 1]):
+                        if p.grad is None:
+                            p.zero_grad()
+                    return
                 h = inputs[i]
                 weights[i]._accumulate(h.T @ dz)
                 biases[i]._accumulate(dz)
@@ -192,11 +217,11 @@ class PolicyNet:
 
     def probs(self, states: np.ndarray) -> np.ndarray:
         """Per-class probabilities, clamped inside (0, 1); no gradient graph.
-        An (n, 1, D) stack gives (n, 1, C), each row by its own product
-        (gemv), so each row has the bits of ``probs`` on that row alone."""
-        _, z, squeeze = self._layers(states)
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)))
-        return p[0] if squeeze else p
+        The shape follows ``_layers``: a single state gives ``(C,)`` and an
+        ``(n, 1, D)`` stack ``(n, 1, C)``, each row by its own gemv, with the
+        bits of ``probs`` on that row alone. The clamp and sigmoid run in
+        place on the logits."""
+        return _clamped_sigmoid(self._layers(states)[1])
 
     def probs_in_blocks(self, states: np.ndarray, rowwise: bool = False,
                         rows: np.ndarray | None = None) -> np.ndarray:

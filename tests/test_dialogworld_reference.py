@@ -15,6 +15,7 @@ must agree with the package rollout.
 
 import json
 import types
+import zlib
 
 import numpy as np
 import pytest
@@ -130,6 +131,43 @@ def test_random_policy_episodes_match_reference(name, seed):
     policy = random_policy(schema, seed)
     assert_same_rollouts(schema, goals_for(schema, 25, 100 + seed),
                          lambda schema, ctx, state: policy.act(state))
+
+
+def random_subsets(seed):
+    """Agent turns the size a random policy plays: a random subset of every
+    action index, from none to all of them. The draw is seeded by the turn
+    and the state's bytes, so both worlds receive the same turns while their
+    states agree."""
+    def respond(schema, ctx, state):
+        n = schema.num_actions
+        key = zlib.crc32(np.asarray(state, dtype=np.uint8).tobytes())
+        rng = np.random.default_rng([seed, ctx.turn, key])
+        size = n if rng.random() < 0.25 else int(rng.integers(0, n + 1))
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, size=size, replace=False)] = True
+        order = schema.application_order
+        return order[mask[order]].tolist()
+    return respond
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_large_random_turns_match_reference(name, seed):
+    schema = SCHEMAS[name]()
+    assert_same_rollouts(schema, goals_for(schema, 40, 200 + seed), random_subsets(seed))
+
+
+@pytest.mark.parametrize("name", ["default", "tiny"])
+def test_effect_table_agrees_with_the_vocabulary(name):
+    # informs, offers and books change the context; requests, nooffers and
+    # bye have no effect entry
+    schema = SCHEMAS[name]()
+    assert len(schema._effects) == schema.num_actions
+    for action, effect in zip(schema.actions, schema._effects):
+        if action.act_type in (dw.INFORM, dw.OFFER, dw.BOOK):
+            assert effect == (action.act_type, action.domain, action.slot)
+        else:
+            assert effect is None
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))

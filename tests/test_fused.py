@@ -129,6 +129,44 @@ def test_fused_losses_and_gradients_bit_identical(seed):
             assert np.array_equal(g, r), f"{name}: parameter {i}"
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_zero_gradient_pass_keeps_the_gradient_bits(seed):
+    # a pass whose incoming gradient is zero everywhere stops its backward at
+    # once; alone or after a pass with gradient, every parameter gradient has
+    # the bits of the full op-level chain, including the sign of each zero
+    case = Case(seed)
+    weights = np.random.default_rng(seed).standard_normal((len(case.states), case.net.num_actions))
+    zero = np.zeros_like(weights)
+    builds = {
+        "zero pass": lambda f, _: ref.tensor_sum(f(case.net, case.weak) * zero),
+        "then a zero pass": lambda f, _: (ref.tensor_sum(f(case.net, case.states) * weights)
+                                          + ref.tensor_sum(f(case.net, case.weak) * zero)),
+    }
+    for name, build in builds.items():
+        _, grads = run(case, build, fused_forward, obj)
+        _, ref_grads = run(case, build, ref.mlp_forward, ref)
+        for i, (g, r) in enumerate(zip(grads, ref_grads)):
+            assert g.tobytes() == r.tobytes(), f"{name}: parameter {i}"
+
+
+def test_gradient_zeroed_by_relus_keeps_the_gradient_bits():
+    # every hidden relu is off, so the gradient turns zero below the output
+    # layer and the backward stops there; a fresh clone has no gradient
+    # arrays yet, and the skipped layers still get theirs
+    net = PolicyNet(MlpSpec(5, (4, 3), 2), rng=np.random.default_rng(8))
+    net.biases[0].data[:] = -1e3
+    net.biases[1].data[:] = -1.0
+    states = np.random.default_rng(9).random((6, 5))
+    weights = np.random.default_rng(10).standard_normal((6, 2))
+    grads = []
+    for forward in (PolicyNet.forward, ref.mlp_forward):
+        clone = net.clone_trainable()
+        ref.tensor_sum(forward(clone, states) * weights).backward()
+        grads.append([p.grad.tobytes() for p in clone.parameters()])
+    assert grads[0] == grads[1]
+    assert np.any(np.frombuffer(grads[0][-1])) and not np.any(np.frombuffer(grads[0][0]))
+
+
 def test_fused_forward_matches_op_chain():
     case = Case(3)
     for states in (case.states, case.states[0]):

@@ -1,13 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import oplevel_reference as ref
+from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw, nncore
+from banditmatch.nncore import LOGIT_CLAMP
 from banditmatch.policy import (
     ActionSetPolicy,
     CheckpointError,
+    ConfigurationError,
     MlpSpec,
     PolicyError,
     PolicyNet,
@@ -46,6 +50,61 @@ class TestProbs:
         singles = np.stack([policy.probs(s) for s in states])
         # identical up to BLAS reduction order in the batched matmul
         assert np.allclose(batch, singles, rtol=1e-12, atol=1e-15)
+
+
+class TestSingleStatePath:
+    """A single state stays 1-d through the layers, each product a gemv: its
+    ``probs`` has the bits of its row of an ``(n, 1, D)`` stack and of its
+    row of the feedback log's ``rho``."""
+
+    @staticmethod
+    def binary_states(schema):
+        d = schema.state_dim
+        random = (np.random.default_rng(31).random((20, d)) < 0.3).astype(np.uint8)
+        return np.concatenate([random, np.zeros((1, d), np.uint8), np.ones((1, d), np.uint8)])
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0], ids=["plain", "clamp-saturated"])
+    def test_state_has_the_bits_of_its_stack_row_and_log_row(self, schema, scale):
+        policy = PolicyNet(policy_spec_for(schema, hidden_dims=(32, 16)),
+                           rng=np.random.default_rng(30)).clone_frozen()
+        for p in policy.parameters():
+            p.data *= scale
+        states = self.binary_states(schema)
+        logits = np.abs(policy._layers(states)[1])
+        # the plain net stays inside the clamp; the scaled one passes it on
+        # every state but the zero one, whose logits are the zero biases
+        outside = (logits > LOGIT_CLAMP).any(axis=1)
+        assert not outside.any() if scale == 1.0 else outside.tolist() == [True] * 20 + [False, True]
+        n = len(states)
+        rho = ds.log_bandit_data(policy, ds.Corpus(
+            states, np.arange(n + 1, dtype=np.int64), np.zeros(n, np.int64))).rho
+        floats = np.random.default_rng(32).random((8, schema.state_dim))
+        for batch, logged in ((states, rho), (floats, None)):
+            stack = policy.probs(batch[:, None])
+            assert stack.shape == (len(batch), 1, schema.num_actions)
+            for i, state in enumerate(batch):
+                p = policy.probs(state)
+                assert p.shape == (schema.num_actions,)
+                assert p.tobytes() == stack[i, 0].tobytes()
+                if logged is not None:
+                    assert p.tobytes() == logged[i].tobytes()
+
+    def test_forward_lifts_a_single_state_to_one_row(self, schema):
+        policy = small_policy(schema, seed=33)
+        state = self.binary_states(schema)[0]
+        out = policy.forward(state).data
+        assert out.shape == (1, schema.num_actions)
+        assert out[0].tobytes() == policy.probs(state).tobytes()
+
+    @pytest.mark.parametrize("shape", ["stack of 2", "one too wide"])
+    def test_other_shapes_are_refused(self, schema, shape):
+        policy = small_policy(schema)
+        d = schema.state_dim
+        size = (3, 2, d) if shape == "stack of 2" else (d + 1,)
+        message = re.escape(f"state dim {size} incompatible with input_dim={d}")
+        for call in (policy.probs, policy.forward):
+            with pytest.raises(ConfigurationError, match=message):
+                call(np.zeros(size))
 
 
 class TestClampedLogits:
