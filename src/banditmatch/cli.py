@@ -6,7 +6,7 @@ fine-tuning, interactive evaluation, the ablation grid, and the labeled
 percentage sweep. Every command derives all randomness from --seed via
 named streams; main times it and writes a JSON run manifest (command,
 config snapshot, seeds, the paths it read and wrote with content hashes,
-wall clock) next to its outputs.
+the BLAS kernel and build, wall clock) next to its outputs.
 
 Exit codes: 0 success, 2 bad command line (argparse), 3 an input path
 that is not a file, 4 schema/checkpoint version mismatch, 5 invalid
@@ -25,6 +25,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -143,6 +144,34 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+_BLAS_SYMBOLS = {"blas_kernel": "scipy_openblas_get_corename64_",
+                 "blas_build": "scipy_openblas_get_config64_"}
+
+
+@functools.cache
+def blas_info() -> dict[str, str]:
+    """The OpenBLAS kernel numpy's bundled scipy-openblas picked on this CPU
+    and its build string, as ``{"blas_kernel": ..., "blas_build": ...}``:
+    trained bytes depend on both. Read through ctypes from the library numpy
+    links; ``"unknown"`` for each that a numpy without that library lacks."""
+    import ctypes  # loaded only by a command that writes a manifest
+
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        lib = None
+    info = {}
+    for key, symbol in _BLAS_SYMBOLS.items():
+        fn = getattr(lib, symbol, None)
+        if fn is None:
+            info[key] = "unknown"
+            continue
+        fn.restype = ctypes.c_char_p
+        info[key] = fn().decode("utf-8", "replace").strip()
+    return info
+
+
 def write_manifest(path: Path, command: str, args: dict, inputs: list, outputs: list,
                    config: dict | None, started: float) -> None:
     manifest = {
@@ -155,6 +184,7 @@ def write_manifest(path: Path, command: str, args: dict, inputs: list, outputs: 
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
+        **blas_info(),
         "wall_clock_s": round(time.time() - started, 3),
     }
     with open(path, "w", encoding="utf-8") as fh:

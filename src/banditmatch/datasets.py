@@ -283,7 +283,7 @@ def log_bandit_data(logging_policy, pool: Corpus) -> BanditLog:
     feedback on that set. Each row gets the bits of ``logging_policy.probs``
     on its own state, from one call per block of states. The log shares the
     pool's state array."""
-    rho = logging_policy.probs_in_blocks(pool.states, rowwise=True)
+    rho = logging_policy.probs_in_blocks(pool.states)
     return BanditLog(pool.states, rho,
                      simulate_feedback(predicted_mask(rho), pool.action_mask(rho.shape[1])))
 

@@ -85,7 +85,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Set ``grad`` to zeros: filled in place once it exists, so a training
+        loop keeps one gradient array per parameter from step to step."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:

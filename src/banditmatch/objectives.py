@@ -9,8 +9,9 @@ The composite objective is the plain sum of four parts:
   * bandit loss: negative expected-feedback estimate in pseudoinverse
     form, crediting per-class importance ratios pi/rho on the classes the
     confidence masks leave to bandit learning;
-  * KL control: per-class Bernoulli KL divergence from a frozen reference
-    policy, keeping exploration near logged behavior.
+  * KL control: per-class Bernoulli KL divergence from the logging
+    policy, keeping exploration near logged behavior; the reference is the
+    logged propensities ``rho`` of each row.
 
 Baselines: clipped joint-propensity inverse scoring (IPS), its
 translated variant (BanditNet), and a fixed-threshold confidence mask
@@ -169,7 +170,8 @@ def bandit_value_estimate(
 
 
 def loss_kl_control(probs: Tensor, ref_probs: np.ndarray) -> Tensor:
-    """Mean per-class Bernoulli KL divergence from the frozen reference."""
+    """Mean per-class Bernoulli KL divergence from the reference
+    probabilities ``ref_probs``, the batch's logged ``rho`` in fine-tuning."""
     p0 = np.asarray(ref_probs, dtype=np.float64)
     p = probs.data
     q = 1.0 - p

@@ -3,8 +3,10 @@
 A policy maps an encoded dialog state to per-class probabilities over the
 atomic-action vocabulary; the predicted action set is every class with
 probability strictly above 0.5. A frozen clone of a trained policy serves
-as the logging/reference policy and never receives gradient updates. This
-module owns the network spec and the checkpoint format (FORMATS.md).
+as the logging policy and never receives gradient updates; what it gives
+each pool state is logged as that row's ``rho``, which fine-tuning's KL
+control reads as its reference. This module owns the network spec and the
+checkpoint format (FORMATS.md).
 """
 
 from __future__ import annotations
@@ -223,25 +225,15 @@ class PolicyNet:
         place on the logits."""
         return _clamped_sigmoid(self._layers(states)[1])
 
-    def probs_in_blocks(self, states: np.ndarray, rowwise: bool = False,
-                        rows: np.ndarray | None = None) -> np.ndarray:
+    def probs_in_blocks(self, states: np.ndarray) -> np.ndarray:
         """``probs`` of each row of the (n, D) ``states`` as one (n, C) array,
-        one call per ``PROBS_BLOCK`` rows, so no float64 copy of all the states
-        is held. ``rows``, when given, are the row indices to walk, in order:
-        each block gathers its own rows, so no copy of them is held either.
-        ``rowwise`` stacks each block, giving each row the bits of
-        ``probs(row)``; otherwise each row has the bits of one ``probs(states)``
-        call, so a 1-row tail, which would be a gemv, joins the block before it."""
-        n = len(states) if rows is None else len(rows)
-        starts = list(range(0, n, PROBS_BLOCK))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()
-        probs = np.empty((n, self.num_actions))
-        for start, stop in zip(starts, starts[1:] + [n]):
-            block = states[start:stop] if rows is None else states[rows[start:stop]]
-            if rowwise:
-                block = block[:, None]
-            probs[start:stop] = self.probs(block).reshape(stop - start, -1)
+        each row with the bits of ``probs(row)``: every ``PROBS_BLOCK`` rows
+        are one call on their ``(k, 1, D)`` stack, so no float64 copy of all
+        the states is held."""
+        probs = np.empty((len(states), self.num_actions))
+        for start in range(0, len(states), PROBS_BLOCK):
+            block = states[start : start + PROBS_BLOCK]
+            probs[start : start + len(block)] = self.probs(block[:, None])[:, 0]
         return probs
 
     def all_logits_clamped(self, states: np.ndarray, rows: np.ndarray | None = None) -> bool:

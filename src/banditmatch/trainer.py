@@ -12,7 +12,10 @@ Fine-tuning warm-starts from the logging policy. Each step draws a
 uniform batch from the log, refreshes the adaptive thresholds from the
 batch's correct positives and negatives, builds the confidence and
 bandit-eligibility masks, and descends the sum of the four loss
-terms. Every method trains its full budget and returns the final model.
+terms. The KL control term's reference is the batch's logged propensities
+``rho``, the logging policy's probabilities as recorded in the log, so no
+pass re-runs the logging policy. Every method trains its full budget and
+returns the final model.
 A tenth of the log (rounded down) is set aside before training and never
 read. The kept rows are never copied: each batch gathers its own rows from
 the log.
@@ -163,11 +166,12 @@ def _descend(policy: PolicyNet, rng: np.random.Generator, n: int, epochs: int,
             policy.zero_grad()
             loss.backward()
             opt.step()
-            # free this step's graph before the next step builds one. Zeroing
-            # after the build puts the fresh gradients above the graph on
-            # glibc's heap, so the freed graph is reused in place, not handed
-            # back to the OS and faulted in again (zeroing first did that:
-            # about 50 times the page faults, and 3% more CPU time)
+            # free this step's graph before the next step builds one. The
+            # first zero_grad, after the first build, puts the gradients above
+            # that graph on glibc's heap, and later ones zero them in place: so
+            # each freed graph is reused by the next step, not handed back to
+            # the OS and faulted in again (zeroing before the build did that,
+            # with ten times the page faults of a protocol run)
             del loss
 
 
@@ -175,11 +179,14 @@ def train_supervised(examples: Corpus, spec: MlpSpec, config: TrainConfig) -> Po
     """Per-class BCE on expert-labeled examples (no augmentation), drawing the
     initial weights and the batch order from the ``logging`` stream.
 
-    Targets are label-smoothed so the fitted probabilities stay
-    calibrated instead of saturating on a small corpus; decision
-    thresholds are unaffected but the recorded propensities keep usable
-    headroom for the downstream importance ratios and thresholds. A run
-    that diverges (``_check_can_learn``) raises ``TrainerError``.
+    Targets are label-smoothed (``SL_LABEL_SMOOTHING``) so the fitted
+    probabilities do not saturate on a small corpus: the logged propensities
+    ``rho`` stay inside about [0.002, 0.993], away from 0 and 1, which keeps
+    the downstream importance ratios pi/rho finite. The smoothing does not
+    calibrate them: on the acceptance fixture's pools the expected
+    calibration error of ``rho`` against the expert sets is about 0.10. The
+    decision thresholds are unaffected. A run that diverges
+    (``_check_can_learn``) raises ``TrainerError``.
     """
     if not examples:
         raise TrainerError("supervised training needs at least one example")
@@ -233,9 +240,9 @@ def train_on_log(
     the per-step log, which holds plain numbers only.
 
     The rows trained on are held as ``kept``, their indices into ``log``:
-    each batch is ``log.take`` of its own kept rows, and the KL reference
-    walks the kept rows in ``PROBS_BLOCK`` blocks, so no copy of the kept
-    rows is made.
+    each batch is ``log.take`` of its own kept rows, so no copy of the kept
+    rows is made. The KL reference is the batch's logged ``rho``, so
+    ``logging_policy`` is only the warm start: no pass over the log re-runs it.
 
     When given, ``on_thresholds(step, thresholds)`` receives the
     ``fet.ThresholdSet`` each FET step used, once per step; methods without
@@ -252,17 +259,16 @@ def train_on_log(
     # an open ROADMAP item)
     kept = rng.permutation(len(log))[len(log) // 10:]
     policy = logging_policy.clone_trainable()
-    # step(number, idx, batch) -> (total loss, StepLog) with idx into kept
+    # step(number, batch) -> (total loss, StepLog)
     if config.method in (METHOD_IPS, METHOD_BANDITNET):
-        step = _crm_step(policy, logging_policy, log, kept, config)
+        step = _crm_step(policy, config)
     else:
-        step = _composite_step(policy, logging_policy, log, kept, rng, config, labeled_split,
-                               on_thresholds)
+        step = _composite_step(policy, rng, config, labeled_split, on_thresholds)
 
     history: list[StepLog] = []
 
     def logged_step(idx):
-        total, row = step(len(history) + 1, idx, log.take(kept[idx]))
+        total, row = step(len(history) + 1, log.take(kept[idx]))
         history.append(row)
         return total
 
@@ -276,25 +282,24 @@ ALPHA_WEAK = 0.2
 ALPHA_STRONG = 2.0
 
 
-def _composite_step(policy, logging_policy, log, kept, rng, config, labeled_split,
-                    on_thresholds):
+def _composite_step(policy, rng, config, labeled_split, on_thresholds):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
     mix-up passes, and the sum of the four terms. The supervised term is the
-    mixed-up expert split for fixmatch and the logged positives otherwise."""
+    mixed-up expert split for fixmatch and the logged positives otherwise;
+    the KL term's reference is the batch's ``rho``."""
     use_fet = not config.no_fet and config.method == METHOD_BANDITMATCH
     use_cbl = not config.no_cbl and config.method == METHOD_BANDITMATCH
     use_kl = not config.no_kl and config.method == METHOD_BANDITMATCH
     use_split = config.method == METHOD_FIXMATCH
 
-    num_classes = logging_policy.num_actions
+    num_classes = policy.num_actions
     aug_rng = derive_rng(config.seed, "augment")
     if use_split:
         split_states = labeled_split.states
         split_targets = labeled_split.action_mask(num_classes)
     tracker = fet.FetTracker(num_classes, apply_scale=not config.no_mc_scale)
-    ref_train = logging_policy.probs_in_blocks(log.states, rows=kept) if use_kl else None
 
-    def step(number: int, idx: np.ndarray, batch: BanditLog):
+    def step(number: int, batch: BanditLog):
         states = batch.states.astype(np.float64)  # the batch's one float64 copy
         weak_states, _ = objectives.mixup_batch(states, ALPHA_WEAK, aug_rng)
         strong_states, _ = objectives.mixup_batch(states, ALPHA_STRONG, aug_rng)
@@ -348,7 +353,7 @@ def _composite_step(policy, logging_policy, log, kept, rng, config, labeled_spli
             umask = np.zeros_like(conf, dtype=np.float64)
             l_b = Tensor(0.0)
         if use_kl:
-            l_k = objectives.loss_kl_control(plain_t, ref_train[idx])
+            l_k = objectives.loss_kl_control(plain_t, batch.rho)
         else:
             l_k = Tensor(0.0)
         total = objectives.total_loss(l_l, l_p, l_b, l_k)
@@ -368,24 +373,24 @@ def _composite_step(policy, logging_policy, log, kept, rng, config, labeled_spli
     return step
 
 
-def _crm_step(policy, logging_policy, log, kept, config):
-    """The ips / banditnet step, with the optional KL control term."""
-    ref_train = logging_policy.probs_in_blocks(log.states, rows=kept) if config.add_kl else None
+def _crm_step(policy, config):
+    """The ips / banditnet step, with the optional KL control term, whose
+    reference is the batch's ``rho``."""
+    crm_loss = objectives.loss_ips if config.method == METHOD_IPS else objectives.loss_banditnet
 
-    def step(number: int, idx: np.ndarray, batch: BanditLog):
+    def step(number: int, batch: BanditLog):
         probs_t = policy.forward(batch.states)
         logged = predicted_mask(batch.rho)
-        crm_loss = objectives.loss_ips if config.method == METHOD_IPS else objectives.loss_banditnet
-        loss = crm_loss(probs_t, batch.rho, batch.delta, logged)
+        l_b = loss = crm_loss(probs_t, batch.rho, batch.delta, logged)
         l_k = Tensor(0.0)
         if config.add_kl:
-            l_k = objectives.loss_kl_control(probs_t, ref_train[idx])
-            loss = loss + l_k
+            l_k = objectives.loss_kl_control(probs_t, batch.rho)
+            loss = l_b + l_k
         return loss, StepLog(
             step=number,
             loss_labeled=0.0,
             loss_pseudo=0.0,
-            loss_bandit=loss.item(),
+            loss_bandit=l_b.item(),
             loss_kl=l_k.item(),
             total=loss.item(),
             n_confident=0,

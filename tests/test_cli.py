@@ -1105,6 +1105,19 @@ class TestManifests:
         assert written["command"] == argv[0]
         assert list(written["inputs"]) == [fill(path) for path in inputs]
         assert list(written["outputs"]) == [fill(path) for path in outputs]
+        blas = cli.blas_info()
+        assert {key: written[key] for key in ("blas_kernel", "blas_build")} == blas
+        # numpy's bundled OpenBLAS names its kernel inside its build string
+        assert blas["blas_kernel"] == "unknown" or blas["blas_kernel"] in blas["blas_build"].split()
+
+    def test_blas_unknown_without_openblas(self, monkeypatch):
+        import ctypes
+
+        def no_library(path):
+            raise OSError(f"{path}: cannot open")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert cli.blas_info.__wrapped__() == {"blas_kernel": "unknown", "blas_build": "unknown"}
 
     @pytest.mark.parametrize("case", ["split_and_log", "train", "ablate", "sweep"])
     def test_config_has_one_entry_per_config_key(self, tiny_world_data, tmp_path, case):

@@ -273,8 +273,8 @@ class TestLogging:
         policy = random_policy(schema).clone_frozen()
         calls = spy_probs(monkeypatch)
         log = ds.log_bandit_data(policy, pool)
-        # a 1-row tail joins the block before it
-        assert calls == [n]
+        # every row is stacked, so a 1-row tail is its own call with its row's bits
+        assert calls == [min(PROBS_BLOCK, n - start) for start in range(0, n, PROBS_BLOCK)]
         assert log.rho.shape == (n, schema.num_actions)
         assert all(np.array_equal(row, policy.probs(ex.state)) for row, ex in zip(log.rho, pool))
 

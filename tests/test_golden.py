@@ -25,9 +25,16 @@ every (point, row) runs in one grid.
 The digests were taken before the fused-node training step existed (the
 world and corpus digests before the array-native dialog turn), with
 Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31 (OpenBLAS 0.3.31.188.0,
-DYNAMIC_ARCH, Haswell kernels) on x86_64. A different BLAS build may sum
-matrix products in another order; if only this test fails after such an
-upgrade, re-take the digests on the old code first.
+DYNAMIC_ARCH) on x86_64, under the SkylakeX kernels that OpenBLAS picks on
+an AVX-512 CPU (``GOLDEN_KERNEL``). The KL fine-tunes' digests (criterion9's
+banditmatch checkpoint, training log and report, all_losses' banditmatch and
+ips checkpoints and training logs, and the protocol paths' banditmatch
+checkpoint, training log and threshold trace) were re-taken under the same
+kernels once the KL term read the logged propensities instead of a second
+pass of the logging policy, and the CRM rows logged the CRM term alone. A
+different BLAS build or kernel may sum matrix products in another order, so
+a failure names the kernel in use; if only this test fails after such a
+change, re-take the digests on the old code first.
 """
 
 import hashlib
@@ -35,6 +42,9 @@ import hashlib
 import pytest
 
 from banditmatch import cli
+
+# the OpenBLAS kernel every digest below was taken under
+GOLDEN_KERNEL = "SkylakeX"
 
 BASE_CONFIG = "epochs = 2\nhidden_dims = 16\nbatch_size = 32\n"
 PIPELINES = {
@@ -51,11 +61,11 @@ PIPELINES = {
             "data/bandit.jsonl":
                 "8bb72f3ab109e250df09f17b0c593cfa4d631de2f99129ba2b35e1b47020c63b",
             "banditmatch.json":
-                "0a2bfb5eb0c3ccc737581883f33b39374aa226782d7781324a84fe01ae4d3a51",
+                "5a8446b5eb1514e95ca1f6c887ebdc2dcbf74bdf8032d450caa2713a2c8d58b6",
             "banditmatch_log.csv":
-                "a8702d19a29f5ceee0a072c422533fc490a06b8636d05beb742b9240fa6ddcd7",
+                "4cbad04a5c79e31540d04390441bcab8ed0303fe0b8358aa0b6cb3fb2e4dd59f",
             "report.csv":
-                "648d222443404e12abf2d3e2f05f2eec116e83deebb0f8a3cb3bc97deab9b13f",
+                "19d3e44848a21c6eb75b53807980a50a45b83de9b6224a79cad93588811b7e19",
         },
     ),
     "all_losses": (
@@ -71,13 +81,13 @@ PIPELINES = {
             "data/bandit.jsonl":
                 "c9dc3e9ef8e1b5ed6d8a8c28b83aa81e3eaaa4e8fff1f170e17458ac2f223683",
             "banditmatch.json":
-                "b3a4b04049cf8f4afccc62757039bc858724d64eb565f612e0166fb5824ef906",
+                "d900ca3dcab4c0d480076bc58d463cc5b701afc69714389a1989a49ef3ee9ab4",
             "banditmatch_log.csv":
-                "1170d5041bc15d3eee85d9cde9c7c345d1792bbce1a5e358b8f4a27026bffd99",
+                "d6cc3b39e45f709ba791521f97409cd365850113641e7130f7f290bf58702e9d",
             "ips.json":
-                "c6afd3c2d6771eb9135a7fb2d242276721af4204e9aca1bf0f740b5fc5415514",
+                "2b481118120227e16f38d06d56d9cfbd9ab9be5b149544fcecbff44181e23ec7",
             "ips_log.csv":
-                "98b7eaac23f104d59ccaebb3eacfa9d843a90690ae0ac4438ccdc34d3c6b5943",
+                "5c4c36f44e5d9f5e31c70f415f282f39ee6570f16da6526b42026264e2b065b2",
             "report.csv":
                 "f31e516fe910ec9ea317ab4b4e21c6e621c9cbae399ac1156719f94ed608dcb5",
         },
@@ -120,6 +130,12 @@ def _run_all(argv_sets) -> None:
         assert cli.main([str(a) for a in argv]) == 0
 
 
+def _assert_digests(digests: dict, golden: dict) -> None:
+    kernel = cli.blas_info()["blas_kernel"]
+    assert digests == golden, (f"digests differ under the {kernel} BLAS kernel; "
+                               f"they were taken under {GOLDEN_KERNEL}")
+
+
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 def test_tiny_pipeline_golden_bytes(tmp_path, name):
     config, methods, golden = PIPELINES[name]
@@ -130,7 +146,7 @@ def test_tiny_pipeline_golden_bytes(tmp_path, name):
          "--out", tmp_path / "report.csv"]
     )
     _run_all(argv_sets)
-    assert {path: _sha256(tmp_path / path) for path in golden} == golden
+    _assert_digests({path: _sha256(tmp_path / path) for path in golden}, golden)
 
 
 # Every fine-tuning method, and the evaluation paths besides the plain
@@ -147,9 +163,9 @@ PATHS_GOLDEN = {
     "ablate/ablations.json":
         "71b4387ce1bacec41af7f765001702776a0d3cf5e80a2cdbdb986ca4fe454e9b",
     "banditmatch.json":
-        "23ef67afa8f5c275059d2992746650338a38daf21748596cc97b0e951d624b26",
+        "12eaa78ea415c84111eed4a059317ee74530163de2540bd725c0ac141afeac7f",
     "banditmatch_log.csv":
-        "04fc7dff14911a2b206a2d23d729a20aca17875d2ccf3d1ecda6b3faea0bb3f6",
+        "3a1ad5668dfaefc8aa3d23d54324cb2721b5a2a7ac01cc80dc84e94f4a45cb50",
     "banditnet.json":
         "5d2610152055c970557d86f282c80536931ce8d9d0a9d4964a4d23a57442b40d",
     "banditnet_log.csv":
@@ -177,7 +193,7 @@ PATHS_GOLDEN = {
     "report_traced.csv":
         "08a304c27b019e6c0cbe2afa6115d0f91abd6bf15d3140261fc8e44ddc6208ef",
     "thresholds.csv":
-        "177b16f0a912c4f366199647561f946a851d5a7737af246cf122f1af95570e76",
+        "ac79604167919e251b211101920fd182eaff73a3b9c2b33fd018b57301f8dfd0",
     "world.json":
         "9118a298c27897d067946514cb0faf436725fbf67b2100bee348400331408afa",
 }
@@ -210,7 +226,7 @@ def test_protocol_paths_golden_bytes(tmp_path):
         if path.is_file() and path.suffix in (".json", ".jsonl", ".csv")
         and not path.name.endswith(".manifest.json")
     }
-    assert digests == PATHS_GOLDEN
+    _assert_digests(digests, PATHS_GOLDEN)
 
 
 # Two sweep points with the default method list (all four fine-tuning
@@ -244,4 +260,4 @@ def test_sweep_golden_bytes(tmp_path):
          "--percentages", "20,50", "--n-dialogs", 10, "--n-runs", 1, "--out-dir", out_dir],
     ])
     digests = {path.name: _sha256(path) for path in sorted(out_dir.glob("*.csv"))}
-    assert digests == SWEEP_GOLDEN
+    _assert_digests(digests, SWEEP_GOLDEN)

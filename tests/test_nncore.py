@@ -141,6 +141,17 @@ class TestOptimizers:
         nncore.Sgd([w], learning_rate=0.5).step()
         assert np.array_equal(w.data, np.array([1.0, -2.0]))
 
+    def test_zero_grad_keeps_one_gradient_array(self):
+        # after the first step, zeroing fills each gradient in place, so a
+        # training loop allocates no gradient array per step
+        net = make_net(seed=5)
+        net.zero_grad()
+        grads = [p.grad for p in net.parameters()]
+        ref.mean(net.forward(np.random.default_rng(6).random((3, 8)))).backward()
+        assert all(g.any() for g in grads)
+        net.zero_grad()
+        assert all(p.grad is g and not g.any() for p, g in zip(net.parameters(), grads))
+
     def test_adam_scratch_is_one_pair_of_the_largest_size(self):
         params = make_net(seed=11, hidden=(6, 5)).parameters()
         opt = nncore.Adam(params)

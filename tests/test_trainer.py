@@ -17,6 +17,7 @@ from banditmatch import cli
 from banditmatch import datasets as ds
 from banditmatch import dialogworld as dw
 from banditmatch import nncore
+from banditmatch import objectives
 from banditmatch import trainer as tr
 from banditmatch.policy import PROBS_BLOCK, PolicyNet, policy_spec_for
 from dataclasses import replace
@@ -220,6 +221,31 @@ class TestFineTuning:
         _, history = tr.train_on_log(setup[3], setup[4], cfg)
         assert history and all(r.loss_labeled == 0.0 and r.loss_pseudo == 0.0 for r in history)
 
+    @pytest.mark.parametrize("method", ["ips", "banditnet"])
+    def test_crm_kl_row_logs_each_term_once(self, setup, method):
+        # the bandit column holds the CRM term alone, so a row's terms sum to
+        # its total as in a composite row
+        cfg = replace(setup[2], epochs=1, method=method, add_kl=True)
+        _, history = tr.train_on_log(setup[3], setup[4], cfg)
+        assert any(r.loss_kl != 0.0 for r in history)
+        assert all(r.loss_bandit + r.loss_kl == r.total for r in history)
+
+    @pytest.mark.parametrize("method", ["banditmatch", "ips"])
+    def test_kl_reference_is_the_logged_rho(self, schema, spec, method):
+        # a hand-built log whose rho no policy produced: fewer than ten rows
+        # keep every row, and a batch larger than the log makes step 1 one
+        # batch of all of them, taken before any update
+        rng = np.random.default_rng(29)
+        log = random_log(rng, 9, schema.state_dim, schema.num_actions)
+        pi0 = PolicyNet(spec, rng=rng).clone_frozen()
+        assert not np.allclose(pi0.probs_in_blocks(log.states), log.rho)
+        cfg = tr.TrainConfig(method=method, add_kl=method == "ips", epochs=1,
+                             hidden_dims=spec.hidden_dims)
+        _, history = tr.train_on_log(pi0, log, cfg)
+        expected = objectives.loss_kl_control(pi0.forward(log.states), log.rho).item()
+        assert len(history) == 1
+        assert history[0].loss_kl == pytest.approx(expected, rel=1e-12)
+
     def test_ips_with_zero_learning_rate_stays_at_logging_policy(self, setup, schema):
         cfg = replace(setup[2], epochs=2, method="ips", learning_rate=0.0)
         policy, _ = tr.train_on_log(setup[3], setup[4], cfg)
@@ -283,43 +309,38 @@ class TestFineTuning:
         assert peak < 0.25 * row_bytes, peak / row_bytes
 
     def test_kl_reference_built_in_blocks(self, schema, spec):
-        # a zero-epoch banditmatch run holds the frozen reference's
-        # probabilities, under the bound of one copy of the training rows'
-        # uint8 states, propensities and logged-set mask plus those
-        # probabilities; the reference pass adds one block's gathered rows
-        # and float64 layers, not a float64 copy of every state and every
-        # hidden activation
+        # the KL term reads each batch's logged rho, so a zero-epoch
+        # banditmatch run holds no reference probabilities and stays under the
+        # zero-epoch ips bound: a quarter of one copy of the training rows'
+        # uint8 states, propensities and logged-set mask
         rng = np.random.default_rng(19)
         d, c, n = schema.state_dim, schema.num_actions, 3000
         log = random_log(rng, n, d, c)
         pi0 = PolicyNet(spec, rng=rng).clone_frozen()
         cfg = tr.TrainConfig(epochs=0, hidden_dims=spec.hidden_dims)
-        row_bytes = (n - n // 10) * (d + c * 8 + c + c * 8)
+        row_bytes = (n - n // 10) * (d + c * 8 + c)
         tracemalloc.start()
         try:
             tr.train_on_log(pi0, log, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * row_bytes, peak / row_bytes
+        assert peak < 0.25 * row_bytes, peak / row_bytes
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (1, 2),
                                                (2, 1)],
                              ids=["1", "2", "B-1", "B", "B+1", "B+2", "2B+1"])
     def test_block_reference_equals_one_call(self, schema, spec, blocks, extra):
-        # a single-row product goes through gemv and differs from the batched
-        # row in the last bit, so a 1-row tail block would show here
+        # each row has the bits of one probs call on that row alone, at every
+        # block edge: a batched product may differ from a row's gemv in the
+        # last bit, so a block passed as one (k, D) batch would show here
         n = blocks * PROBS_BLOCK + extra
         rng = np.random.default_rng(n)
         states = (rng.random((n, schema.state_dim)) < 0.2).astype(np.uint8)
         policy = PolicyNet(spec, rng=rng).clone_frozen()
         got = policy.probs_in_blocks(states)
         assert got.shape == (n, schema.num_actions)
-        assert np.array_equal(got, policy.probs(states))
-        # picked rows, gathered block by block, have the bits of their own copy's blocks
-        order = rng.permutation(n)[: max(1, n - 3)]
-        assert np.array_equal(policy.probs_in_blocks(states, rows=order),
-                              policy.probs_in_blocks(states[order]))
+        assert all(np.array_equal(row, policy.probs(state)) for row, state in zip(got, states))
 
     def test_crm_kind_with_kl_variant(self, setup, schema):
         cfg = replace(setup[2], epochs=1, method="ips", add_kl=True)
