@@ -48,8 +48,6 @@ EXIT_VERSION = 4
 EXIT_INVALID = 5
 
 DEFAULT_N_DIALOGS = 400
-DEFAULT_EVAL_DIALOGS = 500
-DEFAULT_EVAL_RUNS = 5
 
 # report metric -> column stem, in column order; each metric gives a mean and a std column
 REPORT_METRICS = {
@@ -571,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--expert", action="store_true", help="evaluate the rule expert")
     p.add_argument("--method-name", default=None)
-    p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
-    p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
+    p.add_argument("--n-dialogs", type=_at_least_one, default=trainer.EVAL_DIALOGS)
+    p.add_argument("--n-runs", type=_at_least_one, default=trainer.EVAL_RUNS)
     p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--json", type=Path, default=None)
@@ -586,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logging-policy", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--seed", type=_at_least_zero, default=None)
-    p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
-    p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
+    p.add_argument("--n-dialogs", type=_at_least_one, default=trainer.EVAL_DIALOGS)
+    p.add_argument("--n-runs", type=_at_least_one, default=trainer.EVAL_RUNS)
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=cmd_ablate)
 
@@ -603,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_comma_list({m: m for m in trainer.FINETUNE_METHODS},
                                     "one of " + ", ".join(trainer.FINETUNE_METHODS)),
                    help="comma list of distinct fine-tuning methods, default all four")
-    p.add_argument("--n-dialogs", type=_at_least_one, default=DEFAULT_EVAL_DIALOGS)
-    p.add_argument("--n-runs", type=_at_least_one, default=DEFAULT_EVAL_RUNS)
+    p.add_argument("--n-dialogs", type=_at_least_one, default=trainer.EVAL_DIALOGS)
+    p.add_argument("--n-runs", type=_at_least_one, default=trainer.EVAL_RUNS)
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -26,8 +26,8 @@ says bye, or after ``MAX_TURNS`` agent turns.
 Lookup tables. ``WorldSchema`` builds its tables once, at construction,
 one ``_DomainTables`` per domain behind a name map: the state layout (the
 domain's feature offsets and a slot -> position map per flag block, plus
-the position each possible last-turn user act sets) and per slot a
-value -> entity bitmask. The encoder writes only the features the context
+the position each possible last-turn user act sets) and per informable
+slot a value -> entity bitmask. The encoder writes only the features the context
 holds, and entity matching is an AND of bitmasks (``_constraint_mask``),
 shared by the database lookup and the Match metric.
 The same tables hold the action index of every act the expert can emit.
@@ -116,15 +116,15 @@ class _DomainTables:
     ``expressed`` / ``pending`` / ``informed`` map each slot to its absolute
     position in the state vector's three flag blocks; ``match`` is the first
     match-count bucket and ``flags`` the booking-requested flag (booked and
-    active follow it). ``value_masks[slot][value]`` has bit ``i`` set when
-    entity ``i`` holds ``value``; ``informable_masks`` is its restriction to
-    the constraint slots. ``inform_action`` / ``request_action`` map each slot
-    to the index of its inform / request action, and ``offer_action``,
-    ``book_action`` and ``nooffer_action`` are the slotless actions' indices.
+    active follow it). ``informable_masks[slot][value]`` has bit ``i`` set
+    when entity ``i`` holds ``value``, for each constraint slot.
+    ``inform_action`` / ``request_action`` map each slot to the index of its
+    inform / request action, and ``offer_action``, ``book_action`` and
+    ``nooffer_action`` are the slotless actions' indices.
     """
 
     __slots__ = ("dom", "expressed", "pending", "informed", "match", "flags",
-                 "all_entities", "value_masks", "informable_masks", "inform_action",
+                 "all_entities", "informable_masks", "inform_action",
                  "request_action", "offer_action", "book_action", "nooffer_action")
 
     def __init__(self, dom: DomainSchema, offset: int, index: dict[AtomicAction, int]):
@@ -137,11 +137,10 @@ class _DomainTables:
         self.match = offset + 3 * n_all
         self.flags = self.match + MATCH_BUCKETS
         self.all_entities = (1 << len(dom.entities)) - 1
-        self.value_masks: dict[str, dict[str, int]] = {s: {} for s in slots}
+        self.informable_masks: dict[str, dict[str, int]] = {s: {} for s in dom.informable}
         for i, ent in enumerate(dom.entities):
-            for slot, masks in self.value_masks.items():
+            for slot, masks in self.informable_masks.items():
                 masks[ent[slot]] = masks.get(ent[slot], 0) | (1 << i)
-        self.informable_masks = {s: self.value_masks[s] for s in dom.informable}
         self.inform_action = {s: index[AtomicAction(dom.name, INFORM, s)] for s in slots}
         self.request_action = {
             s: index[AtomicAction(dom.name, REQUEST, s)] for s in dom.informable

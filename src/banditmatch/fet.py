@@ -8,7 +8,9 @@ correctness ratio estimated from the logged data with importance ratios
 (per-class propensity weighting). Accept thresholds are clamped into
 [0.5, 1] and reject thresholds into [0, 0.5] so a pseudo label can never
 contradict its own confidence band; classes without supporting statistics
-fall back to the conventional fixed pair (0.95 accept / 0.05 reject).
+fall back to the conventional fixed pair (``FALLBACK_ACCEPT`` 0.95 /
+``FALLBACK_REJECT`` 0.05). That pair is also the whole rule of the FixMatch
+baseline and the ``no_fet`` ablation (``objectives.fixmatch_mask``).
 
 All functions here are pure over arrays: ``probs`` rows are the current
 policy's class probabilities for each record, ``sets`` rows are boolean
@@ -213,20 +215,17 @@ class FetTracker:
         seen |= valid
 
     def update(
-        self,
-        pos_probs: np.ndarray,
-        pos_sets: np.ndarray,
-        pos_rho: np.ndarray,
-        neg_probs: np.ndarray,
-        neg_sets: np.ndarray,
-        neg_rho: np.ndarray,
+        self, probs: np.ndarray, sets: np.ndarray, rho: np.ndarray, delta: np.ndarray
     ) -> ThresholdSet:
-        """Fold one batch into the tracker and return the thresholds to use."""
-        correct = exact_match_rows(pos_probs, pos_sets)
+        """Fold one batch into the tracker and return the thresholds to use.
+        The rows with feedback ``delta`` 1 are the positives, the rest the
+        negatives."""
+        positive = np.asarray(delta) == 1
+        correct = positive & exact_match_rows(probs, sets)
         if correct.any():
-            probs_t = pos_probs[correct]
-            sets_t = pos_sets[correct]
-            rho_t = pos_rho[correct]
+            probs_t = probs[correct]
+            sets_t = sets[correct]
+            rho_t = rho[correct]
             accept, reject, v_a, v_r = positive_thresholds(probs_t, sets_t)
             self._ema_update(self.accept_ema, self.accept_seen, accept, v_a)
             self._ema_update(self.reject_ema, self.reject_seen, reject, v_r)
@@ -235,8 +234,10 @@ class FetTracker:
                 self.mc_pos_ema = mc_pos
             else:
                 self.mc_pos_ema = EMA_DECAY * self.mc_pos_ema + (1.0 - EMA_DECAY) * mc_pos
+        negative = ~positive
         try:
-            self.last_mc_neg = model_correctness_neg(neg_probs, neg_sets, neg_rho)
+            self.last_mc_neg = model_correctness_neg(probs[negative], sets[negative],
+                                                     rho[negative])
         except ValueError:
             self.last_mc_neg = None
         return self.thresholds()

@@ -15,21 +15,25 @@ The composite objective is the plain sum of four parts:
 
 Baselines: clipped joint-propensity inverse scoring (IPS), its
 translated variant (BanditNet), and a fixed-threshold confidence mask
-(FixMatch-style). Masks and pseudo labels are plain numpy arrays, so no
-gradient ever flows through them; only probability tensors carry graph.
+(FixMatch-style). The clip (``DEFAULT_IPS_CLIP``) and the translation
+(``DEFAULT_TRANSLATION``) are fixed. The FixMatch mask is FET's confidence
+mask under FET's fallback pair (``fet.FALLBACK_ACCEPT`` /
+``fet.FALLBACK_REJECT``), the band that FixMatch and the ``no_fet``
+ablation apply to every class. Masks and pseudo labels are plain numpy
+arrays, so no gradient ever flows through them; only probability tensors
+carry graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import nncore
+from . import fet, nncore
 from .nncore import Tensor
 from .policy import predicted_mask
 
 DEFAULT_IPS_CLIP = 100.0
 DEFAULT_TRANSLATION = 0.9
-FIXED_CONFIDENCE = 0.95
 
 
 class ObjectiveError(Exception):
@@ -199,10 +203,10 @@ def total_loss(labeled: Tensor, pseudo: Tensor, bandit: Tensor, kl: Tensor) -> T
 
 
 def _clipped_ips(
-    probs: Tensor, rho: np.ndarray, logged_mask: np.ndarray, reward: np.ndarray, clip: float
+    probs: Tensor, rho: np.ndarray, logged_mask: np.ndarray, reward: np.ndarray
 ) -> Tensor:
-    """``-mean(min(w, clip) * reward)`` with ``w`` the joint per-class
-    Bernoulli likelihood ratio of the logged set decision."""
+    """``-mean(min(w, DEFAULT_IPS_CLIP) * reward)`` with ``w`` the joint
+    per-class Bernoulli likelihood ratio of the logged set decision."""
     p = probs.data
     z = np.asarray(logged_mask, dtype=np.float64)
     not_z = 1.0 - z
@@ -210,7 +214,7 @@ def _clipped_ips(
     log_num = np.log(p) * z + np.log(q) * not_z
     log_den = z * np.log(rho) + (1.0 - z) * np.log(1.0 - rho)
     w = np.exp((log_num - log_den).sum(axis=1))
-    inside = (w >= 0.0) & (w <= clip)
+    inside = (w >= 0.0) & (w <= DEFAULT_IPS_CLIP)
     scale = -1.0 / reward.shape[0]
 
     def backward(g: np.ndarray) -> None:
@@ -218,38 +222,28 @@ def _clipped_ips(
         probs._accumulate(-(g_row * not_z / q))  # log(1 - p)
         probs._accumulate(g_row * z / p)  # log(p)
 
-    return nncore.fused((np.clip(w, 0.0, clip) * reward).sum() * scale, (probs,), backward)
+    value = (np.clip(w, 0.0, DEFAULT_IPS_CLIP) * reward).sum() * scale
+    return nncore.fused(value, (probs,), backward)
 
 
 def loss_ips(
-    probs: Tensor,
-    rho: np.ndarray,
-    delta: np.ndarray,
-    logged_mask: np.ndarray,
-    clip: float = DEFAULT_IPS_CLIP,
+    probs: Tensor, rho: np.ndarray, delta: np.ndarray, logged_mask: np.ndarray
 ) -> Tensor:
     """Clipped inverse-propensity objective on the joint set decision."""
-    delta = np.asarray(delta, dtype=np.float64)
-    return _clipped_ips(probs, rho, logged_mask, delta, clip)
+    return _clipped_ips(probs, rho, logged_mask, np.asarray(delta, dtype=np.float64))
 
 
 def loss_banditnet(
-    probs: Tensor,
-    rho: np.ndarray,
-    delta: np.ndarray,
-    logged_mask: np.ndarray,
-    translation: float = DEFAULT_TRANSLATION,
-    clip: float = DEFAULT_IPS_CLIP,
+    probs: Tensor, rho: np.ndarray, delta: np.ndarray, logged_mask: np.ndarray
 ) -> Tensor:
-    """Translated IPS: rewards are shifted by a baseline before weighting."""
+    """Translated IPS: rewards are shifted by ``DEFAULT_TRANSLATION`` before
+    weighting."""
     delta = np.asarray(delta, dtype=np.float64)
-    return _clipped_ips(probs, rho, logged_mask, delta - translation, clip)
+    return _clipped_ips(probs, rho, logged_mask, delta - DEFAULT_TRANSLATION)
 
 
-def fixmatch_mask(
-    weak_probs: np.ndarray, delta: np.ndarray, tau: float = FIXED_CONFIDENCE
-) -> np.ndarray:
-    """Fixed-threshold confidence mask on negative rows."""
-    p = np.asarray(weak_probs)
-    outside = (p > tau) | (p < 1.0 - tau)
-    return outside & (np.asarray(delta).reshape(-1, 1) == 0)
+def fixmatch_mask(weak_probs: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Fixed-threshold confidence mask on negative rows: FET's confidence
+    mask under the fallback pair on every class."""
+    weak_probs = np.asarray(weak_probs)
+    return fet.confidence_mask(weak_probs, delta, fet.fallback_thresholds(weak_probs.shape[-1]))

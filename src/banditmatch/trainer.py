@@ -286,7 +286,17 @@ def _composite_step(policy, rng, config, labeled_split, on_thresholds):
     """The banditmatch / fixmatch step: FET or fixed-threshold confidence,
     mix-up passes, and the sum of the four terms. The supervised term is the
     mixed-up expert split for fixmatch and the logged positives otherwise;
-    the KL term's reference is the batch's ``rho``."""
+    the KL term's reference is the batch's ``rho``.
+
+    The backward adds into the gradients in this order (float addition is
+    not associative, so the order fixes the trained bits): the KL term, then
+    the bandit term, into the plain pass's probabilities, and the plain pass
+    into each layer's weight and bias, last layer first (``w2, b2, w1, b1,
+    w0, b0`` with two hidden layers); the pseudo term into the strong pass,
+    and the strong pass into the parameters; the labeled term into the weak
+    pass (fixmatch: the split pass), and that pass into the parameters. A
+    term or pass the step does not build is skipped.
+    ``TestGradientOrder`` in ``tests/test_trainer.py`` pins it."""
     use_fet = not config.no_fet and config.method == METHOD_BANDITMATCH
     use_cbl = not config.no_cbl and config.method == METHOD_BANDITMATCH
     use_kl = not config.no_kl and config.method == METHOD_BANDITMATCH
@@ -309,25 +319,14 @@ def _composite_step(policy, rng, config, labeled_split, on_thresholds):
         weak_t = policy.forward(weak_states)
         weak_probs = weak_t.data
 
-        pos_rows = batch.delta == 1
         logged = predicted_mask(batch.rho)
         if use_fet:
-            plain_probs = plain_t.data
-            thresholds = tracker.update(
-                plain_probs[pos_rows],
-                logged[pos_rows],
-                batch.rho[pos_rows],
-                plain_probs[~pos_rows],
-                logged[~pos_rows],
-                batch.rho[~pos_rows],
-            )
+            thresholds = tracker.update(plain_t.data, logged, batch.rho, batch.delta)
             if on_thresholds is not None:
                 on_thresholds(number, thresholds)
             conf = fet.confidence_mask(weak_probs, batch.delta, thresholds)
-            stats = tracker.correctness()
         else:
             conf = objectives.fixmatch_mask(weak_probs, batch.delta)
-            stats = fet.CorrectnessStats(0.0, 0.0, available=False)
 
         if use_split:
             lab_idx = rng.integers(0, split_states.shape[0], size=config.batch_size)
@@ -349,14 +348,17 @@ def _composite_step(policy, rng, config, labeled_split, on_thresholds):
         if use_cbl:
             umask = objectives.unconfident_plus_mask(batch.delta, conf, logged)
             l_b = objectives.loss_bandit(plain_t, batch.rho, batch.delta, umask)
+            n_unconfident = int(umask.sum())
         else:
-            umask = np.zeros_like(conf, dtype=np.float64)
             l_b = Tensor(0.0)
+            n_unconfident = 0
         if use_kl:
             l_k = objectives.loss_kl_control(plain_t, batch.rho)
         else:
             l_k = Tensor(0.0)
         total = objectives.total_loss(l_l, l_p, l_b, l_k)
+        # a tracker that was never updated (fixmatch, no_fet) answers zeros
+        stats = tracker.correctness()
         return total, StepLog(
             step=number,
             loss_labeled=l_l.item(),
@@ -365,7 +367,7 @@ def _composite_step(policy, rng, config, labeled_split, on_thresholds):
             loss_kl=l_k.item(),
             total=total.item(),
             n_confident=int(conf.sum()),
-            n_unconfident=int(umask.sum()),
+            n_unconfident=n_unconfident,
             mc_pos=stats.mc_pos,
             mc_neg=stats.mc_neg,
         )
@@ -375,7 +377,10 @@ def _composite_step(policy, rng, config, labeled_split, on_thresholds):
 
 def _crm_step(policy, config):
     """The ips / banditnet step, with the optional KL control term, whose
-    reference is the batch's ``rho``."""
+    reference is the batch's ``rho``. The backward adds the KL term, then the
+    ips / banditnet term, into the pass's probabilities, and the pass into
+    each layer's weight and bias, last layer first (``TestGradientOrder``
+    pins it)."""
     crm_loss = objectives.loss_ips if config.method == METHOD_IPS else objectives.loss_banditnet
 
     def step(number: int, batch: BanditLog):
@@ -414,6 +419,11 @@ class ExperimentReport:
     seed: int
 
 
+# the evaluation protocol's size: runs of dialogs, each run on its own goals
+EVAL_DIALOGS = 500
+EVAL_RUNS = 5
+
+
 def _evaluate_runs(play, schema, n_dialogs, n_runs, seed, method) -> ExperimentReport:
     """The evaluation protocol: each run samples its ``n_dialogs`` goals
     from its own stream, ``play(run, goals)`` returns one EpisodeMetrics per
@@ -437,8 +447,8 @@ def _evaluate_runs(play, schema, n_dialogs, n_runs, seed, method) -> ExperimentR
 def evaluate(
     policy: PolicyNet,
     schema: WorldSchema,
-    n_dialogs: int = 500,
-    n_runs: int = 5,
+    n_dialogs: int = EVAL_DIALOGS,
+    n_runs: int = EVAL_RUNS,
     seed: int = 0,
     method: str = "policy",
     on_episode=None,
@@ -466,8 +476,8 @@ def evaluate(
 
 def evaluate_expert(
     schema: WorldSchema,
-    n_dialogs: int = 500,
-    n_runs: int = 5,
+    n_dialogs: int = EVAL_DIALOGS,
+    n_runs: int = EVAL_RUNS,
     seed: int = 0,
 ) -> ExperimentReport:
     """Evaluate the rule expert under the same protocol (skyline check)."""
@@ -534,7 +544,7 @@ def run_grid(points, schema: WorldSchema, n_dialogs: int,
 
 def run_sl_sweep(corpus: Corpus, schema: WorldSchema, config: TrainConfig,
                  percentages=DEFAULT_SWEEP_PERCENTAGES, methods=FINETUNE_METHODS,
-                 n_dialogs: int = 500, n_runs: int = 5,
+                 n_dialogs: int = EVAL_DIALOGS, n_runs: int = EVAL_RUNS,
                  ) -> dict[str, list[tuple[int, ExperimentReport]]]:
     """Per percentage point, a grid point seeded from the point: every method
     trained on its log, then its logging policy, each evaluated. The rows are

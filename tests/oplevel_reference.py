@@ -8,6 +8,7 @@ match these bit for bit, so every expression here keeps its original operand
 order. ``mixup_pair`` is the one-pair form of the mix-up that
 ``objectives.mixup_batch`` applies to every row, for the mix-up property tests.
 ``grad_check`` compares any graph's gradients with central differences.
+``narrow_band`` is the confidence band the gradient tests mask with.
 """
 
 import math
@@ -15,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from banditmatch import fet, objectives
 from banditmatch.nncore import LOGIT_CLAMP, Tensor, add, fused
 from banditmatch.objectives import ObjectiveError
 from banditmatch.policy import PolicyNet
@@ -210,20 +212,29 @@ def log_importance_weights(probs: Tensor, rho: np.ndarray, logged_mask: np.ndarr
     return tensor_sum(sub(log_num, log_den), axis=1)
 
 
-def loss_ips(probs, rho, delta, logged_mask, clip_at):
+# The clip and the translation are the package's constants, read at call time
+# as the package reads them, so a test that patches one patches both sides.
+def loss_ips(probs, rho, delta, logged_mask):
     delta = np.asarray(delta, dtype=np.float64)
     n = delta.shape[0]
     w = exp(log_importance_weights(probs, rho, logged_mask))
-    w = clip(w, 0.0, clip_at)
+    w = clip(w, 0.0, objectives.DEFAULT_IPS_CLIP)
     return tensor_sum(w * delta) * (-1.0 / n)
 
 
-def loss_banditnet(probs, rho, delta, logged_mask, translation, clip_at):
+def loss_banditnet(probs, rho, delta, logged_mask):
     delta = np.asarray(delta, dtype=np.float64)
     n = delta.shape[0]
     w = exp(log_importance_weights(probs, rho, logged_mask))
-    w = clip(w, 0.0, clip_at)
-    return tensor_sum(w * (delta - translation)) * (-1.0 / n)
+    w = clip(w, 0.0, objectives.DEFAULT_IPS_CLIP)
+    return tensor_sum(w * (delta - objectives.DEFAULT_TRANSLATION)) * (-1.0 / n)
+
+
+def narrow_band(num_classes: int) -> fet.ThresholdSet:
+    """Accept 0.6 and reject 0.4 on every class: narrower than FET's fallback
+    pair, so a small random network has confident classes to mask."""
+    return fet.ThresholdSet(np.full(num_classes, 0.6), np.full(num_classes, 0.4),
+                            np.ones(num_classes, bool), np.ones(num_classes, bool))
 
 
 # -- mix-up ----------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dialogworld_reference import enumerate_goals
-from oplevel_reference import grad_check, mixup_pair
+from oplevel_reference import grad_check, mixup_pair, narrow_band
 from banditmatch import cli, datasets as ds, dialogworld as dw, fet
 from banditmatch import objectives as obj
 from banditmatch import trainer as tr
@@ -50,7 +50,7 @@ def test_criterion_01_gradient_suite():
         logged = rng.random((6, 4)) < 0.5
         rho = rng.uniform(0.15, 0.85, (6, 4))
         delta = (rng.random(6) < 0.5).astype(int)
-        conf = obj.fixmatch_mask(net.probs(states), delta, tau=0.6)
+        conf = fet.confidence_mask(net.probs(states), delta, narrow_band(4))
         qhat = obj.pseudo_labels(net.probs(states))
         mask = obj.unconfident_plus_mask(delta, conf, logged)
         ref = rng.uniform(0.2, 0.8, (6, 4))

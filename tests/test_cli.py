@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from banditmatch import cli, nncore
+from banditmatch import cli, nncore, objectives
 from banditmatch.dialogworld import WorldSchema
 from banditmatch.policy import PolicyNet
 
@@ -1304,6 +1306,26 @@ class TestReadme:
         assert {argv[1] for argv in commands} == {
             "gen-world", "gen-corpus", "split-and-log", "train", "evaluate", "ablate", "sweep",
         }
+
+    def test_fixed_value_table_matches_the_constants(self):
+        # each row's constants hold the values its "fixed at" cell states, in order
+        readme = (Path(cli.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| value | fixed at | constant |", 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()[2:]]
+        assert len(rows) == 8
+        for _, fixed, constant in rows:
+            names = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", constant)
+            values = [float(v) for v in re.findall(r"\d+(?:\.\d+)?", fixed)]
+            if not names:
+                # the loss weights: the terms' plain sum
+                assert constant == "`objectives.total_loss`'s plain sum" and values == [1.0]
+                terms = [nncore.Tensor(2.0 ** k) for k in range(4)]
+                assert objectives.total_loss(*terms).item() == 15.0
+                continue
+            assert len(names) == len(values), constant
+            for (module, name), value in zip(names, values):
+                assert getattr(importlib.import_module(f"banditmatch.{module}"), name) == value
 
 
 class TestBlasThreads:

@@ -109,7 +109,7 @@ class TestModelCorrectness:
         empty = np.zeros((0, 2))
         empty_sets = np.zeros((0, 2), dtype=bool)
         tracker = FetTracker(num_classes=2)
-        tracker.update(empty, empty_sets, empty, empty, empty_sets, empty)
+        tracker.update(empty, empty_sets, empty, np.zeros(0, dtype=int))
         assert not tracker.correctness().available
 
     def test_empty_logged_sets_skipped_on_negative_side(self):
@@ -333,6 +333,28 @@ class TestOracleFixture:
         assert np.all(np.abs(out.reject - ref_rej_n) < 1e-12)
 
 
+def update_apart(tracker, pos_probs, pos_sets, pos_rho, neg_probs, neg_sets, neg_rho):
+    """``FetTracker.update`` with the positive and negative rows given apart:
+    the six-array form the tracker took before it split its own batch."""
+    correct = exact_match_rows(pos_probs, pos_sets)
+    if correct.any():
+        probs_t, sets_t, rho_t = pos_probs[correct], pos_sets[correct], pos_rho[correct]
+        accept, reject, v_a, v_r = positive_thresholds(probs_t, sets_t)
+        tracker._ema_update(tracker.accept_ema, tracker.accept_seen, accept, v_a)
+        tracker._ema_update(tracker.reject_ema, tracker.reject_seen, reject, v_r)
+        mc_pos = model_correctness_pos(probs_t, sets_t, rho_t)
+        if tracker.mc_pos_ema is None:
+            tracker.mc_pos_ema = mc_pos
+        else:
+            tracker.mc_pos_ema = (fet.EMA_DECAY * tracker.mc_pos_ema
+                                  + (1.0 - fet.EMA_DECAY) * mc_pos)
+    try:
+        tracker.last_mc_neg = model_correctness_neg(neg_probs, neg_sets, neg_rho)
+    except ValueError:
+        tracker.last_mc_neg = None
+    return tracker.thresholds()
+
+
 class TestTracker:
     def test_fallback_before_any_statistics(self):
         tracker = FetTracker(num_classes=3)
@@ -342,25 +364,51 @@ class TestTracker:
         assert not tracker.correctness().available
 
     def test_ema_moves_toward_new_batch(self):
+        # row 0 is the positive, row 1 the negative
         tracker = FetTracker(num_classes=1)
-        probs_a = np.array([[0.8]])
-        sets = np.array([[True]])
-        rho = np.array([[0.8]])
-        neg_probs = np.array([[0.4]])
-        neg_sets = np.array([[True]])
-        neg_rho = np.array([[0.5]])
-        tracker.update(probs_a, sets, rho, neg_probs, neg_sets, neg_rho)
+        sets = np.array([[True], [True]])
+        rho = np.array([[0.8], [0.5]])
+        delta = np.array([1, 0])
+        tracker.update(np.array([[0.8], [0.4]]), sets, rho, delta)
         assert np.isclose(tracker.accept_ema[0], 0.8)
-        tracker.update(np.array([[0.6]]), sets, rho, neg_probs, neg_sets, neg_rho)
+        tracker.update(np.array([[0.6], [0.4]]), sets, rho, delta)
         assert np.isclose(tracker.accept_ema[0], 0.9 * 0.8 + 0.1 * 0.6)
 
     def test_no_positive_batch_keeps_state(self):
         tracker = FetTracker(num_classes=1)
-        sets = np.array([[True]])
-        tracker.update(np.array([[0.8]]), sets, np.array([[0.8]]),
-                       np.array([[0.4]]), sets, np.array([[0.5]]))
+        sets = np.array([[True], [True]])
+        tracker.update(np.array([[0.8], [0.4]]), sets, np.array([[0.8], [0.5]]),
+                       np.array([1, 0]))
         before = tracker.accept_ema.copy()
-        empty = np.zeros((0, 1))
-        tracker.update(empty, np.zeros((0, 1), bool), empty,
-                       np.array([[0.4]]), sets, np.array([[0.5]]))
+        tracker.update(np.array([[0.4]]), sets[:1], np.array([[0.5]]), np.array([0]))
         assert np.array_equal(tracker.accept_ema, before)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_update_splits_the_batch_like_a_hand_split(self, seed):
+        # the same state, thresholds and correctness as folding in the
+        # positive and negative rows given apart, step after step
+        rng = np.random.default_rng(300 + seed)
+        n, c = 24, 5
+        whole, apart = FetTracker(num_classes=c), FetTracker(num_classes=c)
+        for _ in range(4):
+            probs = rng.uniform(0.02, 0.98, (n, c))
+            sets = rng.random((n, c)) < 0.3
+            # most positives predicted exactly right, so the accept side has support
+            fitted = rng.random(n) < 0.7
+            probs[fitted] = np.where(sets[fitted], rng.uniform(0.55, 0.98, (fitted.sum(), c)),
+                                     rng.uniform(0.02, 0.45, (fitted.sum(), c)))
+            rho = rng.uniform(0.05, 0.95, (n, c))
+            # a positive row logs a non-empty set, as a bandit log requires
+            delta = ((rng.random(n) < 0.5) & sets.any(axis=1)).astype(np.int64)
+            got = whole.update(probs, sets, rho, delta)
+            pos = delta == 1
+            want = update_apart(apart, probs[pos], sets[pos], rho[pos],
+                                probs[~pos], sets[~pos], rho[~pos])
+            for field in ("accept", "reject", "valid_accept", "valid_reject"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            for attr in ("accept_ema", "reject_ema", "accept_seen", "reject_seen"):
+                assert getattr(whole, attr).tobytes() == getattr(apart, attr).tobytes()
+            assert whole.mc_pos_ema == apart.mc_pos_ema
+            assert whole.last_mc_neg == apart.last_mc_neg
+            assert whole.correctness() == apart.correctness()
+        assert whole.correctness().available

@@ -45,10 +45,11 @@ class Case:
         self.rho = rng.uniform(0.05, 0.95, (b, c))
         self.delta = (rng.random(b) < (0.0 if seed == 5 else 0.5)).astype(np.int64)
         p = self.net.probs(self.weak)
-        self.conf = obj.fixmatch_mask(p, self.delta, tau=0.6)
+        self.conf = fet.confidence_mask(p, self.delta, ref.narrow_band(c))
         self.qhat = obj.pseudo_labels(p)
         self.umask = obj.unconfident_plus_mask(self.delta, self.conf, self.logged)
         self.ref_probs = rng.uniform(0.05, 0.95, (b, c))
+        # odd seeds clip the importance weights at 2 (the test patches the constant)
         self.clip = 2.0 if seed % 2 else obj.DEFAULT_IPS_CLIP
 
     def composite(self, forward, losses, total=weighted_total):
@@ -67,7 +68,7 @@ class Case:
         pass only sets the mask and pseudo-labels, the labeled term is on the
         mixed split, and there is no plain pass, bandit or KL term."""
         weak_probs = forward(self.net, self.weak).data
-        conf = obj.fixmatch_mask(weak_probs, self.delta, tau=0.6)
+        conf = fet.confidence_mask(weak_probs, self.delta, ref.narrow_band(weak_probs.shape[1]))
         ones = np.ones(len(self.split), dtype=np.int64)
         l_l = losses.loss_labeled(forward(self.net, self.split), self.split_targets, ones)
         if conf.any():
@@ -84,10 +85,8 @@ class Case:
         def crm(kind):
             def build(forward, losses):
                 probs = forward(s.net, s.states)
-                if kind == "ips":
-                    loss = losses.loss_ips(probs, s.rho, s.delta, s.logged, s.clip)
-                else:
-                    loss = losses.loss_banditnet(probs, s.rho, s.delta, s.logged, 0.9, s.clip)
+                crm_loss = losses.loss_ips if kind == "ips" else losses.loss_banditnet
+                loss = crm_loss(probs, s.rho, s.delta, s.logged)
                 return loss + 0.35 * losses.loss_kl_control(probs, s.ref_probs)
             return build
 
@@ -96,9 +95,9 @@ class Case:
             "pseudo": lambda f, L: L.loss_pseudo(f(s.net, s.strong), s.qhat, s.conf),
             "bandit": lambda f, L: L.loss_bandit(f(s.net, s.states), s.rho, s.delta, s.umask),
             "kl": lambda f, L: L.loss_kl_control(f(s.net, s.states), s.ref_probs),
-            "ips": lambda f, L: L.loss_ips(f(s.net, s.states), s.rho, s.delta, s.logged, s.clip),
-            "banditnet": lambda f, L: L.loss_banditnet(
-                f(s.net, s.states), s.rho, s.delta, s.logged, 0.9, s.clip),
+            "ips": lambda f, L: L.loss_ips(f(s.net, s.states), s.rho, s.delta, s.logged),
+            "banditnet": lambda f, L: L.loss_banditnet(f(s.net, s.states), s.rho, s.delta,
+                                                       s.logged),
             "composite": s.composite,
             "fixmatch": s.fixmatch,
             "ips_kl": crm("ips"),
@@ -119,8 +118,9 @@ def run(case: Case, build, forward, losses):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fused_losses_and_gradients_bit_identical(seed):
+def test_fused_losses_and_gradients_bit_identical(seed, monkeypatch):
     case = Case(seed)
+    monkeypatch.setattr(obj, "DEFAULT_IPS_CLIP", case.clip)
     for name, build in case.builds().items():
         value, grads = run(case, build, fused_forward, obj)
         ref_value, ref_grads = run(case, build, ref.mlp_forward, ref)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oplevel_reference import grad_check, mixup_pair
+from oplevel_reference import grad_check, mixup_pair, narrow_band
+from banditmatch import fet
 from banditmatch import objectives as obj
 from banditmatch.nncore import Tensor
 from banditmatch.policy import MlpSpec, PolicyNet
@@ -115,7 +116,7 @@ class TestPseudoLoss:
         weak = states + 0.01
         strong = states + 0.05
         qhat = obj.pseudo_labels(net.probs(weak))
-        conf = obj.fixmatch_mask(net.probs(weak), np.zeros_like(delta), tau=0.6)
+        conf = fet.confidence_mask(net.probs(weak), np.zeros_like(delta), narrow_band(4))
 
         def grads(labels):
             net.zero_grad()
@@ -269,7 +270,7 @@ class TestTotalLoss:
         # the total's gradient is the sum of the four terms' gradients
         net = toy_net(seed=9)
         states, logged, rho, delta = toy_batch(seed=10)
-        conf = obj.fixmatch_mask(net.probs(states), delta, tau=0.6)
+        conf = fet.confidence_mask(net.probs(states), delta, narrow_band(4))
         qhat = obj.pseudo_labels(net.probs(states))
         mask = obj.unconfident_plus_mask(delta, conf, logged)
         ref = np.clip(np.random.default_rng(11).random((5, 4)), 0.1, 0.9)
@@ -307,30 +308,41 @@ class TestBaselines:
         probs = np.array([[0.99, 0.99]])
         logged = np.array([[True, True]])
         delta = np.array([1])
-        loss = obj.loss_ips(Tensor(probs), rho, delta, logged, clip=100.0)
+        # the weight is 0.99**2 / 0.01**2 = 9801, clipped at DEFAULT_IPS_CLIP
+        assert obj.DEFAULT_IPS_CLIP == 100.0
+        loss = obj.loss_ips(Tensor(probs), rho, delta, logged)
         assert abs(loss.item() + 100.0) < 1e-9
 
-    def test_banditnet_zero_translation_is_ips(self):
+    def test_banditnet_zero_translation_is_ips(self, monkeypatch):
         states, logged, rho, delta = toy_batch(seed=14)
         probs = np.random.default_rng(15).uniform(0.2, 0.8, rho.shape)
-        a = obj.loss_banditnet(Tensor(probs), rho, delta, logged, translation=0.0)
+        monkeypatch.setattr(obj, "DEFAULT_TRANSLATION", 0.0)
+        a = obj.loss_banditnet(Tensor(probs), rho, delta, logged)
         b = obj.loss_ips(Tensor(probs), rho, delta, logged)
         assert abs(a.item() - b.item()) < 1e-12
 
-    def test_banditnet_translation_matching_rewards_zero(self):
+    def test_banditnet_translation_matching_rewards_zero(self, monkeypatch):
         states, logged, rho, delta = toy_batch(seed=16)
         probs = np.random.default_rng(17).uniform(0.2, 0.8, rho.shape)
-        loss = obj.loss_banditnet(
-            Tensor(probs), rho, np.full_like(delta, 1), logged, translation=1.0
-        )
+        monkeypatch.setattr(obj, "DEFAULT_TRANSLATION", 1.0)
+        loss = obj.loss_banditnet(Tensor(probs), rho, np.full_like(delta, 1), logged)
         assert abs(loss.item()) < 1e-12
 
     def test_fixmatch_mask_examples(self):
-        probs = np.array([[0.96], [0.5], [0.04]])
-        delta = np.array([0, 0, 0])
-        mask = obj.fixmatch_mask(probs, delta, tau=0.95)
-        assert mask[:, 0].tolist() == [True, False, True]
-        assert not obj.fixmatch_mask(np.array([[0.99]]), np.array([1]), tau=0.95).any()
+        # FET's fallback pair on every class: the edges themselves are not confident
+        probs = np.array([[0.96], [0.95], [0.5], [0.05], [0.04]])
+        delta = np.zeros(len(probs), dtype=int)
+        mask = obj.fixmatch_mask(probs, delta)
+        assert mask[:, 0].tolist() == [True, False, False, False, True]
+        assert np.array_equal(
+            mask, fet.confidence_mask(probs, delta, fet.fallback_thresholds(1)))
+        assert not obj.fixmatch_mask(np.array([[0.99]]), np.array([1])).any()
+        # several classes, each against the same pair
+        rng = np.random.default_rng(18)
+        probs = rng.choice([0.04, 0.05, 0.3, 0.95, 0.96], size=(40, 3))
+        delta = rng.integers(0, 2, 40)
+        assert np.array_equal(obj.fixmatch_mask(probs, delta),
+                              fet.confidence_mask(probs, delta, fet.fallback_thresholds(3)))
 
 
 class TestGradientSuite:
@@ -343,7 +355,7 @@ class TestGradientSuite:
         logged = rng.random((4, 3)) < 0.5
         rho = rng.uniform(0.15, 0.85, (4, 3))
         delta = np.array([1, 0, 1, 0])
-        conf = obj.fixmatch_mask(net.probs(states), delta, tau=0.6)
+        conf = fet.confidence_mask(net.probs(states), delta, narrow_band(3))
         qhat = obj.pseudo_labels(net.probs(states))
         mask = obj.unconfident_plus_mask(delta, conf, logged)
         ref = rng.uniform(0.2, 0.8, (4, 3))

@@ -401,6 +401,117 @@ class TestGraphLifetime:
             assert all(node() is None for _, node in built), name
 
 
+class TestGradientOrder:
+    """The order in which one training step adds into each gradient: first the
+    loss terms into each pass's probabilities, then each pass into the
+    parameters. Float addition is not associative, so this order fixes the
+    trained bits; a step that computes its gradients without the graph must
+    make the same additions in the same order."""
+
+    # the loss terms whose nodes add into a pass's probabilities
+    LOSSES = ("loss_labeled", "loss_pseudo", "loss_bandit", "loss_kl_control",
+              "loss_ips", "loss_banditnet")
+
+    @staticmethod
+    def record(monkeypatch, schema, make_step, passes):
+        """Run one step of ``make_step(policy)`` and its backward, and return
+        each ``_accumulate`` into a pass's probabilities or a parameter as
+        ``"source -> target"``. The step's forward passes are named by
+        ``passes`` in call order."""
+        rng = np.random.default_rng(40)
+        policy = PolicyNet(policy_spec_for(schema, hidden_dims=(16, 8)), rng=rng)
+        # saturate some classes, so fixed-band confidence and the strong pass occur
+        policy.biases[-1].data[:] = rng.choice([-5.0, 0.0, 5.0], policy.num_actions)
+        batch = random_log(rng, 24, policy.spec.input_dim, policy.num_actions)
+        targets, running, events = dict(policy.named_parameters()), [], []
+
+        def named(node, name, into=None):
+            # targets keeps each node, so no id is reused within the step
+            if into is not None:
+                into[name] = node
+            inner = node._backward
+
+            def backward(g):
+                running.append(name)
+                inner(g)
+                running.pop()
+
+            node._backward = backward
+            return node
+
+        forward, pass_names = policy.forward, iter(passes)
+        monkeypatch.setattr(policy, "forward",
+                            lambda states: named(forward(states), next(pass_names), targets))
+        for loss in TestGradientOrder.LOSSES:
+            monkeypatch.setattr(objectives, loss, lambda *args, _f=getattr(objectives, loss),
+                                _n=loss: named(_f(*args), _n))
+        total, _ = make_step(policy)(1, batch)
+        by_id = {id(node): name for name, node in targets.items()}
+        accumulate = nncore.Tensor._accumulate
+
+        def recording(tensor, g):
+            if id(tensor) in by_id:
+                events.append(f"{running[-1]} -> {by_id[id(tensor)]}")
+            accumulate(tensor, g)
+
+        monkeypatch.setattr(nncore.Tensor, "_accumulate", recording)
+        policy.zero_grad()
+        total.backward()
+        return events
+
+    def test_banditmatch_step(self, monkeypatch, schema):
+        # all four terms. KL and bandit add into the plain pass, the pseudo
+        # term into the strong pass, the labeled term into the weak pass
+        events = self.record(
+            monkeypatch, schema,
+            lambda policy: tr._composite_step(policy, np.random.default_rng(1),
+                                              tr.TrainConfig(batch_size=24), None, None),
+            ("plain", "weak", "strong"))
+        assert events == [
+            "loss_kl_control -> plain", "loss_kl_control -> plain",
+            "loss_kl_control -> plain", "loss_kl_control -> plain",
+            "loss_bandit -> plain",
+            "plain -> w2", "plain -> b2", "plain -> w1", "plain -> b1",
+            "plain -> w0", "plain -> b0",
+            "loss_pseudo -> strong", "loss_pseudo -> strong",
+            "strong -> w2", "strong -> b2", "strong -> w1", "strong -> b1",
+            "strong -> w0", "strong -> b0",
+            "loss_labeled -> weak", "loss_labeled -> weak",
+            "weak -> w2", "weak -> b2", "weak -> w1", "weak -> b1",
+            "weak -> w0", "weak -> b0",
+        ]
+
+    def test_fixmatch_step(self, monkeypatch, schema, setup):
+        # the weak pass only sets the mask: the labeled term is on the split pass
+        events = self.record(
+            monkeypatch, schema,
+            lambda policy: tr._composite_step(
+                policy, np.random.default_rng(1),
+                tr.TrainConfig(batch_size=24, method="fixmatch"), setup[0], None),
+            ("weak", "split", "strong"))
+        assert events == [
+            "loss_pseudo -> strong", "loss_pseudo -> strong",
+            "strong -> w2", "strong -> b2", "strong -> w1", "strong -> b1",
+            "strong -> w0", "strong -> b0",
+            "loss_labeled -> split", "loss_labeled -> split",
+            "split -> w2", "split -> b2", "split -> w1", "split -> b1",
+            "split -> w0", "split -> b0",
+        ]
+
+    def test_ips_step_with_kl(self, monkeypatch, schema):
+        events = self.record(
+            monkeypatch, schema,
+            lambda policy: tr._crm_step(policy, tr.TrainConfig(method="ips", add_kl=True)),
+            ("plain",))
+        assert events == [
+            "loss_kl_control -> plain", "loss_kl_control -> plain",
+            "loss_kl_control -> plain", "loss_kl_control -> plain",
+            "loss_ips -> plain", "loss_ips -> plain",
+            "plain -> w2", "plain -> b2", "plain -> w1", "plain -> b1",
+            "plain -> w0", "plain -> b0",
+        ]
+
+
 class TestDivergence:
     """A trained policy whose every logit on the training rows lies outside
     the clamp can never learn again, and training refuses it."""
